@@ -119,6 +119,24 @@ void BM_FastEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_FastEstimate)->DenseRange(0, 8);
 
+// The per-point cost the DSE sweeps pay: the kernel's profile is built once
+// outside the loop, as Explorer::prepare and the runtime sweeps do.
+void BM_ProfileEstimate(benchmark::State& state) {
+  const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
+  const sched::LoopPipeliner mapper(w.array);
+  const sched::PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
+  const sched::ContextScheduler s;
+  const core::EstimateProfile profile(
+      s.schedule(p, arch::base_architecture()));
+  const arch::Architecture target = arch::rsp_architecture(1);
+  for (auto _ : state) {
+    auto est = profile.estimate(target);
+    benchmark::DoNotOptimize(est.estimated_cycles());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_ProfileEstimate)->DenseRange(0, 8);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -17,6 +17,9 @@
 
 namespace rsp::arch {
 
+/// Deepest multiplier pipeline the RSP template explores.
+inline constexpr int kMaxPipelineStages = 8;
+
 /// Identifier of one physical shared unit.
 struct SharedUnitId {
   /// Pool the unit belongs to: row pool r serves all PEs with row == r,

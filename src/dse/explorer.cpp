@@ -51,6 +51,25 @@ Explorer::Explorer(arch::ArraySpec array, ExplorerConfig config,
     : array_(array), config_(config), synth_(std::move(synth)) {
   array_.validate();
   config_.validate();
+  // enumerate_points builds every grid point, so the bounds must be finite
+  // before anything else runs. A row issues at most `cols` multiplications
+  // per cycle and a column at most `rows` (the bound unlimited_units uses),
+  // so larger pools explore nothing new.
+  const auto reject = [](const std::string& key, int value,
+                         const std::string& limit) {
+    throw InvalidArgumentError("malformed explorer config: '" + key + "' (" +
+                               std::to_string(value) + ") exceeds " + limit);
+  };
+  if (config_.max_units_per_row > array_.cols)
+    reject("max_units_per_row", config_.max_units_per_row,
+           "the array's " + std::to_string(array_.cols) + " columns");
+  if (config_.max_units_per_col > array_.rows)
+    reject("max_units_per_col", config_.max_units_per_col,
+           "the array's " + std::to_string(array_.rows) + " rows");
+  if (config_.max_stages > arch::kMaxPipelineStages)
+    reject("max_stages", config_.max_stages,
+           "the template's " + std::to_string(arch::kMaxPipelineStages) +
+               " pipeline stages");
 }
 
 void evaluate_exact(Candidate& cand, std::size_t program_count,
@@ -171,7 +190,7 @@ PreparedExploration Explorer::prepare(
   // Step 1: initial configuration contexts on the base architecture.
   const arch::Architecture base = base_architecture();
   PreparedExploration prep;
-  std::vector<sched::ConfigurationContext> base_contexts;
+  std::vector<core::EstimateProfile> profiles;
   ExplorationResult& result = prep.result;
   for (const kernels::Workload& w : domain) {
     if (w.array != array_)
@@ -180,24 +199,23 @@ PreparedExploration Explorer::prepare(
     KernelPrep kernel_prep = prepare_kernel(w);
     prep.kernel_names.push_back(w.name);
     prep.programs.push_back(std::move(kernel_prep.program));
-    base_contexts.push_back(std::move(kernel_prep.base_context));
-    result.base_cycles += base_contexts.back().length();
+    profiles.emplace_back(kernel_prep.base_context);
+    result.base_cycles += profiles.back().base_cycles();
   }
   result.base_area = synth_.area(base);
   const double base_clock = synth_.clock_ns(base);
   result.base_time_ns = static_cast<double>(result.base_cycles) * base_clock;
 
   // Step 2–3: enumerate and estimate.
-  const EstimateFn estimate = [&base_contexts](
-                                  std::size_t k,
-                                  const arch::Architecture& target) {
-    return core::estimate_performance(base_contexts[k], target);
+  const EstimateFn estimate = [&profiles](std::size_t k,
+                                          const arch::Architecture& target) {
+    return profiles[k].estimate(target);
   };
   const double area_raw = base_area_raw();
   for (const DesignPoint& point : enumerate_points())
     result.candidates.push_back(
-        estimate_candidate(point, base, base_contexts.size(), estimate,
-                           area_raw, result.base_time_ns));
+        estimate_candidate(point, base, profiles.size(), estimate, area_raw,
+                           result.base_time_ns));
 
   // Step 4: Pareto filter over the surviving estimates.
   pareto_filter(result);

@@ -130,9 +130,9 @@ using MeasureFn = std::function<sched::PerfPoint(
 
 /// Estimation hook for `Explorer::estimate_candidate`, the step-2/3
 /// analogue of MeasureFn: returns the fast performance estimate of kernel
-/// `kernel_index`'s base context on `architecture`. The serial path calls
-/// core::estimate_performance directly; parallel paths may interpose the
-/// mapping memo-cache's estimate table.
+/// `kernel_index`'s base context on `architecture`. Every sweep builds or
+/// fetches one core::EstimateProfile per kernel and queries it here; the
+/// parallel paths fetch the profiles from the mapping memo-cache.
 using EstimateFn = std::function<core::PerfEstimate(
     std::size_t kernel_index, const arch::Architecture& architecture)>;
 
@@ -144,6 +144,9 @@ void evaluate_exact(Candidate& cand, std::size_t program_count,
 
 class Explorer {
  public:
+  /// Throws InvalidArgumentError when `config` fails validate() or its grid
+  /// exceeds the array: more units per row than columns, more units per
+  /// column than rows, or more than arch::kMaxPipelineStages stages.
   Explorer(arch::ArraySpec array, ExplorerConfig config = {},
            synth::SynthesisModel synth = synth::SynthesisModel());
 

@@ -55,10 +55,12 @@ EstimateShard estimate_shard(const dse::Explorer& explorer,
   EstimateShard shard;
   for (const auto& record : prep.records)
     shard.base_cycles += record->base_context.length();
+  const std::vector<std::shared_ptr<const core::EstimateProfile>> profiles =
+      estimate_profiles(prep, mapping_cache);
 
   // One task per point: slot i holds the estimated-cycle sum the serial
-  // loop would compute for enumeration index begin + i. The estimate hook
-  // is the exact one prepare_parallel uses, so memoization cannot drift.
+  // loop would compute for enumeration index begin + i, from the same
+  // profiles prepare_parallel queries.
   shard.estimated_cycles.assign(end - begin, 0);
   std::vector<std::future<void>> futures;
   futures.reserve(end - begin);
@@ -68,16 +70,8 @@ EstimateShard estimate_shard(const dse::Explorer& explorer,
         const arch::Architecture target =
             explorer.point_architecture(points[i], base);
         long sum = 0;
-        for (std::size_t k = 0; k < domain.size(); ++k) {
-          const sched::ConfigurationContext& ctx =
-              prep.records[k]->base_context;
-          const core::PerfEstimate est =
-              mapping_cache != nullptr
-                  ? mapping_cache->get_or_estimate(prep.mapping_keys[k],
-                                                   ctx, target)
-                  : core::estimate_performance(ctx, target);
-          sum += est.estimated_cycles();
-        }
+        for (const auto& profile : profiles)
+          sum += profile->estimate(target).estimated_cycles();
         shard.estimated_cycles[i - begin] = sum;
       }));
     }

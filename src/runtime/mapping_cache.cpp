@@ -2,7 +2,6 @@
 
 #include <string_view>
 
-#include "runtime/eval_cache.hpp"
 #include "util/hash.hpp"
 
 namespace rsp::runtime {
@@ -76,21 +75,19 @@ std::shared_ptr<const dse::KernelPrep> MappingCache::get_or_map(
   });
 }
 
-core::PerfEstimate MappingCache::get_or_estimate(
+std::shared_ptr<const core::EstimateProfile> MappingCache::get_or_profile(
     const std::string& mapping_key,
-    const sched::ConfigurationContext& base_context,
-    const arch::Architecture& target) {
-  return estimates_.get_or_compute(
-      mapping_key + '|' + arch_fingerprint(target), [&] {
-        return core::estimate_performance(base_context, target);
-      });
+    const sched::ConfigurationContext& base_context) {
+  return estimates_.get_or_compute(mapping_key, [&base_context] {
+    return std::make_shared<const core::EstimateProfile>(base_context);
+  });
 }
 
 bool MappingCache::invalidate(const std::string& key) {
-  // Drop the derived estimates with the record: their values would still
-  // be correct (the computation is deterministic per key), but an
-  // invalidation means "forget everything about this kernel".
-  estimates_.invalidate_prefix(key + '|');
+  // Drop the derived profile with the record: it would still be correct
+  // (the computation is deterministic per key), but an invalidation means
+  // "forget everything about this kernel".
+  estimates_.invalidate(key);
   return cache_.invalidate(key);
 }
 

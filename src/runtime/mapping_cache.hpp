@@ -21,12 +21,13 @@
 // kernels catalogue guarantees this.
 //
 // Alongside the step-1 records the cache keeps a second table memoizing
-// the step-2/3 fast performance estimates derived from them
-// (core::estimate_performance of a base context on a target architecture,
-// keyed by mapping key + architecture fingerprint). Repeated explorations
-// of the same domain then collapse the whole serial front-end — mapping,
-// base scheduling *and* the O(grid × kernels) estimation sweep — to
-// lookups, the same way the EvalCache collapses repeated step-5 work.
+// the per-kernel part of the step-2/3 fast performance estimate: the
+// core::EstimateProfile of each base context, keyed by the mapping key.
+// Every sweep fetches one profile per kernel, so a repeated exploration of
+// the same domain skips remapping, base scheduling and profile extraction,
+// and estimating a design point is one stall pass over the profile. (A
+// table of per-point estimates would cost a string key per (kernel, point)
+// pair, about as much as the stall pass it saves.)
 //
 // Concurrency, capacity bounding and segmented-LRU eviction come from
 // StripedMemoCache (see runtime/striped_cache.hpp) — the same machinery
@@ -72,23 +73,21 @@ class MappingCache {
     return get_or_map(key(workload), workload);
   }
 
-  /// The memoized steps 2–3 for one (kernel, architecture) pair: the fast
-  /// performance estimate of `base_context` (the step-1 product under
-  /// `mapping_key`) on `target`. Deterministic, so a cached value is
-  /// bit-identical to a fresh core::estimate_performance call.
-  core::PerfEstimate get_or_estimate(
+  /// The memoized estimate profile of `base_context`, the step-1 product
+  /// under `mapping_key`. Profiles are immutable and deterministic, so a
+  /// cached one estimates bit-identically to a freshly built one.
+  std::shared_ptr<const core::EstimateProfile> get_or_profile(
       const std::string& mapping_key,
-      const sched::ConfigurationContext& base_context,
-      const arch::Architecture& target);
+      const sched::ConfigurationContext& base_context);
 
   std::optional<std::shared_ptr<const dse::KernelPrep>> lookup(
       const std::string& key) const {
     return cache_.lookup(key);
   }
 
-  /// Removes one step-1 record and every estimate derived from it (their
-  /// keys are prefixed by the mapping key); returns whether the record
-  /// existed. The next get_or_map remaps — stale records are never served.
+  /// Removes one step-1 record and the estimate profile derived from it;
+  /// returns whether the record existed. The next get_or_map remaps — stale
+  /// records are never served.
   bool invalidate(const std::string& key);
   void clear() {
     cache_.clear();
@@ -102,7 +101,7 @@ class MappingCache {
 
  private:
   StripedMemoCache<std::shared_ptr<const dse::KernelPrep>> cache_;
-  StripedMemoCache<core::PerfEstimate> estimates_;
+  StripedMemoCache<std::shared_ptr<const core::EstimateProfile>> estimates_;
 };
 
 }  // namespace rsp::runtime

@@ -135,6 +135,20 @@ PreparedKernels prepare_kernels_parallel(
   return prep;
 }
 
+std::vector<std::shared_ptr<const core::EstimateProfile>> estimate_profiles(
+    const PreparedKernels& kernels, MappingCache* mapping_cache) {
+  std::vector<std::shared_ptr<const core::EstimateProfile>> profiles;
+  profiles.reserve(kernels.records.size());
+  for (std::size_t k = 0; k < kernels.records.size(); ++k) {
+    const sched::ConfigurationContext& base = kernels.records[k]->base_context;
+    profiles.push_back(
+        mapping_cache != nullptr
+            ? mapping_cache->get_or_profile(kernels.mapping_keys[k], base)
+            : std::make_shared<const core::EstimateProfile>(base));
+  }
+  return profiles;
+}
+
 dse::PreparedExploration prepare_parallel(
     const dse::Explorer& explorer,
     const std::vector<kernels::Workload>& domain, ThreadPool& pool,
@@ -142,21 +156,15 @@ dse::PreparedExploration prepare_parallel(
   const arch::Architecture base = explorer.base_architecture();
 
   // Step 1 (see prepare_kernels_parallel).
-  PreparedKernels kernels =
+  const PreparedKernels kernels =
       prepare_kernels_parallel(explorer, domain, pool, mapping_cache);
-  std::vector<std::string>& mapping_keys = kernels.mapping_keys;
-  std::vector<std::shared_ptr<const dse::KernelPrep>>& records =
-      kernels.records;
 
   dse::PreparedExploration prep;
   dse::ExplorationResult& result = prep.result;
-  std::vector<const sched::ConfigurationContext*> context_ptrs;
-  context_ptrs.reserve(domain.size());
   for (std::size_t k = 0; k < domain.size(); ++k) {
     prep.kernel_names.push_back(domain[k].name);
-    prep.programs.push_back(records[k]->program);
-    context_ptrs.push_back(&records[k]->base_context);
-    result.base_cycles += records[k]->base_context.length();
+    prep.programs.push_back(kernels.records[k]->program);
+    result.base_cycles += kernels.records[k]->base_context.length();
   }
   result.base_area = explorer.synthesis().area(base);
   result.base_time_ns = static_cast<double>(result.base_cycles) *
@@ -166,15 +174,14 @@ dse::PreparedExploration prepare_parallel(
 
   // Steps 2–3: the enumerated grid in chunks. Each slot i holds exactly
   // the candidate the serial loop would push i-th, so the post-join
-  // assembly preserves the serial candidate order bit for bit. Estimates
-  // are memoized per (mapping key, architecture fingerprint) — repeated
-  // domains skip the whole sweep, not just the remapping.
+  // assembly preserves the serial candidate order bit for bit. Each
+  // kernel's profile is built (or fetched) once; the per-point estimate is
+  // one stall pass over it.
+  const std::vector<std::shared_ptr<const core::EstimateProfile>> profiles =
+      estimate_profiles(kernels, mapping_cache);
   const dse::EstimateFn estimate =
-      [&](std::size_t k, const arch::Architecture& target) {
-        if (mapping_cache == nullptr)
-          return core::estimate_performance(*context_ptrs[k], target);
-        return mapping_cache->get_or_estimate(mapping_keys[k],
-                                              *context_ptrs[k], target);
+      [&profiles](std::size_t k, const arch::Architecture& target) {
+        return profiles[k]->estimate(target);
       };
   const std::vector<dse::DesignPoint> points = explorer.enumerate_points();
   std::vector<dse::Candidate> slots(points.size());
@@ -190,8 +197,8 @@ dse::PreparedExploration prepare_parallel(
         futures.push_back(pool.submit([&, lo, hi] {
           for (std::size_t i = lo; i < hi; ++i)
             slots[i] = explorer.estimate_candidate(
-                points[i], base, context_ptrs.size(), estimate,
-                base_area_raw, base_time_ns);
+                points[i], base, profiles.size(), estimate, base_area_raw,
+                base_time_ns);
         }));
       }
     });

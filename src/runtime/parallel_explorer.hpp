@@ -56,7 +56,7 @@ struct RuntimeOptions {
 
 /// Step 1 alone, fanned out one task per kernel (through `mapping_cache`
 /// when non-null): the per-kernel mapping + base-schedule records, plus the
-/// mapping keys the estimate memo-table is addressed by (empty strings when
+/// mapping keys the profile memo-table is addressed by (empty strings when
 /// no cache is wired). Shared by prepare_parallel and the distributed
 /// shard executors (runtime/dist_shard.hpp) so step-1 products cannot
 /// drift between the single-process and sharded flows.
@@ -68,6 +68,13 @@ PreparedKernels prepare_kernels_parallel(
     const dse::Explorer& explorer,
     const std::vector<kernels::Workload>& domain, ThreadPool& pool,
     MappingCache* mapping_cache);
+
+/// One estimate profile per kernel of `kernels`, in domain order, fetched
+/// through `mapping_cache` when non-null and built directly otherwise. The
+/// estimate sweeps of prepare_parallel and the distributed estimate shards
+/// query these, so their estimates cannot drift.
+std::vector<std::shared_ptr<const core::EstimateProfile>> estimate_profiles(
+    const PreparedKernels& kernels, MappingCache* mapping_cache);
 
 /// The memoization protocol every exact measurement shares (DSE step 5,
 /// suite eval, distributed exact shards): consult `cache` under `key` when

@@ -255,35 +255,6 @@ class StripedMemoCache {
     return erased;
   }
 
-  /// Invalidates every entry whose key starts with `prefix` (a full-table
-  /// scan — meant for explicit invalidation of derived-value families, not
-  /// hot paths); returns how many entries were removed. In-flight computes
-  /// under matching keys are cancelled like in invalidate().
-  std::size_t invalidate_prefix(const std::string& prefix) {
-    std::size_t removed = 0;
-    for (Shard& shard : shards_) {
-      const util::MutexLock lock(shard.mutex);
-      for (auto it = shard.map.begin(); it != shard.map.end();) {
-        if (it->first.compare(0, prefix.size(), prefix) == 0) {
-          shard.lru.erase(it->first);
-          shard.pending.erase(it->first);
-          it = shard.map.erase(it);
-          ++removed;
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = shard.pending.begin(); it != shard.pending.end();) {
-        if (it->first.compare(0, prefix.size(), prefix) == 0)
-          it = shard.pending.erase(it);
-        else
-          ++it;
-      }
-    }
-    invalidations_.fetch_add(removed, std::memory_order_relaxed);
-    return removed;
-  }
-
   void clear() {
     for (Shard& shard : shards_) {
       const util::MutexLock lock(shard.mutex);

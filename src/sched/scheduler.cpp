@@ -9,27 +9,35 @@ namespace rsp::sched {
 
 namespace {
 
-/// Per-cycle occupancy tables, grown on demand.
+/// Per-cycle occupancy counts of one resource kind: a flat cycle-major
+/// array, grown on demand.
 class OccupancyTable {
  public:
-  explicit OccupancyTable(int slots_per_cycle) : slots_(slots_per_cycle) {}
+  explicit OccupancyTable(int slots_per_cycle)
+      : slots_(static_cast<std::size_t>(slots_per_cycle)) {}
 
   int used(int cycle, int slot) const {
-    if (cycle >= static_cast<int>(rows_.size())) return 0;
-    return rows_[static_cast<std::size_t>(cycle)]
-                [static_cast<std::size_t>(slot)];
+    const std::size_t i = index(cycle, slot);
+    return i < cells_.size() ? cells_[i] : 0;
   }
 
   void take(int cycle, int slot) {
-    if (cycle >= static_cast<int>(rows_.size()))
-      rows_.resize(static_cast<std::size_t>(cycle) + 1,
-                   std::vector<int>(static_cast<std::size_t>(slots_), 0));
-    ++rows_[static_cast<std::size_t>(cycle)][static_cast<std::size_t>(slot)];
+    const std::size_t i = index(cycle, slot);
+    if (i >= cells_.size())
+      cells_.resize(std::max(2 * cells_.size(),
+                             (static_cast<std::size_t>(cycle) + 1) * slots_),
+                    0);
+    ++cells_[i];
   }
 
  private:
-  int slots_;
-  std::vector<std::vector<int>> rows_;
+  std::size_t index(int cycle, int slot) const {
+    return static_cast<std::size_t>(cycle) * slots_ +
+           static_cast<std::size_t>(slot);
+  }
+
+  std::size_t slots_;
+  std::vector<int> cells_;
 };
 
 }  // namespace
@@ -70,15 +78,14 @@ ConfigurationContext ContextScheduler::schedule(
   OccupancyTable pe_busy(array.num_pes());
   OccupancyTable read_bus(array.rows);
   OccupancyTable write_bus(array.rows);
-  // Shared unit slot numbering: row pools first, then column pools.
-  const int row_units = array.rows * architecture.sharing.units_per_row;
-  const int col_units = array.cols * architecture.sharing.units_per_col;
+  // Shared unit slot numbering: row pools first, then column pools. A
+  // multiplication at PE(r,c) reaches slots r*upr .. r*upr+upr-1 of its row
+  // pool, then row_units + c*upc .. of its column pool.
+  const int upr = architecture.sharing.units_per_row;
+  const int upc = architecture.sharing.units_per_col;
+  const int row_units = array.rows * upr;
+  const int col_units = array.cols * upc;
   OccupancyTable unit_busy(std::max(row_units + col_units, 1));
-  auto unit_slot = [&](const arch::SharedUnitId& u) {
-    if (u.pool == arch::SharedUnitId::Pool::kRow)
-      return u.line * architecture.sharing.units_per_row + u.index;
-    return row_units + u.line * architecture.sharing.units_per_col + u.index;
-  };
 
   std::vector<int> cycle_of(static_cast<std::size_t>(program.size()), -1);
   std::vector<ScheduledOp> scheduled(static_cast<std::size_t>(program.size()));
@@ -104,10 +111,7 @@ ConfigurationContext ContextScheduler::schedule(
 
     const bool is_mult = ir::is_critical_op(op.kind);
     const bool needs_unit = is_mult && shared;
-    const std::vector<arch::SharedUnitId> reachable =
-        needs_unit ? architecture.sharing.reachable_units(array, op.pe)
-                   : std::vector<arch::SharedUnitId>{};
-    if (needs_unit && reachable.empty())
+    if (needs_unit && upr + upc == 0)
       throw InfeasibleError("architecture '" + architecture.name +
                             "' shares multipliers but PE(" +
                             std::to_string(op.pe.row) + "," +
@@ -121,6 +125,7 @@ ConfigurationContext ContextScheduler::schedule(
     const int occupancy = is_mult ? mult_latency : 1;
     int t = std::max(ready, op.not_before);
     std::optional<arch::SharedUnitId> unit;
+    int unit_slot = -1;
     for (;; ++t) {
       if (t > options_.max_cycles)
         throw InternalError("schedule exceeds max_cycles — livelock?");
@@ -135,12 +140,19 @@ ConfigurationContext ContextScheduler::schedule(
           write_bus.used(t, op.pe.row) >= array.write_buses_per_row)
         continue;
       if (needs_unit) {
+        // First fit: row-pool units, then column-pool units, in index order.
         unit.reset();
-        for (const arch::SharedUnitId& u : reachable) {
-          if (unit_busy.used(t, unit_slot(u)) == 0) {
-            unit = u;
-            break;
-          }
+        for (int u = 0; u < upr && !unit; ++u) {
+          unit_slot = op.pe.row * upr + u;
+          if (unit_busy.used(t, unit_slot) == 0)
+            unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kRow,
+                                      op.pe.row, u};
+        }
+        for (int u = 0; u < upc && !unit; ++u) {
+          unit_slot = row_units + op.pe.col * upc + u;
+          if (unit_busy.used(t, unit_slot) == 0)
+            unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kColumn,
+                                      op.pe.col, u};
         }
         if (!unit) continue;  // RS stall: bump to the next cycle
       }
@@ -151,7 +163,7 @@ ConfigurationContext ContextScheduler::schedule(
     for (int s = 0; s < occupancy; ++s) pe_busy.take(t + s, pe_slot);
     if (op.kind == ir::OpKind::kLoad) read_bus.take(t, op.pe.row);
     if (op.kind == ir::OpKind::kStore) write_bus.take(t, op.pe.row);
-    if (unit) unit_busy.take(t, unit_slot(*unit));
+    if (unit) unit_busy.take(t, unit_slot);
     cycle_of[static_cast<std::size_t>(idx)] = t;
 
     ScheduledOp& out = scheduled[static_cast<std::size_t>(idx)];

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -758,6 +759,32 @@ TEST(Serve, ProtocolErrorsAreInBandAndNonFatal) {
   EXPECT_TRUE(saw_unknown_op);
   EXPECT_TRUE(saw_missing_version);
   EXPECT_TRUE(saw_duplicate);
+}
+
+TEST(Serve, OversizedDseGridIsRejectedInBand) {
+  // Bounds a client sets beyond the array would make the explorer build an
+  // unbounded grid; the request must fail in-band and the loop keep going.
+  Service service(small_options(1, 1));
+  const ServeOutput output = run_serve(
+      service,
+      "{\"protocol_version\": 2, \"id\": \"huge\", \"op\": \"dse\", "
+      "\"config\": {\"max_units_per_row\": 2147483647}}\n"
+      "{\"protocol_version\": 2, \"id\": \"deep\", \"op\": \"dse\", "
+      "\"config\": {\"max_stages\": 9}}\n"
+      "{\"protocol_version\": 2, \"id\": \"p\", \"op\": \"ping\"}\n");
+  EXPECT_EQ(output.result.errors, 2u);
+  std::map<std::string, util::Json> by_id;
+  for (const util::Json& line : output.lines)
+    by_id.emplace(line.at("id").as_string(), line);
+  ASSERT_EQ(by_id.size(), 3u);
+  EXPECT_FALSE(by_id.at("huge").at("ok").as_bool());
+  EXPECT_NE(by_id.at("huge").at("error").as_string().find(
+                "'max_units_per_row' (2147483647) exceeds"),
+            std::string::npos);
+  EXPECT_FALSE(by_id.at("deep").at("ok").as_bool());
+  EXPECT_NE(by_id.at("deep").at("error").as_string().find("'max_stages'"),
+            std::string::npos);
+  EXPECT_TRUE(by_id.at("p").at("ok").as_bool());
 }
 
 TEST(Serve, ExecutionErrorsEchoTheRequestId) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <map>
@@ -161,8 +162,11 @@ TEST(CliJson, ServeV2NdjsonMatchesBatchPayloads) {
 TEST(CliJson, ServeRejectsACorruptCacheSnapshotInBand) {
   // A cache_load of a snapshot truncated mid-write must come back as a
   // normal {"ok": false} response naming the parse failure — not kill the
-  // serve loop (the next request on the same stream still answers).
-  const std::string path = "/tmp/rsp_cli_json_corrupt_cache.json";
+  // serve loop (the next request on the same stream still answers). Serve
+  // answers out of order, so responses are matched by id; the snapshot
+  // path is per process so concurrent runs cannot clobber it.
+  const std::string path = ::testing::TempDir() + "rsp_cli_json_corrupt_" +
+                           std::to_string(::getpid()) + ".json";
   run_shell("printf '{\"format\": \"rsp-eval-cache\", \"ver' > " + path);
   const CliResult r = run_shell(
       "printf '%s\\n%s\\n' "
@@ -170,20 +174,21 @@ TEST(CliJson, ServeRejectsACorruptCacheSnapshotInBand) {
       "\"path\": \"" + path + "\"}' "
       "'{\"protocol_version\": 2, \"id\": \"p\", \"op\": \"ping\"}' | " +
       std::string(RSP_CLI_BINARY) + " serve");
-  run_shell("rm -f " + path);
+  std::remove(path.c_str());
   ASSERT_EQ(r.exit_code, 0);
+  std::map<std::string, util::Json> by_id;
   std::istringstream lines(r.stdout_text);
   std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  const util::Json failed = util::Json::parse(line);
-  EXPECT_EQ(failed.at("id").as_string(), "cl");
+  while (std::getline(lines, line)) {
+    const util::Json response = util::Json::parse(line);
+    by_id.emplace(response.at("id").as_string(), response);
+  }
+  ASSERT_EQ(by_id.size(), 2u) << r.stdout_text;
+  const util::Json& failed = by_id.at("cl");
   EXPECT_FALSE(failed.at("ok").as_bool());
   EXPECT_NE(failed.at("error").as_string().find("JSON parse error"),
             std::string::npos);
-  ASSERT_TRUE(std::getline(lines, line));
-  const util::Json ping = util::Json::parse(line);
-  EXPECT_EQ(ping.at("id").as_string(), "p");
-  EXPECT_TRUE(ping.at("ok").as_bool());
+  EXPECT_TRUE(by_id.at("p").at("ok").as_bool());
 }
 
 }  // namespace

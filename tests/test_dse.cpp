@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "dse/explorer.hpp"
 #include "dse/pareto.hpp"
 #include "kernels/matmul.hpp"
@@ -84,6 +88,51 @@ TEST(Explorer, ConfigValidationNamesTheOffendingField) {
   config.max_units_per_row = 0;
   config.max_units_per_col = 0;
   config.validate();
+}
+
+TEST(Explorer, GridBoundsMustFitTheArray) {
+  // enumerate_points builds every grid point, so a bound a client sets to
+  // INT_MAX must be rejected, by name, before the grid is built.
+  const auto expect_rejected = [](const arch::ArraySpec& array,
+                                  const ExplorerConfig& config,
+                                  const std::string& needle) {
+    try {
+      const Explorer explorer(array, config);
+      FAIL() << "expected rejection mentioning " << needle;
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  // A 4x6 array: a row pool needs at most 6 units, a column pool 4.
+  const arch::ArraySpec array{4, 6};
+  ExplorerConfig config;
+  config.max_units_per_row = 6;
+  config.max_units_per_col = 4;
+  config.max_stages = arch::kMaxPipelineStages;
+  EXPECT_EQ(Explorer(array, config).enumerate_points().size(),
+            1u + (7u * 5u - 1u) * 8u);
+
+  ExplorerConfig too_many = config;
+  too_many.max_units_per_row = 7;
+  expect_rejected(array, too_many, "'max_units_per_row' (7) exceeds");
+  too_many = config;
+  too_many.max_units_per_col = 5;
+  expect_rejected(array, too_many, "'max_units_per_col' (5) exceeds");
+  too_many = config;
+  too_many.max_stages = arch::kMaxPipelineStages + 1;
+  expect_rejected(array, too_many, "'max_stages' (9) exceeds");
+  too_many = config;
+  too_many.max_units_per_row = std::numeric_limits<int>::max();
+  expect_rejected(array, too_many, "max_units_per_row");
+
+  // The default 4/4/4 grid fits every catalogue and generated array.
+  std::vector<kernels::Workload> workloads = kernels::full_catalogue();
+  for (int seed = 1; seed <= 20; ++seed)
+    workloads.push_back(
+        kernels::find_in_catalogue("gen:" + std::to_string(seed)));
+  for (const kernels::Workload& w : workloads)
+    EXPECT_NO_THROW(Explorer(w.array, ExplorerConfig{})) << w.name;
 }
 
 TEST(Explorer, EnumeratesTheSerialGridOrder) {

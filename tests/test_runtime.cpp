@@ -436,15 +436,19 @@ TEST(MappingCache, InvalidationForcesRemapAndDropsDerivedEstimates) {
   const std::string key = MappingCache::key(w);
   MappingCache cache;
   const auto record = cache.get_or_map(w);
-  const core::PerfEstimate est = cache.get_or_estimate(
-      key, record->base_context, arch::rsp_architecture(2));
-  EXPECT_GT(est.estimated_cycles(), 0);
+  const auto profile = cache.get_or_profile(key, record->base_context);
+  EXPECT_GT(profile->estimate(arch::rsp_architecture(2)).estimated_cycles(),
+            0);
   EXPECT_EQ(cache.estimate_stats().entries, 1u);
 
   EXPECT_TRUE(cache.invalidate(key));
   EXPECT_FALSE(cache.invalidate(key));  // already gone
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.estimate_stats().entries, 0u);  // derived entries dropped
+  EXPECT_EQ(cache.estimate_stats().entries, 0u);  // derived profile dropped
+  EXPECT_EQ(cache.estimate_stats().invalidations, 1u);
+  // The next fetch rebuilds the profile instead of serving the old one.
+  EXPECT_NE(cache.get_or_profile(key, record->base_context).get(),
+            profile.get());
 
   // The remap recomputes an identical record (mapping is deterministic).
   const auto fresh = cache.get_or_map(w);
@@ -454,27 +458,27 @@ TEST(MappingCache, InvalidationForcesRemapAndDropsDerivedEstimates) {
 }
 
 TEST(MappingCache, EstimatesMatchDirectComputation) {
+  // One profile entry per kernel, shared by every later fetch, estimating
+  // exactly what the one-shot core::estimate_performance computes.
   const kernels::Workload w = kernels::find_workload("MVM");
   const std::string key = MappingCache::key(w);
   MappingCache cache;
   const auto record = cache.get_or_map(w);
+  const auto cold = cache.get_or_profile(key, record->base_context);
+  const auto warm = cache.get_or_profile(key, record->base_context);
+  EXPECT_EQ(cold.get(), warm.get());
+  EXPECT_EQ(cache.estimate_stats().entries, 1u);
+  EXPECT_EQ(cache.estimate_stats().misses, 1u);
+  EXPECT_EQ(cache.estimate_stats().hits, 1u);
   for (const arch::Architecture& a :
        arch::standard_suite(w.array.rows, w.array.cols)) {
-    if (a.shares_multiplier()) {
-      const core::PerfEstimate direct =
-          core::estimate_performance(record->base_context, a);
-      const core::PerfEstimate cached =
-          cache.get_or_estimate(key, record->base_context, a);
-      const core::PerfEstimate warm =
-          cache.get_or_estimate(key, record->base_context, a);
-      EXPECT_EQ(cached.estimated_cycles(), direct.estimated_cycles());
-      EXPECT_EQ(warm.estimated_cycles(), direct.estimated_cycles());
-      EXPECT_EQ(warm.base_cycles, direct.base_cycles);
-      EXPECT_EQ(warm.rs_stall_bound, direct.rs_stall_bound);
-      EXPECT_EQ(warm.rp_overhead, direct.rp_overhead);
-    }
+    const core::PerfEstimate direct =
+        core::estimate_performance(record->base_context, a);
+    const core::PerfEstimate cached = warm->estimate(a);
+    EXPECT_EQ(cached.base_cycles, direct.base_cycles) << a.name;
+    EXPECT_EQ(cached.rs_stall_bound, direct.rs_stall_bound) << a.name;
+    EXPECT_EQ(cached.rp_overhead, direct.rp_overhead) << a.name;
   }
-  EXPECT_GT(cache.estimate_stats().hits, 0u);
 }
 
 // ------------------------------------------------- parallel vs serial DSE
@@ -609,7 +613,9 @@ TEST(ParallelExplorer, PrepareBitIdenticalToSerialOnPaperDomain) {
   const dse::PreparedExploration warm = parallel.prepare(domain);
   expect_prepared_identical(serial_prep, warm);
   EXPECT_EQ(options.mapping_cache->stats().hits, domain.size());
-  EXPECT_GT(options.mapping_cache->estimate_stats().hits, 0u);
+  // One estimate profile per kernel, fetched once per prepare.
+  EXPECT_EQ(options.mapping_cache->estimate_stats().entries, domain.size());
+  EXPECT_EQ(options.mapping_cache->estimate_stats().hits, domain.size());
 }
 
 TEST(ParallelExplorer, PrepareWorksWithoutMappingCache) {

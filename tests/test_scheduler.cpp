@@ -138,6 +138,38 @@ TEST(Scheduler, UnitNeverDoubleIssued) {
   }
 }
 
+TEST(Scheduler, UnitChoiceIsFirstFitRowPoolFirst) {
+  // A multiplication takes the lowest-indexed free unit of its row pool,
+  // and a column-pool unit only when its whole row pool is busy. Occupancy
+  // only grows, so both still hold in the finished schedule.
+  const ContextScheduler s;
+  using Pool = arch::SharedUnitId::Pool;
+  for (const char* name : {"2D-FDCT", "MVM", "FFT"}) {
+    const auto w = kernels::find_workload(name);
+    const ConfigurationContext ctx = s.schedule(
+        place(w), arch::custom_architecture("2r+2c", w.array.rows,
+                                            w.array.cols, 2, 2, 2));
+    std::set<std::pair<arch::SharedUnitId, int>> busy;
+    for (const ScheduledOp& op : ctx.ops())
+      if (op.unit) busy.emplace(*op.unit, op.cycle);
+    const auto is_busy = [&](Pool pool, int line, int index, int cycle) {
+      return busy.count({arch::SharedUnitId{pool, line, index}, cycle}) > 0;
+    };
+    for (const ScheduledOp& op : ctx.ops()) {
+      if (!op.unit) continue;
+      const arch::SharedUnitId& u = *op.unit;
+      for (int i = 0; i < u.index; ++i)
+        EXPECT_TRUE(is_busy(u.pool, u.line, i, op.cycle))
+            << name << ": " << arch::to_string(u) << " at " << op.cycle;
+      if (u.pool == Pool::kColumn) {
+        for (int i = 0; i < 2; ++i)
+          EXPECT_TRUE(is_busy(Pool::kRow, op.pe.row, i, op.cycle))
+              << name << ": " << arch::to_string(u) << " at " << op.cycle;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------- pipelining semantics
 TEST(Scheduler, RspLatencyAppliedToMults) {
   const ContextScheduler s;
