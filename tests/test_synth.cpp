@@ -8,6 +8,17 @@
 #include "util/error.hpp"
 
 namespace rsp::synth {
+namespace paper {
+
+// Print a Table 2 row by its architecture name. Without this gtest dumps the
+// row's raw bytes, which include the heap address of the name string, so the
+// registered test names would change from one process to the next.
+void PrintTo(const SynthesisRow& row, std::ostream* os) {
+  *os << ::testing::PrintToString(row.arch);
+}
+
+}  // namespace paper
+
 namespace {
 
 // -------------------------------------------------------------- components
