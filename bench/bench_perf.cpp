@@ -2,12 +2,13 @@
 //
 // Measures the speed of the pieces a user iterates with during design space
 // exploration: kernel unrolling, mapping, scheduling per architecture
-// class, legality checking, cycle simulation, and the fast performance
-// estimate that makes the exploration loop cheap.
+// class, exact measurement, legality checking, cycle simulation, and the
+// fast performance estimate that makes the exploration loop cheap.
 #include <benchmark/benchmark.h>
 
 #include "arch/presets.hpp"
 #include "core/estimate.hpp"
+#include "core/evaluator.hpp"
 #include "ir/unroll.hpp"
 #include "kernels/registry.hpp"
 #include "sched/legality.hpp"
@@ -72,6 +73,22 @@ void BM_ScheduleRsp(benchmark::State& state) {
   state.SetLabel(w.name);
 }
 BENCHMARK(BM_ScheduleRsp)->DenseRange(0, 8);
+
+// DSE step 5's exact evaluation of one kernel on one survivor: the real
+// and the stall-free run, measured from issue cycles alone.
+void BM_Measure(benchmark::State& state) {
+  const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
+  const sched::LoopPipeliner mapper(w.array);
+  const sched::PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
+  const sched::ContextScheduler s;
+  const arch::Architecture a = arch::rsp_architecture(2);
+  for (auto _ : state) {
+    auto m = core::measure_perf(s, p, a);
+    benchmark::DoNotOptimize(m.perf.stalls);
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_Measure)->DenseRange(0, 8);
 
 void BM_Legality(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));

@@ -1,5 +1,7 @@
 #include "core/evaluator.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace rsp::core {
@@ -7,12 +9,23 @@ namespace rsp::core {
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
                           const arch::Architecture& architecture) {
-  // One schedule serves both the PerfPoint and the issue-width column.
-  const sched::ConfigurationContext context =
-      scheduler.schedule(program, architecture);
+  const sched::ScheduleTiming real = scheduler.timing(program, architecture);
   MeasuredPerf m;
-  m.perf = sched::measure(scheduler, program, architecture, context);
-  m.max_critical_issues = context.max_critical_issues_per_cycle();
+  m.perf.cycles = real.length;
+  m.perf.nostall_cycles =
+      architecture.shares_multiplier()
+          ? scheduler.timing(program, sched::unlimited_units(architecture))
+                .length
+          : real.length;
+  m.perf.stalls = m.perf.cycles - m.perf.nostall_cycles;
+  // Peak critical-resource issues per cycle, as
+  // ConfigurationContext::max_critical_issues_per_cycle counts them.
+  std::vector<int> issues(static_cast<std::size_t>(real.length), 0);
+  for (std::size_t i = 0; i < real.cycles.size(); ++i)
+    if (ir::is_critical_op(program.ops()[i].kind))
+      m.max_critical_issues = std::max(
+          m.max_critical_issues,
+          ++issues[static_cast<std::size_t>(real.cycles[i])]);
   return m;
 }
 

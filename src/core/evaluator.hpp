@@ -31,9 +31,11 @@ struct MeasuredPerf {
   int max_critical_issues = 0;  ///< peak critical-resource issues per cycle
 };
 
-/// Measures a pair with a single schedule serving both the PerfPoint and
-/// the issue-width column. Shared by the serial evaluator and
-/// runtime::ParallelExplorer so the two paths cannot drift.
+/// Measures a pair from issue cycles alone (ContextScheduler::timing), so
+/// no configuration context is built: the real run gives the cycles and
+/// the issue-width column, a run with unlimited units gives the stalls.
+/// Shared by the serial evaluator and runtime::ParallelExplorer so the two
+/// paths cannot drift.
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
                           const arch::Architecture& architecture);

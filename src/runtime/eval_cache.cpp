@@ -9,13 +9,12 @@
 namespace rsp::runtime {
 
 std::string EvalCache::program_tag(const sched::PlacedProgram& program) {
-  // Hash of the program fields the scheduler reads. Byte-view hashing is
-  // endianness-dependent, which is fine for an in-memory memo table — the
-  // key only needs to be stable within one process.
+  // Hash of the program fields the scheduler reads, one mix64 step per
+  // field. mix64 is a bijection, so with the field layout fixed, changing
+  // any one field changes the tag.
   std::uint64_t h = util::kFnvOffsetBasis;
   const auto mix = [&h](std::int64_t v) {
-    h = util::fnv1a(
-        std::string_view(reinterpret_cast<const char*>(&v), sizeof v), h);
+    h = util::mix64(h ^ static_cast<std::uint64_t>(v));
   };
   for (const sched::ProgramOp& op : program.ops()) {
     mix(static_cast<std::int64_t>(op.kind));
@@ -25,10 +24,9 @@ std::string EvalCache::program_tag(const sched::PlacedProgram& program) {
     mix(op.imm);
     mix(op.address);
     mix(op.not_before);
+    mix(static_cast<std::int64_t>(util::fnv1a(op.array)));
     // Variable-length sections are length-prefixed so, e.g., an operand
     // list {5, 0} and an order_deps list [5, 0] cannot alias.
-    mix(static_cast<std::int64_t>(op.array.size()));
-    h = util::fnv1a(op.array, h);
     mix(static_cast<std::int64_t>(op.operands.size()));
     for (const sched::ProgOperand& operand : op.operands) {
       mix(operand.producer);

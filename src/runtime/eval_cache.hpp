@@ -31,10 +31,10 @@
 
 namespace rsp::runtime {
 
-/// Everything the runtime memoizes per (kernel, architecture) pair. All
-/// fields come from the same single schedule (core::measure_perf), so an
-/// entry written by the DSE path serves the suite-evaluation path and
-/// vice versa.
+/// Everything the runtime memoizes per (kernel, architecture) pair. Every
+/// field comes from one core::measure_perf call (the issue cycles of the
+/// real and the stall-free schedule), so an entry written by the DSE path
+/// serves the suite-evaluation path and vice versa.
 struct EvalRecord {
   int cycles = 0;
   int stalls = 0;
@@ -108,10 +108,10 @@ class EvalCache {
   ///                 "nostall_cycles": ..., "max_critical_issues": ...}]}
   /// Shards are locked one at a time, so the snapshot is consistent per
   /// entry but not across concurrent writers — callers wanting an exact
-  /// image quiesce the pool first. Keys embed a byte-view program hash, so
-  /// a persisted table is only meaningful to the same build on the same
-  /// platform; a mismatched key is simply never looked up (a cold miss),
-  /// never a wrong hit. An *evicting* cache snapshots whatever is resident
+  /// image quiesce the pool first. Keys embed a program hash, so a
+  /// persisted table is only meaningful to the same build that wrote it;
+  /// a mismatched key is simply never looked up (a cold miss), never a
+  /// wrong hit. An *evicting* cache snapshots whatever is resident
   /// at that moment; restoring into a bounded table re-enters through the
   /// normal insert path (and may evict again if the bound is smaller).
   util::Json serialize() const;

@@ -16,24 +16,12 @@ ScheduleStats stats_of(const ConfigurationContext& context) {
 PerfPoint measure(const ContextScheduler& scheduler,
                   const PlacedProgram& program,
                   const arch::Architecture& architecture) {
-  return measure(scheduler, program, architecture,
-                 scheduler.schedule(program, architecture));
-}
-
-PerfPoint measure(const ContextScheduler& scheduler,
-                  const PlacedProgram& program,
-                  const arch::Architecture& architecture,
-                  const ConfigurationContext& real) {
   PerfPoint p;
-  p.cycles = real.length();
-  if (!architecture.shares_multiplier()) {
-    p.nostall_cycles = p.cycles;
-    p.stalls = 0;
-    return p;
-  }
-  const ConfigurationContext free_run =
-      scheduler.schedule(program, unlimited_units(architecture));
-  p.nostall_cycles = free_run.length();
+  p.cycles = scheduler.timing(program, architecture).length;
+  p.nostall_cycles =
+      architecture.shares_multiplier()
+          ? scheduler.timing(program, unlimited_units(architecture)).length
+          : p.cycles;
   p.stalls = p.cycles - p.nostall_cycles;
   return p;
 }

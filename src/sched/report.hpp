@@ -32,16 +32,10 @@ struct PerfPoint {
   int nostall_cycles = 0;  ///< schedule length with unlimited units
 };
 
+/// Both schedules are measured with ContextScheduler::timing, so no
+/// configuration context is built.
 PerfPoint measure(const ContextScheduler& scheduler,
                   const PlacedProgram& program,
                   const arch::Architecture& architecture);
-
-/// As above, but reuses `real` — the context already scheduled for
-/// `architecture` — so callers that also need the context itself (e.g. for
-/// max_critical_issues_per_cycle) pay for one schedule, not two.
-PerfPoint measure(const ContextScheduler& scheduler,
-                  const PlacedProgram& program,
-                  const arch::Architecture& architecture,
-                  const ConfigurationContext& real);
 
 }  // namespace rsp::sched

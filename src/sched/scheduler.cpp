@@ -54,7 +54,7 @@ arch::Architecture unlimited_units(const arch::Architecture& a) {
   return u;
 }
 
-ConfigurationContext ContextScheduler::schedule(
+ScheduleTiming ContextScheduler::timing(
     const PlacedProgram& program, const arch::Architecture& architecture)
     const {
   architecture.validate();
@@ -66,47 +66,50 @@ ConfigurationContext ContextScheduler::schedule(
   const arch::ArraySpec& array = architecture.array;
   const bool shared = architecture.shares_multiplier();
   const int mult_latency = architecture.mult_latency();
+  const std::vector<ProgramOp>& ops = program.ops();
+  const std::size_t n = ops.size();
 
   // Scheduling order: by priority (stable on index for determinism).
-  std::vector<ProgIndex> order(static_cast<std::size_t>(program.size()));
+  std::vector<ProgIndex> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](ProgIndex a, ProgIndex b) {
-    return program.op(a).priority < program.op(b).priority;
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&ops](ProgIndex a, ProgIndex b) {
+                     return ops[static_cast<std::size_t>(a)].priority <
+                            ops[static_cast<std::size_t>(b)].priority;
+                   });
 
   // Occupancy: PEs, row read buses, row write buses, shared units.
   OccupancyTable pe_busy(array.num_pes());
   OccupancyTable read_bus(array.rows);
   OccupancyTable write_bus(array.rows);
-  // Shared unit slot numbering: row pools first, then column pools. A
-  // multiplication at PE(r,c) reaches slots r*upr .. r*upr+upr-1 of its row
-  // pool, then row_units + c*upc .. of its column pool.
+  // Shared unit slots are numbered as ScheduleTiming::unit_slots documents.
   const int upr = architecture.sharing.units_per_row;
   const int upc = architecture.sharing.units_per_col;
   const int row_units = array.rows * upr;
   const int col_units = array.cols * upc;
   OccupancyTable unit_busy(std::max(row_units + col_units, 1));
 
-  std::vector<int> cycle_of(static_cast<std::size_t>(program.size()), -1);
-  std::vector<ScheduledOp> scheduled(static_cast<std::size_t>(program.size()));
+  ScheduleTiming out;
+  out.cycles.assign(n, -1);
+  out.unit_slots.assign(n, -1);
+  // Cycle from which each op's result is consumable; -1 until scheduled.
+  std::vector<int> ready_at(n, -1);
 
   for (ProgIndex idx : order) {
-    const ProgramOp& op = program.op(idx);
+    const ProgramOp& op = ops[static_cast<std::size_t>(idx)];
 
     // Earliest cycle by dataflow and memory ordering.
     int ready = 0;
     for (const ProgOperand& o : op.operands) {
       if (o.is_imm()) continue;
-      const int pc = cycle_of[static_cast<std::size_t>(o.producer)];
-      RSP_ASSERT_MSG(pc >= 0, "producer scheduled after consumer");
-      ready = std::max(
-          ready, pc + scheduled[static_cast<std::size_t>(o.producer)].latency);
+      const int r = ready_at[static_cast<std::size_t>(o.producer)];
+      RSP_ASSERT_MSG(r >= 0, "producer scheduled after consumer");
+      ready = std::max(ready, r);
     }
     for (ProgIndex d : op.order_deps) {
-      const int pc = cycle_of[static_cast<std::size_t>(d)];
-      RSP_ASSERT_MSG(pc >= 0, "order dep scheduled after consumer");
-      ready = std::max(ready,
-                       pc + scheduled[static_cast<std::size_t>(d)].latency);
+      const int r = ready_at[static_cast<std::size_t>(d)];
+      RSP_ASSERT_MSG(r >= 0, "order dep scheduled after consumer");
+      ready = std::max(ready, r);
     }
 
     const bool is_mult = ir::is_critical_op(op.kind);
@@ -122,15 +125,16 @@ ConfigurationContext ContextScheduler::schedule(
     // A multi-cycle (pipelined) operation keeps its issuing PE busy for all
     // stages: the PE waits for the product to return through the bus switch
     // (paper Fig. 6 — the 1*/2* stage pair occupies the PE's slots).
-    const int occupancy = is_mult ? mult_latency : 1;
+    const int latency = is_mult ? mult_latency : 1;
+    const int row_pool = op.pe.row * upr;
+    const int col_pool = row_units + op.pe.col * upc;
     int t = std::max(ready, op.not_before);
-    std::optional<arch::SharedUnitId> unit;
     int unit_slot = -1;
     for (;; ++t) {
       if (t > options_.max_cycles)
         throw InternalError("schedule exceeds max_cycles — livelock?");
       bool pe_free = true;
-      for (int s = 0; s < occupancy && pe_free; ++s)
+      for (int s = 0; s < latency && pe_free; ++s)
         pe_free = pe_busy.used(t + s, pe_slot) == 0;
       if (!pe_free) continue;
       if (op.kind == ir::OpKind::kLoad &&
@@ -141,36 +145,45 @@ ConfigurationContext ContextScheduler::schedule(
         continue;
       if (needs_unit) {
         // First fit: row-pool units, then column-pool units, in index order.
-        unit.reset();
-        for (int u = 0; u < upr && !unit; ++u) {
-          unit_slot = op.pe.row * upr + u;
-          if (unit_busy.used(t, unit_slot) == 0)
-            unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kRow,
-                                      op.pe.row, u};
-        }
-        for (int u = 0; u < upc && !unit; ++u) {
-          unit_slot = row_units + op.pe.col * upc + u;
-          if (unit_busy.used(t, unit_slot) == 0)
-            unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kColumn,
-                                      op.pe.col, u};
-        }
-        if (!unit) continue;  // RS stall: bump to the next cycle
+        for (int u = 0; u < upr && unit_slot < 0; ++u)
+          if (unit_busy.used(t, row_pool + u) == 0) unit_slot = row_pool + u;
+        for (int u = 0; u < upc && unit_slot < 0; ++u)
+          if (unit_busy.used(t, col_pool + u) == 0) unit_slot = col_pool + u;
+        if (unit_slot < 0) continue;  // RS stall: bump to the next cycle
       }
       break;
     }
 
     // Commit.
-    for (int s = 0; s < occupancy; ++s) pe_busy.take(t + s, pe_slot);
+    for (int s = 0; s < latency; ++s) pe_busy.take(t + s, pe_slot);
     if (op.kind == ir::OpKind::kLoad) read_bus.take(t, op.pe.row);
     if (op.kind == ir::OpKind::kStore) write_bus.take(t, op.pe.row);
-    if (unit) unit_busy.take(t, unit_slot);
-    cycle_of[static_cast<std::size_t>(idx)] = t;
+    if (unit_slot >= 0) unit_busy.take(t, unit_slot);
+    out.cycles[static_cast<std::size_t>(idx)] = t;
+    out.unit_slots[static_cast<std::size_t>(idx)] = unit_slot;
+    ready_at[static_cast<std::size_t>(idx)] = t + latency;
+    out.length = std::max(out.length, t + latency);
+  }
+  return out;
+}
 
-    ScheduledOp& out = scheduled[static_cast<std::size_t>(idx)];
+ConfigurationContext ContextScheduler::schedule(
+    const PlacedProgram& program, const arch::Architecture& architecture)
+    const {
+  const ScheduleTiming timing = this->timing(program, architecture);
+  const int mult_latency = architecture.mult_latency();
+  const int upr = architecture.sharing.units_per_row;
+  const int upc = architecture.sharing.units_per_col;
+  const int row_units = architecture.array.rows * upr;
+
+  std::vector<ScheduledOp> scheduled(program.ops().size());
+  for (std::size_t i = 0; i < scheduled.size(); ++i) {
+    const ProgramOp& op = program.ops()[i];
+    ScheduledOp& out = scheduled[i];
     out.kind = op.kind;
     out.pe = op.pe;
-    out.cycle = t;
-    out.latency = is_mult ? mult_latency : 1;
+    out.cycle = timing.cycles[i];
+    out.latency = ir::is_critical_op(op.kind) ? mult_latency : 1;
     out.priority = op.priority;
     out.iter = op.iter;
     out.source = op.source;
@@ -179,9 +192,15 @@ ConfigurationContext ContextScheduler::schedule(
     out.imm = op.imm;
     out.array = op.array;
     out.address = op.address;
-    out.unit = unit;
+    const int slot = timing.unit_slots[i];
+    if (slot >= row_units)
+      out.unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kColumn,
+                                    (slot - row_units) / upc,
+                                    (slot - row_units) % upc};
+    else if (slot >= 0)
+      out.unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kRow,
+                                    slot / upr, slot % upr};
   }
-
   return ConfigurationContext(architecture, std::move(scheduled));
 }
 

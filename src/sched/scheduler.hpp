@@ -15,7 +15,13 @@
 // Resources modelled per cycle: one op per PE, `read_buses_per_row` loads
 // and `write_buses_per_row` stores per row, and one issue per shared
 // multiplier unit.
+//
+// The pass only decides issue cycles and unit slots (`timing`); `schedule`
+// runs it and then materialises the ScheduledOps. Measurements need the
+// lengths alone, so they take `timing` and build no context.
 #pragma once
+
+#include <vector>
 
 #include "arch/presets.hpp"
 #include "sched/context.hpp"
@@ -28,6 +34,15 @@ struct SchedulerOptions {
   int max_cycles = 1 << 20;
 };
 
+/// What the scheduling pass decides, indexed like the program's ops.
+struct ScheduleTiming {
+  std::vector<int> cycles;  ///< issue cycle
+  /// Shared-unit slot, -1 if none: row pools first (PE(r,c) reaches
+  /// r*upr .. r*upr+upr-1), then column pools (rows*upr + c*upc ..).
+  std::vector<int> unit_slots;
+  int length = 0;  ///< max over ops of (cycle + latency)
+};
+
 class ContextScheduler {
  public:
   explicit ContextScheduler(SchedulerOptions options = {})
@@ -36,6 +51,11 @@ class ContextScheduler {
   /// Schedules `program` on `architecture`.
   ConfigurationContext schedule(const PlacedProgram& program,
                                 const arch::Architecture& architecture) const;
+
+  /// The scheduling pass of `schedule` alone: the same checks and the same
+  /// issue cycles and units, without building the context.
+  ScheduleTiming timing(const PlacedProgram& program,
+                        const arch::Architecture& architecture) const;
 
  private:
   SchedulerOptions options_;

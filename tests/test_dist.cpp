@@ -589,8 +589,14 @@ TEST(DistCoordinator, RedispatchesWhenAWorkerDiesMidRun) {
   api::SocketServer server(worker_service, {api::parse_listen_address(":0")});
   ServerRunner runner(server);
 
+  // The first death is final. With re-admission on, the prober could bring
+  // the worker back and leave it alive when the run ends, and workers_lost
+  // only counts workers still quarantined then. Re-admission is covered by
+  // ReadmitsAWorkerAfterAScriptedDrop.
+  CoordinatorOptions options = fast_coordinator_options();
+  options.circuit_breaker_failures = 1;
   DseCoordinator coordinator({dying.address(), server.addresses()[0]},
-                             fast_coordinator_options());
+                             options);
   expect_identical(coordinator.dse(request), expect);
 
   const util::Json stats = coordinator.stats_json();

@@ -4,9 +4,13 @@
 // logging under concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -128,6 +132,116 @@ TEST(EvalCache, KeyIgnoresCosmeticNameButNotParameters) {
   EXPECT_NE(EvalCache::key("SAD", tag, rsp2),
             EvalCache::key("SAD", EvalCache::program_tag(tiny_program(1)),
                            rsp2));
+}
+
+// Four ops covering every field program_tag hashes: two loads and a
+// constant feeding an add that also waits on an order dependence.
+sched::PlacedProgram tag_program(
+    const std::function<void(std::vector<sched::ProgramOp>&)>& edit) {
+  std::vector<sched::ProgramOp> ops(4);
+  ops[0].kind = ir::OpKind::kLoad;
+  ops[0].array = "x";
+  ops[0].address = 2;
+  ops[1].kind = ir::OpKind::kLoad;
+  ops[1].pe = {0, 1};
+  ops[1].priority = 1;
+  ops[1].array = "y";
+  ops[1].address = 5;
+  ops[2].kind = ir::OpKind::kConst;
+  ops[2].pe = {1, 0};
+  ops[2].priority = 2;
+  ops[2].imm = 7;
+  ops[3].kind = ir::OpKind::kAdd;
+  ops[3].pe = {1, 1};
+  ops[3].priority = 3;
+  ops[3].operands = {{0, 0}, {sched::kNoProducer, 3}};
+  ops[3].order_deps = {2};
+  ops[3].not_before = 4;
+  edit(ops);
+  sched::PlacedProgram program((arch::ArraySpec()));
+  for (sched::ProgramOp& op : ops) program.add(std::move(op));
+  return program;
+}
+
+TEST(EvalCache, ProgramTagChangesWithEveryHashedField) {
+  using Ops = std::vector<sched::ProgramOp>;
+  const std::vector<std::function<void(Ops&)>> edits = {
+      [](Ops&) {},
+      [](Ops& o) { o[3].kind = ir::OpKind::kSub; },
+      [](Ops& o) { o[3].pe.row = 2; },
+      [](Ops& o) { o[3].pe.col = 2; },
+      [](Ops& o) { o[3].priority = 9; },
+      [](Ops& o) { o[2].imm = 8; },
+      [](Ops& o) { o[0].address = 3; },
+      [](Ops& o) { o[3].not_before = 5; },
+      [](Ops& o) { o[1].array = "z"; },
+      [](Ops& o) { o[3].operands[0].producer = 1; },
+      [](Ops& o) { o[3].operands[1].imm = 4; },
+      [](Ops& o) { o[3].order_deps[0] = 1; },
+      [](Ops& o) { o[3].order_deps.push_back(1); },
+  };
+  std::set<std::string> tags;
+  for (const auto& edit : edits)
+    tags.insert(EvalCache::program_tag(tag_program(edit)));
+  EXPECT_EQ(tags.size(), edits.size());
+}
+
+TEST(EvalCache, ProgramTagKeepsOperandsAndOrderDepsApart) {
+  // The same producer numbers, moved between the operand list and the
+  // order dependences, make a different program and a different tag.
+  const std::string as_operands =
+      EvalCache::program_tag(tag_program([](auto& o) {
+        o[3].operands = {{0, 0}, {1, 0}};
+        o[3].order_deps = {2};
+      }));
+  const std::string as_deps = EvalCache::program_tag(tag_program([](auto& o) {
+    o[3].operands = {{0, 0}, {2, 0}};
+    o[3].order_deps = {1};
+  }));
+  EXPECT_NE(as_operands, as_deps);
+}
+
+// Equal in every field program_tag hashes.
+bool same_tagged_content(const sched::PlacedProgram& a,
+                         const sched::PlacedProgram& b) {
+  return std::equal(
+      a.ops().begin(), a.ops().end(), b.ops().begin(), b.ops().end(),
+      [](const sched::ProgramOp& x, const sched::ProgramOp& y) {
+        return x.kind == y.kind && x.pe == y.pe && x.priority == y.priority &&
+               x.imm == y.imm && x.address == y.address &&
+               x.not_before == y.not_before && x.array == y.array &&
+               x.order_deps == y.order_deps &&
+               std::equal(x.operands.begin(), x.operands.end(),
+                          y.operands.begin(), y.operands.end(),
+                          [](const sched::ProgOperand& p,
+                             const sched::ProgOperand& q) {
+                            return p.producer == q.producer && p.imm == q.imm;
+                          });
+      });
+}
+
+TEST(EvalCache, ProgramTagsOfDistinctProgramsDiffer) {
+  // Two catalogue kernels (SAD and H264-SAD4x4) place the same program;
+  // every other pair must differ in its tag.
+  std::vector<kernels::Workload> domain = kernels::full_catalogue();
+  for (int seed = 1; seed <= 200; ++seed)
+    domain.push_back(
+        kernels::find_in_catalogue("gen:" + std::to_string(seed)));
+  std::map<std::string, std::pair<std::string, sched::PlacedProgram>> owner;
+  for (const kernels::Workload& w : domain) {
+    const sched::LoopPipeliner mapper(w.array);
+    sched::PlacedProgram program =
+        mapper.map(w.kernel, w.hints, w.reduction);
+    const std::string tag = EvalCache::program_tag(program);
+    const auto it = owner.find(tag);
+    if (it == owner.end()) {
+      owner.emplace(tag, std::make_pair(w.name, std::move(program)));
+      continue;
+    }
+    EXPECT_TRUE(same_tagged_content(it->second.second, program))
+        << w.name << " shares its tag with " << it->second.first;
+  }
+  EXPECT_EQ(owner.size(), domain.size() - 1);
 }
 
 TEST(EvalCache, InvalidationNeverServesStaleEntries) {

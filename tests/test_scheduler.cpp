@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <typeinfo>
 
+#include "core/evaluator.hpp"
+#include "dse/explorer.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/registry.hpp"
 #include "sched/legality.hpp"
@@ -290,6 +297,344 @@ TEST(Encode, ConfigCacheReflectsSchedule) {
       for (int c = 0; c < 8; ++c)
         if (cache.word({r, c}, t).opcode != 0) ++words;
   EXPECT_EQ(words, ctx.size());
+}
+
+// ------------------------------------------------------ scheduler reference
+// ContextScheduler::schedule and core::measure_perf as they were before the
+// scheduling pass was split from materialisation, kept verbatim as the
+// reference: every reschedule builds a full context, and the stall-free
+// run is measured on a context too.
+namespace reference {
+
+/// Per-cycle occupancy counts of one resource kind: a flat cycle-major
+/// array, grown on demand.
+class OccupancyTable {
+ public:
+  explicit OccupancyTable(int slots_per_cycle)
+      : slots_(static_cast<std::size_t>(slots_per_cycle)) {}
+
+  int used(int cycle, int slot) const {
+    const std::size_t i = index(cycle, slot);
+    return i < cells_.size() ? cells_[i] : 0;
+  }
+
+  void take(int cycle, int slot) {
+    const std::size_t i = index(cycle, slot);
+    if (i >= cells_.size())
+      cells_.resize(std::max(2 * cells_.size(),
+                             (static_cast<std::size_t>(cycle) + 1) * slots_),
+                    0);
+    ++cells_[i];
+  }
+
+ private:
+  std::size_t index(int cycle, int slot) const {
+    return static_cast<std::size_t>(cycle) * slots_ +
+           static_cast<std::size_t>(slot);
+  }
+
+  std::size_t slots_;
+  std::vector<int> cells_;
+};
+
+ConfigurationContext schedule(const SchedulerOptions& options_,
+                              const PlacedProgram& program,
+                              const arch::Architecture& architecture) {
+  architecture.validate();
+  program.validate();
+  if (program.array() != architecture.array)
+    throw InvalidArgumentError(
+        "program was placed for a different array geometry");
+
+  const arch::ArraySpec& array = architecture.array;
+  const bool shared = architecture.shares_multiplier();
+  const int mult_latency = architecture.mult_latency();
+
+  // Scheduling order: by priority (stable on index for determinism).
+  std::vector<ProgIndex> order(static_cast<std::size_t>(program.size()));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](ProgIndex a, ProgIndex b) {
+    return program.op(a).priority < program.op(b).priority;
+  });
+
+  // Occupancy: PEs, row read buses, row write buses, shared units.
+  OccupancyTable pe_busy(array.num_pes());
+  OccupancyTable read_bus(array.rows);
+  OccupancyTable write_bus(array.rows);
+  // Shared unit slot numbering: row pools first, then column pools. A
+  // multiplication at PE(r,c) reaches slots r*upr .. r*upr+upr-1 of its row
+  // pool, then row_units + c*upc .. of its column pool.
+  const int upr = architecture.sharing.units_per_row;
+  const int upc = architecture.sharing.units_per_col;
+  const int row_units = array.rows * upr;
+  const int col_units = array.cols * upc;
+  OccupancyTable unit_busy(std::max(row_units + col_units, 1));
+
+  std::vector<int> cycle_of(static_cast<std::size_t>(program.size()), -1);
+  std::vector<ScheduledOp> scheduled(static_cast<std::size_t>(program.size()));
+
+  for (ProgIndex idx : order) {
+    const ProgramOp& op = program.op(idx);
+
+    // Earliest cycle by dataflow and memory ordering.
+    int ready = 0;
+    for (const ProgOperand& o : op.operands) {
+      if (o.is_imm()) continue;
+      const int pc = cycle_of[static_cast<std::size_t>(o.producer)];
+      RSP_ASSERT_MSG(pc >= 0, "producer scheduled after consumer");
+      ready = std::max(
+          ready, pc + scheduled[static_cast<std::size_t>(o.producer)].latency);
+    }
+    for (ProgIndex d : op.order_deps) {
+      const int pc = cycle_of[static_cast<std::size_t>(d)];
+      RSP_ASSERT_MSG(pc >= 0, "order dep scheduled after consumer");
+      ready = std::max(ready,
+                       pc + scheduled[static_cast<std::size_t>(d)].latency);
+    }
+
+    const bool is_mult = ir::is_critical_op(op.kind);
+    const bool needs_unit = is_mult && shared;
+    if (needs_unit && upr + upc == 0)
+      throw InfeasibleError("architecture '" + architecture.name +
+                            "' shares multipliers but PE(" +
+                            std::to_string(op.pe.row) + "," +
+                            std::to_string(op.pe.col) +
+                            ") reaches no unit");
+
+    const int pe_slot = array.linear(op.pe);
+    // A multi-cycle (pipelined) operation keeps its issuing PE busy for all
+    // stages: the PE waits for the product to return through the bus switch
+    // (paper Fig. 6 — the 1*/2* stage pair occupies the PE's slots).
+    const int occupancy = is_mult ? mult_latency : 1;
+    int t = std::max(ready, op.not_before);
+    std::optional<arch::SharedUnitId> unit;
+    int unit_slot = -1;
+    for (;; ++t) {
+      if (t > options_.max_cycles)
+        throw InternalError("schedule exceeds max_cycles — livelock?");
+      bool pe_free = true;
+      for (int s = 0; s < occupancy && pe_free; ++s)
+        pe_free = pe_busy.used(t + s, pe_slot) == 0;
+      if (!pe_free) continue;
+      if (op.kind == ir::OpKind::kLoad &&
+          read_bus.used(t, op.pe.row) >= array.read_buses_per_row)
+        continue;
+      if (op.kind == ir::OpKind::kStore &&
+          write_bus.used(t, op.pe.row) >= array.write_buses_per_row)
+        continue;
+      if (needs_unit) {
+        // First fit: row-pool units, then column-pool units, in index order.
+        unit.reset();
+        for (int u = 0; u < upr && !unit; ++u) {
+          unit_slot = op.pe.row * upr + u;
+          if (unit_busy.used(t, unit_slot) == 0)
+            unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kRow,
+                                      op.pe.row, u};
+        }
+        for (int u = 0; u < upc && !unit; ++u) {
+          unit_slot = row_units + op.pe.col * upc + u;
+          if (unit_busy.used(t, unit_slot) == 0)
+            unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kColumn,
+                                      op.pe.col, u};
+        }
+        if (!unit) continue;  // RS stall: bump to the next cycle
+      }
+      break;
+    }
+
+    // Commit.
+    for (int s = 0; s < occupancy; ++s) pe_busy.take(t + s, pe_slot);
+    if (op.kind == ir::OpKind::kLoad) read_bus.take(t, op.pe.row);
+    if (op.kind == ir::OpKind::kStore) write_bus.take(t, op.pe.row);
+    if (unit) unit_busy.take(t, unit_slot);
+    cycle_of[static_cast<std::size_t>(idx)] = t;
+
+    ScheduledOp& out = scheduled[static_cast<std::size_t>(idx)];
+    out.kind = op.kind;
+    out.pe = op.pe;
+    out.cycle = t;
+    out.latency = is_mult ? mult_latency : 1;
+    out.priority = op.priority;
+    out.iter = op.iter;
+    out.source = op.source;
+    out.operands = op.operands;
+    out.order_deps = op.order_deps;
+    out.imm = op.imm;
+    out.array = op.array;
+    out.address = op.address;
+    out.unit = unit;
+  }
+
+  return ConfigurationContext(architecture, std::move(scheduled));
+}
+
+PerfPoint measure(const SchedulerOptions& options,
+                  const PlacedProgram& program,
+                  const arch::Architecture& architecture,
+                  const ConfigurationContext& real) {
+  PerfPoint p;
+  p.cycles = real.length();
+  if (!architecture.shares_multiplier()) {
+    p.nostall_cycles = p.cycles;
+    p.stalls = 0;
+    return p;
+  }
+  const ConfigurationContext free_run =
+      schedule(options, program, unlimited_units(architecture));
+  p.nostall_cycles = free_run.length();
+  p.stalls = p.cycles - p.nostall_cycles;
+  return p;
+}
+
+core::MeasuredPerf measure_perf(const SchedulerOptions& options,
+                                const PlacedProgram& program,
+                                const arch::Architecture& architecture) {
+  // One schedule serves both the PerfPoint and the issue-width column.
+  const ConfigurationContext context =
+      schedule(options, program, architecture);
+  core::MeasuredPerf m;
+  m.perf = measure(options, program, architecture, context);
+  m.max_critical_issues = context.max_critical_issues_per_cycle();
+  return m;
+}
+
+}  // namespace reference
+
+bool same_operands(const std::vector<ProgOperand>& a,
+                   const std::vector<ProgOperand>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ProgOperand& x, const ProgOperand& y) {
+                      return x.producer == y.producer && x.imm == y.imm;
+                    });
+}
+
+bool same_op(const ScheduledOp& a, const ScheduledOp& b) {
+  return a.kind == b.kind && a.pe == b.pe && a.cycle == b.cycle &&
+         a.latency == b.latency && a.priority == b.priority &&
+         a.iter == b.iter && a.source == b.source &&
+         same_operands(a.operands, b.operands) &&
+         a.order_deps == b.order_deps && a.imm == b.imm &&
+         a.array == b.array && a.address == b.address && a.unit == b.unit;
+}
+
+/// One (program, architecture) pair: schedule() agrees with the reference
+/// op for op, and sched::measure / core::measure_perf agree with the
+/// reference measurement field for field.
+void expect_matches_reference(const PlacedProgram& program,
+                              const arch::Architecture& architecture,
+                              const std::string& what) {
+  const ContextScheduler scheduler;
+  const ConfigurationContext got = scheduler.schedule(program, architecture);
+  const ConfigurationContext want =
+      reference::schedule(SchedulerOptions{}, program, architecture);
+  EXPECT_EQ(got.architecture().name, want.architecture().name) << what;
+  EXPECT_EQ(got.length(), want.length()) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (ProgIndex i = 0; i < got.size(); ++i)
+    if (!same_op(got.op(i), want.op(i))) {
+      ADD_FAILURE() << what << ": op " << i << " differs (cycle "
+                    << got.op(i).cycle << " vs " << want.op(i).cycle << ")";
+      break;
+    }
+
+  const core::MeasuredPerf reference_perf =
+      reference::measure_perf(SchedulerOptions{}, program, architecture);
+  const core::MeasuredPerf perf =
+      core::measure_perf(scheduler, program, architecture);
+  const PerfPoint point = measure(scheduler, program, architecture);
+  for (const PerfPoint& p : {perf.perf, point}) {
+    EXPECT_EQ(p.cycles, reference_perf.perf.cycles) << what;
+    EXPECT_EQ(p.stalls, reference_perf.perf.stalls) << what;
+    EXPECT_EQ(p.nostall_cycles, reference_perf.perf.nostall_cycles) << what;
+  }
+  EXPECT_EQ(perf.max_critical_issues, reference_perf.max_critical_issues)
+      << what;
+}
+
+TEST(SchedulerReference, CatalogueMatchesOnTheNineDesigns) {
+  std::size_t pairs = 0;
+  for (const kernels::Workload& w : kernels::full_catalogue()) {
+    const PlacedProgram p = place(w);
+    for (const arch::Architecture& a :
+         arch::standard_suite(w.array.rows, w.array.cols)) {
+      expect_matches_reference(p, a, w.name + " on " + a.name);
+      ++pairs;
+    }
+  }
+  EXPECT_GE(pairs, 14u * 9u);
+}
+
+TEST(SchedulerReference, PaperDomainMatchesOnTheDefaultGrid) {
+  std::size_t pairs = 0;
+  for (const kernels::Workload& w : kernels::paper_suite()) {
+    const PlacedProgram p = place(w);
+    const dse::Explorer explorer(w.array);
+    const arch::Architecture base = explorer.base_architecture();
+    const std::vector<dse::DesignPoint> points = explorer.enumerate_points();
+    EXPECT_EQ(points.size(), 97u);
+    for (const dse::DesignPoint& point : points) {
+      const arch::Architecture a = explorer.point_architecture(point, base);
+      expect_matches_reference(p, a, w.name + " on " + a.name);
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 9u * 97u);
+}
+
+TEST(SchedulerReference, GeneratedKernelsMatchOnTheNineDesigns) {
+  for (int seed = 1; seed <= 40; ++seed) {
+    const kernels::Workload w =
+        kernels::find_in_catalogue("gen:" + std::to_string(seed));
+    const PlacedProgram p = place(w);
+    for (const arch::Architecture& a :
+         arch::standard_suite(w.array.rows, w.array.cols))
+      expect_matches_reference(p, a, w.name + " on " + a.name);
+  }
+}
+
+/// The dynamic type and message of what `f` throws.
+std::string thrown_by(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return "nothing thrown";
+}
+
+/// timing(), schedule() and the reference throw the same error of type E.
+template <typename E>
+void expect_same_error(const SchedulerOptions& options,
+                       const PlacedProgram& program,
+                       const arch::Architecture& architecture) {
+  const ContextScheduler scheduler(options);
+  EXPECT_THROW(scheduler.timing(program, architecture), E);
+  const std::string want = thrown_by(
+      [&] { reference::schedule(options, program, architecture); });
+  EXPECT_EQ(thrown_by([&] { scheduler.timing(program, architecture); }),
+            want);
+  EXPECT_EQ(thrown_by([&] { scheduler.schedule(program, architecture); }),
+            want);
+}
+
+TEST(SchedulerReference, TimingAndScheduleThrowTheSameErrors) {
+  const PlacedProgram matmul = place(kernels::make_matmul(4));
+  expect_same_error<InvalidArgumentError>({}, matmul,
+                                          arch::base_architecture(8, 8));
+
+  // Sharing with pools that add up to no unit needs a negative count
+  // (shares() is true only when some pool is non-empty), so
+  // Architecture::validate rejects it ahead of the pass's "reaches no
+  // unit" InfeasibleError, alike on every entry.
+  arch::Architecture no_unit = arch::rs_architecture(1, 4, 4);
+  no_unit.sharing.units_per_col = -1;
+  expect_same_error<InvalidArgumentError>({}, matmul, no_unit);
+
+  SchedulerOptions tight;
+  tight.max_cycles = 8;
+  const PlacedProgram hydro = place(kernels::find_workload("Hydro"));
+  expect_same_error<InternalError>(tight, hydro, arch::rs_architecture(1));
+  expect_same_error<InternalError>(tight, hydro, arch::base_architecture());
 }
 
 }  // namespace
