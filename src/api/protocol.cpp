@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +16,7 @@ namespace {
 
 // ----------------------------------------------------------- field helpers
 
-// Shared by v1 and v2 "dse" payloads; the messages are part of the v1
-// byte-compatibility contract, so they must not drift.
+// The "config" payload of a "dse" request.
 dse::ExplorerConfig parse_dse_config(const util::Json& request) {
   dse::ExplorerConfig config;
   if (!request.contains("config")) return config;
@@ -84,21 +82,15 @@ dse::ExplorerConfig parse_dse_config(const util::Json& request) {
   return config;
 }
 
-// "kernels" extraction shared by v1 and v2 dse payloads (v1 message).
-std::vector<std::string> parse_kernel_names(const util::Json& request) {
-  std::vector<std::string> names;
-  if (!request.contains("kernels")) return names;
-  const util::Json& list = request.at("kernels");
-  if (!list.is_array() || list.size() == 0)
-    throw InvalidArgumentError("'kernels' must be a non-empty array");
-  for (std::size_t i = 0; i < list.size(); ++i)
-    names.push_back(list.at(i).as_string());
-  return names;
-}
-
 DseRequest parse_dse_request(const util::Json& doc) {
   DseRequest request;
-  request.kernels = parse_kernel_names(doc);
+  if (doc.contains("kernels")) {
+    const util::Json& list = doc.at("kernels");
+    if (!list.is_array() || list.size() == 0)
+      throw InvalidArgumentError("'kernels' must be a non-empty array");
+    for (std::size_t i = 0; i < list.size(); ++i)
+      request.kernels.push_back(list.at(i).as_string());
+  }
   request.config = parse_dse_config(doc);
   return request;
 }
@@ -132,20 +124,6 @@ void require_known_fields(const util::Json& doc, const std::string& op,
 }
 
 }  // namespace
-
-Request decode_v1_request(const util::Json& doc) {
-  if (!doc.is_object())
-    throw InvalidArgumentError("request must be a JSON object");
-  const std::string& op = doc.at("op").as_string();
-  if (op == "eval") {
-    EvalRequest request;
-    request.kernel = doc.at("kernel").as_string();
-    return request;
-  }
-  if (op == "dse") return parse_dse_request(doc);
-  throw InvalidArgumentError("unknown op '" + op +
-                             "' (expected \"eval\" or \"dse\")");
-}
 
 Request decode_v2_request(const util::Json& doc) {
   if (!doc.is_object())
@@ -251,40 +229,11 @@ Request decode_v2_request(const util::Json& doc) {
       request.delay_ms = doc.at("delay_ms").as_int("'delay_ms'");
     return request;
   }
-  if (op == "dse_shard") {
-    require_known_fields(doc, op, {"kernels", "config", "begin", "end",
-                                   "mode"});
-    DseShardRequest request;
-    request.kernels = parse_kernel_names(doc);
-    request.config = parse_dse_config(doc);
-    for (const char* field : {"begin", "end"})
-      if (!doc.contains(field))
-        throw InvalidArgumentError("op 'dse_shard' requires a '" +
-                                   std::string(field) + "' field");
-    request.begin = doc.at("begin").as_int("'begin'");
-    request.end = doc.at("end").as_int("'end'");
-    if (request.begin < 0)
-      throw InvalidArgumentError("'begin' must be non-negative");
-    if (request.end <= request.begin)
-      throw InvalidArgumentError(
-          "shard range is empty ('end' must exceed 'begin')");
-    const std::string mode = require_string(doc, "mode", op);
-    if (mode == "exact")
-      request.exact = true;
-    else if (mode != "estimate")
-      throw InvalidArgumentError("unknown shard mode '" + mode +
-                                 "' (expected \"estimate\" or \"exact\")");
-    return request;
-  }
-  if (op == "worker_info") {
-    require_known_fields(doc, op, {});
-    return WorkerInfoRequest{};
-  }
   throw InvalidArgumentError(
       "unknown op '" + op +
       "' (expected one of: list, eval, dse, map, simulate, simulate_batch, "
       "lint, rtl, dot, vcd, bitstream, cache_stats, cache_save, cache_load, "
-      "ping, dse_shard, worker_info)");
+      "ping)");
 }
 
 // ------------------------------------------------------------------ bodies
@@ -490,70 +439,6 @@ util::Json to_body(const PingResponse& resp) {
   return body;
 }
 
-util::Json to_body(const DseShardResponse& resp) {
-  util::Json body = ok_body("dse_shard");
-  body.set("mode", resp.exact ? "exact" : "estimate")
-      .set("begin", static_cast<std::int64_t>(resp.begin))
-      .set("end", static_cast<std::int64_t>(resp.end));
-  if (resp.exact) {
-    // [point][kernel] matrices, shard order × domain order.
-    util::Json cycles = util::Json::array();
-    util::Json stalls = util::Json::array();
-    for (std::size_t i = 0; i < resp.cycles.size(); ++i) {
-      util::Json cycle_row = util::Json::array();
-      util::Json stall_row = util::Json::array();
-      for (std::size_t k = 0; k < resp.cycles[i].size(); ++k) {
-        cycle_row.push(static_cast<std::int64_t>(resp.cycles[i][k]));
-        stall_row.push(static_cast<std::int64_t>(resp.stalls[i][k]));
-      }
-      cycles.push(std::move(cycle_row));
-      stalls.push(std::move(stall_row));
-    }
-    body.set("cycles", std::move(cycles));
-    body.set("stalls", std::move(stalls));
-  } else {
-    body.set("base_cycles", static_cast<std::int64_t>(resp.base_cycles));
-    util::Json estimates = util::Json::array();
-    for (const long value : resp.estimated_cycles)
-      estimates.push(static_cast<std::int64_t>(value));
-    body.set("estimated_cycles", std::move(estimates));
-  }
-  return body;
-}
-
-util::Json to_body(const WorkerInfoResponse& resp) {
-  util::Json body = ok_body("worker_info");
-  body.set("threads", resp.threads)
-      .set("max_inflight", resp.max_inflight)
-      .set("kernels", static_cast<std::int64_t>(resp.kernels))
-      .set("architectures", static_cast<std::int64_t>(resp.architectures))
-      .set("pid", static_cast<std::int64_t>(resp.pid))
-      .set("uptime_ms", static_cast<std::int64_t>(resp.uptime_ms));
-  return body;
-}
-
-util::Json encode_dse_config(const dse::ExplorerConfig& config) {
-  util::Json doc = util::Json::object();
-  doc.set("max_units_per_row", config.max_units_per_row)
-      .set("max_units_per_col", config.max_units_per_col)
-      .set("max_stages", config.max_stages)
-      .set("max_area_ratio", config.max_area_ratio)
-      .set("max_time_ratio", config.max_time_ratio)
-      .set("pareto_epsilon", config.pareto_epsilon);
-  switch (config.objective) {
-    case dse::Objective::kMinTime:
-      doc.set("objective", "min_time");
-      break;
-    case dse::Objective::kMinArea:
-      doc.set("objective", "min_area");
-      break;
-    case dse::Objective::kMinAreaTimeProduct:
-      doc.set("objective", "min_area_time");
-      break;
-  }
-  return doc;
-}
-
 util::Json error_body(const std::string& message) {
   util::Json body = util::Json::object();
   body.set("ok", false).set("error", message);
@@ -565,55 +450,6 @@ util::Json encode_v2_response(const util::Json& id, util::Json body) {
   out.set("protocol_version", kProtocolVersion);
   out.set("id", id);
   out.merge(std::move(body));
-  return out;
-}
-
-// ------------------------------------------------------------ v1 batch shim
-
-util::Json run_v1_batch(const util::Json& requests, Service& service) {
-  if (!requests.is_array())
-    throw InvalidArgumentError("batch input must be a JSON array of requests");
-
-  // A shared cache carries counters from earlier batches; report only this
-  // batch's activity by diffing against a snapshot.
-  const runtime::CacheStats before = service.cache()->stats();
-
-  // Decode every request up front, then fan the valid ones out across the
-  // service's dispatch pool. Slot i always holds request i's body, so
-  // out-of-order completion cannot disturb the positional v1 output.
-  std::vector<util::Json> bodies(requests.size());
-  std::vector<std::optional<std::future<util::Json>>> inflight(
-      requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    try {
-      inflight[i] = service.submit(decode_v1_request(requests.at(i)));
-    } catch (const std::exception& e) {
-      bodies[i] = error_body(e.what());
-    }
-  }
-  util::Json results = util::Json::array();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    util::Json entry =
-        inflight[i] ? inflight[i]->get() : std::move(bodies[i]);
-    entry.set("request", static_cast<std::int64_t>(i));
-    results.push(std::move(entry));
-  }
-
-  const runtime::CacheStats after = service.cache()->stats();
-  runtime::CacheStats batch_stats;
-  batch_stats.hits = after.hits - before.hits;
-  batch_stats.misses = after.misses - before.misses;
-  util::Json runtime_report = util::Json::object();
-  runtime_report.set("threads", service.thread_count())
-      .set("requests", static_cast<std::int64_t>(requests.size()))
-      .set("cache_hits", static_cast<std::int64_t>(batch_stats.hits))
-      .set("cache_misses", static_cast<std::int64_t>(batch_stats.misses))
-      .set("cache_entries_total", static_cast<std::int64_t>(after.entries))
-      .set("cache_hit_rate", batch_stats.hit_rate());
-
-  util::Json out = util::Json::object();
-  out.set("results", std::move(results));
-  out.set("runtime", std::move(runtime_report));
   return out;
 }
 

@@ -5,10 +5,10 @@
 #include <deque>
 #include <future>
 #include <istream>
+#include <limits>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -50,22 +50,45 @@ class SeenIdWindow {
   std::deque<std::string> order_;
 };
 
-}  // namespace
+enum class LineRead { kLine, kTooLong, kEnd };
 
-std::size_t count_v1_result_errors(const util::Json& response) {
-  if (!response.is_object() || !response.contains("results"))
-    return 1;  // a top-level error document: one failure, answered whole
-  const util::Json& results = response.at("results");
-  if (!results.is_array()) return 1;
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const util::Json& slot = results.at(i);
-    if (!slot.is_object() || !slot.contains("ok") ||
-        !slot.at("ok").is_bool() || !slot.at("ok").as_bool())
-      ++errors;
+/// Reads the next line of `in` into `line`, without its '\n'; a final line
+/// without one counts. istream::getline into a fixed chunk scans the
+/// stream's buffer as std::getline does, but a line longer than
+/// kMaxRequestLineBytes is cut off one chunk past the limit and skipped
+/// through its newline instead of being buffered whole.
+LineRead read_request_line(std::istream& in, std::string& line) {
+  constexpr std::streamsize kChunk = 4096;
+  char chunk[kChunk];
+  line.clear();
+  for (;;) {
+    in.getline(chunk, kChunk);
+    const auto extracted = static_cast<std::size_t>(in.gcount());
+    if (in.fail() && !in.eof() && !in.bad() &&
+        extracted + 1 == static_cast<std::size_t>(kChunk)) {
+      // The chunk filled up before the newline.
+      line.append(chunk, extracted);
+      in.clear();
+      if (line.size() > kMaxRequestLineBytes) {
+        in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+        return LineRead::kTooLong;
+      }
+      continue;
+    }
+    if (extracted == 0) {
+      // End of stream (or a failed stream): nothing more of this line.
+      if (line.empty()) return LineRead::kEnd;
+    } else {
+      // Ended by the newline, which is counted but not stored, or by the
+      // end of the stream.
+      line.append(chunk, in.eof() ? extracted : extracted - 1);
+    }
+    return line.size() > kMaxRequestLineBytes ? LineRead::kTooLong
+                                              : LineRead::kLine;
   }
-  return errors;
 }
+
+}  // namespace
 
 ServeResult serve(Service& service, std::istream& in, std::ostream& out,
                   const ServeOptions& options) {
@@ -112,28 +135,6 @@ ServeResult serve(Service& service, std::istream& in, std::ostream& out,
       doc = util::Json::parse(text);
     } catch (const std::exception& e) {
       write_error(util::Json(), e.what());
-      return;
-    }
-
-    if (doc.is_array()) {
-      // v1 batch document through the compatibility shim: executed inline
-      // (one document in, one document out — the v1 contract), answered as
-      // a single positional-response line. Its requests still fan out
-      // across the service's pools; per-request failures live in result
-      // slots, so fold them into the error count here. The shim's output
-      // shape is never trusted: a top-level error document (or a throw,
-      // e.g. bad_alloc assembling a huge response) is answered in-band
-      // instead of unwinding the stream.
-      util::Json response;
-      try {
-        response = run_v1_batch(doc, service);
-      } catch (const std::exception& e) {
-        write_error(util::Json(), e.what());
-        return;
-      }
-      errors.fetch_add(count_v1_result_errors(response),
-                       std::memory_order_relaxed);
-      write_line(response);
       return;
     }
 
@@ -187,71 +188,23 @@ ServeResult serve(Service& service, std::istream& in, std::ostream& out,
     }
   };
 
-  // Scripted fault injection (chaos tests). Returns true when the fault
-  // consumed the request line: the loop must stop (drop/truncate close the
-  // connection) or skip dispatch (refuse answered in-band). Byte-level
-  // faults write under out_mutex so they interleave with real responses as
-  // whole lines, exactly like a misbehaving peer on the wire.
-  bool fault_closed = false;
-  const auto inject_fault = [&](const std::string& text) {
-    const util::FaultAction action = options.fault->on_message();
-    using Kind = util::FaultAction::Kind;
-    switch (action.kind) {
-      case Kind::kNone:
-        return false;
-      case Kind::kDelay:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(action.delay_ms));
-        return false;
-      case Kind::kDrop:
-        // Vanish without answering: the peer sees its request swallowed
-        // and the connection closed.
-        fault_closed = true;
-        return true;
-      case Kind::kTruncate: {
-        // A partial response line (no newline), then close: the peer reads
-        // a malformed fragment terminated by EOF.
-        const std::lock_guard<std::mutex> lock(out_mutex);
-        out << "{\"fault\":\"truncated" << std::flush;
-        fault_closed = true;
-        return true;
-      }
-      case Kind::kGarbage: {
-        // A non-JSON line ahead of the real response.
-        const std::lock_guard<std::mutex> lock(out_mutex);
-        out << "\x01\x02 fault-injected garbage \x03\n" << std::flush;
-        return false;
-      }
-      case Kind::kRefuse: {
-        // In-band rejection; echo the id when one can be extracted so the
-        // refusal pairs with the request like any real error response.
-        util::Json id;
-        try {
-          const util::Json doc = util::Json::parse(text);
-          if (doc.is_object() && doc.contains("id")) {
-            const util::Json& extracted = doc.at("id");
-            if (extracted.is_string() || extracted.is_number())
-              id = extracted;
-          }
-        } catch (const std::exception&) {
-        }
-        write_error(id, "fault injection: request refused in-band");
-        return true;
-      }
-    }
-    return false;
-  };
-
   // In-flight done-callbacks reference this frame's locals, so no
   // exception (bad_alloc in parse/push_back, a write failure) may unwind
   // it while tasks are still running: drain them first, then rethrow.
   std::string line;
   try {
-    while (!output_failed.load(std::memory_order_relaxed) && !fault_closed &&
-           std::getline(in, line)) {
+    while (!output_failed.load(std::memory_order_relaxed)) {
+      const LineRead read = read_request_line(in, line);
+      if (read == LineRead::kEnd) break;
+      if (read == LineRead::kTooLong) {
+        ++requests;
+        write_error(util::Json(), "request line exceeds " +
+                                      std::to_string(kMaxRequestLineBytes) +
+                                      " bytes");
+        continue;
+      }
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
       ++requests;
-      if (options.fault && inject_fault(line)) continue;
       serve_line(line);
     }
   } catch (...) {

@@ -16,21 +16,23 @@
 // duplicate tracking to window-many id strings keeps a long-lived socket
 // connection from accumulating one id per request forever.
 //
-// A line holding a JSON *array* is accepted as a v1 batch document through
-// the compatibility shim: it is executed inline (blocking the read loop,
-// exactly the v1 "one document, one response" contract) and answered with
-// the positional v1 response document on a single line.
+// A request line longer than kMaxRequestLineBytes is never held whole: it
+// is answered with an in-band error (null id), discarded through its
+// newline, and the loop keeps reading.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
-#include <memory>
 
 #include "api/service.hpp"
-#include "util/fault.hpp"
-#include "util/json.hpp"
 
 namespace rsp::api {
+
+/// Longest request line serve accepts, newline excluded. The largest
+/// legitimate request — a `dse` naming every catalogue kernel — is under
+/// 2 KB, so 1 MiB bounds what one client line can make the server buffer
+/// without constraining any real request.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 /// Duplicate-id tracking bound: ids are guaranteed unique only among the
 /// most recent this-many accepted requests of one stream (~64k id strings
@@ -42,11 +44,6 @@ struct ServeOptions {
   /// (every id retained for the stream's lifetime, the pre-socket
   /// behaviour).
   std::size_t seen_id_window = kDefaultSeenIdWindow;
-  /// Deterministic fault injection (`--fault-plan`, chaos tests only):
-  /// consulted once per request line, before dispatch. Shared across every
-  /// connection of a process so the plan's ordinals are process-wide —
-  /// a re-admitted worker connection does not replay its faults.
-  std::shared_ptr<util::FaultInjector> fault;
 };
 
 struct ServeResult {
@@ -63,11 +60,5 @@ struct ServeResult {
 /// and been written.
 ServeResult serve(Service& service, std::istream& in, std::ostream& out,
                   const ServeOptions& options = {});
-
-/// Failed result slots in a v1 batch response document. A response that is
-/// not the expected {"results": [...]} shape (a top-level error document,
-/// say) counts as one error instead of throwing — the serve loop must keep
-/// running whatever run_v1_batch hands back.
-std::size_t count_v1_result_errors(const util::Json& response);
 
 }  // namespace rsp::api

@@ -1,7 +1,5 @@
 #include "api/service.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -15,7 +13,6 @@
 #include "ir/dot.hpp"
 #include "kernels/registry.hpp"
 #include "rtl/generate.hpp"
-#include "runtime/dist_shard.hpp"
 #include "runtime/sim_batch.hpp"
 #include "sched/legality.hpp"
 #include "sched/mapper.hpp"
@@ -100,20 +97,14 @@ EvalResponse Service::eval(const EvalRequest& request) const {
   return resp;
 }
 
-std::vector<kernels::Workload> Service::dse_domain(
-    const std::vector<std::string>& names) const {
+DseResponse Service::dse(const DseRequest& request) const {
   std::vector<kernels::Workload> domain;
-  if (names.empty()) {
+  if (request.kernels.empty()) {
     domain = kernels::paper_suite();
   } else {
-    for (const std::string& name : names) domain.push_back(workload(name));
+    for (const std::string& name : request.kernels)
+      domain.push_back(workload(name));
   }
-  return domain;
-}
-
-DseResponse Service::dse(const DseRequest& request) const {
-  if (dse_delegate_) return dse_delegate_(request);
-  const std::vector<kernels::Workload> domain = dse_domain(request.kernels);
   DseResponse resp;
   for (const kernels::Workload& w : domain) resp.kernels.push_back(w.name);
   const runtime::ParallelExplorer explorer(domain.front().array,
@@ -121,47 +112,6 @@ DseResponse Service::dse(const DseRequest& request) const {
                                            synth::SynthesisModel(),
                                            runtime_options());
   resp.result = explorer.explore(domain);
-  return resp;
-}
-
-DseShardResponse Service::dse_shard(const DseShardRequest& request) const {
-  if (request.begin < 0 || request.end < 0)
-    throw InvalidArgumentError("shard bounds must be non-negative");
-  const std::vector<kernels::Workload> domain = dse_domain(request.kernels);
-  const dse::Explorer explorer(domain.front().array, request.config);
-  const auto begin = static_cast<std::size_t>(request.begin);
-  const auto end = static_cast<std::size_t>(request.end);
-
-  DseShardResponse resp;
-  resp.exact = request.exact;
-  resp.begin = request.begin;
-  resp.end = request.end;
-  if (request.exact) {
-    runtime::ExactShard shard =
-        runtime::exact_shard(explorer, domain, begin, end, workers_,
-                             mapping_cache_.get(), cache_.get());
-    resp.cycles = std::move(shard.cycles);
-    resp.stalls = std::move(shard.stalls);
-  } else {
-    runtime::EstimateShard shard = runtime::estimate_shard(
-        explorer, domain, begin, end, workers_, mapping_cache_.get());
-    resp.base_cycles = shard.base_cycles;
-    resp.estimated_cycles = std::move(shard.estimated_cycles);
-  }
-  return resp;
-}
-
-WorkerInfoResponse Service::worker_info(const WorkerInfoRequest&) const {
-  WorkerInfoResponse resp;
-  resp.threads = workers_.thread_count();
-  resp.max_inflight = dispatch_.thread_count();
-  resp.kernels = catalogue_.size();
-  resp.architectures = arch::standard_suite().size();
-  resp.pid = static_cast<long>(::getpid());
-  resp.uptime_ms = static_cast<long>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
   return resp;
 }
 
@@ -458,13 +408,6 @@ CacheLoadResponse dispatch_typed(const Service& s, const CacheLoadRequest& r) {
 PingResponse dispatch_typed(const Service& s, const PingRequest& r) {
   return s.ping(r);
 }
-DseShardResponse dispatch_typed(const Service& s, const DseShardRequest& r) {
-  return s.dse_shard(r);
-}
-WorkerInfoResponse dispatch_typed(const Service& s,
-                                  const WorkerInfoRequest& r) {
-  return s.worker_info(r);
-}
 
 }  // namespace
 
@@ -476,12 +419,10 @@ util::Json Service::handle(const Request& request) const {
         },
         request);
     // The transport's contribution to cache_stats (see
-    // set_stats_extension): merged here so every path — typed, serve,
-    // batch — reports the same document.
+    // set_stats_extension): merged here so every path — typed, stdin
+    // serve, socket — reports the same document.
     if (stats_extension_ && std::holds_alternative<CacheStatsRequest>(request))
       body.set("server", stats_extension_());
-    if (dist_extension_ && std::holds_alternative<CacheStatsRequest>(request))
-      body.set("dist", dist_extension_());
     return body;
   } catch (const std::exception& e) {
     // rsp::Error and anything else (bad_alloc on an oversized DSE space,

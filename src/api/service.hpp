@@ -1,7 +1,7 @@
 // rsp::api::Service — the single façade over the toolchain.
 //
-// Every entry point into the machinery (rsp_cli subcommands, the v1 batch
-// document API, the NDJSON serving mode) dispatches through one stateful
+// Every entry point into the machinery (rsp_cli subcommands, the NDJSON
+// serving mode over stdin or sockets) dispatches through one stateful
 // Service instance, so capabilities are wired once and every transport
 // shares the same ThreadPool and EvalCache. Requests and responses are
 // typed structs; the JSON wire format lives in api/protocol.hpp.
@@ -20,7 +20,6 @@
 // pool's size (see runtime::ParallelExplorer).
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <future>
@@ -130,48 +129,6 @@ struct PingRequest {
 
 inline constexpr int kMaxPingDelayMs = 10000;
 
-/// An explicit sub-range [begin, end) of the DSE enumeration grid,
-/// evaluated worker-side (runtime/dist_shard.hpp). `exact` selects step 5
-/// (per-kernel exact cycles/stalls) over steps 2–3 (estimated-cycle sums).
-/// Unlike DseRequest, the coordinator always sends the resolved kernel
-/// names so every worker shards the identical run; an empty list still
-/// falls back to the paper suite for hand-written requests.
-struct DseShardRequest {
-  std::vector<std::string> kernels;
-  dse::ExplorerConfig config;
-  long begin = 0;
-  long end = 0;
-  bool exact = false;
-};
-
-/// Integer-only shard products — no derived double crosses the wire; the
-/// coordinator recomputes them all locally (runtime/dist_shard.hpp).
-struct DseShardResponse {
-  bool exact = false;
-  long begin = 0;
-  long end = 0;
-  long base_cycles = 0;                   ///< estimate shards only
-  std::vector<long> estimated_cycles;     ///< estimate shards, shard order
-  std::vector<std::vector<long>> cycles;  ///< exact shards, [point][kernel]
-  std::vector<std::vector<long>> stalls;  ///< exact shards, same shape
-};
-
-/// Identity/capacity handshake the coordinator opens every worker
-/// connection with.
-struct WorkerInfoRequest {};
-
-struct WorkerInfoResponse {
-  int threads = 0;
-  int max_inflight = 0;
-  std::size_t kernels = 0;        ///< catalogue size
-  std::size_t architectures = 0;  ///< standard-suite size
-  long pid = 0;
-  /// Milliseconds since this Service was constructed. Together with `pid`
-  /// the coordinator's health probes distinguish a restarted worker (new
-  /// pid, small uptime) from one that merely dropped a connection.
-  long uptime_ms = 0;
-};
-
 /// Every operation the Service dispatches; api/protocol.hpp decodes wire
 /// requests into this variant.
 using Request =
@@ -179,7 +136,7 @@ using Request =
                  SimulateRequest, SimulateBatchRequest, LintRequest,
                  RtlRequest, DotRequest, VcdRequest, BitstreamRequest,
                  CacheStatsRequest, CacheSaveRequest, CacheLoadRequest,
-                 PingRequest, DseShardRequest, WorkerInfoRequest>;
+                 PingRequest>;
 
 // ----------------------------------------------------------- response types
 
@@ -334,13 +291,11 @@ class Service {
   CacheSaveResponse cache_save(const CacheSaveRequest&) const;
   CacheLoadResponse cache_load(const CacheLoadRequest&) const;
   PingResponse ping(const PingRequest&) const;
-  DseShardResponse dse_shard(const DseShardRequest&) const;
-  WorkerInfoResponse worker_info(const WorkerInfoRequest&) const;
 
   /// JSON-level dispatch: runs the request and renders the response *body*
   /// ({"op": ..., "ok": true, ...}). Failures are reported in-band as
   /// {"ok": false, "error": ...} — this never throws, so one bad request
-  /// cannot take down a serve loop or batch.
+  /// cannot take down a serve loop.
   util::Json handle(const Request& request) const;
 
   /// Asynchronous `handle` on the dispatch pool: independent requests run
@@ -365,24 +320,6 @@ class Service {
     stats_extension_ = std::move(extension);
   }
 
-  /// Coordinator hook: when set, `dse` requests are answered by
-  /// `delegate(request)` instead of the local ParallelExplorer — how
-  /// `serve --workers` turns a server into a distributed front-end while
-  /// every other op (including dse_shard) stays local. Same installation
-  /// contract as set_stats_extension: set before requests are dispatched;
-  /// a delegate that throws becomes the usual in-band error.
-  void set_dse_delegate(std::function<DseResponse(const DseRequest&)> delegate) {
-    dse_delegate_ = std::move(delegate);
-  }
-
-  /// Coordinator hook: when set, successful `cache_stats` bodies gain a
-  /// "dist" field holding `extension()`'s document (the per-worker
-  /// shard/latency/retry counters of dist::DseCoordinator). Same
-  /// installation contract as set_stats_extension.
-  void set_dist_extension(std::function<util::Json()> extension) {
-    dist_extension_ = std::move(extension);
-  }
-
   int thread_count() const { return workers_.thread_count(); }
   int max_inflight() const { return dispatch_.thread_count(); }
   const std::shared_ptr<runtime::EvalCache>& cache() const { return cache_; }
@@ -393,10 +330,6 @@ class Service {
  private:
   runtime::RuntimeOptions runtime_options() const;
   const kernels::Workload& workload(const std::string& name) const;
-  /// Resolves DSE kernel names into workloads: empty = the paper suite.
-  /// Shared by dse and dse_shard so both paths name the same domain.
-  std::vector<kernels::Workload> dse_domain(
-      const std::vector<std::string>& names) const;
   arch::Architecture architecture(const std::string& name, int rows,
                                   int cols) const;
   /// Maps `w` (through the mapping memo-cache) and schedules it on `a`.
@@ -431,13 +364,8 @@ class Service {
   mutable runtime::StripedMemoCache<std::shared_ptr<const SimRun>> sim_runs_;
   /// Built once; read-only after construction (lookups are concurrent).
   std::vector<kernels::Workload> catalogue_;
-  /// Construction instant — worker_info's uptime_ms baseline.
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
   /// Set once before serving starts, read concurrently afterwards.
   std::function<util::Json()> stats_extension_;
-  std::function<util::Json()> dist_extension_;
-  std::function<DseResponse(const DseRequest&)> dse_delegate_;
   mutable runtime::ThreadPool workers_;
   mutable runtime::ThreadPool dispatch_;
 };

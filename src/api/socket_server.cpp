@@ -113,23 +113,19 @@ ListenAddress parse_listen_address(const std::string& spec) {
   return address;
 }
 
-namespace {
-
-// One connection attempt. Returns the connected fd, or -1 with `reason`
-// and `err` (the last connect/socket errno) filled in; non-retryable
-// resolution failures throw directly.
-int try_connect(const ListenAddress& address, std::string& reason,
-                int& err) {
+int connect_socket(const ListenAddress& address) {
+  const auto fail = [&address](const std::string& reason) {
+    return Error("cannot connect to '" + address.spec() + "': " + reason);
+  };
   if (address.kind == ListenAddress::Kind::kUnix) {
     const sockaddr_un sun = make_unix_addr(address.path);
     const int fd = checked(::socket(AF_UNIX, SOCK_STREAM, 0), "socket");
     set_cloexec(fd);
     if (connect_eintr(fd, reinterpret_cast<const sockaddr*>(&sun),
                       sizeof(sun)) != 0) {
-      err = errno;
-      reason = std::strerror(err);
+      const int err = errno;
       ::close(fd);
-      return -1;
+      throw fail(std::strerror(err));
     }
     return fd;
   }
@@ -145,12 +141,11 @@ int try_connect(const ListenAddress& address, std::string& reason,
   if (rc != 0)
     throw Error("cannot resolve '" + host + "': " + ::gai_strerror(rc));
   int fd = -1;
-  reason = "no usable addresses";
+  std::string reason = "no usable addresses";
   for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
     fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
     if (fd < 0) {
-      err = errno;
-      reason = std::strerror(err);
+      reason = std::strerror(errno);
       continue;
     }
     set_cloexec(fd);
@@ -158,43 +153,13 @@ int try_connect(const ListenAddress& address, std::string& reason,
       set_nodelay(fd);
       break;
     }
-    err = errno;
-    reason = std::strerror(err);
+    reason = std::strerror(errno);
     ::close(fd);
     fd = -1;
   }
   ::freeaddrinfo(results);
+  if (fd < 0) throw fail(reason);
   return fd;
-}
-
-// Worth retrying: the server exists but is not accepting *yet* — refused
-// (not bound / backlog reset), a unix socket file not created yet, or a
-// race with a restarting listener.
-bool transient_connect_error(int err) {
-  return err == ECONNREFUSED || err == ENOENT || err == ECONNRESET;
-}
-
-}  // namespace
-
-int connect_socket(const ListenAddress& address) {
-  return connect_socket(address, ConnectOptions{});
-}
-
-int connect_socket(const ListenAddress& address,
-                   const ConnectOptions& options) {
-  options.validate("connect");
-  for (int attempt = 1;; ++attempt) {
-    std::string reason;
-    int err = 0;
-    const int fd = try_connect(address, reason, err);
-    if (fd >= 0) return fd;
-    if (!transient_connect_error(err) || options.attempts <= 1)
-      throw Error("cannot connect to '" + address.spec() + "': " + reason);
-    if (!options.should_retry(attempt))
-      throw Error(options.give_up("cannot connect to '" + address.spec() +
-                                  "'", reason));
-    options.sleep_before_retry(attempt);
-  }
 }
 
 // --------------------------------------------------------------- streambuf
@@ -692,8 +657,8 @@ util::Json SocketServer::stats_json() const {
 }
 
 int run_socket_client(const ListenAddress& address, std::istream& in,
-                      std::ostream& out, const ConnectOptions& connect) {
-  const int fd = connect_socket(address, connect);
+                      std::ostream& out) {
+  const int fd = connect_socket(address);
   SocketStreamBuf buf(fd);
   std::istream sock_in(&buf);
   std::ostream sock_out(&buf);

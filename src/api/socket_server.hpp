@@ -33,7 +33,6 @@
 #include "api/serve.hpp"
 #include "api/service.hpp"
 #include "util/json.hpp"
-#include "util/retry.hpp"
 
 namespace rsp::api {
 
@@ -60,19 +59,6 @@ ListenAddress parse_listen_address(const std::string& spec);
 /// Connects a blocking socket to `address` (the client side of the forms
 /// above). Returns the connected fd; throws rsp::Error on failure.
 int connect_socket(const ListenAddress& address);
-
-/// Bounded retry policy for `connect_socket` — the shared
-/// util::RetryPolicy: a worker that is still binding (ECONNREFUSED, or
-/// ENOENT for a unix socket not yet created) is retried up to `attempts`
-/// times with the policy's (default linear) backoff between tries.
-/// Non-transient failures (resolution errors, EACCES, ...) are never
-/// retried. The default is a single attempt — identical to the plain
-/// overload — so callers opt in explicitly (`rsp_cli connect --retry`,
-/// the coordinator's worker links and health probes).
-using ConnectOptions = util::RetryPolicy;
-
-int connect_socket(const ListenAddress& address,
-                   const ConnectOptions& options);
 
 // -------------------------------------------------------------- streambuf
 
@@ -180,9 +166,8 @@ class SocketServer {
 /// `out` — tolerating arbitrary out-of-order and bursty completions — then
 /// half-closes the write side on input EOF and returns once the server has
 /// drained and closed. Returns the process exit code (non-zero when `out`
-/// failed); throws rsp::Error when the connection cannot be established
-/// (after `connect`'s bounded retries, single-attempt by default).
+/// failed); throws rsp::Error when the connection cannot be established.
 int run_socket_client(const ListenAddress& address, std::istream& in,
-                      std::ostream& out, const ConnectOptions& connect = {});
+                      std::ostream& out);
 
 }  // namespace rsp::api

@@ -133,26 +133,15 @@ Candidate Explorer::estimate_candidate(const DesignPoint& point,
                                        const EstimateFn& estimate,
                                        double base_area_raw,
                                        double base_time_ns) const {
-  arch::Architecture target = point_architecture(point, base);
-  long estimated_cycles = 0;
-  for (std::size_t k = 0; k < kernel_count; ++k)
-    estimated_cycles += estimate(k, target).estimated_cycles();
-  return make_candidate(point, std::move(target), estimated_cycles,
-                        base_area_raw, base_time_ns);
-}
-
-Candidate Explorer::make_candidate(const DesignPoint& point,
-                                   arch::Architecture architecture,
-                                   long estimated_cycles,
-                                   double base_area_raw,
-                                   double base_time_ns) const {
   Candidate cand;
   cand.point = point;
-  cand.architecture = std::move(architecture);
+  cand.architecture = point_architecture(point, base);
+  for (std::size_t k = 0; k < kernel_count; ++k)
+    cand.estimated_cycles +=
+        estimate(k, cand.architecture).estimated_cycles();
   cand.area_estimate = synth_.area_model().estimate(cand.architecture);
   cand.area_synthesized = synth_.area(cand.architecture);
   cand.clock_ns = synth_.clock_ns(cand.architecture);
-  cand.estimated_cycles = estimated_cycles;
   cand.estimated_time_ns =
       static_cast<double>(cand.estimated_cycles) * cand.clock_ns;
 

@@ -179,8 +179,7 @@ class Explorer {
 
   /// The architecture a design point denotes: `base` for the base point,
   /// the custom RSP(label) construction otherwise. Every path that turns a
-  /// DesignPoint into hardware — estimation, exact evaluation, the
-  /// distributed shard executors — goes through this one function so the
+  /// DesignPoint into hardware goes through this one function so the
   /// construction cannot drift.
   arch::Architecture point_architecture(const DesignPoint& point,
                                         const arch::Architecture& base) const;
@@ -195,18 +194,6 @@ class Explorer {
                                const EstimateFn& estimate,
                                double base_area_raw,
                                double base_time_ns) const;
-
-  /// The candidate arithmetic of steps 2–3 given an already-summed
-  /// estimated-cycle total: area/clock models, estimated time, and the two
-  /// reject checks. estimate_candidate is exactly this after the per-kernel
-  /// estimate sum; the distributed coordinator rebuilds candidates from
-  /// worker-returned cycle sums through the same function, which is what
-  /// makes the reconstruction bit-identical by construction
-  /// (docs/DISTRIBUTED.md).
-  Candidate make_candidate(const DesignPoint& point,
-                           arch::Architecture architecture,
-                           long estimated_cycles, double base_area_raw,
-                           double base_time_ns) const;
 
   /// Step 4: flags the ε-Pareto front of the non-rejected candidates.
   void pareto_filter(ExplorationResult& result) const;

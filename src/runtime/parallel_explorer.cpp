@@ -82,11 +82,9 @@ EvalRecord measure_record(const sched::ContextScheduler& scheduler,
   return r;
 }
 
-}  // namespace
-
-// The memoization protocol, shared by the DSE, suite-eval and distributed
-// shard fan-outs so the paths cannot drift: consult the cache under `key`
-// when one is configured, measure otherwise.
+// The memoization protocol, shared by the DSE and suite-eval fan-outs so
+// the paths cannot drift: consult the cache under `key` when one is
+// configured, measure otherwise.
 EvalRecord cached_measure(EvalCache* cache, const std::string& key,
                           const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
@@ -95,6 +93,15 @@ EvalRecord cached_measure(EvalCache* cache, const std::string& key,
   return cache->get_or_compute(
       key, [&] { return measure_record(scheduler, program, architecture); });
 }
+
+// Step 1 alone, fanned out one task per kernel (through `mapping_cache`
+// when non-null): the per-kernel mapping + base-schedule records, plus the
+// mapping keys the profile memo-table is addressed by (empty strings when
+// no cache is wired).
+struct PreparedKernels {
+  std::vector<std::shared_ptr<const dse::KernelPrep>> records;  // domain order
+  std::vector<std::string> mapping_keys;                        // "" sans cache
+};
 
 PreparedKernels prepare_kernels_parallel(
     const dse::Explorer& explorer,
@@ -135,6 +142,8 @@ PreparedKernels prepare_kernels_parallel(
   return prep;
 }
 
+// One estimate profile per kernel, in domain order, fetched through
+// `mapping_cache` when non-null and built directly otherwise.
 std::vector<std::shared_ptr<const core::EstimateProfile>> estimate_profiles(
     const PreparedKernels& kernels, MappingCache* mapping_cache) {
   std::vector<std::shared_ptr<const core::EstimateProfile>> profiles;
@@ -148,6 +157,8 @@ std::vector<std::shared_ptr<const core::EstimateProfile>> estimate_profiles(
   }
   return profiles;
 }
+
+}  // namespace
 
 dse::PreparedExploration prepare_parallel(
     const dse::Explorer& explorer,

@@ -39,7 +39,7 @@ struct RuntimeOptions {
   int threads = 0;
   /// External pool to run on (non-owning). nullptr = a private pool is
   /// created per call. Sharing one pool avoids thread churn when serving
-  /// many requests per process (see runtime::run_batch).
+  /// many requests per process (api::Service does).
   ThreadPool* pool = nullptr;
   /// Memo table consulted before any rescheduling. nullptr = no caching.
   std::shared_ptr<EvalCache> cache;
@@ -53,37 +53,6 @@ struct RuntimeOptions {
   /// bound they were constructed with.
   std::size_t max_entries = 0;
 };
-
-/// Step 1 alone, fanned out one task per kernel (through `mapping_cache`
-/// when non-null): the per-kernel mapping + base-schedule records, plus the
-/// mapping keys the profile memo-table is addressed by (empty strings when
-/// no cache is wired). Shared by prepare_parallel and the distributed
-/// shard executors (runtime/dist_shard.hpp) so step-1 products cannot
-/// drift between the single-process and sharded flows.
-struct PreparedKernels {
-  std::vector<std::shared_ptr<const dse::KernelPrep>> records;  ///< domain order
-  std::vector<std::string> mapping_keys;                        ///< "" sans cache
-};
-PreparedKernels prepare_kernels_parallel(
-    const dse::Explorer& explorer,
-    const std::vector<kernels::Workload>& domain, ThreadPool& pool,
-    MappingCache* mapping_cache);
-
-/// One estimate profile per kernel of `kernels`, in domain order, fetched
-/// through `mapping_cache` when non-null and built directly otherwise. The
-/// estimate sweeps of prepare_parallel and the distributed estimate shards
-/// query these, so their estimates cannot drift.
-std::vector<std::shared_ptr<const core::EstimateProfile>> estimate_profiles(
-    const PreparedKernels& kernels, MappingCache* mapping_cache);
-
-/// The memoization protocol every exact measurement shares (DSE step 5,
-/// suite eval, distributed exact shards): consult `cache` under `key` when
-/// non-null, measure via the deterministic scheduler otherwise. One
-/// function so no fan-out path can drift from the serial measurement.
-EvalRecord cached_measure(EvalCache* cache, const std::string& key,
-                          const sched::ContextScheduler& scheduler,
-                          const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture);
 
 /// The parallel steps 1–4: bit-identical to dse::Explorer::prepare on the
 /// same domain. Step 1 runs one task per kernel (through `mapping_cache`

@@ -1,7 +1,7 @@
 // The rsp::api façade: Service typed dispatch (bit-identical to the serial
-// paths), the v2 protocol codec, the v1 batch compatibility shim, cache
-// persistence, and the NDJSON serve loop (out-of-order streaming, in-band
-// protocol errors). The Service/Protocol/Serve suites also run under the
+// paths), the v2 protocol codec, cache persistence, and the NDJSON serve
+// loop (out-of-order streaming, in-band protocol errors, bounded request
+// lines). The Service/Protocol/Serve suites also run under the
 // tsan preset — the serial-vs-service agreement checks are exercised with
 // ThreadSanitizer watching the pools.
 #include <gtest/gtest.h>
@@ -461,12 +461,21 @@ TEST(Protocol, RejectsNonsensicalDseConfigsInBand) {
                   "'max_time_ratio' must be positive");
   expect_rejected(R"("pareto_epsilon": -0.1)",
                   "'pareto_epsilon' must be non-negative");
+  // A typo'd key silently running the default objective would look like a
+  // successful exploration; a fractional bound must not be truncated.
+  expect_rejected(R"("objetive": "min_area")",
+                  "unknown config key 'objetive'");
+  expect_rejected(R"("max_stages": 3.7)",
+                  "config key 'max_stages' must be an integer");
 
-  // The same strictness guards the v1 decode path, and a Service turns it
-  // into an {"ok": false} body rather than a dead request.
-  EXPECT_THROW(decode_v1_request(util::Json::parse(
-                   R"({"op": "dse", "config": {"max_stages": 0}})")),
-               InvalidArgumentError);
+  // The rejection is an InvalidArgumentError, and a Service handed such a
+  // config anyway turns it into an {"ok": false} body rather than a dead
+  // request.
+  EXPECT_THROW(
+      decode_v2_request(util::Json::parse(
+          R"({"protocol_version": 2, "id": "a", "op": "dse",)"
+          R"( "config": {"max_stages": 0}})")),
+      InvalidArgumentError);
   Service service(small_options(1, 1));
   DseRequest bad;
   bad.config.max_stages = 0;
@@ -572,30 +581,6 @@ TEST(Protocol, DecodeV2ParsesSimulationEngineAndBatch) {
   }
 }
 
-TEST(Protocol, DecodeV1KeepsLegacyRules) {
-  // v1 is lenient about unknown top-level fields (they were always
-  // ignored) but strict about config keys, with the PR-2 messages.
-  const Request request = decode_v1_request(util::Json::parse(
-      R"({"op": "eval", "kernel": "SAD", "extra": "ignored"})"));
-  EXPECT_EQ(std::get<EvalRequest>(request).kernel, "SAD");
-
-  try {
-    decode_v1_request(util::Json::parse(
-        R"({"op": "dse", "kernels": ["SAD"], "config": {"objetive": 1}})"));
-    FAIL() << "expected rejection";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown config key 'objetive'"),
-              std::string::npos);
-  }
-  try {
-    decode_v1_request(util::Json::parse(R"({"op": "serve"})"));
-    FAIL() << "expected rejection";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("expected \"eval\" or \"dse\""),
-              std::string::npos);
-  }
-}
-
 TEST(Protocol, EnvelopePutsVersionAndIdFirst) {
   util::Json body = util::Json::object();
   body.set("op", "ping").set("ok", true).set("delay_ms", 0);
@@ -607,70 +592,6 @@ TEST(Protocol, EnvelopePutsVersionAndIdFirst) {
   EXPECT_EQ(keys[2], "op");
   EXPECT_EQ(response.at("protocol_version").as_number(), kProtocolVersion);
   EXPECT_EQ(response.at("id").as_string(), "r1");
-}
-
-TEST(Protocol, V1BatchKeepsLegacyShapeAndFieldOrder) {
-  util::Json requests = util::Json::array();
-  util::Json eval = util::Json::object();
-  eval.set("op", "eval").set("kernel", "SAD");
-  requests.push(std::move(eval));
-  util::Json bad = util::Json::object();
-  bad.set("op", "eval").set("kernel", "no-such-kernel");
-  requests.push(std::move(bad));
-
-  Service service(small_options());
-  const util::Json response = run_v1_batch(requests, service);
-
-  // The exact PR-2 document shape: positional results with the legacy
-  // field order, then the runtime stats block.
-  ASSERT_EQ(response.keys(), (std::vector<std::string>{"results", "runtime"}));
-  const util::Json& results = response.at("results");
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results.at(0).keys(),
-            (std::vector<std::string>{"op", "ok", "report", "request"}));
-  EXPECT_TRUE(results.at(0).at("ok").as_bool());
-  EXPECT_EQ(results.at(0).at("request").as_number(), 0);
-  EXPECT_EQ(results.at(1).keys(),
-            (std::vector<std::string>{"ok", "error", "request"}));
-  EXPECT_FALSE(results.at(1).at("ok").as_bool());
-  EXPECT_EQ(response.at("runtime").keys(),
-            (std::vector<std::string>{"threads", "requests", "cache_hits",
-                                      "cache_misses", "cache_entries_total",
-                                      "cache_hit_rate"}));
-  EXPECT_EQ(response.at("runtime").at("requests").as_number(), 2);
-}
-
-TEST(Protocol, V1BatchResultsAreDeterministicAcrossRuns) {
-  // Cross-request fan-out must not leak scheduling into the payloads: two
-  // fresh services produce byte-identical result arrays (cache counters in
-  // the runtime block are scheduling-dependent and excluded).
-  util::Json requests = util::Json::array();
-  util::Json eval = util::Json::object();
-  eval.set("op", "eval").set("kernel", "SAD");
-  requests.push(std::move(eval));
-  util::Json dse_req = util::Json::object();
-  util::Json names = util::Json::array();
-  names.push("SAD").push("MVM");
-  util::Json config = util::Json::object();
-  config.set("max_units_per_row", 2)
-      .set("max_units_per_col", 1)
-      .set("max_stages", 2);
-  dse_req.set("op", "dse").set("kernels", std::move(names));
-  dse_req.set("config", std::move(config));
-  requests.push(std::move(dse_req));
-
-  Service first(small_options(4, 4));
-  Service second(small_options(4, 4));
-  EXPECT_EQ(run_v1_batch(requests, first).at("results").dump(),
-            run_v1_batch(requests, second).at("results").dump());
-}
-
-TEST(Protocol, V1BatchRejectsNonArrayInput) {
-  Service service(small_options(1, 1));
-  EXPECT_THROW(run_v1_batch(util::Json::object(), service),
-               InvalidArgumentError);
-  EXPECT_THROW(run_v1_batch(util::Json("eval"), service),
-               InvalidArgumentError);
 }
 
 // ------------------------------------------------------------------- serve
@@ -718,9 +639,11 @@ TEST(Serve, StreamsResponsesOutOfOrderById) {
 }
 
 TEST(Serve, ProtocolErrorsAreInBandAndNonFatal) {
-  // The four satellite cases — malformed NDJSON, unknown op, missing
-  // protocol_version, duplicate id — each answered in-band, and the loop
-  // still serves the valid request that follows.
+  // Malformed NDJSON, unknown ops (including the two retired distributed-
+  // DSE worker ops, ids "s" and "w"), missing protocol_version, a
+  // duplicate id and a JSON array line (the retired v1 batch document) —
+  // each answered in-band, and the loop still serves the valid request
+  // that follows.
   Service service(small_options(1, 2));
   const ServeOutput output = run_serve(
       service,
@@ -729,14 +652,18 @@ TEST(Serve, ProtocolErrorsAreInBandAndNonFatal) {
       "{\"id\": \"b\", \"op\": \"ping\"}\n"
       "{\"protocol_version\": 2, \"id\": \"c\", \"op\": \"ping\"}\n"
       "{\"protocol_version\": 2, \"id\": \"c\", \"op\": \"ping\"}\n"
+      "{\"protocol_version\": 2, \"id\": \"s\", \"op\": \"dse_shard\"}\n"
+      "{\"protocol_version\": 2, \"id\": \"w\", \"op\": \"worker_info\"}\n"
+      "[{\"op\": \"eval\", \"kernel\": \"SAD\"}]\n"
       "{\"protocol_version\": 2, \"id\": \"d\", \"op\": \"ping\"}\n");
-  EXPECT_EQ(output.result.requests, 6u);
-  EXPECT_EQ(output.result.errors, 4u);
-  ASSERT_EQ(output.lines.size(), 6u);
+  EXPECT_EQ(output.result.requests, 9u);
+  EXPECT_EQ(output.result.errors, 7u);
+  ASSERT_EQ(output.lines.size(), 9u);
 
   std::size_t ok_count = 0;
   bool saw_parse_error = false, saw_unknown_op = false,
-       saw_missing_version = false, saw_duplicate = false;
+       saw_missing_version = false, saw_duplicate = false, saw_array = false;
+  std::size_t retired_ops = 0;
   for (const util::Json& line : output.lines) {
     if (line.at("ok").as_bool()) {
       ++ok_count;
@@ -753,12 +680,70 @@ TEST(Serve, ProtocolErrorsAreInBandAndNonFatal) {
       saw_missing_version = true;
     if (error.find("duplicate request id \"c\"") != std::string::npos)
       saw_duplicate = true;
+    const util::Json& id = line.at("id");
+    if (id.is_string() && (id.as_string() == "s" || id.as_string() == "w")) {
+      ++retired_ops;
+      EXPECT_NE(error.find("unknown op '"), std::string::npos) << error;
+    }
+    if (error.find("request must be a JSON object") != std::string::npos) {
+      saw_array = true;
+      EXPECT_TRUE(line.at("id").is_null());
+    }
   }
   EXPECT_EQ(ok_count, 2u);  // "c" (first use) and "d"
   EXPECT_TRUE(saw_parse_error);
   EXPECT_TRUE(saw_unknown_op);
   EXPECT_TRUE(saw_missing_version);
   EXPECT_TRUE(saw_duplicate);
+  EXPECT_EQ(retired_ops, 2u);
+  EXPECT_TRUE(saw_array);
+}
+
+TEST(Serve, OverlongRequestLineIsRejectedInBand) {
+  // A line past kMaxRequestLineBytes costs one in-band error with a null
+  // id; the rest of it is discarded and the next line is served.
+  Service service(small_options(1, 1));
+  const std::string overlong(4 * kMaxRequestLineBytes, 'x');
+  const ServeOutput output = run_serve(
+      service, overlong +
+                   "\n{\"protocol_version\": 2, \"id\": \"p\", "
+                   "\"op\": \"ping\"}\n");
+  EXPECT_EQ(output.result.requests, 2u);
+  EXPECT_EQ(output.result.errors, 1u);
+  ASSERT_EQ(output.lines.size(), 2u);
+  std::size_t rejected = 0, answered = 0;
+  for (const util::Json& line : output.lines) {
+    if (line.at("ok").as_bool()) {
+      EXPECT_EQ(line.at("id").as_string(), "p");
+      ++answered;
+    } else {
+      EXPECT_TRUE(line.at("id").is_null());
+      EXPECT_NE(line.at("error").as_string().find("request line exceeds " +
+                                                  std::to_string(
+                                                      kMaxRequestLineBytes)),
+                std::string::npos);
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, 1u);
+  EXPECT_EQ(answered, 1u);
+
+  // A stream that ends inside an over-long line: one error, then the loop
+  // returns normally.
+  const ServeOutput truncated = run_serve(service, overlong);
+  EXPECT_TRUE(truncated.result.output_ok);
+  EXPECT_EQ(truncated.result.requests, 1u);
+  EXPECT_EQ(truncated.result.errors, 1u);
+  ASSERT_EQ(truncated.lines.size(), 1u);
+  EXPECT_FALSE(truncated.lines[0].at("ok").as_bool());
+
+  // A line exactly at the limit is still read whole (here: parsed and
+  // rejected as malformed JSON, not as over-long).
+  const ServeOutput at_limit =
+      run_serve(service, std::string(kMaxRequestLineBytes, 'x') + "\n");
+  ASSERT_EQ(at_limit.lines.size(), 1u);
+  EXPECT_NE(at_limit.lines[0].at("error").as_string().find("JSON parse error"),
+            std::string::npos);
 }
 
 TEST(Serve, OversizedDseGridIsRejectedInBand) {
@@ -799,32 +784,6 @@ TEST(Serve, ExecutionErrorsEchoTheRequestId) {
   EXPECT_FALSE(output.lines[0].at("ok").as_bool());
   EXPECT_NE(output.lines[0].at("error").as_string().find("no-such-kernel"),
             std::string::npos);
-}
-
-TEST(Serve, V1BatchArrayDocumentAnsweredInline) {
-  Service service(small_options());
-  const ServeOutput output =
-      run_serve(service, "[{\"op\": \"eval\", \"kernel\": \"SAD\"}]\n");
-  EXPECT_EQ(output.result.requests, 1u);
-  EXPECT_EQ(output.result.errors, 0u);
-  ASSERT_EQ(output.lines.size(), 1u);
-  const util::Json& doc = output.lines[0];
-  EXPECT_FALSE(doc.contains("protocol_version"));  // v1 has no envelope
-  EXPECT_EQ(doc.at("results").at(0).at("report").at("kernel").as_string(),
-            "SAD");
-}
-
-TEST(Serve, V1InBandFailuresCountAsErrors) {
-  Service service(small_options());
-  const ServeOutput output = run_serve(
-      service,
-      "[{\"op\": \"eval\", \"kernel\": \"no-such-kernel\"}, "
-      "{\"op\": \"eval\", \"kernel\": \"SAD\"}]\n");
-  EXPECT_EQ(output.result.requests, 1u);
-  EXPECT_EQ(output.result.errors, 1u);  // the failed result slot
-  ASSERT_EQ(output.lines.size(), 1u);
-  EXPECT_FALSE(output.lines[0].at("results").at(0).at("ok").as_bool());
-  EXPECT_TRUE(output.lines[0].at("results").at(1).at("ok").as_bool());
 }
 
 TEST(Serve, BlankLinesAreSkipped) {
@@ -903,22 +862,6 @@ TEST(Serve, RejectedDuplicateDoesNotAgeTheWindow) {
       "{\"protocol_version\": 2, \"id\": \"a\", \"op\": \"ping\"}\n",
       options);
   EXPECT_EQ(output.result.errors, 2u);
-}
-
-TEST(Serve, CountV1ResultErrorsNeverThrows) {
-  // The serve loop's guarded view of whatever run_v1_batch hands back: a
-  // top-level error document (or any malformed shape) is one in-band
-  // failure, not an exception that unwinds the stream.
-  EXPECT_EQ(count_v1_result_errors(error_body("boom")), 1u);
-  EXPECT_EQ(count_v1_result_errors(util::Json()), 1u);
-  EXPECT_EQ(count_v1_result_errors(util::Json::parse("{\"results\": 3}")),
-            1u);
-  EXPECT_EQ(count_v1_result_errors(util::Json::parse("{\"results\": []}")),
-            0u);
-  EXPECT_EQ(count_v1_result_errors(util::Json::parse(
-                "{\"results\": [{\"ok\": true}, {\"ok\": false}, {}, "
-                "{\"ok\": 1}, 7]}")),
-            4u);
 }
 
 TEST(Serve, CacheOpsWorkOverTheWire) {

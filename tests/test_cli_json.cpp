@@ -1,16 +1,20 @@
 // End-to-end coverage for the CLI JSON report path: runs the real rsp_cli
 // binary (path injected by the build as RSP_CLI_BINARY), parses its stdout
-// back through util/json, and asserts the report schema round-trips.
+// back through util/json, and asserts the report schema round-trips and
+// that serve answers exactly as the in-process Service does.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "api/protocol.hpp"
+#include "api/service.hpp"
 #include "util/json.hpp"
 
 namespace rsp {
@@ -84,79 +88,50 @@ TEST(CliJson, UnknownEvalFlagFailsNonzero) {
   EXPECT_EQ(r.exit_code, 1);
 }
 
-TEST(CliJson, BatchTwoRequestFileRoundTrips) {
-  const CliResult r =
-      run_cli("batch " RSP_TEST_DATA_DIR "/batch_requests.json --threads 2");
-  ASSERT_EQ(r.exit_code, 0);
-  ASSERT_FALSE(r.stdout_text.empty());
-
-  // The acceptance gate: the batch output is one valid JSON document that
-  // round-trips through util::Json.
-  const util::Json response = util::Json::parse(r.stdout_text);
-  EXPECT_EQ(util::Json::parse(response.dump()).dump(), response.dump());
-
-  const util::Json& results = response.at("results");
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results.at(0).at("ok").as_bool());
-  EXPECT_EQ(results.at(0).at("report").at("kernel").as_string(), "SAD");
-  EXPECT_TRUE(results.at(1).at("ok").as_bool());
-  EXPECT_EQ(results.at(1).at("selected").at("label").as_string(), "1r/p2");
-  const util::Json& runtime = response.at("runtime");
-  EXPECT_EQ(runtime.at("threads").as_number(), 2);
-  // Requests overlap on the shared pool since PR 3; the hit/miss split is
-  // scheduling-dependent, the populated table is not.
-  EXPECT_GT(runtime.at("cache_entries_total").as_number(), 0);
-}
-
-TEST(CliJson, ServeAnswersV1DocumentIdenticallyToBatch) {
-  // The compatibility-shim acceptance gate: the same v1 batch document
-  // answered by `batch` and by a v1 array line through `serve` must carry
-  // byte-identical results (the runtime stats block is
-  // scheduling-dependent and excluded).
-  const CliResult batch =
-      run_cli("batch " RSP_TEST_DATA_DIR "/batch_requests.json --threads 2");
-  ASSERT_EQ(batch.exit_code, 0);
-  const CliResult served =
-      run_shell("tr '\\n' ' ' < " RSP_TEST_DATA_DIR "/batch_requests.json"
-                " | " RSP_CLI_BINARY " serve --threads 2");
-  ASSERT_EQ(served.exit_code, 0);
-
-  const util::Json batch_doc = util::Json::parse(batch.stdout_text);
-  const util::Json serve_doc = util::Json::parse(served.stdout_text);
-  EXPECT_EQ(batch_doc.at("results").dump(), serve_doc.at("results").dump());
-}
-
-TEST(CliJson, ServeV2NdjsonMatchesBatchPayloads) {
-  // The same two requests as batch_requests.json, spoken as v2 NDJSON:
-  // response payloads must agree with the batch path field for field.
+TEST(CliJson, ServeV2NdjsonMatchesInProcessService) {
+  // Every response line `serve` writes for the shared requests file must
+  // be byte-identical to the same request answered serially in process
+  // through Service::handle — the concurrent stdin loop adds nothing but
+  // the envelope and the ordering.
   const CliResult served =
       run_shell(std::string(RSP_CLI_BINARY) +
                 " serve --threads 2 < " RSP_TEST_DATA_DIR
                 "/serve_requests.ndjson");
   ASSERT_EQ(served.exit_code, 0);
-  std::map<std::string, util::Json> by_id;
+  std::map<std::string, std::string> by_id;
   std::istringstream lines(served.stdout_text);
   std::string line;
   while (std::getline(lines, line)) {
     const util::Json response = util::Json::parse(line);
-    EXPECT_EQ(response.at("protocol_version").as_number(), 2);
     ASSERT_TRUE(response.at("ok").as_bool()) << line;
-    by_id.emplace(response.at("id").as_string(), response);
+    by_id.emplace(response.at("id").as_string(), line);
   }
   ASSERT_EQ(by_id.size(), 2u);
 
-  const CliResult batch =
-      run_cli("batch " RSP_TEST_DATA_DIR "/batch_requests.json --threads 2");
-  ASSERT_EQ(batch.exit_code, 0);
-  const util::Json batch_doc = util::Json::parse(batch.stdout_text);
-  const util::Json& results = batch_doc.at("results");
-
-  const util::Json& eval = by_id.at("eval-sad");
-  EXPECT_EQ(eval.at("report").dump(), results.at(0).at("report").dump());
-  const util::Json& dse = by_id.at("dse-1");
-  for (const char* field :
-       {"kernels", "candidates", "pareto", "base", "selected"})
-    EXPECT_EQ(dse.at(field).dump(), results.at(1).at(field).dump()) << field;
+  api::ServiceOptions options;
+  options.threads = 1;
+  options.max_inflight = 1;
+  const api::Service service(options);
+  std::ifstream requests(RSP_TEST_DATA_DIR "/serve_requests.ndjson");
+  std::size_t compared = 0;
+  while (std::getline(requests, line)) {
+    const util::Json request = util::Json::parse(line);
+    const util::Json& id = request.at("id");
+    const std::string expected =
+        api::encode_v2_response(
+            id, service.handle(api::decode_v2_request(request)))
+            .dump();
+    EXPECT_EQ(by_id.at(id.as_string()), expected) << id.as_string();
+    ++compared;
+  }
+  EXPECT_EQ(compared, by_id.size());
+  // The two-kernel grid's optimum, pinned (the serial reference agrees by
+  // the comparison above).
+  EXPECT_EQ(util::Json::parse(by_id.at("dse-1"))
+                .at("selected")
+                .at("label")
+                .as_string(),
+            "1r/p2");
 }
 
 TEST(CliJson, ServeRejectsACorruptCacheSnapshotInBand) {

@@ -1,6 +1,6 @@
 // The parallel evaluation runtime: thread pool semantics, memo-cache
 // correctness (including invalidation), bit-identical parallel/serial
-// agreement on the paper workload, the batch request API, and thread-safe
+// agreement on the paper workload, batched simulation, and thread-safe
 // logging under concurrency.
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/mapping_cache.hpp"
 #include "runtime/parallel_explorer.hpp"
@@ -819,131 +818,6 @@ TEST(ParallelExplorer, EvaluateSuiteRejectsEmptySuite) {
   EXPECT_THROW(runtime.evaluate_suite(
                    w.name, mapper.map(w.kernel, w.hints, w.reduction), {}),
                InvalidArgumentError);
-}
-
-// -------------------------------------------------------------- batch API
-TEST(Batch, TwoRequestFileRoundTripsThroughJson) {
-  util::Json requests = util::Json::array();
-  util::Json eval = util::Json::object();
-  eval.set("op", "eval").set("kernel", "SAD");
-  requests.push(std::move(eval));
-  util::Json dse_req = util::Json::object();
-  util::Json names = util::Json::array();
-  names.push("SAD").push("MVM");
-  util::Json config = util::Json::object();
-  config.set("max_units_per_row", 2)
-      .set("max_units_per_col", 1)
-      .set("max_stages", 2);
-  dse_req.set("op", "dse").set("kernels", std::move(names));
-  dse_req.set("config", std::move(config));
-  requests.push(std::move(dse_req));
-
-  BatchOptions options;
-  options.threads = 2;
-  const util::Json response = run_batch(requests, options);
-
-  // Valid JSON that survives a parse → dump round trip.
-  const util::Json reparsed = util::Json::parse(response.dump());
-  EXPECT_EQ(reparsed.dump(), response.dump());
-
-  const util::Json& results = response.at("results");
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results.at(0).at("ok").as_bool());
-  EXPECT_EQ(results.at(0).at("op").as_string(), "eval");
-  EXPECT_EQ(results.at(0).at("report").at("kernel").as_string(), "SAD");
-  EXPECT_TRUE(results.at(1).at("ok").as_bool());
-  EXPECT_EQ(results.at(1).at("op").as_string(), "dse");
-  EXPECT_TRUE(results.at(1).at("selected").is_object());
-  EXPECT_EQ(results.at(1).at("request").as_number(), 1);
-
-  const util::Json& runtime = response.at("runtime");
-  EXPECT_EQ(runtime.at("requests").as_number(), 2);
-  EXPECT_EQ(runtime.at("threads").as_number(), 2);
-  // Requests overlap on the shared pool since PR 3, so how many of SAD's
-  // measurements request 1's DSE reuses is scheduling-dependent — assert
-  // the shared table was populated, not an exact hit split.
-  EXPECT_GT(runtime.at("cache_entries_total").as_number(), 0);
-  EXPECT_GE(runtime.at("cache_hits").as_number(), 0);
-}
-
-TEST(Batch, BadRequestIsReportedInBandNotFatal) {
-  util::Json requests = util::Json::array();
-  util::Json bad = util::Json::object();
-  bad.set("op", "eval").set("kernel", "no-such-kernel");
-  requests.push(std::move(bad));
-  util::Json good = util::Json::object();
-  good.set("op", "eval").set("kernel", "MVM");
-  requests.push(std::move(good));
-
-  const util::Json response = run_batch(requests);
-  const util::Json& results = response.at("results");
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results.at(0).at("ok").as_bool());
-  EXPECT_FALSE(results.at(0).at("error").as_string().empty());
-  EXPECT_TRUE(results.at(1).at("ok").as_bool());
-}
-
-TEST(Batch, SharedCacheStatsAreScopedToTheBatch) {
-  util::Json requests = util::Json::array();
-  util::Json eval = util::Json::object();
-  eval.set("op", "eval").set("kernel", "MVM");
-  requests.push(std::move(eval));
-
-  BatchOptions options;
-  options.threads = 1;
-  options.cache = std::make_shared<EvalCache>();  // warm across batches
-  const util::Json first = run_batch(requests, options);
-  const util::Json second = run_batch(requests, options);
-
-  // First batch populates the shared cache (no hits); the second is served
-  // entirely warm, and its report must cover only its own activity — not
-  // the first batch's counter totals.
-  EXPECT_EQ(first.at("runtime").at("cache_hits").as_number(), 0);
-  EXPECT_GT(first.at("runtime").at("cache_misses").as_number(), 0);
-  EXPECT_EQ(second.at("runtime").at("cache_misses").as_number(), 0);
-  EXPECT_GT(second.at("runtime").at("cache_hits").as_number(), 0);
-  EXPECT_EQ(second.at("runtime").at("cache_hit_rate").as_number(), 1.0);
-}
-
-TEST(Batch, UnknownDseConfigKeyIsReportedInBand) {
-  util::Json requests = util::Json::array();
-  util::Json dse_req = util::Json::object();
-  util::Json names = util::Json::array();
-  names.push("SAD");
-  util::Json config = util::Json::object();
-  config.set("objetive", "min_area");  // typo'd "objective"
-  dse_req.set("op", "dse").set("kernels", std::move(names));
-  dse_req.set("config", std::move(config));
-  requests.push(std::move(dse_req));
-
-  const util::Json response = run_batch(requests);
-  const util::Json& result = response.at("results").at(0);
-  EXPECT_FALSE(result.at("ok").as_bool());
-  EXPECT_NE(result.at("error").as_string().find("objetive"),
-            std::string::npos);
-}
-
-TEST(Batch, NonIntegralDseConfigValueIsRejected) {
-  util::Json requests = util::Json::array();
-  util::Json dse_req = util::Json::object();
-  util::Json names = util::Json::array();
-  names.push("SAD");
-  util::Json config = util::Json::object();
-  config.set("max_stages", 3.7);
-  dse_req.set("op", "dse").set("kernels", std::move(names));
-  dse_req.set("config", std::move(config));
-  requests.push(std::move(dse_req));
-
-  const util::Json response = run_batch(requests);
-  const util::Json& result = response.at("results").at(0);
-  EXPECT_FALSE(result.at("ok").as_bool());
-  EXPECT_NE(result.at("error").as_string().find("max_stages"),
-            std::string::npos);
-}
-
-TEST(Batch, RejectsNonArrayInput) {
-  EXPECT_THROW(run_batch(util::Json::object()), InvalidArgumentError);
-  EXPECT_THROW(run_batch(util::Json("eval")), InvalidArgumentError);
 }
 
 // -------------------------------------------------- thread-safe logging

@@ -4,10 +4,8 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
-#include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -172,144 +170,6 @@ TEST(Hash, Mix64SpreadsConsecutiveInputsAcrossBuckets) {
   for (std::uint64_t i = 0; i < 16; ++i)
     buckets.insert(util::mix64(i) % 16);
   EXPECT_GE(buckets.size(), 8u);
-}
-
-// ---------------------------------------------------------------- retry
-TEST(Retry, ValidateNamesTheOffendingFieldWithThePrefix) {
-  util::RetryPolicy p;
-  p.attempts = 0;
-  try {
-    p.validate("'redispatch'");
-    FAIL() << "expected InvalidArgumentError";
-  } catch (const InvalidArgumentError& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "'redispatch': 'attempts' must be positive");
-  }
-  p = {};
-  p.backoff_ms = -1;
-  EXPECT_THROW(p.validate("'probe'"), InvalidArgumentError);
-  p = {};
-  p.max_backoff_ms = -1;
-  EXPECT_THROW(p.validate("'probe'"), InvalidArgumentError);
-  p = {};
-  p.backoff_ms = 0;  // disabled backoff is a valid policy
-  EXPECT_NO_THROW(p.validate("'connect'"));
-}
-
-TEST(Retry, ShouldRetryCountsTheFirstAttemptInTheBudget) {
-  util::RetryPolicy once{1, 25};
-  EXPECT_TRUE(once.should_retry(0));
-  EXPECT_FALSE(once.should_retry(1));
-  util::RetryPolicy three{3, 25};
-  EXPECT_TRUE(three.should_retry(2));
-  EXPECT_FALSE(three.should_retry(3));
-}
-
-TEST(Retry, LinearDelayGrowsByTheBaseEachRetry) {
-  util::RetryPolicy p{5, 10};
-  EXPECT_EQ(p.delay_ms(0), 0);  // nothing failed yet
-  EXPECT_EQ(p.delay_ms(1), 10);
-  EXPECT_EQ(p.delay_ms(3), 30);
-  p.max_backoff_ms = 25;
-  EXPECT_EQ(p.delay_ms(3), 25);  // capped
-  p.backoff_ms = 0;
-  EXPECT_EQ(p.delay_ms(3), 0);  // backoff disabled
-}
-
-TEST(Retry, ExponentialDelayDoublesAndHitsTheCap) {
-  util::RetryPolicy p{8, 10, util::RetryPolicy::Backoff::kExponential, 2000};
-  EXPECT_EQ(p.delay_ms(1), 10);
-  EXPECT_EQ(p.delay_ms(2), 20);
-  EXPECT_EQ(p.delay_ms(5), 160);
-  EXPECT_EQ(p.delay_ms(20), 2000);  // cap, not 10 << 19
-  // Huge attempt counts must not overflow the shift.
-  EXPECT_EQ(p.delay_ms(1000), 2000);
-}
-
-TEST(Retry, GiveUpMessageNamesOperationBudgetAndLastError) {
-  util::RetryPolicy one{1, 0};
-  EXPECT_EQ(one.give_up("health probe of worker 'w0'", "timed out"),
-            "health probe of worker 'w0' gave up after 1 attempt: timed out");
-  util::RetryPolicy three{3, 0};
-  EXPECT_EQ(three.give_up("shard [0, 8)", "connection reset"),
-            "shard [0, 8) gave up after 3 attempts: connection reset");
-}
-
-// ---------------------------------------------------------------- fault
-TEST(Fault, ParsesEveryActionAndCanonicalizes) {
-  const auto plan = util::FaultPlan::parse(
-      "at=2:drop,at=3:delay=40,at=4:truncate,at=5:garbage,at=6:refuse");
-  EXPECT_EQ(plan.size(), 5u);
-  EXPECT_EQ(plan.spec(),
-            "at=2:drop,at=3:delay=40,at=4:truncate,at=5:garbage,at=6:refuse");
-  EXPECT_TRUE(util::FaultPlan().empty());
-  EXPECT_FALSE(plan.empty());
-}
-
-TEST(Fault, SpecRoundTripsThroughParse) {
-  const std::string spec = "at=1:refuse,at=7:delay=60000,at=9:drop";
-  const auto plan = util::FaultPlan::parse(spec);
-  EXPECT_EQ(util::FaultPlan::parse(plan.spec()).spec(), plan.spec());
-  EXPECT_EQ(plan.spec(), spec);
-  // Delays beyond the 60s cap are clamped, not rejected.
-  EXPECT_EQ(util::FaultPlan::parse("at=2:delay=999999").spec(),
-            "at=2:delay=60000");
-}
-
-TEST(Fault, SeededExpansionIsDeterministicAndRecoverable) {
-  const auto a = util::FaultPlan::parse("seed=7:count=3");
-  const auto b = util::FaultPlan::parse("seed=7:count=3");
-  EXPECT_EQ(a.spec(), b.spec());
-  EXPECT_EQ(a.size(), 3u);
-  // Seeded rules never refuse (fatal in-band path) and never hit the
-  // handshake ordinal 1 — they must stay recoverable chaos.
-  EXPECT_EQ(a.spec().find("refuse"), std::string::npos);
-  EXPECT_EQ(a.spec().find("at=1:"), std::string::npos);
-  EXPECT_NE(a.spec(), util::FaultPlan::parse("seed=8:count=3").spec());
-  EXPECT_EQ(util::FaultPlan::parse("seed=7").size(), 1u);
-}
-
-TEST(Fault, ParseRejectsMalformedSpecs) {
-  EXPECT_THROW(util::FaultPlan::parse(""), InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("at=2:drop,"), InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("at=0:drop"), InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("at=x:drop"), InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("at=2:explode"), InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("at=2:delay="), InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("seed=5:count=33"),
-               InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("seed="), InvalidArgumentError);
-  EXPECT_THROW(util::FaultPlan::parse("banana"), InvalidArgumentError);
-  try {
-    util::FaultPlan::parse("at=2:explode");
-  } catch (const InvalidArgumentError& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "fault plan rule 'at=2:explode': unknown action 'explode' "
-              "(drop, delay=MS, truncate, garbage, refuse)");
-  }
-}
-
-TEST(Fault, InjectorFiresEachRuleOnceAtItsExactOrdinal) {
-  util::FaultInjector injector(
-      util::FaultPlan::parse("at=2:drop,at=4:delay=7"));
-  using Kind = util::FaultAction::Kind;
-  EXPECT_EQ(injector.on_message().kind, Kind::kNone);  // ordinal 1
-  EXPECT_EQ(injector.on_message().kind, Kind::kDrop);  // ordinal 2
-  EXPECT_EQ(injector.on_message().kind, Kind::kNone);  // ordinal 3
-  const auto delayed = injector.on_message();          // ordinal 4
-  EXPECT_EQ(delayed.kind, Kind::kDelay);
-  EXPECT_EQ(delayed.delay_ms, 7);
-  EXPECT_EQ(injector.on_message().kind, Kind::kNone);  // ordinal 5
-  EXPECT_EQ(injector.messages(), 5);
-  EXPECT_EQ(injector.fired(), 2);
-}
-
-TEST(Fault, InjectorWithAnEmptyPlanNeverFires) {
-  util::FaultInjector injector{util::FaultPlan{}};
-  for (int i = 0; i < 10; ++i)
-    EXPECT_EQ(injector.on_message().kind, util::FaultAction::Kind::kNone);
-  EXPECT_EQ(injector.messages(), 10);
-  EXPECT_EQ(injector.fired(), 0);
 }
 
 }  // namespace

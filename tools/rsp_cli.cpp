@@ -3,14 +3,12 @@
 // Every subcommand is a thin dispatcher over rsp::api::Service (the one
 // façade all transports share — see src/api/service.hpp): the CLI parses
 // arguments, builds a typed request, and renders the typed response as
-// text. `batch` and `serve` speak the JSON wire protocol instead
-// (docs/PROTOCOL.md): `batch` executes one v1 document, `serve` is the
-// long-running mode streaming v2 NDJSON requests from stdin to stdout with
-// out-of-order completion by id.
+// text. `serve` speaks the JSON wire protocol instead (docs/PROTOCOL.md):
+// the long-running mode streaming v2 NDJSON requests from stdin to stdout
+// (or over sockets) with out-of-order completion by id.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -24,12 +22,10 @@
 #include "api/service.hpp"
 #include "api/socket_server.hpp"
 #include "core/report_json.hpp"
-#include "dist/coordinator.hpp"
 #include "gen/fuzz.hpp"
 #include "gen/generator.hpp"
 #include "ir/dot.hpp"
 #include "sim/machine.hpp"
-#include "util/fault.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -73,24 +69,6 @@ std::uint64_t seed_flag(const std::string& flag, const std::string& value) {
   if (!seed)
     throw InvalidArgumentError(flag + ": '" + value + "' is not a seed");
   return *seed;
-}
-
-// Parses a "--workers addr1,addr2,..." operand into listen addresses.
-std::vector<api::ListenAddress> parse_worker_list(const std::string& value) {
-  std::vector<api::ListenAddress> workers;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::size_t end = comma == std::string::npos ? value.size() : comma;
-    const std::string spec = value.substr(start, end - start);
-    if (spec.empty())
-      throw InvalidArgumentError(
-          "--workers requires a comma-separated list of addresses");
-    workers.push_back(api::parse_listen_address(spec));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return workers;
 }
 
 int cmd_list(const api::Service& service) {
@@ -144,53 +122,23 @@ int cmd_simulate(const api::Service& service, const std::string& kernel,
 
 // `explore` and its alias `dse` run the full Fig. 7 flow over the paper
 // domain; --threads sizes the evaluation pool the prepare and exact-eval
-// stages fan out on, while --workers farms the grid out to remote serve
-// processes instead (dist::DseCoordinator) — same output, byte for byte.
+// stages fan out on.
 int cmd_explore(const std::vector<std::string>& args) {
   api::ServiceOptions options;
   options.max_inflight = 1;
-  bool saw_threads = false;
-  bool local_fallback = true;
-  std::vector<api::ListenAddress> workers;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--threads") {
       if (i + 1 >= args.size())
         throw InvalidArgumentError("--threads requires a worker count");
       options.threads = positive_int_flag("--threads", args[++i]);
-      saw_threads = true;
-    } else if (args[i] == "--workers") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError(
-            "--workers requires a comma-separated list of addresses");
-      workers = parse_worker_list(args[++i]);
-    } else if (args[i] == "--no-local-fallback") {
-      local_fallback = false;
     } else {
-      throw InvalidArgumentError(
-          "unknown flag '" + args[i] + "' for " + args[0] +
-          " (--threads N, --workers a,b,..., --no-local-fallback)");
+      throw InvalidArgumentError("unknown flag '" + args[i] + "' for " +
+                                 args[0] + " (--threads N)");
     }
   }
-  if (saw_threads && !workers.empty())
-    throw InvalidArgumentError(
-        "--threads and --workers are exclusive: the pool runs locally, the "
-        "workers run the grid remotely");
-  if (!local_fallback && workers.empty())
-    throw InvalidArgumentError(
-        "--no-local-fallback only applies with --workers (a local run has "
-        "nothing to fall back from)");
 
-  api::DseResponse resp;
-  if (workers.empty()) {
-    const api::Service service(options);
-    resp = service.dse({});
-  } else {
-    dist::CoordinatorOptions coordinator_options;
-    coordinator_options.local_fallback = local_fallback;
-    dist::DseCoordinator coordinator(std::move(workers),
-                                     coordinator_options);
-    resp = coordinator.dse({});
-  }
+  const api::Service service(options);
+  const api::DseResponse resp = service.dse({});
   const dse::Candidate& best = resp.result.best();
   std::cout << "explored " << resp.result.candidates.size()
             << " designs; selected " << best.point.label() << " (area "
@@ -199,64 +147,13 @@ int cmd_explore(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_batch(const std::vector<std::string>& args) {
-  std::string path;
-  api::ServiceOptions options;
-  bool pretty = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--pretty") {
-      pretty = true;
-    } else if (args[i] == "--threads") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError("--threads requires a worker count");
-      options.threads = positive_int_flag("--threads", args[++i]);
-    } else if (args[i] == "--cache-entries") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError("--cache-entries requires an entry count");
-      options.cache_max_entries = static_cast<std::size_t>(
-          positive_int_flag("--cache-entries", args[++i]));
-    } else if (!args[i].empty() && args[i][0] == '-') {
-      throw InvalidArgumentError(
-          "unknown flag '" + args[i] +
-          "' for batch (--threads N, --cache-entries N, --pretty)");
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      throw InvalidArgumentError("batch takes exactly one requests file");
-    }
-  }
-  if (path.empty())
-    throw InvalidArgumentError("batch requires a <requests.json> file");
-
-  std::ifstream file(path);
-  if (!file) throw NotFoundError("cannot open requests file '" + path + "'");
-  std::ostringstream text;
-  text << file.rdbuf();
-
-  const util::Json requests = util::Json::parse(text.str());
-  // --threads is the user's concurrency bound: it caps the request-level
-  // dispatch pool as well as the evaluation workers.
-  options.max_inflight = options.threads;
-  api::Service service(options);
-  std::cout << api::run_v1_batch(requests, service).dump(pretty) << "\n";
-  return 0;
-}
-
 int cmd_serve(const std::vector<std::string>& args) {
   api::ServiceOptions options;
   api::SocketServerOptions server_options;
   std::vector<api::ListenAddress> listen;
-  std::vector<api::ListenAddress> workers;
   bool saw_max_connections = false;
-  bool local_fallback = true;
-  bool saw_local_fallback = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--workers") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError(
-            "--workers requires a comma-separated list of addresses");
-      workers = parse_worker_list(args[++i]);
-    } else if (args[i] == "--threads") {
+    if (args[i] == "--threads") {
       if (i + 1 >= args.size())
         throw InvalidArgumentError("--threads requires a worker count");
       options.threads = positive_int_flag("--threads", args[++i]);
@@ -281,22 +178,11 @@ int cmd_serve(const std::vector<std::string>& args) {
       server_options.max_connections =
           positive_int_flag("--max-connections", args[++i]);
       saw_max_connections = true;
-    } else if (args[i] == "--fault-plan") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError(
-            "--fault-plan requires a spec (e.g. at=2:drop,seed=7:count=3)");
-      // Parse eagerly so a malformed plan fails the launch, not the run.
-      server_options.serve.fault = std::make_shared<util::FaultInjector>(
-          util::FaultPlan::parse(args[++i]));
-    } else if (args[i] == "--no-local-fallback") {
-      local_fallback = false;
-      saw_local_fallback = true;
     } else {
       throw InvalidArgumentError(
           "unknown flag '" + args[i] +
           "' for serve (--threads N, --max-inflight N, --cache-entries N, "
-          "--listen ADDR, --max-connections N, --workers a,b,..., "
-          "--no-local-fallback, --fault-plan SPEC)");
+          "--listen ADDR, --max-connections N)");
     }
   }
 
@@ -304,27 +190,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     throw InvalidArgumentError(
         "--max-connections only applies with --listen (the stdin/stdout "
         "pipe serves exactly one client)");
-  if (saw_local_fallback && workers.empty())
-    throw InvalidArgumentError(
-        "--no-local-fallback only applies with --workers (a local run has "
-        "nothing to fall back from)");
 
   api::Service service(options);
-  // `--workers` turns this server into a distributed DSE front-end: dse
-  // requests fan out to the worker fleet, everything else stays local,
-  // and cache_stats grows a "dist" section with the fleet counters.
-  std::unique_ptr<dist::DseCoordinator> coordinator;
-  if (!workers.empty()) {
-    dist::CoordinatorOptions coordinator_options;
-    coordinator_options.local_fallback = local_fallback;
-    coordinator = std::make_unique<dist::DseCoordinator>(
-        std::move(workers), coordinator_options);
-    service.set_dse_delegate([&coordinator](const api::DseRequest& request) {
-      return coordinator->dse(request);
-    });
-    service.set_dist_extension(
-        [&coordinator] { return coordinator->stats_json(); });
-  }
   if (listen.empty()) {
     // Pipe transport: one client over stdin/stdout.
     const api::ServeResult result =
@@ -341,8 +208,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   // Socket transport: all connections share this one service (pools +
   // caches); logs go to stderr. Stdout carries exactly one machine-
   // parseable "READY <resolved-addr>" line per listener (ephemeral ports
-  // resolved) so scripts and coordinators can wait for the bind without
-  // connect-polling.
+  // resolved) so scripts can wait for the bind without connect-polling.
   api::SocketServer server(service, listen, server_options);
   service.set_stats_extension([&server] { return server.stats_json(); });
   server.install_signal_handlers();
@@ -360,44 +226,12 @@ int cmd_serve(const std::vector<std::string>& args) {
 
 // Client side of `serve --listen`: pipes stdin lines to the socket and
 // response lines to stdout, exiting when the server finishes the stream.
-// `--retry N` waits through up to N refused attempts (backoff between
-// tries) — off by default so a typo'd address still fails fast.
 int cmd_connect(const std::vector<std::string>& args) {
-  std::string address;
-  api::ConnectOptions connect;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--retry") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError("--retry requires an attempt count");
-      connect.attempts = positive_int_flag("--retry", args[++i]);
-    } else if (!args[i].empty() && args[i][0] == '-') {
-      throw InvalidArgumentError("unknown flag '" + args[i] +
-                                 "' for connect (--retry N)");
-    } else if (address.empty()) {
-      address = args[i];
-    } else {
-      throw InvalidArgumentError(
-          "connect takes exactly one address (<path> or <host:port>)");
-    }
-  }
-  if (address.empty())
+  if (args.size() != 2 || (!args[1].empty() && args[1][0] == '-'))
     throw InvalidArgumentError(
         "connect takes exactly one address (<path> or <host:port>)");
-  return api::run_socket_client(api::parse_listen_address(address), std::cin,
-                                std::cout, connect);
-}
-
-// `worker` is the fleet-facing spelling of `serve --listen`: the address
-// is positional (a worker always listens somewhere) and every remaining
-// serve flag passes through unchanged.
-int cmd_worker(const std::vector<std::string>& args) {
-  if (args.size() < 2 || (!args[1].empty() && args[1][0] == '-'))
-    throw InvalidArgumentError(
-        "worker requires an address first (<path> or <host:port>), then "
-        "serve flags");
-  std::vector<std::string> serve_args = {"serve", "--listen", args[1]};
-  serve_args.insert(serve_args.end(), args.begin() + 2, args.end());
-  return cmd_serve(serve_args);
+  return api::run_socket_client(api::parse_listen_address(args[1]), std::cin,
+                                std::cout);
 }
 
 // `gen` materialises one seeded random kernel, prints its shape, and
@@ -650,40 +484,15 @@ int usage() {
          "  simulate <kernel> <arch> [--engine dense|event]\n"
          "                                    run on the cycle simulator, "
          "verify\n"
-         "  explore|dse [--threads N | --workers a,b,...] "
-         "[--no-local-fallback]\n"
-         "                                    DSE over the full kernel "
-         "domain, locally\n"
-         "                                    or sharded across serve "
-         "workers; lost\n"
-         "                                    workers are re-admitted, and "
-         "a lost fleet\n"
-         "                                    finishes locally unless "
-         "opted out\n"
-         "  batch <requests.json> [--threads N] [--cache-entries N] "
-         "[--pretty]\n"
-         "                                    run a v1 batch document over "
-         "the service\n"
+         "  explore|dse [--threads N]         DSE over the full kernel "
+         "domain\n"
          "  serve [--threads N] [--max-inflight N] [--cache-entries N]\n"
          "        [--listen <path|host:port>]... [--max-connections N]\n"
-         "        [--workers a,b,...] [--no-local-fallback]\n"
-         "        [--fault-plan SPEC]\n"
          "                                    stream v2 NDJSON requests "
          "stdin->stdout,\n"
          "                                    or serve concurrent socket "
-         "clients;\n"
-         "                                    --workers delegates dse to a "
-         "fleet;\n"
-         "                                    --fault-plan injects scripted "
-         "transport\n"
-         "                                    faults (docs/DISTRIBUTED.md) "
-         "for chaos\n"
-         "                                    tests\n"
-         "  worker <path|host:port> [serve flags]\n"
-         "                                    run a DSE worker (= serve "
-         "--listen ADDR)\n"
-         "  connect <path|host:port> [--retry N]\n"
-         "                                    pipe stdin/stdout to a serve "
+         "clients\n"
+         "  connect <path|host:port>          pipe stdin/stdout to a serve "
          "--listen socket\n"
          "  gen --seed N [--dump]             print (and self-check) the "
          "seeded\n"
@@ -723,12 +532,10 @@ int main(int argc, char** argv) {
   try {
     if (args.empty()) return usage();
     const std::string& cmd = args[0];
-    // batch/serve parse their own flags; everything else has exact arity —
+    // These parse their own flags; everything else has exact arity —
     // trailing junk ("map SAD RSP#4 --bogus") is a usage error, not
     // silently ignored, so scripts can trust the exit code.
-    if (cmd == "batch") return cmd_batch(args);
     if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "worker") return cmd_worker(args);
     if (cmd == "connect") return cmd_connect(args);
     if (cmd == "explore" || cmd == "dse") return cmd_explore(args);
     if (cmd == "gen") return cmd_gen(args);
