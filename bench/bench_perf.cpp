@@ -136,8 +136,8 @@ void BM_FastEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_FastEstimate)->DenseRange(0, 8);
 
-// The per-point cost the DSE sweeps pay: the kernel's profile is built once
-// outside the loop, as Explorer::prepare and the runtime sweeps do.
+// The per-point cost the DSE sweep pays: the kernel's profile is built once
+// outside the loop, as Explorer::explore does.
 void BM_ProfileEstimate(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
   const sched::LoopPipeliner mapper(w.array);

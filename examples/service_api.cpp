@@ -1,6 +1,6 @@
 // Service façade tour: the one API every transport shares.
 //
-// Builds an rsp::api::Service (shared thread pool + evaluation memo cache),
+// Builds an rsp::api::Service (request pool + shared memo caches),
 // runs typed requests directly, overlaps independent requests with
 // submit(), and round-trips the warm cache through a snapshot file — the
 // same machinery `rsp_cli serve` exposes as NDJSON (docs/PROTOCOL.md).
@@ -14,7 +14,7 @@ int main() {
   using namespace rsp;
 
   api::ServiceOptions options;
-  options.threads = 4;       // evaluation fan-out
+  options.threads = 1;       // simulate_batch fan-out (unused here)
   options.max_inflight = 4;  // concurrent requests
   api::Service service(options);
 
@@ -31,7 +31,8 @@ int main() {
             << map.peak_critical_issues << "\n";
 
   // 2. Concurrent requests: two explorations in flight at once, sharing
-  //    the pool and the cache (SAD's measurements are reused).
+  //    the memo caches (the kernels' mappings and the measurements of
+  //    design points both grids contain are reused).
   api::DseRequest narrow;
   narrow.kernels = {"SAD", "MVM"};
   narrow.config.max_units_per_row = 2;

@@ -37,14 +37,6 @@ Service::Service(ServiceOptions options)
       workers_(options.threads),
       dispatch_(options.max_inflight) {}
 
-runtime::RuntimeOptions Service::runtime_options() const {
-  runtime::RuntimeOptions runtime;
-  runtime.pool = &workers_;
-  runtime.cache = cache_;
-  runtime.mapping_cache = mapping_cache_;
-  return runtime;
-}
-
 sched::ConfigurationContext Service::schedule_for(
     const kernels::Workload& w, const arch::Architecture& a) const {
   // The mapping memo-cache makes repeated map/simulate/vcd/bitstream
@@ -87,13 +79,16 @@ ListResponse Service::list(const ListRequest&) const {
 
 EvalResponse Service::eval(const EvalRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
-  const runtime::ParallelExplorer evaluator(
-      w.array, {}, synth::SynthesisModel(), runtime_options());
+  const std::shared_ptr<const dse::KernelPrep> prep =
+      mapping_cache_->get_or_map(w);
+  const std::string tag = runtime::EvalCache::program_tag(prep->program);
   EvalResponse resp;
   resp.kernel = w.name;
-  resp.rows = evaluator.evaluate_suite(
-      w.name, mapping_cache_->get_or_map(w)->program,
-      arch::standard_suite(w.array.rows, w.array.cols));
+  resp.rows = core::RspEvaluator().evaluate_suite(
+      prep->program, arch::standard_suite(w.array.rows, w.array.cols),
+      [&](const arch::Architecture& a) {
+        return cache_->get_or_measure(w.name, tag, prep->program, a);
+      });
   return resp;
 }
 
@@ -107,11 +102,30 @@ DseResponse Service::dse(const DseRequest& request) const {
   }
   DseResponse resp;
   for (const kernels::Workload& w : domain) resp.kernels.push_back(w.name);
-  const runtime::ParallelExplorer explorer(domain.front().array,
-                                           request.config,
-                                           synth::SynthesisModel(),
-                                           runtime_options());
-  resp.result = explorer.explore(domain);
+  const dse::Explorer explorer(domain.front().array, request.config);
+
+  // Step 1 reads through the mapping cache, one MappingCache::key per
+  // kernel for both the record and its estimate profile; step 5 reads
+  // through the evaluation cache, one program tag per kernel. explore
+  // runs the step-1 hook for every kernel before the first measurement.
+  std::vector<std::shared_ptr<const dse::KernelPrep>> records(domain.size());
+  std::vector<std::string> tags(domain.size());
+  const dse::PrepareFn prepare = [&](std::size_t k,
+                                     const kernels::Workload& w) {
+    const std::string key = runtime::MappingCache::key(w);
+    records[k] = mapping_cache_->get_or_map(key, w);
+    tags[k] = runtime::EvalCache::program_tag(records[k]->program);
+    return dse::PreparedKernel{
+        records[k],
+        mapping_cache_->get_or_profile(key, records[k]->base_context)};
+  };
+  const dse::MeasureFn measure = [&](std::size_t k,
+                                     const arch::Architecture& a) {
+    return cache_
+        ->get_or_measure(domain[k].name, tags[k], records[k]->program, a)
+        .perf;
+  };
+  resp.result = explorer.explore(domain, prepare, measure);
   return resp;
 }
 
@@ -237,7 +251,7 @@ SimulateBatchResponse Service::simulate_batch(
   for (const sched::ConfigurationContext& ctx : contexts)
     pointers.push_back(&ctx);
 
-  // Fan out on the evaluation pool: a dispatch task may block on workers_
+  // Fan out on the worker pool: a dispatch task may block on workers_
   // futures, never the reverse (see the class comment).
   runtime::SimBatchOptions options;
   options.pool = &workers_;

@@ -7,17 +7,19 @@
 // typed structs; the JSON wire format lives in api/protocol.hpp.
 //
 // Concurrency model: the Service owns two pools.
-//   * `workers` — the evaluation pool. Heavy requests (eval, dse) fan
-//     their per-(kernel, architecture) measurements out here through
-//     runtime::ParallelExplorer, sharing the memo cache.
 //   * `dispatch` — the request-level executor behind `submit()`.
-//     Independent requests run concurrently here (the cross-request
-//     fan-out); a dispatch task may block on `workers` futures but never
-//     the other way around, so the two-pool split cannot deadlock —
-//     request tasks submitted to a single shared pool could starve their
-//     own inner evaluation tasks.
+//     Independent requests run concurrently here, sharing the memo caches.
+//     Within a request, eval and dse run the serial Fig. 7 loops
+//     (core::RspEvaluator::evaluate_suite, dse::Explorer::explore) on the
+//     dispatch thread, reading through the mapping and evaluation caches
+//     via the loops' measure/prepare hooks.
+//   * `workers` — the simulation pool `simulate_batch` fans its runs out
+//     on. A dispatch task may block on `workers` futures but never the
+//     other way around, so the two-pool split cannot deadlock — request
+//     tasks submitted to a single shared pool could starve their own inner
+//     tasks.
 // Results are bit-identical to the serial paths regardless of either
-// pool's size (see runtime::ParallelExplorer).
+// pool's size: memoized entries are the serial computations' results.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +36,6 @@
 #include "kernels/workload.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/mapping_cache.hpp"
-#include "runtime/parallel_explorer.hpp"
 #include "runtime/striped_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/context.hpp"
@@ -230,7 +231,7 @@ struct CacheStatsResponse {
   runtime::CacheStats mapping_stats;   ///< step-1 mapping memo table
   runtime::CacheStats estimate_stats;  ///< step-2/3 estimate memo table
   runtime::CacheStats sim_stats;       ///< simulation-run memo table
-  int threads = 0;                     ///< evaluation pool size
+  int threads = 0;                     ///< simulate_batch pool size
 };
 
 struct CacheSaveResponse {
@@ -251,7 +252,8 @@ struct PingResponse {
 // ----------------------------------------------------------------- service
 
 struct ServiceOptions {
-  /// Evaluation-pool workers; 0 = hardware count.
+  /// Workers of the pool `simulate_batch` fans out on; 0 = hardware
+  /// count.
   int threads = 0;
   /// Request-level concurrency (dispatch-pool threads); 0 = hardware count.
   int max_inflight = 0;
@@ -274,8 +276,8 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  // Typed entry points. All are thread-safe; eval/dse fan their inner work
-  // out across the shared evaluation pool and memo cache.
+  // Typed entry points. All are thread-safe; eval/dse read through the
+  // shared memo caches and simulate_batch fans out on the worker pool.
   ListResponse list(const ListRequest&) const;
   EvalResponse eval(const EvalRequest&) const;
   DseResponse dse(const DseRequest&) const;
@@ -299,7 +301,7 @@ class Service {
   util::Json handle(const Request& request) const;
 
   /// Asynchronous `handle` on the dispatch pool: independent requests run
-  /// concurrently while sharing the evaluation pool and cache.
+  /// concurrently while sharing the worker pool and memo caches.
   std::future<util::Json> submit(Request request) const;
 
   /// As above, but delivers the response body to `done` on the dispatch
@@ -328,7 +330,6 @@ class Service {
   }
 
  private:
-  runtime::RuntimeOptions runtime_options() const;
   const kernels::Workload& workload(const std::string& name) const;
   arch::Architecture architecture(const std::string& name, int rows,
                                   int cols) const;

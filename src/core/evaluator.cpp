@@ -29,6 +29,9 @@ MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
   return m;
 }
 
+namespace {
+
+// The row's derived fields from a measurement, delay reduction left 0.
 EvalResult make_eval_result(const arch::Architecture& architecture,
                             const MeasuredPerf& measured, double clock_ns) {
   EvalResult r;
@@ -41,43 +44,41 @@ EvalResult make_eval_result(const arch::Architecture& architecture,
   return r;
 }
 
-EvalResult RspEvaluator::evaluate_raw(
-    const sched::PlacedProgram& program,
-    const arch::Architecture& architecture) const {
-  return make_eval_result(architecture,
-                          measure_perf(scheduler_, program, architecture),
-                          synth_.clock_ns(architecture));
+double delay_reduction_percent(double base_et_ns, double et_ns) {
+  return 100.0 * (base_et_ns - et_ns) / base_et_ns;
 }
+
+}  // namespace
 
 EvalResult RspEvaluator::evaluate(const sched::PlacedProgram& program,
                                   const arch::Architecture& architecture,
                                   double base_et_ns) const {
-  EvalResult r = evaluate_raw(program, architecture);
+  EvalResult r = make_eval_result(
+      architecture, measure_perf(scheduler_, program, architecture),
+      synth_.clock_ns(architecture));
   if (base_et_ns > 0.0)
     r.delay_reduction_percent =
-        100.0 * (base_et_ns - r.execution_time_ns) / base_et_ns;
+        delay_reduction_percent(base_et_ns, r.execution_time_ns);
   return r;
-}
-
-void RspEvaluator::apply_delay_reductions(std::vector<EvalResult>& rows) {
-  if (rows.empty()) return;
-  const double base_et_ns = rows.front().execution_time_ns;
-  if (base_et_ns <= 0.0) return;
-  for (std::size_t i = 1; i < rows.size(); ++i)
-    rows[i].delay_reduction_percent =
-        100.0 * (base_et_ns - rows[i].execution_time_ns) / base_et_ns;
 }
 
 std::vector<EvalResult> RspEvaluator::evaluate_suite(
     const sched::PlacedProgram& program,
-    const std::vector<arch::Architecture>& suite) const {
+    const std::vector<arch::Architecture>& suite,
+    const MeasurePerfFn& measure) const {
   if (suite.empty())
     throw InvalidArgumentError("evaluate_suite requires architectures");
   std::vector<EvalResult> out;
   out.reserve(suite.size());
   for (const arch::Architecture& a : suite)
-    out.push_back(evaluate_raw(program, a));
-  apply_delay_reductions(out);
+    out.push_back(make_eval_result(
+        a, measure ? measure(a) : measure_perf(scheduler_, program, a),
+        synth_.clock_ns(a)));
+  const double base_et_ns = out.front().execution_time_ns;
+  if (base_et_ns > 0.0)
+    for (std::size_t i = 1; i < out.size(); ++i)
+      out[i].delay_reduction_percent =
+          delay_reduction_percent(base_et_ns, out[i].execution_time_ns);
   return out;
 }
 

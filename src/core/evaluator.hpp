@@ -6,6 +6,7 @@
 //   stalls = cycles − cycles(same pipelining, unlimited units)
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,16 +35,19 @@ struct MeasuredPerf {
 /// Measures a pair from issue cycles alone (ContextScheduler::timing), so
 /// no configuration context is built: the real run gives the cycles and
 /// the issue-width column, a run with unlimited units gives the stalls.
-/// Shared by the serial evaluator and runtime::ParallelExplorer so the two
-/// paths cannot drift.
+/// The serial evaluator and the evaluation memo-cache fill
+/// (runtime::EvalCache::get_or_measure) both measure through it, so a
+/// cached row cannot drift from a fresh one.
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
                           const sched::PlacedProgram& program,
                           const arch::Architecture& architecture);
 
-/// Assembles the EvalResult row (delay reduction left 0) from a
-/// measurement — the single definition of the row's derived fields.
-EvalResult make_eval_result(const arch::Architecture& architecture,
-                            const MeasuredPerf& measured, double clock_ns);
+/// Measurement hook for `RspEvaluator::evaluate_suite`: the MeasuredPerf
+/// of the evaluated program on `architecture`. Empty = measure_perf with
+/// the evaluator's scheduler; api::Service interposes the evaluation
+/// memo-cache here.
+using MeasurePerfFn =
+    std::function<MeasuredPerf(const arch::Architecture& architecture)>;
 
 class RspEvaluator {
  public:
@@ -60,22 +64,13 @@ class RspEvaluator {
                       const arch::Architecture& architecture,
                       double base_et_ns = 0.0) const;
 
-  /// Evaluates one architecture without the delay-reduction column. Rows
-  /// produced this way are position-independent, so parallel runtimes can
-  /// compute them in any order and fill the column afterwards with
-  /// `apply_delay_reductions` — bit-identical to the serial path.
-  EvalResult evaluate_raw(const sched::PlacedProgram& program,
-                          const arch::Architecture& architecture) const;
-
-  /// Fills `delay_reduction_percent` of rows[1..] against rows[0] (the
-  /// base); rows[0] keeps 0. Uses the exact formula of `evaluate`.
-  static void apply_delay_reductions(std::vector<EvalResult>& rows);
-
-  /// Evaluates the whole suite; the first entry must be the base
+  /// Evaluates the whole suite, measuring each architecture through
+  /// `measure` (in suite order); the first entry must be the base
   /// architecture (delay reductions are computed against it).
   std::vector<EvalResult> evaluate_suite(
       const sched::PlacedProgram& program,
-      const std::vector<arch::Architecture>& suite) const;
+      const std::vector<arch::Architecture>& suite,
+      const MeasurePerfFn& measure = {}) const;
 
  private:
   synth::SynthesisModel synth_;

@@ -171,59 +171,61 @@ void Explorer::pareto_filter(ExplorationResult& result) const {
   for (std::size_t f : front) result.candidates[alive[f]].pareto = true;
 }
 
-PreparedExploration Explorer::prepare(
-    const std::vector<kernels::Workload>& domain) const {
+ExplorationResult Explorer::explore(
+    const std::vector<kernels::Workload>& domain, const PrepareFn& prepare,
+    const MeasureFn& measure) const {
   if (domain.empty())
     throw InvalidArgumentError("exploration requires at least one kernel");
-
-  // Step 1: initial configuration contexts on the base architecture.
-  const arch::Architecture base = base_architecture();
-  PreparedExploration prep;
-  std::vector<core::EstimateProfile> profiles;
-  ExplorationResult& result = prep.result;
-  for (const kernels::Workload& w : domain) {
+  for (const kernels::Workload& w : domain)
     if (w.array != array_)
       throw InvalidArgumentError("workload '" + w.name +
                                  "' targets a different array geometry");
-    KernelPrep kernel_prep = prepare_kernel(w);
-    prep.kernel_names.push_back(w.name);
-    prep.programs.push_back(std::move(kernel_prep.program));
-    profiles.emplace_back(kernel_prep.base_context);
-    result.base_cycles += profiles.back().base_cycles();
+
+  // Step 1: initial configuration contexts on the base architecture, one
+  // estimate profile per kernel.
+  const arch::Architecture base = base_architecture();
+  ExplorationResult result;
+  std::vector<PreparedKernel> kernels;
+  kernels.reserve(domain.size());
+  for (std::size_t k = 0; k < domain.size(); ++k) {
+    PreparedKernel kernel =
+        prepare ? prepare(k, domain[k])
+                : PreparedKernel{std::make_shared<const KernelPrep>(
+                                     prepare_kernel(domain[k])),
+                                 nullptr};
+    if (!kernel.profile)
+      kernel.profile = std::make_shared<const core::EstimateProfile>(
+          kernel.prep->base_context);
+    result.base_cycles += kernel.profile->base_cycles();
+    kernels.push_back(std::move(kernel));
   }
   result.base_area = synth_.area(base);
   const double base_clock = synth_.clock_ns(base);
   result.base_time_ns = static_cast<double>(result.base_cycles) * base_clock;
 
   // Step 2–3: enumerate and estimate.
-  const EstimateFn estimate = [&profiles](std::size_t k,
-                                          const arch::Architecture& target) {
-    return profiles[k].estimate(target);
+  const EstimateFn estimate = [&kernels](std::size_t k,
+                                         const arch::Architecture& target) {
+    return kernels[k].profile->estimate(target);
   };
   const double area_raw = base_area_raw();
   for (const DesignPoint& point : enumerate_points())
     result.candidates.push_back(
-        estimate_candidate(point, base, profiles.size(), estimate, area_raw,
+        estimate_candidate(point, base, kernels.size(), estimate, area_raw,
                            result.base_time_ns));
 
   // Step 4: Pareto filter over the surviving estimates.
   pareto_filter(result);
-  return prep;
-}
-
-ExplorationResult Explorer::explore(
-    const std::vector<kernels::Workload>& domain) const {
-  PreparedExploration prep = prepare(domain);
-  ExplorationResult result = std::move(prep.result);
 
   // Step 5: exact evaluation of the Pareto points.
   const sched::ContextScheduler scheduler;
+  const MeasureFn measure_directly = [&](std::size_t k,
+                                         const arch::Architecture& a) {
+    return sched::measure(scheduler, kernels[k].prep->program, a);
+  };
   for (Candidate& cand : result.candidates) {
     if (!cand.pareto) continue;
-    evaluate_exact(cand, prep.programs.size(),
-                   [&](std::size_t k, const arch::Architecture& a) {
-                     return sched::measure(scheduler, prep.programs[k], a);
-                   });
+    evaluate_exact(cand, kernels.size(), measure ? measure : measure_directly);
     RSP_LOG(kInfo) << "pareto point " << cand.point.label() << ": area "
                    << cand.area_synthesized << " slices, time "
                    << cand.exact_time_ns << " ns";

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,18 +96,6 @@ struct ExplorationResult {
   std::vector<const Candidate*> pareto_points() const;
 };
 
-/// Steps 1–4 of the Fig. 7 flow: initial mapping, enumeration, estimation
-/// and Pareto filtering — everything up to (but excluding) exact evaluation.
-/// Exposed so alternative step-5 drivers (runtime::ParallelExplorer) can fan
-/// the expensive rescheduling out without re-deriving the cheap stages.
-struct PreparedExploration {
-  std::vector<std::string> kernel_names;       ///< domain order
-  std::vector<sched::PlacedProgram> programs;  ///< one per kernel, same order
-  /// Candidates carry estimates and `pareto` flags; exact_* fields are
-  /// still zero and `selected` is -1.
-  ExplorationResult result;
-};
-
 /// Step-1 product for one kernel: the placed program and its schedule on
 /// the base architecture (one of the paper's "initial configuration
 /// contexts"). This is what the runtime's mapping memo-cache stores.
@@ -117,22 +106,36 @@ struct KernelPrep {
 
 /// The canonical step-1 computation for one kernel on its own array
 /// geometry: map, schedule on the base architecture, legality-check.
-/// Every prepare path — Explorer::prepare, runtime::prepare_parallel, the
-/// mapping memo-cache fill — goes through this one function so the
-/// step-1 products cannot drift between the serial and parallel flows.
+/// Explorer::explore and the mapping memo-cache fill both go through this
+/// one function, so a cached step-1 product cannot drift from a fresh one.
 KernelPrep prepare_kernel(const kernels::Workload& workload);
+
+/// What the step-1 hook hands `Explorer::explore` for one kernel: the
+/// shared step-1 record and, optionally, the estimate profile of its base
+/// context (built from `prep->base_context` when null). Both are immutable,
+/// so a memo cache can hand out the same objects to every request.
+struct PreparedKernel {
+  std::shared_ptr<const KernelPrep> prep;
+  std::shared_ptr<const core::EstimateProfile> profile;
+};
+
+/// Step-1 hook for `Explorer::explore`: prepares kernel `kernel_index` of
+/// the domain. Empty = prepare_kernel with no profile, the serial path;
+/// api::Service interposes the mapping memo-cache here.
+using PrepareFn = std::function<PreparedKernel(
+    std::size_t kernel_index, const kernels::Workload& workload)>;
 
 /// Measurement hook for `evaluate_exact`: returns the PerfPoint of placed
 /// program `program_index` on `architecture`. The serial path calls
-/// sched::measure directly; parallel paths may interpose a memo cache.
+/// sched::measure directly; api::Service interposes the evaluation
+/// memo-cache here.
 using MeasureFn = std::function<sched::PerfPoint(
     std::size_t program_index, const arch::Architecture& architecture)>;
 
 /// Estimation hook for `Explorer::estimate_candidate`, the step-2/3
 /// analogue of MeasureFn: returns the fast performance estimate of kernel
-/// `kernel_index`'s base context on `architecture`. Every sweep builds or
-/// fetches one core::EstimateProfile per kernel and queries it here; the
-/// parallel paths fetch the profiles from the mapping memo-cache.
+/// `kernel_index`'s base context on `architecture`. Every sweep queries one
+/// core::EstimateProfile per kernel here.
 using EstimateFn = std::function<core::PerfEstimate(
     std::size_t kernel_index, const arch::Architecture& architecture)>;
 
@@ -150,20 +153,25 @@ class Explorer {
   Explorer(arch::ArraySpec array, ExplorerConfig config = {},
            synth::SynthesisModel synth = synth::SynthesisModel());
 
-  /// Runs the full Fig. 7 refinement flow on a domain of kernels.
-  ExplorationResult explore(const std::vector<kernels::Workload>& domain) const;
-
-  /// Steps 1–4 only (see PreparedExploration).
-  PreparedExploration prepare(const std::vector<kernels::Workload>& domain) const;
+  /// Runs the full Fig. 7 refinement flow on a domain of kernels. Step 1
+  /// goes through `prepare` once per kernel and step 5 through `measure`
+  /// once per (Pareto survivor, kernel); empty hooks compute both directly.
+  /// The hooks run on the calling thread: `prepare` for every kernel in
+  /// domain order, then `measure` survivor by survivor in candidate order.
+  /// Throws InvalidArgumentError on an empty domain or a kernel whose array
+  /// geometry differs from the explorer's, before any hook runs.
+  ExplorationResult explore(const std::vector<kernels::Workload>& domain,
+                            const PrepareFn& prepare = {},
+                            const MeasureFn& measure = {}) const;
 
   /// Step 6: fills `result.selected` with the best evaluated candidate
   /// under the configured objective (-1 when none is evaluated).
   void select_optimum(ExplorationResult& result) const;
 
-  // ---- The individual prepare stages, exposed so parallel drivers
-  // ---- (runtime::prepare_parallel) fan out exactly the serial loop
-  // ---- bodies and stay bit-identical by construction. All are const and
-  // ---- thread-safe (the models hold no mutable state).
+  // ---- The individual stages of `explore`, exposed so a replay of the
+  // ---- flow (perfbench's traced dse_cold) runs exactly the same loop
+  // ---- bodies. All are const and thread-safe (the models hold no mutable
+  // ---- state).
 
   /// The base architecture every candidate is estimated against.
   arch::Architecture base_architecture() const;
@@ -172,9 +180,9 @@ class Explorer {
   /// ratio in step 3.
   double base_area_raw() const;
 
-  /// Step 2's enumeration order: the serial loop nest over (units per row,
-  /// units per column, stages), flattened. Candidate i of every prepare
-  /// path corresponds to point i of this vector.
+  /// Step 2's enumeration order: the loop nest over (units per row, units
+  /// per column, stages), flattened. Candidate i of every exploration
+  /// corresponds to point i of this vector.
   std::vector<DesignPoint> enumerate_points() const;
 
   /// The architecture a design point denotes: `base` for the base point,

@@ -68,6 +68,23 @@ std::string EvalCache::key(const std::string& kernel_id,
   return k;
 }
 
+core::MeasuredPerf EvalCache::get_or_measure(
+    const std::string& kernel_id, const std::string& program_tag,
+    const sched::PlacedProgram& program,
+    const arch::Architecture& architecture) {
+  const EvalRecord r =
+      get_or_compute(key(kernel_id, program_tag, architecture), [&] {
+        const core::MeasuredPerf m = core::measure_perf(
+            sched::ContextScheduler(), program, architecture);
+        return EvalRecord{m.perf.cycles, m.perf.stalls,
+                          m.perf.nostall_cycles, m.max_critical_issues};
+      });
+  core::MeasuredPerf m;
+  m.perf = sched::PerfPoint{r.cycles, r.stalls, r.nostall_cycles};
+  m.max_critical_issues = r.max_critical_issues;
+  return m;
+}
+
 util::Json EvalCache::serialize() const {
   util::Json entries = util::Json::array();
   for (const auto& [key, record] : cache_.snapshot()) {

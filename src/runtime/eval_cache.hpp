@@ -25,6 +25,7 @@
 #include <string>
 
 #include "arch/presets.hpp"
+#include "core/evaluator.hpp"
 #include "runtime/striped_cache.hpp"
 #include "sched/program.hpp"
 #include "util/json.hpp"
@@ -92,6 +93,17 @@ class EvalCache {
                             const std::function<EvalRecord()>& compute) {
     return cache_.get_or_compute(key, compute);
   }
+
+  /// The memoized measurement of `program` on `architecture`: the record
+  /// under key(kernel_id, program_tag, architecture), or a fresh
+  /// core::measure_perf published under that key. `program_tag` must be
+  /// program_tag(program) — callers measuring one program on many
+  /// architectures compute it once. DSE step 5 and suite evaluation both
+  /// measure through here, so their entries serve each other.
+  core::MeasuredPerf get_or_measure(const std::string& kernel_id,
+                                    const std::string& program_tag,
+                                    const sched::PlacedProgram& program,
+                                    const arch::Architecture& architecture);
 
   /// Removes one entry; returns whether it existed. A subsequent lookup
   /// misses and recomputes — stale values are never served.

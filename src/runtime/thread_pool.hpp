@@ -18,7 +18,6 @@
 
 #include "util/error.hpp"
 #include "util/mutex.hpp"
-#include "util/rng.hpp"
 
 namespace rsp::runtime {
 
@@ -63,12 +62,5 @@ class ThreadPool {
   bool stopping_ RSP_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };
-
-/// Deterministic per-task RNG stream: seeding by task index makes any
-/// task-local randomness (work-order shuffles, sampling) reproducible
-/// regardless of which worker runs the task or in what order.
-inline util::Rng task_rng(std::uint64_t task_index) {
-  return util::Rng(0x52535054ull ^ (task_index * 0x9e3779b97f4a7c15ull));
-}
 
 }  // namespace rsp::runtime

@@ -68,8 +68,8 @@ dse::ExplorerConfig small_dse_config() {
 // ----------------------------------------------------------------- service
 
 TEST(Service, EvalBitIdenticalToSerialEvaluator) {
-  // The acceptance gate: the Service path (parallel runtime + memo cache)
-  // must agree with core::RspEvaluator on every field of every row.
+  // The acceptance gate: the Service path (through the memo caches) must
+  // agree with core::RspEvaluator on every field of every row.
   const kernels::Workload w = kernels::find_workload("SAD");
   const sched::LoopPipeliner mapper(w.array);
   const std::vector<core::EvalResult> expected =
@@ -88,8 +88,8 @@ TEST(Service, EvalBitIdenticalToSerialEvaluator) {
       EXPECT_EQ(resp.rows[i].arch_name, expected[i].arch_name);
       EXPECT_EQ(resp.rows[i].cycles, expected[i].cycles);
       EXPECT_EQ(resp.rows[i].stalls, expected[i].stalls);
-      // Bitwise double equality is intended: the parallel reduction must
-      // replay the serial accumulation order exactly.
+      // Bitwise double equality is intended: a cached measurement must
+      // yield exactly the row a fresh one does.
       EXPECT_EQ(resp.rows[i].clock_ns, expected[i].clock_ns);
       EXPECT_EQ(resp.rows[i].execution_time_ns,
                 expected[i].execution_time_ns);
@@ -99,6 +99,10 @@ TEST(Service, EvalBitIdenticalToSerialEvaluator) {
                 expected[i].max_mults_per_cycle);
     }
   }
+  // The warm pass measured nothing: every architecture was a cache hit.
+  const runtime::CacheStats stats = service.cache_stats({}).stats;
+  EXPECT_EQ(stats.entries, expected.size());
+  EXPECT_EQ(stats.hits, expected.size());
 }
 
 TEST(Service, DseBitIdenticalToSerialExplorer) {
@@ -118,6 +122,60 @@ TEST(Service, DseBitIdenticalToSerialExplorer) {
   serial_resp.kernels = resp.kernels;
   serial_resp.result = serial.explore(domain);
   EXPECT_EQ(to_body(resp).dump(), to_body(serial_resp).dump());
+}
+
+TEST(Service, DseRepeatedDomainServedFromCache) {
+  const Service service(small_options());
+  DseRequest request;
+  request.kernels = {"SAD", "MVM", "FFT"};
+  request.config = small_dse_config();
+
+  const std::string first = to_body(service.dse(request)).dump();
+  const CacheStatsResponse cold = service.cache_stats({});
+  EXPECT_EQ(cold.stats.hits, 0u);
+  EXPECT_GT(cold.stats.entries, 0u);
+
+  // The repeat reruns nothing: every measurement the first request wrote
+  // is hit, and each kernel's mapping and estimate profile are fetched
+  // once from their tables.
+  const std::string second = to_body(service.dse(request)).dump();
+  const CacheStatsResponse warm = service.cache_stats({});
+  EXPECT_EQ(warm.stats.hits, cold.stats.entries);
+  EXPECT_EQ(warm.stats.entries, cold.stats.entries);
+  EXPECT_EQ(warm.mapping_stats.hits - cold.mapping_stats.hits,
+            request.kernels.size());
+  EXPECT_EQ(warm.estimate_stats.hits - cold.estimate_stats.hits,
+            request.kernels.size());
+  EXPECT_EQ(second, first);
+}
+
+TEST(Service, ConcurrentDseRequestsMatchSerialExplorer) {
+  // Two requests on one domain in flight at once share the memo caches
+  // (one may read entries the other is still writing); both must equal
+  // the serial Explorer's result on the paper domain's full default grid.
+  DseResponse serial;
+  for (const kernels::Workload& w : kernels::paper_suite())
+    serial.kernels.push_back(w.name);
+  serial.result =
+      dse::Explorer(arch::ArraySpec{}).explore(kernels::paper_suite());
+  const std::string expected = to_body(serial).dump();
+
+  const Service service(small_options(1, 2));
+  std::future<util::Json> a = service.submit(DseRequest{});
+  std::future<util::Json> b = service.submit(DseRequest{});
+  EXPECT_EQ(a.get().dump(), expected);
+  EXPECT_EQ(b.get().dump(), expected);
+}
+
+TEST(Service, DseRejectsAMixedGeometryDomain) {
+  const Service service(small_options(1, 1));
+  DseRequest request;
+  request.kernels = {"SAD", "MatMul4"};  // 8x8 and 4x4 arrays
+  EXPECT_THROW(service.dse(request), InvalidArgumentError);
+  const util::Json body = service.handle(request);
+  EXPECT_FALSE(body.at("ok").as_bool());
+  EXPECT_NE(body.at("error").as_string().find("different array geometry"),
+            std::string::npos);
 }
 
 TEST(Service, DseWithoutKernelsExploresPaperSuite) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "dse/pareto.hpp"
 #include "kernels/matmul.hpp"
@@ -280,6 +282,80 @@ TEST(Explorer, ThrowsOnEmptyDomainOrWrongGeometry) {
   EXPECT_THROW(explorer.explore({}), InvalidArgumentError);
   auto w = kernels::make_matmul(4);  // 4×4 kernel, 8×8 explorer
   EXPECT_THROW(explorer.explore({w}), InvalidArgumentError);
+  // The whole domain is checked before step 1, so a memoizing hook never
+  // prepares the kernels ahead of the mismatch.
+  int prepared = 0;
+  const PrepareFn prepare = [&prepared](std::size_t,
+                                        const kernels::Workload& kernel) {
+    ++prepared;
+    return PreparedKernel{
+        std::make_shared<const KernelPrep>(prepare_kernel(kernel)), nullptr};
+  };
+  EXPECT_THROW(explorer.explore({kernels::find_workload("SAD"), w}, prepare),
+               InvalidArgumentError);
+  EXPECT_EQ(prepared, 0);
+}
+
+void expect_field_equal(const ExplorationResult& expected,
+                        const ExplorationResult& actual) {
+  EXPECT_EQ(expected.base_area, actual.base_area);
+  EXPECT_EQ(expected.base_cycles, actual.base_cycles);
+  EXPECT_EQ(expected.base_time_ns, actual.base_time_ns);
+  EXPECT_EQ(expected.selected, actual.selected);
+  ASSERT_EQ(expected.candidates.size(), actual.candidates.size());
+  for (std::size_t i = 0; i < expected.candidates.size(); ++i) {
+    const Candidate& e = expected.candidates[i];
+    const Candidate& a = actual.candidates[i];
+    const std::string label = e.point.label();
+    EXPECT_EQ(label, a.point.label());
+    EXPECT_EQ(e.architecture.name, a.architecture.name) << label;
+    // Bitwise double equality is intended: both runs must perform the
+    // same computation in the same order.
+    EXPECT_EQ(e.area_estimate, a.area_estimate) << label;
+    EXPECT_EQ(e.area_synthesized, a.area_synthesized) << label;
+    EXPECT_EQ(e.clock_ns, a.clock_ns) << label;
+    EXPECT_EQ(e.estimated_cycles, a.estimated_cycles) << label;
+    EXPECT_EQ(e.estimated_time_ns, a.estimated_time_ns) << label;
+    EXPECT_EQ(e.rejected, a.rejected) << label;
+    EXPECT_EQ(e.reject_reason, a.reject_reason) << label;
+    EXPECT_EQ(e.pareto, a.pareto) << label;
+    EXPECT_EQ(e.evaluated, a.evaluated) << label;
+    EXPECT_EQ(e.exact_cycles, a.exact_cycles) << label;
+    EXPECT_EQ(e.exact_time_ns, a.exact_time_ns) << label;
+    EXPECT_EQ(e.total_stalls, a.total_stalls) << label;
+  }
+}
+
+TEST(Explorer, HookedExploreIsFieldEqualToUnhooked) {
+  // api::Service interposes its memo caches through these two hooks. On
+  // the paper domain's full default grid, routing step 1 (with a supplied
+  // profile) and step 5 (through core::measure_perf) through them must
+  // change nothing, and each hook runs exactly as often as the flow needs.
+  const std::vector<kernels::Workload> domain = kernels::paper_suite();
+  const Explorer explorer((arch::ArraySpec()));
+  const ExplorationResult plain = explorer.explore(domain);
+
+  std::vector<std::shared_ptr<const KernelPrep>> records(domain.size());
+  std::vector<int> prepared(domain.size(), 0);
+  const PrepareFn prepare = [&](std::size_t k, const kernels::Workload& w) {
+    ++prepared[k];
+    records[k] = std::make_shared<const KernelPrep>(prepare_kernel(w));
+    return PreparedKernel{records[k],
+                          std::make_shared<const core::EstimateProfile>(
+                              records[k]->base_context)};
+  };
+  std::size_t measured = 0;
+  const sched::ContextScheduler scheduler;
+  const MeasureFn measure = [&](std::size_t k, const arch::Architecture& a) {
+    ++measured;
+    return core::measure_perf(scheduler, records[k]->program, a).perf;
+  };
+  const ExplorationResult hooked = explorer.explore(domain, prepare, measure);
+
+  expect_field_equal(plain, hooked);
+  ASSERT_GE(hooked.selected, 0);
+  EXPECT_EQ(prepared, std::vector<int>(domain.size(), 1));
+  EXPECT_EQ(measured, hooked.pareto_points().size() * domain.size());
 }
 
 }  // namespace

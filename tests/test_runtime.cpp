@@ -1,7 +1,6 @@
-// The parallel evaluation runtime: thread pool semantics, memo-cache
-// correctness (including invalidation), bit-identical parallel/serial
-// agreement on the paper workload, batched simulation, and thread-safe
-// logging under concurrency.
+// The evaluation runtime: thread pool semantics, memo-cache correctness
+// (including invalidation), batched simulation, and thread-safe logging
+// under concurrency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +14,10 @@
 #include <vector>
 
 #include "arch/presets.hpp"
-#include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/mapping_cache.hpp"
-#include "runtime/parallel_explorer.hpp"
 #include "runtime/sim_batch.hpp"
 #include "runtime/striped_cache.hpp"
 #include "runtime/thread_pool.hpp"
@@ -71,12 +68,6 @@ TEST(ThreadPool, ZeroPicksHardwareDefault) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), ThreadPool::default_thread_count());
   EXPECT_GE(pool.thread_count(), 1);
-}
-
-TEST(ThreadPool, TaskRngStreamsAreDeterministicPerIndex) {
-  util::Rng a = task_rng(7), b = task_rng(7), c = task_rng(8);
-  EXPECT_EQ(a.next_u64(), b.next_u64());
-  EXPECT_NE(a.next_u64(), c.next_u64());
 }
 
 // ------------------------------------------------------------- eval cache
@@ -592,232 +583,6 @@ TEST(MappingCache, EstimatesMatchDirectComputation) {
     EXPECT_EQ(cached.rs_stall_bound, direct.rs_stall_bound) << a.name;
     EXPECT_EQ(cached.rp_overhead, direct.rp_overhead) << a.name;
   }
-}
-
-// ------------------------------------------------- parallel vs serial DSE
-void expect_bit_identical(const dse::ExplorationResult& serial,
-                          const dse::ExplorationResult& parallel) {
-  EXPECT_EQ(serial.selected, parallel.selected);
-  EXPECT_EQ(serial.base_cycles, parallel.base_cycles);
-  EXPECT_EQ(serial.base_area, parallel.base_area);
-  EXPECT_EQ(serial.base_time_ns, parallel.base_time_ns);
-  ASSERT_EQ(serial.candidates.size(), parallel.candidates.size());
-  for (std::size_t i = 0; i < serial.candidates.size(); ++i) {
-    const dse::Candidate& s = serial.candidates[i];
-    const dse::Candidate& p = parallel.candidates[i];
-    EXPECT_EQ(s.point.label(), p.point.label());
-    EXPECT_EQ(s.rejected, p.rejected);
-    EXPECT_EQ(s.pareto, p.pareto);
-    EXPECT_EQ(s.evaluated, p.evaluated);
-    EXPECT_EQ(s.exact_cycles, p.exact_cycles) << s.point.label();
-    EXPECT_EQ(s.total_stalls, p.total_stalls) << s.point.label();
-    // Bitwise double equality is intended: the parallel reduction must
-    // replay the serial accumulation order exactly.
-    EXPECT_EQ(s.exact_time_ns, p.exact_time_ns) << s.point.label();
-    EXPECT_EQ(s.estimated_time_ns, p.estimated_time_ns) << s.point.label();
-    EXPECT_EQ(s.area_estimate, p.area_estimate) << s.point.label();
-  }
-}
-
-TEST(ParallelExplorer, BitIdenticalToSerialOnPaperWorkload) {
-  // The acceptance gate: serial Fig. 7 and the 4-thread runtime must agree
-  // on every candidate and select the same optimum design point.
-  const std::vector<kernels::Workload> domain = kernels::paper_suite();
-  const dse::ExplorerConfig config;  // full default enumeration
-
-  const dse::Explorer serial(arch::ArraySpec{}, config);
-  const dse::ExplorationResult serial_result = serial.explore(domain);
-
-  RuntimeOptions options;
-  options.threads = 4;
-  options.cache = std::make_shared<EvalCache>();
-  const ParallelExplorer parallel(arch::ArraySpec{}, config,
-                                  synth::SynthesisModel(), options);
-  const dse::ExplorationResult parallel_result = parallel.explore(domain);
-
-  expect_bit_identical(serial_result, parallel_result);
-  ASSERT_GE(parallel_result.selected, 0);
-  EXPECT_EQ(serial_result.best().point.label(),
-            parallel_result.best().point.label());
-}
-
-TEST(ParallelExplorer, RepeatedExplorationServedFromCache) {
-  const std::vector<kernels::Workload> domain = kernels::dsp_suite();
-  dse::ExplorerConfig config;
-  config.max_units_per_row = 2;
-  config.max_units_per_col = 1;
-  config.max_stages = 2;
-
-  RuntimeOptions options;
-  options.threads = 2;
-  options.cache = std::make_shared<EvalCache>();
-  const ParallelExplorer explorer(arch::ArraySpec{}, config,
-                                  synth::SynthesisModel(), options);
-
-  const dse::ExplorationResult first = explorer.explore(domain);
-  const CacheStats after_first = options.cache->stats();
-  EXPECT_EQ(after_first.hits, 0u);
-  EXPECT_GT(after_first.entries, 0u);
-
-  const dse::ExplorationResult second = explorer.explore(domain);
-  const CacheStats after_second = options.cache->stats();
-  EXPECT_EQ(after_second.hits, after_first.entries);  // every pair reused
-  EXPECT_EQ(after_second.entries, after_first.entries);
-  expect_bit_identical(first, second);
-}
-
-// ------------------------------------------ parallel vs serial prepare
-void expect_prepared_identical(const dse::PreparedExploration& serial,
-                               const dse::PreparedExploration& parallel) {
-  ASSERT_EQ(serial.kernel_names.size(), parallel.kernel_names.size());
-  for (std::size_t k = 0; k < serial.kernel_names.size(); ++k) {
-    EXPECT_EQ(serial.kernel_names[k], parallel.kernel_names[k]);
-    EXPECT_EQ(EvalCache::program_tag(serial.programs[k]),
-              EvalCache::program_tag(parallel.programs[k]));
-  }
-  const dse::ExplorationResult& s = serial.result;
-  const dse::ExplorationResult& p = parallel.result;
-  EXPECT_EQ(s.base_cycles, p.base_cycles);
-  EXPECT_EQ(s.base_area, p.base_area);
-  EXPECT_EQ(s.base_time_ns, p.base_time_ns);
-  ASSERT_EQ(s.candidates.size(), p.candidates.size());
-  for (std::size_t i = 0; i < s.candidates.size(); ++i) {
-    const dse::Candidate& sc = s.candidates[i];
-    const dse::Candidate& pc = p.candidates[i];
-    EXPECT_EQ(sc.point.label(), pc.point.label());
-    EXPECT_EQ(sc.architecture.name, pc.architecture.name);
-    EXPECT_EQ(sc.rejected, pc.rejected) << sc.point.label();
-    EXPECT_EQ(sc.reject_reason, pc.reject_reason) << sc.point.label();
-    EXPECT_EQ(sc.pareto, pc.pareto) << sc.point.label();
-    EXPECT_EQ(sc.estimated_cycles, pc.estimated_cycles) << sc.point.label();
-    // Bitwise double equality is intended: the parallel path must replay
-    // the serial computation exactly.
-    EXPECT_EQ(sc.area_estimate, pc.area_estimate) << sc.point.label();
-    EXPECT_EQ(sc.area_synthesized, pc.area_synthesized) << sc.point.label();
-    EXPECT_EQ(sc.clock_ns, pc.clock_ns) << sc.point.label();
-    EXPECT_EQ(sc.estimated_time_ns, pc.estimated_time_ns)
-        << sc.point.label();
-    EXPECT_FALSE(pc.evaluated);  // prepare stops before step 5
-  }
-  EXPECT_EQ(p.selected, -1);
-}
-
-TEST(ParallelExplorer, PrepareBitIdenticalToSerialOnPaperDomain) {
-  // The prepare acceptance gate: serial steps 1-4 and the 4-thread fanned
-  // version (with the mapping memo-cache interposed) must agree on every
-  // candidate vector, reject reason and Pareto flag of the full paper
-  // domain under the full default grid — and stay identical when served
-  // warm from the cache.
-  const std::vector<kernels::Workload> domain = kernels::paper_suite();
-  const dse::ExplorerConfig config;  // full default enumeration
-
-  const dse::Explorer serial(arch::ArraySpec{}, config);
-  const dse::PreparedExploration serial_prep = serial.prepare(domain);
-
-  RuntimeOptions options;
-  options.threads = 4;
-  options.mapping_cache = std::make_shared<MappingCache>();
-  const ParallelExplorer parallel(arch::ArraySpec{}, config,
-                                  synth::SynthesisModel(), options);
-  const dse::PreparedExploration cold = parallel.prepare(domain);
-  expect_prepared_identical(serial_prep, cold);
-  EXPECT_EQ(options.mapping_cache->stats().entries, domain.size());
-
-  const dse::PreparedExploration warm = parallel.prepare(domain);
-  expect_prepared_identical(serial_prep, warm);
-  EXPECT_EQ(options.mapping_cache->stats().hits, domain.size());
-  // One estimate profile per kernel, fetched once per prepare.
-  EXPECT_EQ(options.mapping_cache->estimate_stats().entries, domain.size());
-  EXPECT_EQ(options.mapping_cache->estimate_stats().hits, domain.size());
-}
-
-TEST(ParallelExplorer, PrepareWorksWithoutMappingCache) {
-  const std::vector<kernels::Workload> domain = kernels::dsp_suite();
-  dse::ExplorerConfig config;
-  config.max_units_per_row = 2;
-  config.max_units_per_col = 1;
-  config.max_stages = 2;
-  const dse::Explorer serial(arch::ArraySpec{}, config);
-  ThreadPool pool(2);
-  const dse::PreparedExploration parallel_prep =
-      prepare_parallel(serial, domain, pool, nullptr);
-  expect_prepared_identical(serial.prepare(domain), parallel_prep);
-}
-
-TEST(ParallelExplorer, PrepareRejectsBadDomains) {
-  const dse::Explorer explorer((arch::ArraySpec()));
-  ThreadPool pool(2);
-  EXPECT_THROW(prepare_parallel(explorer, {}, pool, nullptr),
-               InvalidArgumentError);
-  kernels::Workload wrong_geometry = kernels::find_workload("SAD");
-  wrong_geometry.array.rows = 4;
-  EXPECT_THROW(
-      prepare_parallel(explorer, {wrong_geometry}, pool, nullptr),
-      InvalidArgumentError);
-}
-
-TEST(ParallelExplorer, WorksWithoutCacheAndWithExternalPool) {
-  const std::vector<kernels::Workload> domain = {
-      kernels::find_workload("SAD")};
-  dse::ExplorerConfig config;
-  config.max_units_per_row = 1;
-  config.max_units_per_col = 0;
-  config.max_stages = 2;
-
-  ThreadPool pool(2);
-  RuntimeOptions options;
-  options.pool = &pool;  // no cache
-  const ParallelExplorer parallel(arch::ArraySpec{}, config,
-                                  synth::SynthesisModel(), options);
-  const dse::Explorer serial(arch::ArraySpec{}, config);
-  expect_bit_identical(serial.explore(domain), parallel.explore(domain));
-}
-
-// ------------------------------------------------------ parallel suite eval
-TEST(ParallelExplorer, EvaluateSuiteMatchesSerialEvaluator) {
-  const kernels::Workload w = kernels::find_workload("SAD");
-  const sched::LoopPipeliner mapper(w.array);
-  const sched::PlacedProgram program =
-      mapper.map(w.kernel, w.hints, w.reduction);
-  const std::vector<arch::Architecture> suite =
-      arch::standard_suite(w.array.rows, w.array.cols);
-
-  const core::RspEvaluator serial;
-  const std::vector<core::EvalResult> expected =
-      serial.evaluate_suite(program, suite);
-
-  RuntimeOptions options;
-  options.threads = 4;
-  options.cache = std::make_shared<EvalCache>();
-  const ParallelExplorer runtime(w.array, {}, synth::SynthesisModel(),
-                                 options);
-  // Twice: the second pass is served from the cache and must not drift.
-  for (int round = 0; round < 2; ++round) {
-    const std::vector<core::EvalResult> actual =
-        runtime.evaluate_suite(w.name, program, suite);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i].arch_name, expected[i].arch_name);
-      EXPECT_EQ(actual[i].cycles, expected[i].cycles);
-      EXPECT_EQ(actual[i].stalls, expected[i].stalls);
-      EXPECT_EQ(actual[i].clock_ns, expected[i].clock_ns);
-      EXPECT_EQ(actual[i].execution_time_ns, expected[i].execution_time_ns);
-      EXPECT_EQ(actual[i].delay_reduction_percent,
-                expected[i].delay_reduction_percent);
-      EXPECT_EQ(actual[i].max_mults_per_cycle,
-                expected[i].max_mults_per_cycle);
-    }
-  }
-  EXPECT_GT(options.cache->stats().hits, 0u);
-}
-
-TEST(ParallelExplorer, EvaluateSuiteRejectsEmptySuite) {
-  const kernels::Workload w = kernels::find_workload("SAD");
-  const sched::LoopPipeliner mapper(w.array);
-  const ParallelExplorer runtime(w.array);
-  EXPECT_THROW(runtime.evaluate_suite(
-                   w.name, mapper.map(w.kernel, w.hints, w.reduction), {}),
-               InvalidArgumentError);
 }
 
 // -------------------------------------------------- thread-safe logging

@@ -121,23 +121,8 @@ int cmd_simulate(const api::Service& service, const std::string& kernel,
 }
 
 // `explore` and its alias `dse` run the full Fig. 7 flow over the paper
-// domain; --threads sizes the evaluation pool the prepare and exact-eval
-// stages fan out on.
-int cmd_explore(const std::vector<std::string>& args) {
-  api::ServiceOptions options;
-  options.max_inflight = 1;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--threads") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError("--threads requires a worker count");
-      options.threads = positive_int_flag("--threads", args[++i]);
-    } else {
-      throw InvalidArgumentError("unknown flag '" + args[i] + "' for " +
-                                 args[0] + " (--threads N)");
-    }
-  }
-
-  const api::Service service(options);
+// domain.
+int cmd_explore(const api::Service& service) {
   const api::DseResponse resp = service.dse({});
   const dse::Candidate& best = resp.result.best();
   std::cout << "explored " << resp.result.candidates.size()
@@ -484,7 +469,7 @@ int usage() {
          "  simulate <kernel> <arch> [--engine dense|event]\n"
          "                                    run on the cycle simulator, "
          "verify\n"
-         "  explore|dse [--threads N]         DSE over the full kernel "
+         "  explore|dse                       DSE over the full kernel "
          "domain\n"
          "  serve [--threads N] [--max-inflight N] [--cache-entries N]\n"
          "        [--listen <path|host:port>]... [--max-connections N]\n"
@@ -537,22 +522,25 @@ int main(int argc, char** argv) {
     // silently ignored, so scripts can trust the exit code.
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "connect") return cmd_connect(args);
-    if (cmd == "explore" || cmd == "dse") return cmd_explore(args);
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "fuzz") return cmd_fuzz(args);
     if (cmd == "lint") return cmd_lint(args);
 
-    // One service per invocation, always with a single dispatch thread —
-    // the CLI runs exactly one request, so only eval/explore's inner
-    // fan-out benefits from hardware-sized worker pools; the single-shot
-    // commands run one measurement and keep the workers at one thread too.
-    const auto one_shot_service = [](int threads) {
+    // One service per invocation, with one worker and one dispatch thread:
+    // the CLI runs exactly one request, and the only operation that fans
+    // out on the worker pool (simulate_batch) is not a subcommand.
+    const auto light_service = [] {
       api::ServiceOptions options;
-      options.threads = threads;
+      options.threads = 1;
       options.max_inflight = 1;
       return api::Service(options);
     };
-    const auto light_service = [&] { return one_shot_service(1); };
+    if (cmd == "explore" || cmd == "dse") {
+      if (args.size() > 1)
+        throw rsp::InvalidArgumentError("unknown flag '" + args[1] +
+                                        "' for " + cmd + " (it takes none)");
+      return cmd_explore(light_service());
+    }
     if (cmd == "list" && args.size() == 1) return cmd_list(light_service());
     if (cmd == "eval" && args.size() >= 2) {
       bool as_json = false;
@@ -562,7 +550,7 @@ int main(int argc, char** argv) {
                                           "' for eval (only --json)");
         as_json = true;
       }
-      return cmd_eval(one_shot_service(0), args[1], as_json);
+      return cmd_eval(light_service(), args[1], as_json);
     }
     if (args.size() == 2) {
       if (cmd == "rtl") return cmd_rtl(light_service(), args[1]);
