@@ -6,10 +6,10 @@
 // 4 shared multipliers with zero stalls.
 #include <iostream>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "bench_common.hpp"
 #include "kernels/matmul.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/report.hpp"
@@ -29,7 +29,7 @@ int main() {
   // ---- Fig. 2: base array, every PE owns a multiplier ----
   const arch::Architecture base = arch::base_architecture(4, 4);
   const sched::ConfigurationContext fig2 = scheduler.schedule(program, base);
-  sched::require_legal(fig2);
+  analysis::require_legal(fig2);
   std::cout << "Fig. 2 — base schedule (rows = array columns):\n"
             << render_schedule(fig2) << "cycles: " << fig2.length()
             << "  |  peak concurrent multiplications: "
@@ -40,7 +40,7 @@ int main() {
   const arch::Architecture rsp =
       arch::custom_architecture("RSP-2stage", 4, 4, 1, 0, 2);  // 4 units
   const sched::ConfigurationContext fig6 = scheduler.schedule(program, rsp);
-  sched::require_legal(fig6);
+  analysis::require_legal(fig6);
   const sched::PerfPoint perf = sched::measure(scheduler, program, rsp);
   std::cout << "Fig. 6 — 4 shared 2-stage multipliers (1*/2* = stages):\n"
             << render_schedule(fig6) << "cycles: " << fig6.length()

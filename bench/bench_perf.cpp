@@ -6,12 +6,12 @@
 // fast performance estimate that makes the exploration loop cheap.
 #include <benchmark/benchmark.h>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "core/estimate.hpp"
 #include "core/evaluator.hpp"
 #include "ir/unroll.hpp"
 #include "kernels/registry.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
@@ -97,7 +97,7 @@ void BM_Legality(benchmark::State& state) {
   const sched::ContextScheduler s;
   const auto ctx = s.schedule(p, arch::rsp_architecture(2));
   for (auto _ : state) {
-    auto rep = sched::check_legality(ctx);
+    auto rep = analysis::check_legality(ctx);
     benchmark::DoNotOptimize(rep.ok);
   }
   state.SetLabel(w.name);

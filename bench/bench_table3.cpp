@@ -3,10 +3,10 @@
 // Measured = statistics of our base-architecture configuration contexts.
 #include <iostream>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "bench_common.hpp"
 #include "kernels/registry.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
@@ -30,7 +30,7 @@ int main() {
         arch::base_architecture(w.array.rows, w.array.cols);
     const sched::ConfigurationContext context =
         scheduler.schedule(program, base);
-    sched::require_legal(context);
+    analysis::require_legal(context);
     const sched::ScheduleStats stats = sched::stats_of(context);
 
     int paper_mult_no = -1;

@@ -7,10 +7,10 @@
 // on the cycle-accurate simulator.
 #include <iostream>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "ir/dot.hpp"
 #include "kernels/matmul.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/report.hpp"
@@ -37,7 +37,7 @@ int main() {
   const arch::Architecture base = arch::base_architecture(4, 4);
   const sched::ConfigurationContext base_ctx =
       scheduler.schedule(program, base);
-  sched::require_legal(base_ctx);
+  analysis::require_legal(base_ctx);
   std::cout << "Loop-pipelined schedule on the base 4x4 array (cf. paper"
                " Fig. 2;\nrows = array columns, cells = ops issued):\n"
             << render_schedule(base_ctx)
@@ -51,7 +51,7 @@ int main() {
       arch::custom_architecture("RSP-4x4", 4, 4, /*per_row=*/1,
                                 /*per_col=*/0, /*stages=*/2);
   const sched::ConfigurationContext rsp_ctx = scheduler.schedule(program, rsp);
-  sched::require_legal(rsp_ctx);
+  analysis::require_legal(rsp_ctx);
   std::cout << "Same program with 4 shared 2-stage multipliers (cf. paper"
                " Fig. 6;\n1*/2* are the pipeline stages):\n"
             << render_schedule(rsp_ctx)

@@ -8,10 +8,10 @@
 // y[r] — a textbook use of the row interconnect.
 #include <iostream>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "ir/unroll.hpp"
 #include "kernels/registry.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/scheduler.hpp"
@@ -39,7 +39,7 @@ int main() {
   const arch::Architecture a = arch::rsp_architecture(2);
   const sched::ContextScheduler scheduler;
   const sched::ConfigurationContext ctx = scheduler.schedule(program, a);
-  sched::require_legal(ctx);
+  analysis::require_legal(ctx);
 
   std::cout << "Schedule on " << a.name << " (" << ctx.length()
             << " cycles):\n";

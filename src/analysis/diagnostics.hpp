@@ -17,7 +17,8 @@ namespace rsp::analysis {
 
 enum class Severity {
   kError,    // the simulator rejects this context (exception on compile/run)
-  kWarning,  // simulator-legal but suspicious (silent zeros, dead work, ...)
+  kWarning,  // simulator-legal: beyond the array (verifier.hpp's
+             // kHardwareRules) or suspicious (silent zeros, dead work, ...)
 };
 
 const char* severity_name(Severity severity);
@@ -52,8 +53,8 @@ struct LintReport {
 
   int error_count() const;
   int warning_count() const;
-  /// Clean = no error-severity findings. Warnings do not make a context
-  /// illegal; the simulator accepts it.
+  /// Clean = no error-severity findings: the simulator accepts the
+  /// context. Legality for the array is stricter (analysis::legality_of).
   bool clean() const { return error_count() == 0; }
 
   /// {"errors": N, "warnings": N, "diagnostics": [{"rule", "severity",

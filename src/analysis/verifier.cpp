@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +23,20 @@ int LintReport::error_count() const {
   for (const Diagnostic& d : diagnostics)
     if (d.severity == Severity::kError) ++n;
   return n;
+}
+
+bool blocks_hardware(Severity severity, std::string_view rule) {
+  return severity == Severity::kError ||
+         std::find(kHardwareRules.begin(), kHardwareRules.end(), rule) !=
+             kHardwareRules.end();
+}
+
+LegalityReport legality_of(const LintReport& report) {
+  LegalityReport legality;
+  for (const Diagnostic& d : report.diagnostics)
+    if (blocks_hardware(d.severity, d.rule))
+      legality.fail(d.rule + ": " + d.message);
+  return legality;
 }
 
 int LintReport::warning_count() const {
@@ -74,6 +90,8 @@ const char* hint_for(const std::string& rule) {
   if (rule == "RSP-V005") return "give the store a value operand";
   if (rule == "RSP-V006")
     return "shared-unit line/index must fit the architecture's pools";
+  if (rule == "RSP-V007")
+    return "order deps must index an op of this program";
   if (rule == "RSP-S001")
     return "a PE issues one op per cycle and blocks for every stage of a "
            "multi-cycle op";
@@ -112,6 +130,15 @@ const char* hint_for(const std::string& rule) {
   if (rule == "RSP-W008")
     return "a PE reaches only its own row pool and column pool; pick a unit "
            "on the op's row or column";
+  if (rule == "RSP-W009")
+    return "delay the op until its memory-order predecessor's cycle + "
+           "latency";
+  if (rule == "RSP-W010")
+    return "a critical op takes the architecture's multiplier latency, "
+           "every other op one cycle";
+  if (rule == "RSP-W011")
+    return "drop the unit: only critical ops on a resource-shared "
+           "architecture use one";
   return "";
 }
 
@@ -188,6 +215,12 @@ void validation_pass(const arch::Architecture& a,
                   " operand references producer " +
                   std::to_string(o.producer) + " out of range [0, " +
                   std::to_string(size) + ")"});
+    for (const sched::ProgIndex d : op.order_deps)
+      if (d < 0 || d >= size)
+        emit({"RSP-V007", Severity::kError, locus_of(i, op),
+              "simulator: op " + std::to_string(i) +
+                  " order dep references op " + std::to_string(d) +
+                  " out of range [0, " + std::to_string(size) + ")"});
     if (op.kind == ir::OpKind::kStore && op.operands.empty())
       emit({"RSP-V005", Severity::kError, locus_of(i, op),
             "simulator: store op " + std::to_string(i) +
@@ -213,11 +246,17 @@ void structural_pass(const arch::Architecture& a,
                      const std::vector<char>& skip_replay) {
   const arch::ArraySpec& array = a.array;
   const auto n = ops.size();
-  std::vector<std::vector<std::size_t>> by_cycle(
-      static_cast<std::size_t>(std::max(length, 1)));
+  // Issue order as one counting sort over two flat arrays: the ops issued
+  // at cycle t are issue[start[t] .. start[t + 1]), ascending by index.
+  const auto cycles = static_cast<std::size_t>(std::max(length, 0));
+  std::vector<std::size_t> start(cycles + 2, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    if (!skip_replay[i]) ++start[static_cast<std::size_t>(ops[i].cycle) + 2];
+  for (std::size_t t = 2; t < start.size(); ++t) start[t] += start[t - 1];
+  std::vector<std::size_t> issue(start.back());
   for (std::size_t i = 0; i < n; ++i)
     if (!skip_replay[i])
-      by_cycle[static_cast<std::size_t>(ops[i].cycle)].push_back(i);
+      issue[start[static_cast<std::size_t>(ops[i].cycle) + 1]++] = i;
 
   const int total_units = a.sharing.total_units(array);
   std::vector<int> pe_busy_until(static_cast<std::size_t>(array.num_pes()),
@@ -228,13 +267,15 @@ void structural_pass(const arch::Architecture& a,
   std::vector<char> unit_taken(static_cast<std::size_t>(total_units), 0);
 
   for (int t = 0; t < length; ++t) {
-    const auto& issues = by_cycle[static_cast<std::size_t>(t)];
-    if (issues.empty()) continue;
+    const std::size_t first = start[static_cast<std::size_t>(t)];
+    const std::size_t last = start[static_cast<std::size_t>(t) + 1];
+    if (first == last) continue;
     std::fill(row_reads.begin(), row_reads.end(), 0);
     std::fill(row_writes.begin(), row_writes.end(), 0);
     std::fill(unit_taken.begin(), unit_taken.end(), 0);
 
-    for (const std::size_t i : issues) {
+    for (std::size_t k = first; k < last; ++k) {
+      const std::size_t i = issue[k];
       const sched::ScheduledOp& op = ops[i];
 
       const int pe = array.linear(op.pe);
@@ -298,12 +339,16 @@ void structural_pass(const arch::Architecture& a,
   }
 }
 
-/// Lint-only rules: everything here is simulator-legal (the engines accept
-/// the context and produce deterministic values) but almost certainly not
-/// what the schedule's author meant.
+/// Warning rules: everything here is simulator-legal (the engines accept
+/// the context and produce deterministic values). The hardware rules
+/// (kHardwareRules: W001, W007–W011) flag what the array cannot execute and
+/// always run. The lint-only rules (W002–W006) flag what is almost
+/// certainly not what the schedule's author meant; they run only when
+/// `lint_rules` is set.
 void warning_pass(const arch::Architecture& a,
                   const std::vector<sched::ScheduledOp>& ops,
-                  const EmitFn& emit, const std::vector<char>& skip_replay) {
+                  const EmitFn& emit, const std::vector<char>& skip_replay,
+                  bool lint_rules) {
   const arch::ArraySpec& array = a.array;
   const auto n = ops.size();
   const auto size = static_cast<sched::ProgIndex>(n);
@@ -311,13 +356,12 @@ void warning_pass(const arch::Architecture& a,
     return !o.is_imm() && o.producer >= 0 && o.producer < size;
   };
 
-  std::vector<char> consumed(n, 0);
+  std::vector<char> consumed(lint_rules ? n : 0, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const sched::ScheduledOp& op = ops[i];
     for (const sched::ProgOperand& o : op.operands) {
       if (!producer_ok(o)) continue;
       const auto p = static_cast<std::size_t>(o.producer);
-      consumed[p] = 1;
       const sched::ScheduledOp& prod = ops[p];
       // RSP-W001: the producer issues at (or after) the consumer's slot in
       // replay order, so the consumer silently reads the initial 0 — the
@@ -330,17 +374,19 @@ void warning_pass(const arch::Architecture& a,
                   std::to_string(prod.cycle) + ", not before cycle " +
                   std::to_string(op.cycle) +
                   "; the consumer reads the initial 0"});
-      // RSP-W003: a loop-carried value flowing backwards in iteration space.
-      if (prod.iter >= 0 && op.iter >= 0 && prod.iter > op.iter)
-        emit({"RSP-W003", Severity::kWarning, locus_of(i, op),
-              "op " + std::to_string(i) + " (iteration " +
-                  std::to_string(op.iter) + ") consumes producer " +
-                  std::to_string(p) + " from later iteration " +
-                  std::to_string(prod.iter)});
+      if (lint_rules) {
+        consumed[p] = 1;
+        // RSP-W003: a loop-carried value flowing backwards in iteration
+        // space.
+        if (prod.iter >= 0 && op.iter >= 0 && prod.iter > op.iter)
+          emit({"RSP-W003", Severity::kWarning, locus_of(i, op),
+                "op " + std::to_string(i) + " (iteration " +
+                    std::to_string(op.iter) + ") consumes producer " +
+                    std::to_string(p) + " from later iteration " +
+                    std::to_string(prod.iter)});
+      }
       // RSP-W007: the operand has no single-hop route in the interconnect.
-      // The simulators move values by index and never check this, so it is
-      // a warning here; sched::check_legality rejects it on scheduler
-      // output.
+      // The simulators move values by index and never check this.
       if (!skip_replay[i] && !skip_replay[p] &&
           array.route(prod.pe, op.pe) == arch::RouteKind::kNone)
         emit({"RSP-W007", Severity::kWarning, locus_of(i, op),
@@ -351,11 +397,13 @@ void warning_pass(const arch::Architecture& a,
                   std::to_string(op.pe.row) + ", " +
                   std::to_string(op.pe.col) + ")"});
     }
+    const bool takes_unit =
+        ir::is_critical_op(op.kind) && a.shares_multiplier();
     // RSP-W008: a unit that exists but sits on a row/column pool the PE's
     // bus switch does not reach (again simulator-legal: the engines index
     // units globally).
-    if (!skip_replay[i] && ir::is_critical_op(op.kind) &&
-        a.shares_multiplier() && op.unit && unit_in_pools(a, *op.unit)) {
+    if (!skip_replay[i] && takes_unit && op.unit &&
+        unit_in_pools(a, *op.unit)) {
       const auto reachable = a.sharing.reachable_units(array, op.pe);
       if (std::find(reachable.begin(), reachable.end(), *op.unit) ==
           reachable.end())
@@ -365,7 +413,42 @@ void warning_pass(const arch::Architecture& a,
                   std::to_string(op.pe.row) + ", " +
                   std::to_string(op.pe.col) + ")"});
     }
+    // RSP-W009: a memory-order predecessor (RAW/WAR/WAW through data
+    // memory) has not completed when the op issues. The simulators apply
+    // memory ops in issue order and never read order_deps.
+    for (const sched::ProgIndex d : op.order_deps) {
+      if (d < 0 || d >= size) continue;  // RSP-V007
+      const sched::ScheduledOp& pred = ops[static_cast<std::size_t>(d)];
+      const std::int64_t done =
+          static_cast<std::int64_t>(pred.cycle) + pred.latency;
+      if (op.cycle < done)
+        emit({"RSP-W009", Severity::kWarning, locus_of(i, op),
+              "op " + std::to_string(i) + " issues at cycle " +
+                  std::to_string(op.cycle) + " before its memory-order "
+                  "predecessor " + std::to_string(d) + " completes at cycle " +
+                  std::to_string(done)});
+    }
+    // RSP-W010: the simulators time values by each op's own latency; the
+    // array's timing is fixed by the architecture.
+    const int expected_latency =
+        ir::is_critical_op(op.kind) ? a.mult_latency() : 1;
+    if (op.latency >= 1 && op.latency != expected_latency)
+      emit({"RSP-W010", Severity::kWarning, locus_of(i, op),
+            "op " + std::to_string(i) + " (" + ir::op_name(op.kind) +
+                ") has latency " + std::to_string(op.latency) +
+                " but architecture '" + a.name + "' dictates " +
+                std::to_string(expected_latency)});
+    // RSP-W011: a unit on an op that takes none; the simulators ignore it.
+    if (op.unit && !takes_unit)
+      emit({"RSP-W011", Severity::kWarning, locus_of(i, op),
+            "op " + std::to_string(i) + " (" + ir::op_name(op.kind) +
+                ") names shared unit " + arch::to_string(*op.unit) +
+                (ir::is_critical_op(op.kind)
+                     ? " on architecture '" + a.name +
+                           "', which shares nothing"
+                     : ", but only critical ops take one")});
   }
+  if (!lint_rules) return;
 
   // RSP-W002: dead values.
   for (std::size_t i = 0; i < n; ++i)
@@ -423,6 +506,17 @@ void warning_pass(const arch::Architecture& a,
   }
 }
 
+/// The three passes in discovery order. Ops that fail validation are
+/// left out of the replay and of the placement-dependent warnings.
+void run_passes(const arch::Architecture& a,
+                const std::vector<sched::ScheduledOp>& ops, int length,
+                bool pre_construction, bool lint_rules, const EmitFn& emit) {
+  std::vector<char> skip_replay(ops.size(), 0);
+  validation_pass(a, ops, length, pre_construction, emit, skip_replay);
+  structural_pass(a, ops, length, emit, skip_replay);
+  warning_pass(a, ops, emit, skip_replay, lint_rules);
+}
+
 LintReport lint_impl(const arch::Architecture& a,
                      const std::vector<sched::ScheduledOp>& ops, int length,
                      bool pre_construction) {
@@ -431,10 +525,7 @@ LintReport lint_impl(const arch::Architecture& a,
     report.diagnostics.push_back(Diagnostic{
         f.rule, f.severity, f.locus, std::move(f.message), hint_for(f.rule)});
   };
-  std::vector<char> skip_replay(ops.size(), 0);
-  validation_pass(a, ops, length, pre_construction, collect, skip_replay);
-  structural_pass(a, ops, length, collect, skip_replay);
-  warning_pass(a, ops, collect, skip_replay);
+  run_passes(a, ops, length, pre_construction, /*lint_rules=*/true, collect);
   return report;
 }
 
@@ -455,6 +546,28 @@ LintReport lint_schedule(const arch::Architecture& architecture,
 LintReport lint_context(const sched::ConfigurationContext& context) {
   return lint_impl(context.architecture(), context.ops(), context.length(),
                    /*pre_construction=*/false);
+}
+
+LegalityReport check_legality(const sched::ConfigurationContext& context) {
+  LegalityReport legality;
+  const EmitFn collect = [&legality](Finding f) {
+    if (blocks_hardware(f.severity, f.rule))
+      legality.fail(std::string(f.rule) + ": " + f.message);
+  };
+  run_passes(context.architecture(), context.ops(), context.length(),
+             /*pre_construction=*/false, /*lint_rules=*/false, collect);
+  return legality;
+}
+
+void require_legal(const sched::ConfigurationContext& context) {
+  const LegalityReport legality = check_legality(context);
+  if (!legality.ok)
+    throw Error("illegal configuration context: " +
+                legality.violations.front() +
+                (legality.violations.size() > 1
+                     ? " (+" + std::to_string(legality.violations.size() - 1) +
+                           " more)"
+                     : ""));
 }
 
 void verify_context(const sched::ConfigurationContext& context) {

@@ -4,8 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "analysis/verifier.hpp"
 #include "dse/pareto.hpp"
-#include "sched/legality.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -94,7 +94,7 @@ KernelPrep prepare_kernel(const kernels::Workload& workload) {
       mapper.map(workload.kernel, workload.hints, workload.reduction);
   sched::ConfigurationContext base_context =
       scheduler.schedule(program, base);
-  sched::require_legal(base_context);
+  analysis::require_legal(base_context);
   return KernelPrep{std::move(program), std::move(base_context)};
 }
 

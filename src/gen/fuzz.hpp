@@ -1,7 +1,7 @@
 // Differential fuzzing harness over the generated-kernel family.
 //
 // `fuzz_one(seed)` drives gen::generate_workload(seed) through the whole
-// toolchain — map, schedule, legality — and cross-checks every execution
+// toolchain — map, schedule, lint — and cross-checks every execution
 // path against every other on a rotating subset of the standard
 // architecture suite:
 //

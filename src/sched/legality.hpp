@@ -1,39 +1,15 @@
-// Independent legality verification of configuration contexts.
-//
-// Re-checks every architectural constraint from scratch, without trusting
-// anything the scheduler recorded. The property-based test suites run this
-// on every (kernel × architecture) combination.
+// Forwarding header: legality checking lives in analysis/verifier.hpp,
+// the one legality engine. This header stays only because the frozen
+// benchmark sources (perfbench/src/dse_cold.cpp and fuzz_gen.cpp) include
+// it; new code includes analysis/verifier.hpp and calls the analysis names.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "sched/context.hpp"
+#include "analysis/verifier.hpp"
 
 namespace rsp::sched {
 
-struct LegalityReport {
-  bool ok = true;
-  std::vector<std::string> violations;
-
-  void fail(std::string what) {
-    ok = false;
-    violations.push_back(std::move(what));
-  }
-};
-
-/// Checks:
-///  1. dataflow: consumer.cycle >= producer.cycle + producer.latency;
-///  2. PE exclusivity: at most one op per PE per cycle;
-///  3. row bus caps: loads <= read buses, stores <= write buses per row/cycle;
-///  4. shared units: every mult on a sharing architecture has a unit, the
-///     unit is reachable from the PE, and no unit accepts two issues in one
-///     cycle; on non-sharing architectures no op names a unit;
-///  5. latencies match the architecture (mult_latency for mults, 1 else);
-///  6. every producer→consumer edge is routable in one hop.
-LegalityReport check_legality(const ConfigurationContext& context);
-
-/// Throws rsp::Error with the first violation if the context is illegal.
-void require_legal(const ConfigurationContext& context);
+using analysis::LegalityReport;
+using analysis::check_legality;
+using analysis::require_legal;
 
 }  // namespace rsp::sched

@@ -20,18 +20,11 @@ SimEngine parse_sim_engine(const std::string& name) {
                              "' (expected 'dense' or 'event')");
 }
 
-void validate_context(const sched::ConfigurationContext& context) {
-  // The per-op validation rules (and their exact messages) live in the
-  // static analysis layer, which is also the engine behind `rsp_cli lint`
-  // — one source of truth for legality.
-  analysis::verify_context(context);
-}
-
 SimResult Machine::run(const sched::ConfigurationContext& context,
                        ir::Memory& memory) const {
   if (engine_ == SimEngine::kEvent)
     return SimProgram::compile(context).run(memory, mode_);
-  validate_context(context);
+  analysis::verify_context(context);
   return run_dense(context, memory);
 }
 

@@ -70,24 +70,19 @@ const char* engine_name(SimEngine engine);
 /// Inverse of engine_name; throws InvalidArgumentError on anything else.
 SimEngine parse_sim_engine(const std::string& name);
 
-/// Entry-path validation shared by both engines: every op's issue cycle
-/// must lie in [0, length) and every operand must reference an in-range
-/// producer (or be an immediate). Violations throw InvalidArgumentError
-/// naming the op — out-of-range indices would otherwise walk off the
-/// per-cycle issue table. ConfigurationContext establishes these
-/// invariants at construction; the simulator re-checks so it never trusts
-/// a context it did not build.
-void validate_context(const sched::ConfigurationContext& context);
-
 class Machine {
  public:
   explicit Machine(ir::DatapathMode mode = ir::DatapathMode::kExact,
                    SimEngine engine = SimEngine::kDense)
       : mode_(mode), engine_(engine) {}
 
-  /// Runs the context to completion, mutating `memory`.
-  /// Throws rsp::Error on any structural violation encountered while
-  /// executing (double-booked PE/bus/unit, operand not ready, ...).
+  /// Runs the context to completion, mutating `memory`. Both engines first
+  /// run analysis::verify_context, which throws InvalidArgumentError naming
+  /// the op for an issue cycle outside [0, length) or an out-of-range
+  /// producer or order dep — such indices would otherwise walk off the
+  /// per-cycle issue table. Throws rsp::Error on any structural violation
+  /// encountered while executing (double-booked PE/bus/unit, operand not
+  /// ready, ...).
   SimResult run(const sched::ConfigurationContext& context,
                 ir::Memory& memory) const;
 

@@ -14,7 +14,7 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
   // the structural replay over the dense loop's issue order (Error). A
   // context that compiles is exactly a context the linter reports no
   // errors on, message for message.
-  validate_context(context);
+  analysis::verify_context(context);
   analysis::verify_structural(context);
 
   const arch::Architecture& a = context.architecture();

@@ -187,6 +187,45 @@ TEST(LintValidation, V006UnitOutsidePoolsMatchesSimulatorMessage) {
   EXPECT_EQ(d->message, run_error(ctx));
 }
 
+TEST(LintValidation, V007OrderDepOutOfRangeMatchesSimulatorMessage) {
+  std::vector<sched::ScheduledOp> ops(1);
+  ops[0].kind = ir::OpKind::kLoad;
+  ops[0].array = "x";
+  ops[0].order_deps = {4};  // only op 0 exists
+  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
+
+  const LintReport report = analysis::lint_context(ctx);
+  const Diagnostic* d = find_rule(report, "RSP-V007");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_EQ(d->locus.op, 0);
+  EXPECT_EQ(d->message, run_error(ctx));
+  EXPECT_THROW(analysis::verify_context(ctx), InvalidArgumentError);
+}
+
+TEST(LintValidation, V007BoundsOrderDepsOfScheduleDocuments) {
+  // Any int64 decodes; out-of-range deps on either side are named
+  // findings, never an out-of-bounds read (the asan preset runs this).
+  const analysis::ScheduleDocument doc = analysis::parse_schedule(
+      "{\"arch\": \"Base\", \"ops\": ["
+      "{\"op\": \"load\", \"pe\": [0, 0], \"cycle\": 0, "
+      "\"array\": \"x\", \"order_deps\": [5000000000, 1]},"
+      "{\"op\": \"load\", \"pe\": [0, 1], \"cycle\": 2, "
+      "\"array\": \"x\", \"order_deps\": [-1, -9000000000000000000]}]}");
+  const LintReport report =
+      analysis::lint_schedule(doc.architecture, doc.ops);
+  std::vector<int> v007_ops;
+  for (const Diagnostic& d : report.diagnostics)
+    if (d.rule == "RSP-V007") v007_ops.push_back(d.locus.op);
+  EXPECT_EQ(v007_ops, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(report.error_count(), 3);
+  // The in-range dep (op 0 waits for op 1 at cycle 2) is a hardware
+  // finding, not an error.
+  const Diagnostic* w = find_rule(report, "RSP-W009");
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->locus.op, 0);
+}
+
 // ------------------------------------------------- structural rules (S)
 
 TEST(LintStructural, S001PeDoubleBookedMatchesCompileMessage) {
@@ -453,6 +492,76 @@ TEST(LintWarnings, W008UnitUnreachableFromPe) {
   const Diagnostic* d = find_rule(report, "RSP-W008");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->locus.op, 0);
+}
+
+TEST(LintWarnings, W009OrderDepNotDone) {
+  std::vector<sched::ScheduledOp> ops(2);
+  ops[0].kind = ir::OpKind::kStore;
+  ops[0].array = "x";
+  ops[0].operands = {sched::ProgOperand{-1, 7}};
+  ops[1].kind = ir::OpKind::kLoad;
+  ops[1].pe = {1, 0};
+  ops[1].array = "x";
+  ops[1].order_deps = {0};  // must wait for the store; issues with it
+  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
+
+  const LintReport report = analysis::lint_context(ctx);
+  EXPECT_TRUE(report.clean());
+  const Diagnostic* d = find_rule(report, "RSP-W009");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kWarning);
+  EXPECT_EQ(d->locus.op, 1);
+  EXPECT_TRUE(analysis::blocks_hardware(d->severity, d->rule));
+  EXPECT_FALSE(analysis::check_legality(ctx).ok);
+}
+
+TEST(LintWarnings, W010LatencyDiffersFromArchitecture) {
+  const arch::Architecture a = arch::rsp_architecture(1);  // 2 stages
+  std::vector<sched::ScheduledOp> ops(1);
+  ops[0].kind = ir::OpKind::kMult;
+  ops[0].latency = 3;
+  ops[0].operands = {sched::ProgOperand{-1, 2}, sched::ProgOperand{-1, 3}};
+  ops[0].unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kRow, 0, 0};
+  const sched::ConfigurationContext ctx(a, ops);
+
+  const LintReport report = analysis::lint_context(ctx);
+  EXPECT_TRUE(report.clean());
+  const Diagnostic* d = find_rule(report, "RSP-W010");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->locus.op, 0);
+  EXPECT_TRUE(analysis::blocks_hardware(d->severity, d->rule));
+  EXPECT_FALSE(analysis::check_legality(ctx).ok);
+}
+
+TEST(LintWarnings, W011UnitOnOpThatTakesNone) {
+  const arch::Architecture a = arch::rsp_architecture(1);
+  std::vector<sched::ScheduledOp> ops(1);
+  ops[0].kind = ir::OpKind::kConst;  // not a critical op
+  ops[0].unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kRow, 0, 0};
+  const sched::ConfigurationContext ctx(a, ops);
+
+  const LintReport report = analysis::lint_context(ctx);
+  EXPECT_TRUE(report.clean());
+  const Diagnostic* d = find_rule(report, "RSP-W011");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->locus.op, 0);
+  EXPECT_TRUE(analysis::blocks_hardware(d->severity, d->rule));
+  EXPECT_FALSE(analysis::check_legality(ctx).ok);
+}
+
+TEST(LintWarnings, LintOnlyRulesDoNotBlockTheHardware) {
+  // A dead value (W002) is suspicious, not illegal: check_legality skips
+  // the lint-only pass, and the legality read off a full lint agrees.
+  std::vector<sched::ScheduledOp> ops(1);
+  ops[0].kind = ir::OpKind::kConst;
+  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
+
+  const LintReport report = analysis::lint_context(ctx);
+  const Diagnostic* d = find_rule(report, "RSP-W002");
+  ASSERT_NE(d, nullptr);
+  EXPECT_FALSE(analysis::blocks_hardware(d->severity, d->rule));
+  EXPECT_TRUE(analysis::legality_of(report).ok);
+  EXPECT_TRUE(analysis::check_legality(ctx).ok);
 }
 
 // ------------------------------------------------- toolchain rule (T001)

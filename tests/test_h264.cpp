@@ -5,10 +5,10 @@
 
 #include <tuple>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "core/evaluator.hpp"
 #include "kernels/h264.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
@@ -43,7 +43,7 @@ TEST_P(H264OnArch, SimulatorMatchesGolden) {
   const sched::ContextScheduler scheduler;
   const sched::ConfigurationContext ctx =
       scheduler.schedule(mapper.map(w.kernel, w.hints, w.reduction), a);
-  sched::require_legal(ctx);
+  analysis::require_legal(ctx);
 
   ir::Memory mem, golden;
   w.setup(mem);

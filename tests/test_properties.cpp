@@ -5,11 +5,11 @@
 // kernels.
 #include <gtest/gtest.h>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "ir/builder.hpp"
 #include "ir/interp.hpp"
 #include "kernels/workload.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
@@ -144,7 +144,7 @@ TEST_P(RandomKernelSweep, LegalAndCorrectOnAllArchitectures) {
 
   for (const arch::Architecture& a : arch::standard_suite()) {
     const sched::ConfigurationContext ctx = scheduler.schedule(program, a);
-    const sched::LegalityReport rep = sched::check_legality(ctx);
+    const analysis::LegalityReport rep = analysis::check_legality(ctx);
     ASSERT_TRUE(rep.ok) << a.name << ": " << rep.violations.front();
 
     ir::Memory sim_mem = golden_mem;

@@ -4,11 +4,11 @@
 // beyond the calibrated bus-switch fan-out.
 #include <gtest/gtest.h>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/matmul.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
@@ -32,7 +32,7 @@ TEST_P(MatmulOrder, EndToEndOnMatchingArray) {
         arch::custom_architecture("RSP", n, n, 1, 0, 2),
         arch::custom_architecture("RSP-cols", n, n, 0, 1, 2)}) {
     const sched::ConfigurationContext ctx = s.schedule(p, a);
-    sched::require_legal(ctx);
+    analysis::require_legal(ctx);
     ir::Memory mem, golden;
     w.setup(mem);
     w.setup(golden);
@@ -59,7 +59,7 @@ TEST(Scaling, CostModelsExtrapolateBeyondCalibration) {
   const sched::ContextScheduler s;
   const sched::ConfigurationContext ctx =
       s.schedule(mapper.map(w.kernel, w.hints, w.reduction), big);
-  EXPECT_TRUE(sched::check_legality(ctx).ok);
+  EXPECT_TRUE(analysis::check_legality(ctx).ok);
 }
 
 TEST(Scaling, AreaGrowsQuadraticallyClockStaysFlat) {
@@ -90,7 +90,7 @@ TEST(Scaling, RectangularArraysWork) {
   const sched::PlacedProgram p =
       wide_mapper.map(w.kernel, hints, w.reduction);
   const sched::ConfigurationContext ctx = s.schedule(p, a);
-  EXPECT_TRUE(sched::check_legality(ctx).ok);
+  EXPECT_TRUE(analysis::check_legality(ctx).ok);
 }
 
 TEST(Scaling, DseOnSmallArray) {

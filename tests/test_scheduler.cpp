@@ -7,11 +7,11 @@
 #include <set>
 #include <typeinfo>
 
+#include "analysis/verifier.hpp"
 #include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/registry.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/report.hpp"
@@ -35,7 +35,7 @@ TEST(Scheduler, BaseScheduleIsLegalForEveryKernel) {
   const ContextScheduler s;
   for (const auto& w : kernels::paper_suite()) {
     const ConfigurationContext ctx = s.schedule(place(w), base_for(w));
-    const LegalityReport rep = check_legality(ctx);
+    const analysis::LegalityReport rep = analysis::check_legality(ctx);
     EXPECT_TRUE(rep.ok) << w.name << ": "
                         << (rep.violations.empty() ? ""
                                                    : rep.violations.front());

@@ -11,11 +11,11 @@
 #include <sstream>
 #include <tuple>
 
+#include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "ir/interp.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/registry.hpp"
-#include "sched/legality.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
@@ -48,7 +48,7 @@ TEST_P(KernelOnArch, SimulatorMatchesGoldenModel) {
       mapper.map(w.kernel, w.hints, w.reduction);
   const sched::ContextScheduler scheduler;
   const sched::ConfigurationContext context = scheduler.schedule(program, a);
-  sched::require_legal(context);
+  analysis::require_legal(context);
 
   ir::Memory sim_mem, event_mem, golden_mem;
   w.setup(sim_mem);
