@@ -92,6 +92,8 @@ const char* hint_for(const std::string& rule) {
     return "shared-unit line/index must fit the architecture's pools";
   if (rule == "RSP-V007")
     return "order deps must index an op of this program";
+  if (rule == "RSP-V008")
+    return "an op must end (issue cycle + latency) within 2^21 cycles";
   if (rule == "RSP-S001")
     return "a PE issues one op per cycle and blocks for every stage of a "
            "multi-cycle op";
@@ -179,7 +181,16 @@ void validation_pass(const arch::Architecture& a,
   const auto size = static_cast<sched::ProgIndex>(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const sched::ScheduledOp& op = ops[i];
-    if (op.cycle < 0 || op.cycle >= length) {
+    // In 64 bits: a schedule document may carry any int cycle and latency.
+    const std::int64_t end = std::int64_t{op.cycle} + op.latency;
+    if (op.cycle >= 0 && op.latency >= 1 && end > kMaxScheduleLength) {
+      skip_replay[i] = 1;
+      emit({"RSP-V008", Severity::kError, locus_of(i, op),
+            "simulator: op " + std::to_string(i) + " ends at cycle " +
+                std::to_string(end) + ", past the " +
+                std::to_string(kMaxScheduleLength) +
+                "-cycle bound on schedules"});
+    } else if (op.cycle < 0 || op.cycle >= length) {
       skip_replay[i] = 1;
       const std::string message =
           pre_construction && op.cycle < 0
@@ -246,9 +257,13 @@ void structural_pass(const arch::Architecture& a,
                      const std::vector<char>& skip_replay) {
   const arch::ArraySpec& array = a.array;
   const auto n = ops.size();
+  // Every replayed op ends by kMaxScheduleLength (RSP-V008 skips the
+  // rest), so a longer context replays no further.
+  length = static_cast<int>(
+      std::min<std::int64_t>(std::max(length, 0), kMaxScheduleLength));
   // Issue order as one counting sort over two flat arrays: the ops issued
   // at cycle t are issue[start[t] .. start[t + 1]), ascending by index.
-  const auto cycles = static_cast<std::size_t>(std::max(length, 0));
+  const auto cycles = static_cast<std::size_t>(length);
   std::vector<std::size_t> start(cycles + 2, 0);
   for (std::size_t i = 0; i < n; ++i)
     if (!skip_replay[i]) ++start[static_cast<std::size_t>(ops[i].cycle) + 2];
@@ -339,8 +354,8 @@ void structural_pass(const arch::Architecture& a,
   }
 }
 
-/// Warning rules: everything here is simulator-legal (the engines accept
-/// the context and produce deterministic values). The hardware rules
+/// Warning rules: everything here is simulator-legal (the simulator accepts
+/// the context and produces deterministic values). The hardware rules
 /// (kHardwareRules: W001, W007–W011) flag what the array cannot execute and
 /// always run. The lint-only rules (W002–W006) flag what is almost
 /// certainly not what the schedule's author meant; they run only when
@@ -386,7 +401,7 @@ void warning_pass(const arch::Architecture& a,
                     std::to_string(prod.iter)});
       }
       // RSP-W007: the operand has no single-hop route in the interconnect.
-      // The simulators move values by index and never check this.
+      // The simulator moves values by index and never checks this.
       if (!skip_replay[i] && !skip_replay[p] &&
           array.route(prod.pe, op.pe) == arch::RouteKind::kNone)
         emit({"RSP-W007", Severity::kWarning, locus_of(i, op),
@@ -400,8 +415,8 @@ void warning_pass(const arch::Architecture& a,
     const bool takes_unit =
         ir::is_critical_op(op.kind) && a.shares_multiplier();
     // RSP-W008: a unit that exists but sits on a row/column pool the PE's
-    // bus switch does not reach (again simulator-legal: the engines index
-    // units globally).
+    // bus switch does not reach (again simulator-legal: the simulator
+    // indexes units globally).
     if (!skip_replay[i] && takes_unit && op.unit &&
         unit_in_pools(a, *op.unit)) {
       const auto reachable = a.sharing.reachable_units(array, op.pe);
@@ -414,8 +429,8 @@ void warning_pass(const arch::Architecture& a,
                   std::to_string(op.pe.col) + ")"});
     }
     // RSP-W009: a memory-order predecessor (RAW/WAR/WAW through data
-    // memory) has not completed when the op issues. The simulators apply
-    // memory ops in issue order and never read order_deps.
+    // memory) has not completed when the op issues. The simulator applies
+    // memory ops in issue order and never reads order_deps.
     for (const sched::ProgIndex d : op.order_deps) {
       if (d < 0 || d >= size) continue;  // RSP-V007
       const sched::ScheduledOp& pred = ops[static_cast<std::size_t>(d)];
@@ -428,7 +443,7 @@ void warning_pass(const arch::Architecture& a,
                   "predecessor " + std::to_string(d) + " completes at cycle " +
                   std::to_string(done)});
     }
-    // RSP-W010: the simulators time values by each op's own latency; the
+    // RSP-W010: the simulator times values by each op's own latency; the
     // array's timing is fixed by the architecture.
     const int expected_latency =
         ir::is_critical_op(op.kind) ? a.mult_latency() : 1;
@@ -438,7 +453,7 @@ void warning_pass(const arch::Architecture& a,
                 ") has latency " + std::to_string(op.latency) +
                 " but architecture '" + a.name + "' dictates " +
                 std::to_string(expected_latency)});
-    // RSP-W011: a unit on an op that takes none; the simulators ignore it.
+    // RSP-W011: a unit on an op that takes none; the simulator ignores it.
     if (op.unit && !takes_unit)
       emit({"RSP-W011", Severity::kWarning, locus_of(i, op),
             "op " + std::to_string(i) + " (" + ir::op_name(op.kind) +
@@ -458,7 +473,7 @@ void warning_pass(const arch::Architecture& a,
                 ") computes a value no other op consumes"});
 
   // RSP-W004/W005: same-cycle conflicts on one memory port
-  // (array, address). The engines resolve both deterministically in issue
+  // (array, address). The simulator resolves both deterministically in issue
   // order, but the outcome depends on that order, not the dataflow.
   std::map<std::tuple<int, std::string, long>,
            std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
@@ -535,11 +550,14 @@ LintReport lint_schedule(const arch::Architecture& architecture,
                          const std::vector<sched::ScheduledOp>& ops) {
   architecture.validate();
   // The length the ConfigurationContext constructor would compute, over the
-  // ops it would accept; rejected ops are diagnosed, not measured.
+  // ops it would accept; rejected ops (RSP-V001/V002/V008) are diagnosed,
+  // not measured.
   int length = 0;
-  for (const sched::ScheduledOp& op : ops)
-    if (op.cycle >= 0 && op.latency >= 1)
-      length = std::max(length, op.cycle + op.latency);
+  for (const sched::ScheduledOp& op : ops) {
+    const std::int64_t end = std::int64_t{op.cycle} + op.latency;
+    if (op.cycle >= 0 && op.latency >= 1 && end <= kMaxScheduleLength)
+      length = std::max(length, static_cast<int>(end));
+  }
   return lint_impl(architecture, ops, length, /*pre_construction=*/true);
 }
 

@@ -5,22 +5,22 @@
 //   * `lint_*` walk every rule and return a full LintReport — the engine
 //     behind `rsp_cli lint`, the v2 protocol `lint` op and the fuzzer.
 //   * `verify_context` / `verify_structural` stop at the first violation
-//     and throw exactly what the simulator historically threw
-//     (InvalidArgumentError for per-op validation rules, rsp::Error for
-//     structural-replay rules). `sim::Machine::run` and
-//     `sim::SimProgram::compile` call them, so a compile-time error and
-//     the corresponding lint finding carry identical messages.
+//     and throw (InvalidArgumentError for per-op validation rules,
+//     rsp::Error for structural-replay rules). `sim::SimProgram::compile`
+//     calls them, so a simulator refusal and the corresponding lint
+//     finding carry identical messages.
 //   * `check_legality` / `require_legal` decide whether scheduler output
 //     can run on the array: no error and no finding of kHardwareRules.
 //     They run the validation, structural and hardware passes and skip
 //     the lint-only warnings.
 //
-// The dense reference engine (`Machine::run_dense`) intentionally keeps its
-// own inline checks: it is the independent implementation the differential
-// tests compare everything else against.
+// The dense reference loop in tests/test_sim.cpp keeps its own inline
+// checks: it is the independent implementation the simulator's refusals
+// are compared against.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,13 +32,19 @@
 
 namespace rsp::analysis {
 
-/// Warnings the simulators tolerate but the array cannot execute: a value
+/// Latest cycle an op may end at (issue cycle + latency): twice the
+/// scheduler's default `max_cycles` issue bound (2^20), so no toolchain
+/// schedule reaches it. A later op is an RSP-V008 error and stays out of
+/// the length and the structural replay, which allocates per cycle.
+inline constexpr std::int64_t kMaxScheduleLength = std::int64_t{1} << 21;
+
+/// Warnings the simulator tolerates but the array cannot execute: a value
 /// read before it exists (W001), an operand with no route (W007), a shared
 /// unit the PE's bus switch cannot reach (W008), a memory-order
 /// predecessor not yet done (W009), a latency other than the
 /// architecture's (W010) and a shared unit named by an op that takes none
 /// (W011). docs/ANALYSIS.md explains why each is stricter than the
-/// simulators.
+/// simulator.
 inline constexpr std::array<std::string_view, 6> kHardwareRules = {
     "RSP-W001", "RSP-W007", "RSP-W008", "RSP-W009", "RSP-W010", "RSP-W011"};
 
@@ -80,7 +86,7 @@ void require_legal(const sched::ConfigurationContext& context);
 
 /// Per-op validation rules (RSP-V*) in op-index order; throws
 /// InvalidArgumentError with the first violation's message. This is the
-/// simulators' entry-point check.
+/// simulator's entry-point check.
 void verify_context(const sched::ConfigurationContext& context);
 
 /// Structural-replay rules (RSP-S*) in issue order (cycle asc, op index

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/report_json.hpp"
-#include "sim/machine.hpp"
 #include "util/error.hpp"
 
 namespace rsp::api {
@@ -95,13 +94,6 @@ DseRequest parse_dse_request(const util::Json& doc) {
   return request;
 }
 
-// Optional "engine" payload field shared by simulate / simulate_batch /
-// vcd; absent selects the production event engine.
-sim::SimEngine parse_engine_field(const util::Json& doc) {
-  if (!doc.contains("engine")) return sim::SimEngine::kEvent;
-  return sim::parse_sim_engine(doc.at("engine").as_string());
-}
-
 std::string require_string(const util::Json& doc, const char* field,
                            const std::string& op) {
   if (!doc.contains(field))
@@ -170,18 +162,16 @@ Request decode_v2_request(const util::Json& doc) {
     return BitstreamRequest{kernel, arch};
   }
   if (op == "simulate" || op == "vcd") {
-    require_known_fields(doc, op, {"kernel", "arch", "engine"});
+    require_known_fields(doc, op, {"kernel", "arch"});
     const std::string kernel = require_string(doc, "kernel", op);
     const std::string arch = require_string(doc, "arch", op);
-    const sim::SimEngine engine = parse_engine_field(doc);
-    if (op == "simulate") return SimulateRequest{kernel, arch, engine};
-    return VcdRequest{kernel, arch, engine};
+    if (op == "simulate") return SimulateRequest{kernel, arch};
+    return VcdRequest{kernel, arch};
   }
   if (op == "simulate_batch") {
-    require_known_fields(doc, op, {"kernel", "archs", "engine"});
+    require_known_fields(doc, op, {"kernel", "archs"});
     SimulateBatchRequest request;
     request.kernel = require_string(doc, "kernel", op);
-    request.engine = parse_engine_field(doc);
     if (doc.contains("archs")) {
       const util::Json& list = doc.at("archs");
       if (!list.is_array() || list.size() == 0)
@@ -318,7 +308,6 @@ util::Json to_body(const SimulateResponse& resp) {
   util::Json body = ok_body("simulate");
   body.set("kernel", resp.kernel)
       .set("arch", resp.arch)
-      .set("engine", resp.engine)
       .set("cycles", resp.cycles)
       .set("pe_utilization_percent", 100.0 * resp.pe_utilization)
       .set("matches_golden", resp.matches_golden);
@@ -336,9 +325,7 @@ util::Json to_body(const SimulateBatchResponse& resp) {
     rows.push(std::move(entry));
   }
   util::Json body = ok_body("simulate_batch");
-  body.set("kernel", resp.kernel)
-      .set("engine", resp.engine)
-      .set("results", std::move(rows));
+  body.set("kernel", resp.kernel).set("results", std::move(rows));
   return body;
 }
 

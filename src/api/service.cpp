@@ -1,5 +1,6 @@
 #include "api/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -193,17 +194,13 @@ MapResponse Service::map(const MapRequest& request) const {
 }
 
 std::shared_ptr<const Service::SimRun> Service::sim_run(
-    const kernels::Workload& w, const arch::Architecture& a,
-    sim::SimEngine engine) const {
-  const std::string key =
-      w.name + '\n' + a.name + '\n' + sim::engine_name(engine);
-  return sim_runs_.get_or_compute(key, [&]() {
+    const kernels::Workload& w, const arch::Architecture& a) const {
+  return sim_runs_.get_or_compute(w.name + '\n' + a.name, [&]() {
     sched::ConfigurationContext ctx = schedule_for(w, a);
     ir::Memory mem, golden;
     w.setup(mem);
     w.setup(golden);
-    const sim::SimResult result =
-        sim::Machine(ir::DatapathMode::kExact, engine).run(ctx, mem);
+    const sim::SimResult result = sim::Machine().run(ctx, mem);
     w.golden(golden);
     return std::make_shared<const SimRun>(
         SimRun{std::move(ctx), result, mem == golden});
@@ -214,11 +211,10 @@ SimulateResponse Service::simulate(const SimulateRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
-  const std::shared_ptr<const SimRun> run = sim_run(w, a, request.engine);
+  const std::shared_ptr<const SimRun> run = sim_run(w, a);
   SimulateResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;
-  resp.engine = sim::engine_name(request.engine);
   resp.cycles = run->result.stats.cycles;
   resp.pe_utilization = run->result.stats.pe_utilization();
   resp.matches_golden = run->matches_golden;
@@ -232,8 +228,17 @@ SimulateBatchResponse Service::simulate_batch(
   if (request.archs.empty()) {
     archs = arch::standard_suite(w.array.rows, w.array.cols);
   } else {
-    for (const std::string& name : request.archs)
+    // Rejecting repeats bounds a request at the nine suite designs: every
+    // listed name costs a context and a memory before anything runs.
+    for (const std::string& name : request.archs) {
+      if (std::any_of(archs.begin(), archs.end(),
+                      [&](const arch::Architecture& a) {
+                        return a.name == name;
+                      }))
+        throw InvalidArgumentError("simulate_batch: architecture '" + name +
+                                   "' is listed more than once");
       archs.push_back(architecture(name, w.array.rows, w.array.cols));
+    }
   }
 
   std::vector<sched::ConfigurationContext> contexts;
@@ -254,7 +259,6 @@ SimulateBatchResponse Service::simulate_batch(
   // futures, never the reverse (see the class comment).
   runtime::SimBatchOptions options;
   options.pool = &workers_;
-  options.engine = request.engine;
   const std::vector<runtime::SimBatchResult> outcomes =
       runtime::simulate_many(pointers, std::move(memories), options);
 
@@ -264,12 +268,10 @@ SimulateBatchResponse Service::simulate_batch(
 
   SimulateBatchResponse resp;
   resp.kernel = w.name;
-  resp.engine = sim::engine_name(request.engine);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     SimulateResponse row;
     row.kernel = w.name;
     row.arch = archs[i].name;
-    row.engine = resp.engine;
     row.cycles = outcomes[i].result.stats.cycles;
     row.pe_utilization = outcomes[i].result.stats.pe_utilization();
     row.matches_golden = outcomes[i].memory == golden;
@@ -298,8 +300,8 @@ VcdResponse Service::vcd(const VcdRequest& request) const {
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
   // Shares the memoized run with `simulate`: the simulate+vcd pair on the
-  // same (kernel, arch, engine) costs one simulation.
-  const std::shared_ptr<const SimRun> run = sim_run(w, a, request.engine);
+  // same (kernel, arch) costs one simulation.
+  const std::shared_ptr<const SimRun> run = sim_run(w, a);
   VcdResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;

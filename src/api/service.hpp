@@ -66,18 +66,15 @@ struct MapRequest {
 struct SimulateRequest {
   std::string kernel;
   std::string arch;
-  /// Which simulator core runs the schedule. Both engines are bit-identical
-  /// on legal contexts (docs/SIMULATOR.md); event is the production path.
-  sim::SimEngine engine = sim::SimEngine::kEvent;
 };
 
 /// One kernel simulated across many architectures on the shared worker
 /// pool (runtime::simulate_many). Empty `archs` runs the full standard
-/// suite — the paper's nine designs.
+/// suite — the paper's nine designs. A name listed twice is rejected, so
+/// one request simulates at most those nine.
 struct SimulateBatchRequest {
   std::string kernel;
   std::vector<std::string> archs;
-  sim::SimEngine engine = sim::SimEngine::kEvent;
 };
 
 struct RtlRequest {
@@ -91,9 +88,6 @@ struct DotRequest {
 struct VcdRequest {
   std::string kernel;
   std::string arch;
-  /// The VCD bytes are engine-independent (bit-identity guarantee); the
-  /// choice only selects which memoized simulation run is shared.
-  sim::SimEngine engine = sim::SimEngine::kEvent;
 };
 
 struct BitstreamRequest {
@@ -174,7 +168,6 @@ struct MapResponse {
 struct SimulateResponse {
   std::string kernel;
   std::string arch;
-  std::string engine;  ///< "dense" or "event"
   int cycles = 0;
   double pe_utilization = 0.0;
   bool matches_golden = false;
@@ -182,7 +175,6 @@ struct SimulateResponse {
 
 struct SimulateBatchResponse {
   std::string kernel;
-  std::string engine;
   std::vector<SimulateResponse> rows;  ///< requested order
 };
 
@@ -346,13 +338,12 @@ class Service {
     bool matches_golden = false;
   };
 
-  /// Runs (or recalls) the simulation of `w` on `a` under `engine`. Keys by
-  /// kernel name × architecture name × engine — both names resolve through
-  /// fixed tables (the catalogue and the standard suite), so a name pins
-  /// the full configuration.
+  /// Runs (or recalls) the simulation of `w` on `a`. Keys by kernel name ×
+  /// architecture name — both names resolve through fixed tables (the
+  /// catalogue and the standard suite), so a name pins the full
+  /// configuration.
   std::shared_ptr<const SimRun> sim_run(const kernels::Workload& w,
-                                        const arch::Architecture& a,
-                                        sim::SimEngine engine) const;
+                                        const arch::Architecture& a) const;
 
   // Declaration order is destruction-order-critical: the pools must be
   // destroyed (draining their queued tasks) *before* the caches and

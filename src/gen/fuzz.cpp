@@ -100,31 +100,15 @@ FuzzReport fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
 
       for (int m = 0; m < 2; ++m) {
         const ir::DatapathMode mode = modes[m];
-        ir::Memory dense_memory = initial;
-        const sim::SimResult dense =
-            sim::Machine(mode, sim::SimEngine::kDense).run(ctx, dense_memory);
-        ir::Memory event_memory = initial;
-        const sim::SimResult event =
-            sim::Machine(mode, sim::SimEngine::kEvent).run(ctx, event_memory);
+        ir::Memory memory = initial;
+        const sim::SimResult result = sim::Machine(mode).run(ctx, memory);
         if (options.inject_event_bug) {
           // names() returns by value; copy the name out of the temporary.
-          const std::string array = event_memory.names().front();
-          event_memory.write(array, 0, event_memory.read(array, 0) + 1);
+          const std::string array = memory.names().front();
+          memory.write(array, 0, memory.read(array, 0) + 1);
         }
 
-        if (!(dense == event)) {
-          report.ok = false;
-          report.detail = fail_prefix(seed, a.name, mode) +
-                          "dense and event SimResults diverge";
-          return report;
-        }
-        if (!(dense_memory == event_memory)) {
-          report.ok = false;
-          report.detail = fail_prefix(seed, a.name, mode) +
-                          "dense and event final memories diverge";
-          return report;
-        }
-        if (!(dense_memory == reference_memory[m])) {
+        if (!(memory == reference_memory[m])) {
           report.ok = false;
           report.detail = fail_prefix(seed, a.name, mode) +
                           "simulator final memory diverges from the "
@@ -141,11 +125,11 @@ FuzzReport fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
             continue;
           const std::int64_t expected = reference_values[m].values[
               static_cast<std::size_t>(op.source)];
-          if (dense.values[i] != expected) {
+          if (result.values[i] != expected) {
             report.ok = false;
             report.detail = fail_prefix(seed, a.name, mode) + "op " +
                             std::to_string(i) + " value " +
-                            std::to_string(dense.values[i]) +
+                            std::to_string(result.values[i]) +
                             " != interpreter value " +
                             std::to_string(expected);
             return report;
@@ -196,17 +180,11 @@ FuzzReport service_smoke(std::uint64_t seed) {
         eval.rows.size() != arch::standard_suite().size())
       return fail("eval returned an unexpected row set");
 
-    for (const sim::SimEngine engine :
-         {sim::SimEngine::kDense, sim::SimEngine::kEvent}) {
-      const api::SimulateResponse sim =
-          service.simulate({name, "RSP#4", engine});
-      if (!sim.matches_golden)
-        return fail(std::string("simulate (") + sim::engine_name(engine) +
-                    ") does not match golden");
-    }
+    if (!service.simulate({name, "RSP#4"}).matches_golden)
+      return fail("simulate does not match golden");
 
     const api::SimulateBatchResponse batch =
-        service.simulate_batch({name, {}, sim::SimEngine::kEvent});
+        service.simulate_batch({name, {}});
     for (const api::SimulateResponse& row : batch.rows)
       if (!row.matches_golden)
         return fail("simulate_batch row " + row.arch +

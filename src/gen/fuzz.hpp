@@ -1,12 +1,10 @@
 // Differential fuzzing harness over the generated-kernel family.
 //
 // `fuzz_one(seed)` drives gen::generate_workload(seed) through the whole
-// toolchain — map, schedule, lint — and cross-checks every execution
-// path against every other on a rotating subset of the standard
-// architecture suite:
+// toolchain — map, schedule, lint, simulate — and checks the simulator
+// against the reference interpreter on a rotating subset of the standard
+// architecture suite, per DatapathMode (kExact and kWrap16):
 //
-//   * dense engine == event engine (SimResult and final memory), per
-//     DatapathMode (kExact and kWrap16);
 //   * simulator final memory == reference-interpreter final memory
 //     (including the reduction epilogue);
 //   * per-op simulator values == interpreter values, matched through
@@ -38,7 +36,7 @@ struct FuzzOptions {
   int max_archs = 3;
   /// Check every design of the standard suite (corpus replay uses this).
   bool full_suite = false;
-  /// Harness self-test: corrupt the event engine's final memory so a
+  /// Harness self-test: corrupt the simulator's final memory so a
   /// demonstration test can prove a simulator bug would be caught.
   bool inject_event_bug = false;
 };
@@ -66,8 +64,8 @@ FuzzSummary fuzz_many(
     const std::function<void(const FuzzReport&)>& on_trial = {});
 
 /// End-to-end smoke of the `gen:<seed>` catalogue path through
-/// api::Service: eval, simulate (both engines), simulate_batch and a small
-/// dse run must all succeed and match golden. Reported like a fuzz trial.
+/// api::Service: eval, simulate, simulate_batch and a small dse run must
+/// all succeed and match golden. Reported like a fuzz trial.
 FuzzReport service_smoke(std::uint64_t seed);
 
 /// Loads a regression corpus: `path` is either one seed file or a directory

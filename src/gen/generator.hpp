@@ -22,7 +22,7 @@
 // references, the generated family's golden is *derived from the reference
 // interpreter* (`reference_execute`) — this is the one catalogue family
 // where that is the right trade: the interpreter is the semantic authority
-// the simulators are tested against, and the generator emits arbitrary
+// the simulator is tested against, and the generator emits arbitrary
 // graphs no hand-written model could anticipate.
 #pragma once
 

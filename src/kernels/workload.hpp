@@ -13,7 +13,7 @@
 //                   golden is interpreter-derived by design — the generator
 //                   emits arbitrary graphs no hand-written model could
 //                   anticipate, and the interpreter is the semantic
-//                   authority the simulators are differentially fuzzed
+//                   authority the simulator is differentially fuzzed
 //                   against (docs/GENERATOR.md).
 #pragma once
 

@@ -49,24 +49,14 @@ std::vector<SimBatchResult> fan_out(std::vector<ir::Memory> memories,
 std::vector<SimBatchResult> simulate_batch(
     const sched::ConfigurationContext& context,
     std::vector<ir::Memory> memories, const SimBatchOptions& options) {
-  if (options.engine == sim::SimEngine::kEvent) {
-    // Compile once; the immutable program is shared read-only by every
-    // worker. Compilation also front-loads structural-legality errors so
-    // an illegal context fails before any job is enqueued.
-    const sim::SimProgram program = sim::SimProgram::compile(context);
-    return fan_out(std::move(memories), options,
-                   [&program, &options](std::size_t, ir::Memory memory) {
-                     SimBatchResult out;
-                     out.result = program.run(memory, options.mode);
-                     out.memory = std::move(memory);
-                     return out;
-                   });
-  }
-  const sim::Machine machine(options.mode, sim::SimEngine::kDense);
+  // Compile once; the immutable program is shared read-only by every
+  // worker. Compilation also front-loads structural-legality errors so an
+  // illegal context fails before any job is enqueued.
+  const sim::SimProgram program = sim::SimProgram::compile(context);
   return fan_out(std::move(memories), options,
-                 [&machine, &context](std::size_t, ir::Memory memory) {
+                 [&program, &options](std::size_t, ir::Memory memory) {
                    SimBatchResult out;
-                   out.result = machine.run(context, memory);
+                   out.result = program.run(memory, options.mode);
                    out.memory = std::move(memory);
                    return out;
                  });
@@ -84,7 +74,7 @@ std::vector<SimBatchResult> simulate_many(
       throw InvalidArgumentError("simulate_many: context " +
                                  std::to_string(i) + " is null");
 
-  const sim::Machine machine(options.mode, options.engine);
+  const sim::Machine machine(options.mode);
   return fan_out(std::move(memories), options,
                  [&machine, &contexts](std::size_t i, ir::Memory memory) {
                    SimBatchResult out;

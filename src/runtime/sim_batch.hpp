@@ -1,7 +1,7 @@
 // Batched multi-config simulation on the shared worker pool.
 //
-// The event engine's split between compiling a context (sim::SimProgram)
-// and running it makes simulation embarrassingly parallel across memories:
+// The simulator's split between compiling a context (sim::SimProgram) and
+// running it makes simulation embarrassingly parallel across memories:
 // one immutable compiled program is shared read-only by every worker while
 // each task owns its private ir::Memory. `simulate_batch` exploits exactly
 // that — one context, many memories; `simulate_many` is the transpose —
@@ -12,8 +12,7 @@
 // run on an existing pool (api::Service submits onto its evaluation
 // workers) or leave it null to spin up a scoped pool of `options.threads`.
 // Results are returned positionally and are bit-identical to running the
-// jobs serially with sim::Machine — engine choice included, since both
-// engines are bit-identical on legal contexts (docs/SIMULATOR.md).
+// jobs serially with sim::Machine.
 #pragma once
 
 #include <vector>
@@ -32,7 +31,6 @@ struct SimBatchOptions {
   /// Run on this pool instead of creating one. The caller keeps ownership;
   /// the pool must outlive the call.
   ThreadPool* pool = nullptr;
-  sim::SimEngine engine = sim::SimEngine::kEvent;
   ir::DatapathMode mode = ir::DatapathMode::kExact;
 };
 
@@ -44,9 +42,10 @@ struct SimBatchResult {
 
 /// Runs one context against every memory in `memories` (each job starts
 /// from its own element and mutates only its private copy). Results are
-/// positional. With the event engine the context is compiled once and the
-/// program shared across workers. Throws any rsp::Error the simulation
-/// raises (first failing job by position wins).
+/// positional. The context is compiled once and the program shared across
+/// workers. Throws any rsp::Error the simulation raises (an illegal context
+/// fails before any job runs; otherwise the first failing job by position
+/// wins).
 std::vector<SimBatchResult> simulate_batch(
     const sched::ConfigurationContext& context,
     std::vector<ir::Memory> memories, const SimBatchOptions& options = {});

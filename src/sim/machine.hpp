@@ -1,26 +1,23 @@
 // Cycle-accurate functional simulator of the RSP array.
 //
-// Executes a configuration context cycle by cycle against a data memory:
-// PEs read operands from producer output registers, loads/stores go over
-// the row buses, shared multiplications flow through the bus switch into
-// the (possibly pipelined) shared unit and return `latency` cycles later.
-// The simulator validates structural legality as it runs (it refuses
-// contexts that oversubscribe a PE, bus or unit) and gathers utilisation
-// statistics; its final memory must match the reference interpreter, which
-// the integration tests assert for every kernel × architecture pair.
+// Executes a configuration context against a data memory: PEs read
+// operands from producer output registers, loads/stores go over the row
+// buses, shared multiplications flow through the bus switch into the
+// (possibly pipelined) shared unit and return `latency` cycles later. The
+// simulator refuses contexts that oversubscribe a PE, bus or unit and
+// gathers utilisation statistics; its final memory must match the
+// reference interpreter, which the integration tests assert for every
+// kernel × architecture pair.
 //
-// Two engines produce bit-identical results (values, stats, final memory,
-// and therefore byte-identical VCD dumps — see docs/SIMULATOR.md):
-//
-//   * kDense — the reference loop below: every cycle visits the full
-//     per-cycle bookkeeping whether or not anything is scheduled.
-//   * kEvent — compiles the context into an immutable sim::SimProgram
-//     (src/sim/program.hpp) whose structural legality is verified once,
-//     then executes only the cycles and resources with scheduled activity.
+// There is one engine: `Machine::run` compiles the context into an
+// immutable sim::SimProgram (src/sim/program.hpp), whose structural
+// legality is verified once, and then executes only the cycles with
+// scheduled activity. The tests keep the original dense per-cycle loop as
+// an independent reference and require equal values, stats, final memory,
+// VCD bytes and refusals (docs/SIMULATOR.md).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ir/interp.hpp"
@@ -58,42 +55,29 @@ struct SimResult {
   bool operator==(const SimResult&) const = default;
 };
 
-/// Simulation engine selection. Both engines are bit-identical on every
-/// legal context; kDense is the straight-line reference, kEvent the
-/// production path for sparse (low-utilization) schedules and batched
-/// multi-memory simulation.
+/// Accepted and ignored: the simulator has one engine. Kept only because
+/// the frozen perfbench/src/fuzz_gen.cpp constructs
+/// `Machine(mode, SimEngine::kDense)`; nothing else may name it.
 enum class SimEngine { kDense, kEvent };
-
-/// "dense" / "event" — the wire and CLI spelling of the engine.
-const char* engine_name(SimEngine engine);
-
-/// Inverse of engine_name; throws InvalidArgumentError on anything else.
-SimEngine parse_sim_engine(const std::string& name);
 
 class Machine {
  public:
-  explicit Machine(ir::DatapathMode mode = ir::DatapathMode::kExact,
-                   SimEngine engine = SimEngine::kDense)
-      : mode_(mode), engine_(engine) {}
+  explicit Machine(ir::DatapathMode mode = ir::DatapathMode::kExact)
+      : mode_(mode) {}
+  /// Shim for perfbench/src/fuzz_gen.cpp: the engine argument is ignored.
+  Machine(ir::DatapathMode mode, SimEngine /*ignored*/) : mode_(mode) {}
 
-  /// Runs the context to completion, mutating `memory`. Both engines first
-  /// run analysis::verify_context, which throws InvalidArgumentError naming
-  /// the op for an issue cycle outside [0, length) or an out-of-range
-  /// producer or order dep — such indices would otherwise walk off the
-  /// per-cycle issue table. Throws rsp::Error on any structural violation
-  /// encountered while executing (double-booked PE/bus/unit, operand not
-  /// ready, ...).
+  /// Runs the context to completion, mutating `memory`: exactly
+  /// `SimProgram::compile(context).run(memory, mode)`. Compilation throws
+  /// InvalidArgumentError naming the op for an issue cycle outside
+  /// [0, length) or an out-of-range producer or order dep, and rsp::Error
+  /// on any structural violation (double-booked PE/bus/unit, operand not
+  /// ready, ...); either way `memory` is untouched.
   SimResult run(const sched::ConfigurationContext& context,
                 ir::Memory& memory) const;
 
-  SimEngine engine() const { return engine_; }
-
  private:
-  SimResult run_dense(const sched::ConfigurationContext& context,
-                      ir::Memory& memory) const;
-
   ir::DatapathMode mode_;
-  SimEngine engine_;
 };
 
 }  // namespace rsp::sim

@@ -11,7 +11,7 @@ namespace rsp::sim {
 SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
   // Both check passes live in the static analysis layer (the engine behind
   // `rsp_cli lint`): per-op validation first (InvalidArgumentError), then
-  // the structural replay over the dense loop's issue order (Error). A
+  // the structural replay in issue order (Error). A
   // context that compiles is exactly a context the linter reports no
   // errors on, message for message.
   analysis::verify_context(context);
@@ -44,7 +44,7 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
       producer = static_cast<std::int32_t>(operands[index].producer);
       imm = 0;
     } else {
-      // Absent operand or immediate: the dense loop reads 0 / the literal.
+      // Absent operand reads 0; an immediate reads its literal.
       producer = -1;
       imm = index < operands.size() ? operands[index].imm : 0;
     }
@@ -74,8 +74,7 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
   }
 
   // ------------------------------------- activity list (CSR over cycles)
-  // Issue order is exactly the dense loop's visitation order: ascending
-  // cycle, then ascending op index within a cycle.
+  // Issue order: ascending cycle, then ascending op index within a cycle.
   std::vector<std::vector<std::int64_t>> by_cycle(
       static_cast<std::size_t>(std::max(total_cycles, 1)));
   for (std::size_t i = 0; i < n; ++i)
@@ -131,7 +130,7 @@ SimResult SimProgram::run(ir::Memory& memory, ir::DatapathMode mode) const {
   const auto operand = [&result](std::int32_t producer,
                                  std::int64_t imm) -> std::int64_t {
     // A producer issuing later in the schedule still holds its initial 0
-    // here, exactly as in the dense loop's ready_at == 0 path.
+    // here (the silent read RSP-W001 flags).
     return producer >= 0 ? result.values[static_cast<std::size_t>(producer)]
                          : imm;
   };

@@ -1,4 +1,4 @@
-// Compiled simulation program: the event-driven engine's preprocessing pass.
+// Compiled simulation program: the simulator's one engine.
 //
 // `SimProgram::compile` lowers a `sched::ConfigurationContext` into an
 // immutable struct-of-arrays form executable without any per-cycle
@@ -10,18 +10,20 @@
 //   * the per-cycle issue lists become one CSR table over the *active*
 //     cycles only (`active_cycles_` / `issue_offsets_` / `issue_order_`),
 //     so idle cycles cost nothing at run time;
-//   * every structural-legality check of the dense reference loop
-//     (PE exclusivity, bus budgets, shared-unit arbitration, operand
-//     readiness) is replayed once at compile time over exactly the dense
-//     visitation order — equivalent because idle cycles never mutate the
-//     dense loop's check state — and the utilisation statistics, which are
-//     static properties of the schedule, are precomputed alongside.
+//   * every structural-legality check (PE exclusivity, bus budgets,
+//     shared-unit arbitration, operand readiness) is replayed once at
+//     compile time, by analysis::verify_structural, in issue order
+//     (ascending cycle, then op index) — idle cycles change no check
+//     state, so skipping them is exact — and the utilisation statistics,
+//     which are static properties of the schedule, are precomputed
+//     alongside.
 //
-// `run` is then a linear walk over the scheduled ops in dense execution
-// order: bit-identical values, stats and final memory by construction (the
-// VCD dump depends only on context + SimResult, so it is byte-identical
-// too). One compiled program can be run against many independent memories;
-// src/runtime/sim_batch.hpp fans that out over a ThreadPool.
+// `run` is then a linear walk over the scheduled ops in issue order. The
+// tests keep a dense per-cycle loop that visits every cycle as the
+// independent reference and require bit-identical values, stats, final
+// memory and VCD bytes from this engine. One compiled program can be run
+// against many independent memories; src/runtime/sim_batch.hpp fans that
+// out over a ThreadPool.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,9 @@ namespace rsp::sim {
 
 class SimProgram {
  public:
-  /// Compiles (and fully legality-checks) a context. Throws the same
-  /// rsp::Error diagnostics the dense engine would raise while executing.
+  /// Compiles (and fully legality-checks) a context. Throws
+  /// InvalidArgumentError for a per-op validation failure and rsp::Error
+  /// for a structural one, with the messages `rsp_cli lint` reports.
   static SimProgram compile(const sched::ConfigurationContext& context);
 
   /// Executes the program against `memory`. const and reentrant: safe to
@@ -49,7 +52,7 @@ class SimProgram {
     return static_cast<std::int64_t>(kind_.size());
   }
   int total_cycles() const { return total_cycles_; }
-  /// Cycles with at least one scheduled issue — the event engine's work set.
+  /// Cycles with at least one scheduled issue — the engine's work set.
   std::int64_t active_cycle_count() const {
     return static_cast<std::int64_t>(active_cycles_.size());
   }
@@ -61,7 +64,7 @@ class SimProgram {
 
   // One operand slot: producer index into the op vectors, or an immediate
   // when producer < 0. An absent operand encodes as immediate 0, matching
-  // the dense loop's "missing operand reads as 0" rule.
+  // the simulator's "missing operand reads as 0" rule.
   std::vector<std::int32_t> producer_a_, producer_b_;
   std::vector<std::int64_t> imm_a_, imm_b_;
 
@@ -71,7 +74,7 @@ class SimProgram {
   std::vector<std::int64_t> address_;
   std::vector<std::string> array_names_;  // interned, indexed by array_id_
 
-  // Activity list: op indices in dense execution order (issue cycle, then
+  // Activity list: op indices in issue order (issue cycle, then
   // op index), grouped per active cycle by the CSR offsets.
   std::vector<std::int64_t> issue_order_;
   std::vector<std::int32_t> active_cycles_;

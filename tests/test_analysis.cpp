@@ -10,6 +10,8 @@
 // golden-tested.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -224,6 +226,63 @@ TEST(LintValidation, V007BoundsOrderDepsOfScheduleDocuments) {
   const Diagnostic* w = find_rule(report, "RSP-W009");
   ASSERT_NE(w, nullptr);
   EXPECT_EQ(w->locus.op, 0);
+}
+
+TEST(LintValidation, V008BoundsEndCyclesOfScheduleDocuments) {
+  // The two checked-in documents `rsp_cli lint --context` smoke-tests: an
+  // op issuing at cycle 2e9 (the replay would size per-cycle state by it)
+  // and one whose cycle + latency overflows int. Both are named findings
+  // that stay out of the length and the replay (the asan/UBSan preset
+  // runs this).
+  for (const char* name :
+       {"cycle_past_bound_context.json", "end_cycle_overflow_context.json"}) {
+    std::ifstream in(std::string(RSP_TEST_DATA_DIR) + "/" + name);
+    ASSERT_TRUE(in.good()) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const analysis::ScheduleDocument doc =
+        analysis::parse_schedule(text.str());
+    const LintReport report =
+        analysis::lint_schedule(doc.architecture, doc.ops);
+    EXPECT_EQ(report.error_count(), 1) << name;  // and lint-only warnings
+    ASSERT_FALSE(report.diagnostics.empty()) << name;
+    const Diagnostic& d = report.diagnostics.front();
+    EXPECT_EQ(d.rule, "RSP-V008") << name;
+    EXPECT_EQ(d.severity, Severity::kError);
+    EXPECT_EQ(d.locus.op, 0);
+    EXPECT_NE(d.message.find("past the 2097152-cycle bound"),
+              std::string::npos)
+        << d.message;
+    EXPECT_FALSE(d.hint.empty());
+  }
+
+  // Beside an in-bound op the length is the in-bound op's: the op at cycle
+  // 2e9 does not double-book PE (0, 0) and gets no RSP-V001 range finding.
+  std::vector<sched::ScheduledOp> ops(2);
+  ops[0].kind = ir::OpKind::kConst;
+  ops[1].kind = ir::OpKind::kConst;
+  ops[1].cycle = 2'000'000'000;
+  const LintReport report =
+      analysis::lint_schedule(arch::base_architecture(), ops);
+  EXPECT_EQ(report.error_count(), 1);
+  const Diagnostic* d = find_rule(report, "RSP-V008");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->locus.op, 1);
+  EXPECT_EQ(d->message, "simulator: op 1 ends at cycle 2000000001, past the "
+                        "2097152-cycle bound on schedules");
+
+  // A constructed context past the bound is refused by the simulator with
+  // the same message, before any per-cycle allocation.
+  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
+  EXPECT_EQ(run_error(ctx), d->message);
+  EXPECT_EQ(find_rule(analysis::lint_context(ctx), "RSP-V008")->message,
+            d->message);
+
+  // The bound is inclusive: an op ending exactly on it is in range.
+  ops[1].cycle = static_cast<int>(analysis::kMaxScheduleLength) - 1;
+  EXPECT_EQ(find_rule(analysis::lint_schedule(arch::base_architecture(), ops),
+                      "RSP-V008"),
+            nullptr);
 }
 
 // ------------------------------------------------- structural rules (S)

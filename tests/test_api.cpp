@@ -242,7 +242,6 @@ TEST(Service, SimulateAndVcdShareOneSimulationRun) {
   // produced. Both must now resolve through the sim-run memo table.
   const Service service(small_options(1, 1));
   const SimulateResponse sim = service.simulate({"SAD", "RSP#4"});
-  EXPECT_EQ(sim.engine, "event");
   EXPECT_TRUE(sim.matches_golden);
   const CacheStatsResponse after_sim = service.cache_stats({});
   EXPECT_EQ(after_sim.sim_stats.entries, 1u);
@@ -260,30 +259,12 @@ TEST(Service, SimulateAndVcdShareOneSimulationRun) {
   EXPECT_EQ(service.cache_stats({}).sim_stats.misses, 1u);
 }
 
-TEST(Service, SimulateEnginesAreInterchangeable) {
-  const Service service(small_options(1, 1));
-  const SimulateResponse event =
-      service.simulate({"SAD", "RSP#4", sim::SimEngine::kEvent});
-  const SimulateResponse dense =
-      service.simulate({"SAD", "RSP#4", sim::SimEngine::kDense});
-  EXPECT_EQ(event.engine, "event");
-  EXPECT_EQ(dense.engine, "dense");
-  EXPECT_EQ(event.cycles, dense.cycles);
-  EXPECT_EQ(event.pe_utilization, dense.pe_utilization);
-  EXPECT_TRUE(event.matches_golden);
-  EXPECT_TRUE(dense.matches_golden);
-  // Engines memoize under distinct keys — a dense run must never be
-  // recalled as an event run.
-  EXPECT_EQ(service.cache_stats({}).sim_stats.entries, 2u);
-}
-
 TEST(Service, SimulateBatchCoversSuiteAndMatchesSingleRuns) {
   const Service service(small_options());
   SimulateBatchRequest whole_suite;
   whole_suite.kernel = "SAD";
   const SimulateBatchResponse suite = service.simulate_batch(whole_suite);
   EXPECT_EQ(suite.kernel, "SAD");
-  EXPECT_EQ(suite.engine, "event");
   ASSERT_EQ(suite.rows.size(), 9u);  // Base, RS#1..4, RSP#1..4
   EXPECT_EQ(suite.rows.front().arch, "Base");
   EXPECT_EQ(suite.rows.back().arch, "RSP#4");
@@ -305,6 +286,24 @@ TEST(Service, SimulateBatchCoversSuiteAndMatchesSingleRuns) {
     EXPECT_EQ(row.pe_utilization, single.pe_utilization) << row.arch;
     EXPECT_EQ(row.matches_golden, single.matches_golden) << row.arch;
   }
+}
+
+TEST(Service, SimulateBatchRejectsRepeatedArchitecture) {
+  // Every listed name costs a context and a memory before anything runs,
+  // so a repeat is refused up front: a request holds at most the nine
+  // suite designs.
+  const Service service(small_options(1, 1));
+  try {
+    service.simulate_batch({"SAD", {"Base", "RSP#4", "Base"}});
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "architecture 'Base' is listed more than once"),
+              std::string::npos)
+        << e.what();
+  }
+  // Nothing was simulated or memoized on the way to the refusal.
+  EXPECT_EQ(service.cache_stats({}).mapping_stats.misses, 0u);
 }
 
 TEST(Service, HandleReportsFailuresInBand) {
@@ -589,22 +588,11 @@ TEST(Protocol, DecodeV2ParsesTypedPayloads) {
   EXPECT_EQ(std::get<MapRequest>(map_request).arch, "RSP#4");
 }
 
-TEST(Protocol, DecodeV2ParsesSimulationEngineAndBatch) {
-  // "engine" is optional on simulate/vcd and defaults to the event core.
+TEST(Protocol, DecodeV2ParsesSimulateAndBatch) {
   const Request plain = decode_v2_request(util::Json::parse(
       R"({"protocol_version": 2, "id": 1, "op": "simulate",)"
       R"( "kernel": "SAD", "arch": "RSP#4"})"));
-  EXPECT_EQ(std::get<SimulateRequest>(plain).engine, sim::SimEngine::kEvent);
-
-  const Request dense = decode_v2_request(util::Json::parse(
-      R"({"protocol_version": 2, "id": 1, "op": "simulate",)"
-      R"( "kernel": "SAD", "arch": "RSP#4", "engine": "dense"})"));
-  EXPECT_EQ(std::get<SimulateRequest>(dense).engine, sim::SimEngine::kDense);
-
-  const Request vcd = decode_v2_request(util::Json::parse(
-      R"({"protocol_version": 2, "id": 1, "op": "vcd",)"
-      R"( "kernel": "SAD", "arch": "Base", "engine": "dense"})"));
-  EXPECT_EQ(std::get<VcdRequest>(vcd).engine, sim::SimEngine::kDense);
+  EXPECT_EQ(std::get<SimulateRequest>(plain).arch, "RSP#4");
 
   const Request batch = decode_v2_request(util::Json::parse(
       R"({"protocol_version": 2, "id": 1, "op": "simulate_batch",)"
@@ -612,7 +600,6 @@ TEST(Protocol, DecodeV2ParsesSimulationEngineAndBatch) {
   const SimulateBatchRequest& br = std::get<SimulateBatchRequest>(batch);
   ASSERT_EQ(br.archs.size(), 2u);
   EXPECT_EQ(br.archs[1], "RSP#1");
-  EXPECT_EQ(br.engine, sim::SimEngine::kEvent);
 
   // Omitting "archs" selects the whole standard suite downstream.
   const Request whole = decode_v2_request(util::Json::parse(
@@ -622,14 +609,6 @@ TEST(Protocol, DecodeV2ParsesSimulationEngineAndBatch) {
 
   try {
     decode_v2_request(util::Json::parse(
-        R"({"protocol_version": 2, "id": 1, "op": "simulate",)"
-        R"( "kernel": "SAD", "arch": "Base", "engine": "fast"})"));
-    FAIL() << "expected rejection";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("'fast'"), std::string::npos);
-  }
-  try {
-    decode_v2_request(util::Json::parse(
         R"({"protocol_version": 2, "id": 1, "op": "simulate_batch",)"
         R"( "kernel": "SAD", "archs": []})"));
     FAIL() << "expected rejection";
@@ -637,6 +616,35 @@ TEST(Protocol, DecodeV2ParsesSimulationEngineAndBatch) {
     EXPECT_NE(std::string(e.what()).find("non-empty array"),
               std::string::npos);
   }
+
+  // The simulator has one engine; "engine" is no longer a field.
+  for (const std::string op : {"simulate", "simulate_batch", "vcd"}) {
+    const std::string target = op == "simulate_batch"
+                                   ? R"("archs": ["Base"])"
+                                   : R"("arch": "Base")";
+    try {
+      decode_v2_request(util::Json::parse(
+          R"({"protocol_version": 2, "id": 1, "op": ")" + op +
+          R"(", "kernel": "SAD", )" + target + R"(, "engine": "event"})"));
+      FAIL() << "expected rejection for " << op;
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "unknown field 'engine' for op '" + op + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Protocol, SimulateBodiesCarryNoEngine) {
+  const Service service(small_options(1, 1));
+  const util::Json single = service.handle(SimulateRequest{"SAD", "Base"});
+  EXPECT_TRUE(single.at("ok").as_bool());
+  EXPECT_FALSE(single.contains("engine")) << single.dump();
+  const util::Json batch =
+      service.handle(SimulateBatchRequest{"SAD", {"Base"}});
+  EXPECT_TRUE(batch.at("ok").as_bool());
+  EXPECT_FALSE(batch.contains("engine")) << batch.dump();
 }
 
 TEST(Protocol, EnvelopePutsVersionAndIdFirst) {
@@ -826,6 +834,39 @@ TEST(Serve, OversizedDseGridIsRejectedInBand) {
             std::string::npos);
   EXPECT_FALSE(by_id.at("deep").at("ok").as_bool());
   EXPECT_NE(by_id.at("deep").at("error").as_string().find("'max_stages'"),
+            std::string::npos);
+  EXPECT_TRUE(by_id.at("p").at("ok").as_bool());
+}
+
+TEST(Serve, RepeatedBatchArchitectureIsRejectedInBand) {
+  // Every listed name costs a context and a memory, so the second "Base"
+  // of 1,000 fails the request in-band before any is built. An "engine"
+  // field is an unknown field like any other.
+  Service service(small_options(1, 1));
+  std::string archs = "\"Base\"";
+  for (int i = 0; i < 999; ++i) archs += ", \"Base\"";
+  const std::string batch =
+      "{\"protocol_version\": 2, \"id\": \"dup\", \"op\": \"simulate_batch\", "
+      "\"kernel\": \"SAD\", \"archs\": [" +
+      archs + "]}\n";
+  const std::string engine =
+      "{\"protocol_version\": 2, \"id\": \"eng\", \"op\": \"simulate\", "
+      "\"kernel\": \"SAD\", \"arch\": \"Base\", \"engine\": \"dense\"}\n";
+  const std::string ping =
+      "{\"protocol_version\": 2, \"id\": \"p\", \"op\": \"ping\"}\n";
+  const ServeOutput output = run_serve(service, batch + engine + ping);
+  EXPECT_EQ(output.result.errors, 2u);
+  std::map<std::string, util::Json> by_id;
+  for (const util::Json& line : output.lines)
+    by_id.emplace(line.at("id").as_string(), line);
+  ASSERT_EQ(by_id.size(), 3u);
+  EXPECT_FALSE(by_id.at("dup").at("ok").as_bool());
+  EXPECT_NE(by_id.at("dup").at("error").as_string().find(
+                "architecture 'Base' is listed more than once"),
+            std::string::npos);
+  EXPECT_FALSE(by_id.at("eng").at("ok").as_bool());
+  EXPECT_NE(by_id.at("eng").at("error").as_string().find(
+                "unknown field 'engine' for op 'simulate'"),
             std::string::npos);
   EXPECT_TRUE(by_id.at("p").at("ok").as_bool());
 }

@@ -115,6 +115,9 @@ TEST(GenDeterminism, DifferentSeedsDiffer) {
 }
 
 // --------------------------------------------- differential sweep (tentpole)
+// fuzz_one over the full suite: the simulator against the interpreter in
+// both datapath modes. The case name is older than the simulator's single
+// engine (the dense loop now lives in test_sim.cpp as the reference).
 class GenSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(GenSweep, DenseEventInterpreterAgreeOnEveryArchitecture) {
@@ -217,19 +220,13 @@ TEST(GenCatalogue, ServiceServesGeneratedKernels) {
   EXPECT_EQ(eval.kernel, "gen:9");
   EXPECT_EQ(eval.rows.size(), 9u);
 
-  for (const sim::SimEngine engine :
-       {sim::SimEngine::kDense, sim::SimEngine::kEvent}) {
-    const api::SimulateResponse sim = service.simulate({"gen:9", "Base",
-                                                        engine});
-    EXPECT_TRUE(sim.matches_golden) << sim::engine_name(engine);
-  }
+  EXPECT_TRUE(service.simulate({"gen:9", "Base"}).matches_golden);
 
   // Concurrent dispatch resolves the same gen name from several threads —
   // the registry cache must hand every thread the same stable workload.
   std::vector<std::future<util::Json>> futures;
   for (int i = 0; i < 8; ++i)
-    futures.push_back(service.submit(api::SimulateRequest{
-        "gen:11", "RS#2", sim::SimEngine::kEvent}));
+    futures.push_back(service.submit(api::SimulateRequest{"gen:11", "RS#2"}));
   for (auto& f : futures) {
     const util::Json body = f.get();
     EXPECT_TRUE(body.at("ok").as_bool()) << body.dump();
@@ -281,14 +278,16 @@ TEST(GenFuzz, TrialSeedsAreSequentialAndReproducible) {
 }
 
 // The acceptance demonstration: a deliberately-injected simulator bug (the
-// event engine's final memory corrupted by one element) must be caught.
+// simulator's final memory corrupted by one element) must be caught by the
+// comparison with the interpreter.
 TEST(GenFuzz, InjectedSimulatorBugIsCaught) {
   gen::FuzzOptions options;
   options.inject_event_bug = true;
   const gen::FuzzReport report = gen::fuzz_one(3, options);
   ASSERT_FALSE(report.ok);
   EXPECT_NE(report.detail.find("seed 3"), std::string::npos) << report.detail;
-  EXPECT_NE(report.detail.find("final memories diverge"), std::string::npos)
+  EXPECT_NE(report.detail.find("diverges from the reference interpreter"),
+            std::string::npos)
       << report.detail;
 }
 

@@ -611,32 +611,12 @@ TEST(SimBatch, BatchIsBitIdenticalToSerialRunsAndPositional) {
       simulate_batch(ctx, memories, SimBatchOptions{.threads = 4});
   ASSERT_EQ(batch.size(), memories.size());
 
-  const sim::Machine dense;  // serial reference on the dense engine
+  const sim::Machine machine;  // serial reference
   for (std::size_t i = 0; i < memories.size(); ++i) {
     ir::Memory serial = memories[i];
-    const sim::SimResult expected = dense.run(ctx, serial);
+    const sim::SimResult expected = machine.run(ctx, serial);
     EXPECT_TRUE(batch[i].result == expected) << "job " << i;
     EXPECT_TRUE(batch[i].memory == serial) << "job " << i;
-  }
-}
-
-TEST(SimBatch, DenseAndEventEngineBatchesAgree) {
-  const kernels::Workload w = kernels::find_workload("Inner product");
-  const sched::ConfigurationContext ctx =
-      schedule_workload(w, arch::rs_architecture(2));
-  std::vector<ir::Memory> memories(3);
-  for (auto& m : memories) w.setup(m);
-
-  const auto event = simulate_batch(
-      ctx, memories,
-      SimBatchOptions{.threads = 2, .engine = sim::SimEngine::kEvent});
-  const auto dense = simulate_batch(
-      ctx, memories,
-      SimBatchOptions{.threads = 2, .engine = sim::SimEngine::kDense});
-  ASSERT_EQ(event.size(), dense.size());
-  for (std::size_t i = 0; i < event.size(); ++i) {
-    EXPECT_TRUE(event[i].result == dense[i].result) << "job " << i;
-    EXPECT_TRUE(event[i].memory == dense[i].memory) << "job " << i;
   }
 }
 
@@ -719,14 +699,11 @@ TEST(SimBatch, PropagatesSimulationErrorsFromWorkers) {
   ops[1].kind = ir::OpKind::kConst;
   const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
   std::vector<ir::Memory> memories(3);
-  for (const sim::SimEngine engine :
-       {sim::SimEngine::kDense, sim::SimEngine::kEvent}) {
-    SimBatchOptions options;
-    options.threads = 2;
-    options.engine = engine;
-    EXPECT_THROW(simulate_batch(ctx, memories, options), Error)
-        << sim::engine_name(engine);
-  }
+  EXPECT_THROW(simulate_batch(ctx, memories, SimBatchOptions{.threads = 2}),
+               Error);
+  EXPECT_THROW(simulate_many({&ctx, &ctx, &ctx}, memories,
+                             SimBatchOptions{.threads = 2}),
+               Error);
 }
 
 TEST(LoggingThreads, ConcurrentEmissionIsSerializedAndLossless) {

@@ -1,15 +1,21 @@
 // Integration: mapper → scheduler → cycle simulator, checked against the
 // independent golden model for every kernel on every one of the paper's
-// nine architectures (81 combinations + matmul variants). The same matrix
-// pins down the PR-6 bit-identity guarantee: the event engine
-// (sim::SimProgram) must produce the same SimResult, final memory, and VCD
-// bytes as the dense reference loop everywhere.
+// nine architectures (81 combinations + matmul variants). The same matrix,
+// the refusal cases, the VCD golden file and a randomized property test
+// compare the simulator (sim::Machine, which compiles to sim::SimProgram)
+// with `reference::run_dense` below — the dense per-cycle loop that was
+// the simulator's second engine, kept here as an independent oracle. They
+// require equal SimResults (values and stats), final memories and VCD
+// bytes, and the same exception type and message on every refusal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <typeinfo>
 
 #include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
@@ -34,6 +40,182 @@ arch::Architecture arch_by_name(const std::string& name, int rows, int cols) {
   return arch::rs_architecture(variant, rows, cols);
 }
 
+// ------------------------------------------------------------- reference
+//
+// The dense per-cycle loop, verbatim from its time as `Machine::run_dense`
+// apart from taking the datapath mode as a parameter, plus the
+// `analysis::verify_context` entry check Machine::run made before calling
+// it. It visits every cycle of the context and re-derives every
+// structural check inline from its own occupancy tables, so it shares no
+// code with the compiled engine's legality replay
+// (analysis::verify_structural) or its issue-order walk.
+namespace reference {
+
+sim::SimResult run_dense(const sched::ConfigurationContext& context,
+                         ir::Memory& memory, ir::DatapathMode mode) {
+  analysis::verify_context(context);
+  using sim::SimResult;
+  using sim::UtilizationStats;
+
+  const arch::Architecture& a = context.architecture();
+  const arch::ArraySpec& array = a.array;
+  const auto& ops = context.ops();
+
+  // Bucket op indices by issue cycle.
+  const int total_cycles = context.length();
+  std::vector<std::vector<sched::ProgIndex>> by_cycle(
+      static_cast<std::size_t>(std::max(total_cycles, 1)));
+  for (sched::ProgIndex i = 0; i < context.size(); ++i)
+    by_cycle[static_cast<std::size_t>(ops[static_cast<std::size_t>(i)].cycle)]
+        .push_back(i);
+
+  SimResult result;
+  result.values.assign(ops.size(), 0);
+  std::vector<int> ready_at(ops.size(), 0);  // cycle the value becomes usable
+
+  UtilizationStats& st = result.stats;
+  st.cycles = total_cycles;
+  st.pe_issue_slots =
+      static_cast<std::int64_t>(total_cycles) * array.num_pes();
+  st.shared_unit_slots = static_cast<std::int64_t>(total_cycles) *
+                         a.sharing.total_units(array);
+
+  // A PE blocks for every stage of a multi-cycle multiplication.
+  std::vector<int> pe_busy_until(static_cast<std::size_t>(array.num_pes()), 0);
+
+  for (int t = 0; t < total_cycles; ++t) {
+    // Per-cycle structural occupancy.
+    std::map<int, int> row_reads, row_writes;
+    std::map<std::string, sched::ProgIndex> unit_taken;
+
+    for (sched::ProgIndex i : by_cycle[static_cast<std::size_t>(t)]) {
+      const sched::ScheduledOp& op = ops[static_cast<std::size_t>(i)];
+
+      // PE exclusivity (with multi-stage occupancy).
+      const int pe = array.linear(op.pe);
+      if (pe_busy_until[static_cast<std::size_t>(pe)] > t)
+        throw Error("simulator: PE double-booked at cycle " +
+                    std::to_string(t));
+      pe_busy_until[static_cast<std::size_t>(pe)] =
+          t + (ir::is_critical_op(op.kind) ? op.latency : 1);
+
+      // Operand collection (values must be ready).
+      auto value_of = [&](const sched::ProgOperand& o) -> std::int64_t {
+        if (o.is_imm()) return o.imm;
+        if (ready_at[static_cast<std::size_t>(o.producer)] > t)
+          throw Error("simulator: operand consumed before ready at cycle " +
+                      std::to_string(t));
+        return result.values[static_cast<std::size_t>(o.producer)];
+      };
+
+      std::int64_t value = 0;
+      switch (op.kind) {
+        case ir::OpKind::kLoad:
+          if (++row_reads[op.pe.row] > array.read_buses_per_row)
+            throw Error("simulator: read-bus oversubscribed on row " +
+                        std::to_string(op.pe.row) + " at cycle " +
+                        std::to_string(t));
+          value = memory.read(op.array, op.address);
+          ++st.bus_reads;
+          break;
+        case ir::OpKind::kStore:
+          if (++row_writes[op.pe.row] > array.write_buses_per_row)
+            throw Error("simulator: write-bus oversubscribed on row " +
+                        std::to_string(op.pe.row) + " at cycle " +
+                        std::to_string(t));
+          memory.write(op.array, op.address, value_of(op.operands[0]));
+          ++st.bus_writes;
+          break;
+        case ir::OpKind::kNop:
+          break;
+        default: {
+          if (ir::is_critical_op(op.kind)) {
+            ++st.mult_ops;
+            if (a.shares_multiplier()) {
+              if (!op.unit)
+                throw Error("simulator: shared multiply without a unit");
+              const std::string key = arch::to_string(*op.unit);
+              if (!unit_taken.emplace(key, i).second)
+                throw Error("simulator: unit " + key +
+                            " double-issued at cycle " + std::to_string(t));
+              ++st.shared_unit_issues;
+            }
+          }
+          const std::int64_t lhs =
+              op.operands.empty() ? 0 : value_of(op.operands[0]);
+          const std::int64_t rhs =
+              op.operands.size() > 1 ? value_of(op.operands[1]) : 0;
+          value = ir::eval_op(op.kind, lhs, rhs, op.imm, mode);
+          break;
+        }
+      }
+      result.values[static_cast<std::size_t>(i)] = value;
+      ready_at[static_cast<std::size_t>(i)] = t + op.latency;
+      ++st.pe_issues;
+    }
+  }
+  return result;
+}
+
+}  // namespace reference
+
+/// Runs `context` on the simulator and on the reference, each from its own
+/// copy of `memory`, and requires equal SimResults, final memories and VCD
+/// bytes. Leaves the simulator's final memory in `memory` and returns its
+/// result.
+sim::SimResult expect_matches_reference(
+    const sched::ConfigurationContext& context, ir::Memory& memory,
+    ir::DatapathMode mode, const std::string& what) {
+  ir::Memory reference_memory = memory;
+  const sim::SimResult result = sim::Machine(mode).run(context, memory);
+  const sim::SimResult expected =
+      reference::run_dense(context, reference_memory, mode);
+  EXPECT_TRUE(result == expected)
+      << what << ": SimResult differs from the reference";
+  EXPECT_TRUE(memory == reference_memory)
+      << what << ": final memory differs from the reference";
+  EXPECT_EQ(sim::to_vcd(context, result), sim::to_vcd(context, expected))
+      << what << ": VCD dump differs from the reference";
+  return result;
+}
+
+/// How a run refused its context: the exception's dynamic type and message
+/// (both empty when the run succeeded).
+struct Refusal {
+  std::string type;
+  std::string message;
+  bool operator==(const Refusal&) const = default;
+};
+
+template <typename Run>
+Refusal refusal_of(const Run& run) {
+  try {
+    run();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {};
+}
+
+/// Runs `context` on the simulator and on the reference, each from its own
+/// copy of `memory`; both must refuse it with the same exception type and
+/// message. Returns the simulator's refusal.
+Refusal expect_same_refusal(const sched::ConfigurationContext& context,
+                            const ir::Memory& memory = {}) {
+  const Refusal refusal = refusal_of([&] {
+    ir::Memory copy = memory;
+    sim::Machine().run(context, copy);
+  });
+  const Refusal expected = refusal_of([&] {
+    ir::Memory copy = memory;
+    reference::run_dense(context, copy, ir::DatapathMode::kExact);
+  });
+  EXPECT_FALSE(refusal.type.empty()) << "the simulator accepted the context";
+  EXPECT_EQ(refusal.type, expected.type) << refusal.message;
+  EXPECT_EQ(refusal.message, expected.message);
+  return refusal;
+}
+
 class KernelOnArch
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
@@ -50,32 +232,17 @@ TEST_P(KernelOnArch, SimulatorMatchesGoldenModel) {
   const sched::ConfigurationContext context = scheduler.schedule(program, a);
   analysis::require_legal(context);
 
-  ir::Memory sim_mem, event_mem, golden_mem;
+  ir::Memory sim_mem, golden_mem;
   w.setup(sim_mem);
-  w.setup(event_mem);
   w.setup(golden_mem);
-  const sim::Machine machine;
-  const sim::SimResult result = machine.run(context, sim_mem);
+  const sim::SimResult result =
+      expect_matches_reference(context, sim_mem, ir::DatapathMode::kExact,
+                               kernel_name + " on " + arch_name);
   w.golden(golden_mem);
 
   EXPECT_TRUE(sim_mem == golden_mem)
       << kernel_name << " on " << arch_name
       << ": simulated memory differs from the golden model";
-
-  // PR-6 bit-identity: the event engine must reproduce the dense engine's
-  // SimResult, final memory, and VCD dump exactly.
-  const sim::Machine event_machine(ir::DatapathMode::kExact,
-                                   sim::SimEngine::kEvent);
-  const sim::SimResult event_result = event_machine.run(context, event_mem);
-  EXPECT_TRUE(event_result == result)
-      << kernel_name << " on " << arch_name
-      << ": event-engine SimResult differs from the dense engine";
-  EXPECT_TRUE(event_mem == sim_mem)
-      << kernel_name << " on " << arch_name
-      << ": event-engine final memory differs from the dense engine";
-  EXPECT_EQ(sim::to_vcd(context, event_result), sim::to_vcd(context, result))
-      << kernel_name << " on " << arch_name
-      << ": event-engine VCD dump differs from the dense engine";
 
   // Utilisation sanity.
   EXPECT_EQ(result.stats.cycles, context.length());
@@ -143,11 +310,12 @@ TEST(Simulator, DeeperPipelinesStillCorrect) {
 
 // ------------------------------------------------------ structural checks
 //
-// Every structural refusal is asserted on both engines: the event engine
-// hoists the legality replay into SimProgram::compile, and it must reject
-// exactly the schedules the dense per-cycle loop rejects.
-const sim::SimEngine kBothEngines[] = {sim::SimEngine::kDense,
-                                       sim::SimEngine::kEvent};
+// Every refusal is asserted against the reference: the simulator hoists
+// the legality replay into SimProgram::compile, and it must reject exactly
+// the schedules the dense per-cycle loop rejects, with the same exception
+// type and message.
+const std::string kError = typeid(Error).name();
+const std::string kInvalidArgument = typeid(InvalidArgumentError).name();
 
 TEST(Simulator, RefusesDoubleBookedPe) {
   const arch::Architecture a = arch::base_architecture();
@@ -159,13 +327,8 @@ TEST(Simulator, RefusesDoubleBookedPe) {
     op.cycle = 0;
     ops.push_back(op);
   }
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    EXPECT_THROW(sim::Machine(ir::DatapathMode::kExact, engine)
-                     .run(sched::ConfigurationContext(a, ops), mem),
-                 Error)
-        << sim::engine_name(engine);
-  }
+  EXPECT_EQ(expect_same_refusal(sched::ConfigurationContext(a, ops)).type,
+            kError);
 }
 
 TEST(Simulator, RefusesOperandConsumedBeforeReady) {
@@ -185,13 +348,8 @@ TEST(Simulator, RefusesOperandConsumedBeforeReady) {
   abs.cycle = 1;  // result only ready at cycle 2
   abs.operands = {sched::ProgOperand{0, 0}};
   ops.push_back(abs);
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    EXPECT_THROW(sim::Machine(ir::DatapathMode::kExact, engine)
-                     .run(sched::ConfigurationContext(a, ops), mem),
-                 Error)
-        << sim::engine_name(engine);
-  }
+  EXPECT_EQ(expect_same_refusal(sched::ConfigurationContext(a, ops)).type,
+            kError);
 }
 
 TEST(Simulator, RefusesBusOversubscription) {
@@ -206,14 +364,11 @@ TEST(Simulator, RefusesBusOversubscription) {
     ld.address = c;
     ops.push_back(ld);
   }
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    mem.allocate("x", 8);
-    EXPECT_THROW(sim::Machine(ir::DatapathMode::kExact, engine)
-                     .run(sched::ConfigurationContext(a, ops), mem),
-                 Error)
-        << sim::engine_name(engine);
-  }
+  ir::Memory mem;
+  mem.allocate("x", 8);
+  EXPECT_EQ(
+      expect_same_refusal(sched::ConfigurationContext(a, ops), mem).type,
+      kError);
 }
 
 TEST(Simulator, Wrap16ModeAppliesDatapathWidth) {
@@ -233,29 +388,13 @@ TEST(Simulator, Wrap16ModeAppliesDatapathWidth) {
   add.operands = {sched::ProgOperand{0, 0}, sched::ProgOperand{-1, 1}};
   ops.push_back(add);
   const sched::ConfigurationContext ctx(a, ops);
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    const auto exact =
-        sim::Machine(ir::DatapathMode::kExact, engine).run(ctx, mem);
-    EXPECT_EQ(exact.values[1], 0x8000) << sim::engine_name(engine);
-    const auto wrapped =
-        sim::Machine(ir::DatapathMode::kWrap16, engine).run(ctx, mem);
-    EXPECT_EQ(wrapped.values[1], -32768) << sim::engine_name(engine);
-  }
-}
-
-// --------------------------------------------------- engine selection API
-TEST(Simulator, EngineNamesRoundTrip) {
-  EXPECT_STREQ(sim::engine_name(sim::SimEngine::kDense), "dense");
-  EXPECT_STREQ(sim::engine_name(sim::SimEngine::kEvent), "event");
-  EXPECT_EQ(sim::parse_sim_engine("dense"), sim::SimEngine::kDense);
-  EXPECT_EQ(sim::parse_sim_engine("event"), sim::SimEngine::kEvent);
-  try {
-    sim::parse_sim_engine("fast");
-    FAIL() << "expected InvalidArgumentError";
-  } catch (const InvalidArgumentError& e) {
-    EXPECT_NE(std::string(e.what()).find("'fast'"), std::string::npos);
-  }
+  ir::Memory mem;
+  const auto exact =
+      expect_matches_reference(ctx, mem, ir::DatapathMode::kExact, "exact");
+  EXPECT_EQ(exact.values[1], 0x8000);
+  const auto wrapped =
+      expect_matches_reference(ctx, mem, ir::DatapathMode::kWrap16, "wrap16");
+  EXPECT_EQ(wrapped.values[1], -32768);
 }
 
 // ------------------------------------------------- entry-point validation
@@ -294,45 +433,34 @@ TEST(SimulatorValidation, RejectsOperandProducerOutOfRange) {
   ops[1].pe = {0, 1};
   ops[1].cycle = 1;
   ops[1].operands = {sched::ProgOperand{5, 0}};  // only ops 0..1 exist
-  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    try {
-      sim::Machine(ir::DatapathMode::kExact, engine).run(ctx, mem);
-      FAIL() << "expected InvalidArgumentError (" << sim::engine_name(engine)
-             << ")";
-    } catch (const InvalidArgumentError& e) {
-      EXPECT_NE(std::string(e.what()).find("producer 5"), std::string::npos)
-          << e.what();
-    }
-  }
+  const Refusal refusal = expect_same_refusal(
+      sched::ConfigurationContext(arch::base_architecture(), ops));
+  EXPECT_EQ(refusal.type, kInvalidArgument);
+  EXPECT_NE(refusal.message.find("producer 5"), std::string::npos)
+      << refusal.message;
 }
 
 TEST(SimulatorValidation, RejectsStoreWithoutValueOperand) {
   std::vector<sched::ScheduledOp> ops(1);
   ops[0].kind = ir::OpKind::kStore;
   ops[0].array = "x";
-  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    mem.allocate("x", 4);
-    EXPECT_THROW(sim::Machine(ir::DatapathMode::kExact, engine).run(ctx, mem),
-                 InvalidArgumentError)
-        << sim::engine_name(engine);
-  }
+  ir::Memory mem;
+  mem.allocate("x", 4);
+  EXPECT_EQ(expect_same_refusal(
+                sched::ConfigurationContext(arch::base_architecture(), ops),
+                mem)
+                .type,
+            kInvalidArgument);
 }
 
 TEST(SimulatorValidation, RejectsOpPlacedOutsideArray) {
   std::vector<sched::ScheduledOp> ops(1);
   ops[0].kind = ir::OpKind::kConst;
   ops[0].pe = {9, 9};  // 8x8 array
-  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    EXPECT_THROW(sim::Machine(ir::DatapathMode::kExact, engine).run(ctx, mem),
-                 InvalidArgumentError)
-        << sim::engine_name(engine);
-  }
+  EXPECT_EQ(expect_same_refusal(
+                sched::ConfigurationContext(arch::base_architecture(), ops))
+                .type,
+            kInvalidArgument);
 }
 
 TEST(SimulatorValidation, RejectsSharedUnitOutsidePools) {
@@ -342,13 +470,8 @@ TEST(SimulatorValidation, RejectsSharedUnitOutsidePools) {
   ops[0].latency = a.mult_latency();
   ops[0].operands = {sched::ProgOperand{}, sched::ProgOperand{}};
   ops[0].unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kRow, 0, 3};
-  const sched::ConfigurationContext ctx(a, ops);
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    EXPECT_THROW(sim::Machine(ir::DatapathMode::kExact, engine).run(ctx, mem),
-                 InvalidArgumentError)
-        << sim::engine_name(engine);
-  }
+  EXPECT_EQ(expect_same_refusal(sched::ConfigurationContext(a, ops)).type,
+            kInvalidArgument);
 }
 
 // --------------------------------------------------- SimProgram lifecycle
@@ -403,15 +526,16 @@ TEST(Simulator, VcdDumpMatchesCheckedInGolden) {
     expected = buf.str();
   }
 
-  for (const sim::SimEngine engine : kBothEngines) {
-    ir::Memory mem;
-    w.setup(mem);
-    const sim::SimResult result =
-        sim::Machine(ir::DatapathMode::kExact, engine).run(context, mem);
-    EXPECT_EQ(sim::to_vcd(context, result), expected)
-        << sim::engine_name(engine)
-        << ": VCD dump drifted from the checked-in golden file";
-  }
+  ir::Memory mem, reference_mem;
+  w.setup(mem);
+  w.setup(reference_mem);
+  const sim::SimResult result = sim::Machine().run(context, mem);
+  EXPECT_EQ(sim::to_vcd(context, result), expected)
+      << "VCD dump drifted from the checked-in golden file";
+  const sim::SimResult reference_result = reference::run_dense(
+      context, reference_mem, ir::DatapathMode::kExact);
+  EXPECT_EQ(sim::to_vcd(context, reference_result), expected)
+      << "the reference's VCD dump drifted from the checked-in golden file";
 }
 
 // ------------------------------------------- randomized equivalence check
@@ -419,7 +543,8 @@ TEST(Simulator, VcdDumpMatchesCheckedInGolden) {
 // Legal-by-construction schedule generator: walks cycles in order and only
 // emits issues that respect the same constraints the simulator enforces
 // (PE occupancy, bus budgets, shared-unit arbitration, operand readiness),
-// so every generated schedule must run to completion on both engines.
+// so every generated schedule must run to completion on the simulator and
+// on the reference.
 sched::ConfigurationContext random_context(util::Rng& rng,
                                            const arch::Architecture& a) {
   const arch::ArraySpec& array = a.array;
@@ -555,6 +680,13 @@ sched::ConfigurationContext random_context(util::Rng& rng,
   return sched::ConfigurationContext(a, std::move(ops));
 }
 
+ir::Memory property_memory() {
+  ir::Memory mem;
+  mem.allocate("m", 32);
+  for (int i = 0; i < 32; ++i) mem.write("m", i, i * 3 - 7);
+  return mem;
+}
+
 TEST(SimulatorProperty, EventEngineMatchesDenseOnRandomSchedules) {
   util::Rng rng(0x5eed20260808ull);
   const arch::Architecture archs[] = {
@@ -567,25 +699,43 @@ TEST(SimulatorProperty, EventEngineMatchesDenseOnRandomSchedules) {
         trial % 3 == 0 ? ir::DatapathMode::kWrap16 : ir::DatapathMode::kExact;
     const sched::ConfigurationContext ctx = random_context(rng, a);
     total_ops += static_cast<int>(ctx.size());
-
-    ir::Memory dense_mem, event_mem;
-    dense_mem.allocate("m", 32);
-    event_mem.allocate("m", 32);
-    for (int i = 0; i < 32; ++i) {
-      dense_mem.write("m", i, i * 3 - 7);
-      event_mem.write("m", i, i * 3 - 7);
-    }
-
-    const sim::SimResult dense =
-        sim::Machine(mode, sim::SimEngine::kDense).run(ctx, dense_mem);
-    const sim::SimResult event =
-        sim::Machine(mode, sim::SimEngine::kEvent).run(ctx, event_mem);
-    EXPECT_TRUE(event == dense)
-        << "trial " << trial << " on " << a.name << ": SimResult diverged";
-    EXPECT_TRUE(event_mem == dense_mem)
-        << "trial " << trial << " on " << a.name << ": final memory diverged";
+    ir::Memory mem = property_memory();
+    expect_matches_reference(ctx, mem, mode,
+                             "trial " + std::to_string(trial) + " on " +
+                                 a.name);
   }
   EXPECT_GT(total_ops, 500) << "generator produced suspiciously few ops";
+
+  // The design axis DSE explores: random in-template points with 1-8
+  // pipeline stages and 0-4 units per row and per column pool. Draws
+  // custom_architecture refuses (Architecture::validate, or pipelining
+  // without sharing) are skipped.
+  int points = 0, deep_points = 0, mult_ops = 0;
+  for (int draw = 0; points < 64; ++draw) {
+    const int per_row = static_cast<int>(rng.uniform(0, 4));
+    const int per_col = static_cast<int>(rng.uniform(0, 4));
+    const int stages = static_cast<int>(rng.uniform(1, 8));
+    arch::Architecture a;
+    try {
+      a = arch::custom_architecture(
+          "custom(" + std::to_string(per_row) + "r," +
+              std::to_string(per_col) + "c,p" + std::to_string(stages) + ")",
+          4, 4, per_row, per_col, stages);
+    } catch (const InvalidArgumentError&) {
+      continue;
+    }
+    ++points;
+    if (stages > 2) ++deep_points;
+    const ir::DatapathMode mode =
+        draw % 3 == 0 ? ir::DatapathMode::kWrap16 : ir::DatapathMode::kExact;
+    const sched::ConfigurationContext ctx = random_context(rng, a);
+    ir::Memory mem = property_memory();
+    const sim::SimResult result = expect_matches_reference(
+        ctx, mem, mode, "draw " + std::to_string(draw) + " on " + a.name);
+    mult_ops += static_cast<int>(result.stats.mult_ops);
+  }
+  EXPECT_GT(deep_points, 16) << "too few points deeper than the suite's";
+  EXPECT_GT(mult_ops, 100) << "too few multiplications on custom points";
 }
 
 }  // namespace

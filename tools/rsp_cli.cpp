@@ -25,7 +25,6 @@
 #include "gen/fuzz.hpp"
 #include "gen/generator.hpp"
 #include "ir/dot.hpp"
-#include "sim/machine.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -110,10 +109,10 @@ int cmd_eval(const api::Service& service, const std::string& kernel,
 }
 
 int cmd_simulate(const api::Service& service, const std::string& kernel,
-                 const std::string& arch, sim::SimEngine engine) {
-  const api::SimulateResponse resp = service.simulate({kernel, arch, engine});
-  std::cout << resp.kernel << " on " << resp.arch << " (" << resp.engine
-            << " engine): " << resp.cycles << " cycles, PE util "
+                 const std::string& arch) {
+  const api::SimulateResponse resp = service.simulate({kernel, arch});
+  std::cout << resp.kernel << " on " << resp.arch << ": " << resp.cycles
+            << " cycles, PE util "
             << util::format_trimmed(100 * resp.pe_utilization, 1)
             << "%, result "
             << (resp.matches_golden ? "matches golden" : "MISMATCH") << "\n";
@@ -265,7 +264,7 @@ int cmd_gen(const std::vector<std::string>& args) {
     std::cerr << "self-check FAILED: " << report.detail << "\n";
     return 1;
   }
-  std::cout << "self-check: OK (dense == event == interpreter)\n";
+  std::cout << "self-check: OK (simulator == interpreter)\n";
   if (dump) std::cout << ir::to_dot(w.kernel);
   return 0;
 }
@@ -466,8 +465,7 @@ int usage() {
          "grid\n"
          "  eval <kernel> [--json]            Tables-4/5-style row for one "
          "kernel\n"
-         "  simulate <kernel> <arch> [--engine dense|event]\n"
-         "                                    run on the cycle simulator, "
+         "  simulate <kernel> <arch>          run on the cycle simulator, "
          "verify\n"
          "  explore|dse                       DSE over the full kernel "
          "domain\n"
@@ -485,8 +483,8 @@ int usage() {
          "adds DOT\n"
          "  fuzz --trials N [--seed S] [--corpus PATH] [--save-failures "
          "DIR]\n"
-         "                                    differential fuzz: dense == "
-         "event ==\n"
+         "                                    differential fuzz: simulator "
+         "==\n"
          "                                    interpreter on generated "
          "kernels;\n"
          "                                    nonzero exit prints the "
@@ -557,20 +555,10 @@ int main(int argc, char** argv) {
       if (cmd == "dot") return cmd_dot(light_service(), args[1]);
     }
     if (cmd == "simulate" && args.size() >= 3) {
-      sim::SimEngine engine = sim::SimEngine::kEvent;
-      for (std::size_t i = 3; i < args.size(); ++i) {
-        if (args[i] == "--engine") {
-          if (i + 1 >= args.size())
-            throw rsp::InvalidArgumentError(
-                "--engine requires 'dense' or 'event'");
-          engine = sim::parse_sim_engine(args[++i]);
-        } else {
-          throw rsp::InvalidArgumentError(
-              "unknown flag '" + args[i] +
-              "' for simulate (--engine dense|event)");
-        }
-      }
-      return cmd_simulate(light_service(), args[1], args[2], engine);
+      if (args.size() > 3)
+        throw rsp::InvalidArgumentError("unknown flag '" + args[3] +
+                                        "' for simulate (it takes none)");
+      return cmd_simulate(light_service(), args[1], args[2]);
     }
     if (args.size() == 3) {
       if (cmd == "map") return cmd_map(light_service(), args[1], args[2]);
