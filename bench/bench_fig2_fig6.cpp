@@ -41,7 +41,8 @@ int main() {
       arch::custom_architecture("RSP-2stage", 4, 4, 1, 0, 2);  // 4 units
   const sched::ConfigurationContext fig6 = scheduler.schedule(program, rsp);
   analysis::require_legal(fig6);
-  const sched::PerfPoint perf = sched::measure(scheduler, program, rsp);
+  const sched::TimingProfile profile(program);
+  const sched::PerfPoint perf = sched::measure(scheduler, profile, rsp);
   std::cout << "Fig. 6 — 4 shared 2-stage multipliers (1*/2* = stages):\n"
             << render_schedule(fig6) << "cycles: " << fig6.length()
             << "  |  RS stalls: " << perf.stalls
@@ -49,9 +50,9 @@ int main() {
 
   // ---- Fig. 3 claim: the un-pipelined design needs twice the units ----
   const sched::PerfPoint rs4 = sched::measure(
-      scheduler, program, arch::custom_architecture("RS-4u", 4, 4, 1, 0, 1));
+      scheduler, profile, arch::custom_architecture("RS-4u", 4, 4, 1, 0, 1));
   const sched::PerfPoint rs8 = sched::measure(
-      scheduler, program, arch::custom_architecture("RS-8u", 4, 4, 2, 0, 1));
+      scheduler, profile, arch::custom_architecture("RS-8u", 4, 4, 2, 0, 1));
   util::Table t({"Design", "multipliers", "cycles", "stalls",
                  "peak issue demand"});
   auto peak = [&](const arch::Architecture& a) {

@@ -56,7 +56,9 @@ int main() {
                " Fig. 6;\n1*/2* are the pipeline stages):\n"
             << render_schedule(rsp_ctx)
             << "cycles: " << rsp_ctx.length() << ", RS stalls: "
-            << sched::measure(scheduler, program, rsp).stalls << "\n\n";
+            << sched::measure(scheduler, sched::TimingProfile(program), rsp)
+                   .stalls
+            << "\n\n";
 
   // 5. Execute both on the cycle simulator and verify against the golden.
   ir::Memory base_mem, rsp_mem, golden;

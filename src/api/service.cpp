@@ -87,7 +87,7 @@ EvalResponse Service::eval(const EvalRequest& request) const {
   resp.rows = core::RspEvaluator().evaluate_suite(
       prep->program, arch::standard_suite(w.array.rows, w.array.cols),
       [&](const arch::Architecture& a) {
-        return cache_->get_or_measure(w.name, tag, prep->program, a);
+        return cache_->get_or_measure(w.name, tag, prep->timing_profile, a);
       });
   return resp;
 }
@@ -122,7 +122,8 @@ DseResponse Service::dse(const DseRequest& request) const {
   const dse::MeasureFn measure = [&](std::size_t k,
                                      const arch::Architecture& a) {
     return cache_
-        ->get_or_measure(domain[k].name, tags[k], records[k]->program, a)
+        ->get_or_measure(domain[k].name, tags[k], records[k]->timing_profile,
+                         a)
         .perf;
   };
   resp.result = explorer.explore(domain, prepare, measure);

@@ -170,8 +170,10 @@ PerfEstimate EstimateProfile::estimate(const arch::Architecture& target) const {
     // Backlog model: each cycle serves what the unit pools can reach
     // (exact matching); the surplus queues and may drain into later spare
     // capacity. Only the final backlog forces extra cycles. Dependences
-    // and operand routing are ignored, so the bound never overestimates —
-    // the paper's "upper bound of the performance".
+    // and operand routing are ignored. The paper calls the result an
+    // "upper bound of the performance"; it held on the paper domain's 97
+    // grid points but is not a bound in either direction elsewhere (see
+    // the oracle, bench/bench_dse_oracle.cpp).
     long backlog = 0;
     for (std::size_t t = 0; t + 1 < cycle_start_.size(); ++t) {
       const int first = cycle_start_[t];

@@ -1,12 +1,16 @@
-// Fast performance upper bound used inside the RSP exploration loop
-// (paper §4): instead of fully rescheduling every candidate, count per
-// cycle how many critical operations the *initial* (base) context issues
-// and compare with the candidate's shared-unit capacity (RS stall bound),
-// and account for the extra latency of pipelined multiplications along the
-// longest multiplication chain (RP stall bound). The paper notes "in
-// reality, more cycles may stall … thus this approximation is an upper
-// bound of the performance" — i.e. the estimate is optimistic; the exact
-// number comes from full rescheduling afterwards.
+// Fast performance estimate used inside the RSP exploration loop (paper
+// §4): instead of fully rescheduling every candidate, count per cycle how
+// many critical operations the *initial* (base) context issues and compare
+// with the candidate's shared-unit capacity (RS stall term), and account
+// for the extra latency of pipelined multiplications along the longest
+// multiplication chain (RP stall term). The paper notes "in reality, more
+// cycles may stall … thus this approximation is an upper bound of the
+// performance", i.e. an optimistic estimate; the exact number comes from
+// full rescheduling afterwards. Here that held on the paper domain's 97
+// default-grid points, but it is not a bound in either direction
+// elsewhere: the exhaustive oracle (bench/bench_dse_oracle.cpp, pinned as
+// golden.dse_oracle) finds catalogue kernels and generated kernels where
+// the estimate exceeds the exact cycles.
 //
 // Everything the estimate reads from the base context depends on the kernel
 // alone, so an EstimateProfile extracts it once per kernel: the

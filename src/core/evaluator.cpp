@@ -1,31 +1,23 @@
 #include "core/evaluator.hpp"
 
-#include <algorithm>
+#include <optional>
 
 #include "util/error.hpp"
 
 namespace rsp::core {
 
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
-                          const sched::PlacedProgram& program,
+                          const sched::TimingProfile& profile,
                           const arch::Architecture& architecture) {
-  const sched::ScheduleTiming real = scheduler.timing(program, architecture);
+  const sched::ScheduleTiming real = scheduler.timing(profile, architecture);
   MeasuredPerf m;
   m.perf.cycles = real.length;
   m.perf.nostall_cycles =
       architecture.shares_multiplier()
-          ? scheduler.timing(program, sched::unlimited_units(architecture))
-                .length
+          ? scheduler.stall_free_length(profile, architecture)
           : real.length;
   m.perf.stalls = m.perf.cycles - m.perf.nostall_cycles;
-  // Peak critical-resource issues per cycle, as
-  // ConfigurationContext::max_critical_issues_per_cycle counts them.
-  std::vector<int> issues(static_cast<std::size_t>(real.length), 0);
-  for (std::size_t i = 0; i < real.cycles.size(); ++i)
-    if (ir::is_critical_op(program.ops()[i].kind))
-      m.max_critical_issues = std::max(
-          m.max_critical_issues,
-          ++issues[static_cast<std::size_t>(real.cycles[i])]);
+  m.max_critical_issues = profile.max_critical_issues(real);
   return m;
 }
 
@@ -54,7 +46,8 @@ EvalResult RspEvaluator::evaluate(const sched::PlacedProgram& program,
                                   const arch::Architecture& architecture,
                                   double base_et_ns) const {
   EvalResult r = make_eval_result(
-      architecture, measure_perf(scheduler_, program, architecture),
+      architecture,
+      measure_perf(scheduler_, sched::TimingProfile(program), architecture),
       synth_.clock_ns(architecture));
   if (base_et_ns > 0.0)
     r.delay_reduction_percent =
@@ -68,11 +61,14 @@ std::vector<EvalResult> RspEvaluator::evaluate_suite(
     const MeasurePerfFn& measure) const {
   if (suite.empty())
     throw InvalidArgumentError("evaluate_suite requires architectures");
+  // Without a hook, one profile serves the whole suite.
+  std::optional<sched::TimingProfile> profile;
+  if (!measure) profile.emplace(program);
   std::vector<EvalResult> out;
   out.reserve(suite.size());
   for (const arch::Architecture& a : suite)
     out.push_back(make_eval_result(
-        a, measure ? measure(a) : measure_perf(scheduler_, program, a),
+        a, measure ? measure(a) : measure_perf(scheduler_, *profile, a),
         synth_.clock_ns(a)));
   const double base_et_ns = out.front().execution_time_ns;
   if (base_et_ns > 0.0)

@@ -32,14 +32,15 @@ struct MeasuredPerf {
   int max_critical_issues = 0;  ///< peak critical-resource issues per cycle
 };
 
-/// Measures a pair from issue cycles alone (ContextScheduler::timing), so
-/// no configuration context is built: the real run gives the cycles and
-/// the issue-width column, a run with unlimited units gives the stalls.
-/// The serial evaluator and the evaluation memo-cache fill
-/// (runtime::EvalCache::get_or_measure) both measure through it, so a
-/// cached row cannot drift from a fresh one.
+/// Measures the program `profile` was built from on `architecture`, from
+/// issue cycles alone (ContextScheduler::timing), so no configuration
+/// context is built: the real run gives the cycles and the issue-width
+/// column, the stall-free run (ContextScheduler::stall_free_length,
+/// memoized in the profile) gives the stalls. The serial evaluator and the
+/// evaluation memo-cache fill (runtime::EvalCache::get_or_measure) both
+/// measure through it, so a cached row cannot drift from a fresh one.
 MeasuredPerf measure_perf(const sched::ContextScheduler& scheduler,
-                          const sched::PlacedProgram& program,
+                          const sched::TimingProfile& profile,
                           const arch::Architecture& architecture);
 
 /// Measurement hook for `RspEvaluator::evaluate_suite`: the MeasuredPerf
@@ -65,7 +66,8 @@ class RspEvaluator {
                       double base_et_ns = 0.0) const;
 
   /// Evaluates the whole suite, measuring each architecture through
-  /// `measure` (in suite order); the first entry must be the base
+  /// `measure` (in suite order), or without a hook through one
+  /// TimingProfile of `program`; the first entry must be the base
   /// architecture (delay reductions are computed against it).
   std::vector<EvalResult> evaluate_suite(
       const sched::PlacedProgram& program,

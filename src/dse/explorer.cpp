@@ -92,10 +92,12 @@ KernelPrep prepare_kernel(const kernels::Workload& workload) {
       arch::base_architecture(workload.array.rows, workload.array.cols);
   sched::PlacedProgram program =
       mapper.map(workload.kernel, workload.hints, workload.reduction);
+  sched::TimingProfile timing_profile(program);
   sched::ConfigurationContext base_context =
       scheduler.schedule(program, base);
   analysis::require_legal(base_context);
-  return KernelPrep{std::move(program), std::move(base_context)};
+  return KernelPrep{std::move(program), std::move(base_context),
+                    std::move(timing_profile)};
 }
 
 arch::Architecture Explorer::base_architecture() const {
@@ -221,7 +223,7 @@ ExplorationResult Explorer::explore(
   const sched::ContextScheduler scheduler;
   const MeasureFn measure_directly = [&](std::size_t k,
                                          const arch::Architecture& a) {
-    return sched::measure(scheduler, kernels[k].prep->program, a);
+    return sched::measure(scheduler, kernels[k].prep->timing_profile, a);
   };
   for (Candidate& cand : result.candidates) {
     if (!cand.pareto) continue;

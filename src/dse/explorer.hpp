@@ -7,8 +7,12 @@
 //   2. enumerates RSP parameter combinations (units per row, units per
 //      column, pipeline stages);
 //   3. estimates hardware cost with eq. (2) and performance with the fast
-//      stall upper bound, rejecting points that violate the cost constraint
-//      or the performance floor;
+//      stall estimate, rejecting points that violate the cost constraint
+//      or the performance floor. The paper calls that estimate an upper
+//      bound of the performance; it held on the paper domain's 97 grid
+//      points, but elsewhere it is not a bound in either direction, and
+//      the exhaustive oracle (bench/bench_dse_oracle.cpp, golden.dse_oracle)
+//      records where it costs the selection its optimum;
 //   4. keeps the Pareto points of (estimated area, estimated time);
 //   5. evaluates the survivors exactly (full rescheduling of every kernel)
 //      and selects the optimum under the chosen objective.
@@ -43,7 +47,9 @@ struct Candidate {
   double area_estimate = 0.0;      ///< eq. (2), slices
   double area_synthesized = 0.0;   ///< calibrated synthesis estimate
   double clock_ns = 0.0;
-  long estimated_cycles = 0;       ///< Σ over kernels, fast upper bound
+  /// Σ over kernels of the fast estimate; not a bound off the paper
+  /// domain (see the file comment).
+  long estimated_cycles = 0;
   double estimated_time_ns = 0.0;
   bool rejected = false;
   std::string reject_reason;
@@ -71,9 +77,11 @@ struct ExplorerConfig {
   /// ("performance too low").
   double max_time_ratio = 1.5;
   /// Pareto relaxation: survivors may be up to (1+ε) worse in both
-  /// objectives than a dominating point. Since the performance numbers at
-  /// this stage are optimistic upper bounds, a small ε keeps genuinely
-  /// competitive designs alive for exact evaluation.
+  /// objectives than a dominating point. The performance numbers at this
+  /// stage are estimates, so a small ε keeps genuinely competitive designs
+  /// alive for exact evaluation. They were optimistic on the paper
+  /// domain's 97 points but are not a bound in either direction elsewhere;
+  /// the oracle (bench/bench_dse_oracle.cpp) pins the selections ε loses.
   double pareto_epsilon = 0.05;
   Objective objective = Objective::kMinAreaTimeProduct;
 
@@ -96,24 +104,31 @@ struct ExplorationResult {
   std::vector<const Candidate*> pareto_points() const;
 };
 
-/// Step-1 product for one kernel: the placed program and its schedule on
-/// the base architecture (one of the paper's "initial configuration
-/// contexts"). This is what the runtime's mapping memo-cache stores.
+/// Step-1 product for one kernel: the placed program, its schedule on the
+/// base architecture (one of the paper's "initial configuration
+/// contexts") and the program's timing profile, which step 5 measures
+/// every survivor through. This is what the runtime's mapping memo-cache
+/// stores; the profile's stall-free memo is thread-safe, so one record
+/// serves every request.
 struct KernelPrep {
   sched::PlacedProgram program;
   sched::ConfigurationContext base_context;
+  sched::TimingProfile timing_profile;
 };
 
 /// The canonical step-1 computation for one kernel on its own array
-/// geometry: map, schedule on the base architecture, legality-check.
+/// geometry: map, build the timing profile, schedule on the base
+/// architecture, legality-check.
 /// Explorer::explore and the mapping memo-cache fill both go through this
 /// one function, so a cached step-1 product cannot drift from a fresh one.
 KernelPrep prepare_kernel(const kernels::Workload& workload);
 
 /// What the step-1 hook hands `Explorer::explore` for one kernel: the
 /// shared step-1 record and, optionally, the estimate profile of its base
-/// context (built from `prep->base_context` when null). Both are immutable,
-/// so a memo cache can hand out the same objects to every request.
+/// context (built from `prep->base_context` when null). Both are safe to
+/// share (the record's one mutable part, its timing profile's stall-free
+/// memo, is atomic), so a memo cache can hand out the same objects to
+/// every request.
 struct PreparedKernel {
   std::shared_ptr<const KernelPrep> prep;
   std::shared_ptr<const core::EstimateProfile> profile;
@@ -127,8 +142,8 @@ using PrepareFn = std::function<PreparedKernel(
 
 /// Measurement hook for `evaluate_exact`: returns the PerfPoint of placed
 /// program `program_index` on `architecture`. The serial path calls
-/// sched::measure directly; api::Service interposes the evaluation
-/// memo-cache here.
+/// sched::measure on the kernel's KernelPrep::timing_profile directly;
+/// api::Service interposes the evaluation memo-cache here.
 using MeasureFn = std::function<sched::PerfPoint(
     std::size_t program_index, const arch::Architecture& architecture)>;
 

@@ -33,8 +33,10 @@ std::vector<std::size_t> pareto_front(const std::vector<T>& items,
 
 /// ε-relaxed Pareto front: item i is dropped only when some j is better by
 /// more than a factor (1+ε) in *both* objectives. With ε > 0 the front also
-/// keeps near-optimal points — useful when the objectives are optimistic
-/// estimates and the final ranking uses exact evaluation.
+/// keeps near-optimal points — useful when the objectives are estimates and
+/// the final ranking uses exact evaluation. The DSE's time estimate is not
+/// a bound in either direction off the paper domain (see
+/// bench/bench_dse_oracle.cpp), so no ε guarantees the optimum survives.
 template <typename T>
 std::vector<std::size_t> epsilon_pareto_front(
     const std::vector<T>& items, std::function<double(const T&)> obj_a,

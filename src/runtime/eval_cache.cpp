@@ -70,12 +70,12 @@ std::string EvalCache::key(const std::string& kernel_id,
 
 core::MeasuredPerf EvalCache::get_or_measure(
     const std::string& kernel_id, const std::string& program_tag,
-    const sched::PlacedProgram& program,
+    const sched::TimingProfile& profile,
     const arch::Architecture& architecture) {
   const EvalRecord r =
       get_or_compute(key(kernel_id, program_tag, architecture), [&] {
         const core::MeasuredPerf m = core::measure_perf(
-            sched::ContextScheduler(), program, architecture);
+            sched::ContextScheduler(), profile, architecture);
         return EvalRecord{m.perf.cycles, m.perf.stalls,
                           m.perf.nostall_cycles, m.max_critical_issues};
       });

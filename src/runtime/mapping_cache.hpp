@@ -4,11 +4,13 @@
 // base architecture — is recomputed identically for every `dse`, `eval`
 // and `map` request touching the same workload, and it dominates the
 // serial front-end of a serving process. This cache memoizes the
-// dse::KernelPrep (placed program + base configuration context) per
-// stable (kernel, array-spec) fingerprint so repeated requests skip
-// remapping entirely. Records are immutable and shared by pointer: a hit
+// dse::KernelPrep (placed program, base configuration context and timing
+// profile) per stable (kernel, array-spec) fingerprint so repeated
+// requests skip remapping entirely. Records are shared by pointer: a hit
 // is one shared_ptr copy, never a program copy, and eviction just drops a
-// reference (in-flight readers keep theirs alive).
+// reference (in-flight readers keep theirs alive). They are immutable but
+// for the timing profile's stall-free memo, which is atomic, so every
+// request measuring a kernel fills and reuses the same memo.
 //
 // Key composition: the kernel's canonical name plus a content hash of
 // everything the mapper reads — the array spec, the mapping hints, the
@@ -63,7 +65,8 @@ class MappingCache {
 
   /// The memoized step 1: returns the cached record or computes it via
   /// dse::prepare_kernel (outside any shard lock) and publishes it. The
-  /// returned record is immutable and safe to share across threads.
+  /// returned record is safe to share across threads (see the file
+  /// comment).
   /// `mapping_key` must be key(workload) — callers touching a workload
   /// repeatedly compute it once.
   std::shared_ptr<const dse::KernelPrep> get_or_map(

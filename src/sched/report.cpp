@@ -14,14 +14,13 @@ ScheduleStats stats_of(const ConfigurationContext& context) {
 }
 
 PerfPoint measure(const ContextScheduler& scheduler,
-                  const PlacedProgram& program,
+                  const TimingProfile& profile,
                   const arch::Architecture& architecture) {
   PerfPoint p;
-  p.cycles = scheduler.timing(program, architecture).length;
-  p.nostall_cycles =
-      architecture.shares_multiplier()
-          ? scheduler.timing(program, unlimited_units(architecture)).length
-          : p.cycles;
+  p.cycles = scheduler.timing(profile, architecture).length;
+  p.nostall_cycles = architecture.shares_multiplier()
+                         ? scheduler.stall_free_length(profile, architecture)
+                         : p.cycles;
   p.stalls = p.cycles - p.nostall_cycles;
   return p;
 }

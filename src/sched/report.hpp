@@ -32,10 +32,12 @@ struct PerfPoint {
   int nostall_cycles = 0;  ///< schedule length with unlimited units
 };
 
-/// Both schedules are measured with ContextScheduler::timing, so no
-/// configuration context is built.
+/// Measures the program `profile` was built from on `architecture`: the
+/// real schedule with ContextScheduler::timing and the stall-free one with
+/// ContextScheduler::stall_free_length, so no configuration context is
+/// built and the stall-free run is memoized in the profile.
 PerfPoint measure(const ContextScheduler& scheduler,
-                  const PlacedProgram& program,
+                  const TimingProfile& profile,
                   const arch::Architecture& architecture);
 
 }  // namespace rsp::sched

@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -40,7 +41,74 @@ class OccupancyTable {
   std::vector<int> cells_;
 };
 
+constexpr const char* kMaxCyclesExceeded =
+    "schedule exceeds max_cycles — livelock?";
+
+// The target checks every entry of the pass runs.
+void check_target(const TimingProfile& profile,
+                  const arch::Architecture& architecture) {
+  architecture.validate();
+  if (profile.array() != architecture.array)
+    throw InvalidArgumentError(
+        "program was placed for a different array geometry");
+}
+
 }  // namespace
+
+TimingProfile::StallFreeMemo::StallFreeMemo() {
+  for (std::atomic<std::uint64_t>& slot : slots) slot.store(kUnset);
+}
+
+TimingProfile::StallFreeMemo::StallFreeMemo(const StallFreeMemo& other) {
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    slots[i].store(other.slots[i].load());
+}
+
+TimingProfile::TimingProfile(const PlacedProgram& program)
+    : array_(program.array()) {
+  program.validate();
+  const std::vector<ProgramOp>& ops = program.ops();
+  const std::size_t n = ops.size();
+
+  // Scheduling order: by priority (stable on index for determinism).
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&ops](ProgIndex a, ProgIndex b) {
+                     return ops[static_cast<std::size_t>(a)].priority <
+                            ops[static_cast<std::size_t>(b)].priority;
+                   });
+
+  ops_.reserve(n);
+  pred_start_.reserve(n + 1);
+  pred_start_.push_back(0);
+  for (const ProgramOp& op : ops) {
+    Kind kind = Kind::kOther;
+    if (ir::is_critical_op(op.kind))
+      kind = Kind::kCritical;
+    else if (op.kind == ir::OpKind::kLoad)
+      kind = Kind::kLoad;
+    else if (op.kind == ir::OpKind::kStore)
+      kind = Kind::kStore;
+    ops_.push_back(
+        Op{kind, array_.linear(op.pe), op.pe.row, op.pe.col, op.not_before});
+    for (const ProgOperand& o : op.operands)
+      if (!o.is_imm()) preds_.push_back(o.producer);
+    preds_.insert(preds_.end(), op.order_deps.begin(), op.order_deps.end());
+    pred_start_.push_back(preds_.size());
+  }
+}
+
+int TimingProfile::max_critical_issues(const ScheduleTiming& timing) const {
+  RSP_ASSERT(timing.cycles.size() == ops_.size());
+  std::vector<int> issues(static_cast<std::size_t>(timing.length), 0);
+  int peak = 0;
+  for (std::size_t i = 0; i < ops_.size(); ++i)
+    if (ops_[i].kind == Kind::kCritical)
+      peak = std::max(peak,
+                      ++issues[static_cast<std::size_t>(timing.cycles[i])]);
+  return peak;
+}
 
 arch::Architecture unlimited_units(const arch::Architecture& a) {
   if (!a.shares_multiplier()) return a;
@@ -55,28 +123,14 @@ arch::Architecture unlimited_units(const arch::Architecture& a) {
 }
 
 ScheduleTiming ContextScheduler::timing(
-    const PlacedProgram& program, const arch::Architecture& architecture)
+    const TimingProfile& profile, const arch::Architecture& architecture)
     const {
-  architecture.validate();
-  program.validate();
-  if (program.array() != architecture.array)
-    throw InvalidArgumentError(
-        "program was placed for a different array geometry");
+  check_target(profile, architecture);
 
   const arch::ArraySpec& array = architecture.array;
   const bool shared = architecture.shares_multiplier();
   const int mult_latency = architecture.mult_latency();
-  const std::vector<ProgramOp>& ops = program.ops();
-  const std::size_t n = ops.size();
-
-  // Scheduling order: by priority (stable on index for determinism).
-  std::vector<ProgIndex> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&ops](ProgIndex a, ProgIndex b) {
-                     return ops[static_cast<std::size_t>(a)].priority <
-                            ops[static_cast<std::size_t>(b)].priority;
-                   });
+  const std::size_t n = profile.size();
 
   // Occupancy: PEs, row read buses, row write buses, shared units.
   OccupancyTable pe_busy(array.num_pes());
@@ -95,53 +149,46 @@ ScheduleTiming ContextScheduler::timing(
   // Cycle from which each op's result is consumable; -1 until scheduled.
   std::vector<int> ready_at(n, -1);
 
-  for (ProgIndex idx : order) {
-    const ProgramOp& op = ops[static_cast<std::size_t>(idx)];
+  for (const ProgIndex order_idx : profile.order_) {
+    const auto idx = static_cast<std::size_t>(order_idx);
+    const TimingProfile::Op& op = profile.ops_[idx];
 
     // Earliest cycle by dataflow and memory ordering.
     int ready = 0;
-    for (const ProgOperand& o : op.operands) {
-      if (o.is_imm()) continue;
-      const int r = ready_at[static_cast<std::size_t>(o.producer)];
+    for (std::size_t k = profile.pred_start_[idx];
+         k < profile.pred_start_[idx + 1]; ++k) {
+      const int r = ready_at[static_cast<std::size_t>(profile.preds_[k])];
       RSP_ASSERT_MSG(r >= 0, "producer scheduled after consumer");
       ready = std::max(ready, r);
     }
-    for (ProgIndex d : op.order_deps) {
-      const int r = ready_at[static_cast<std::size_t>(d)];
-      RSP_ASSERT_MSG(r >= 0, "order dep scheduled after consumer");
-      ready = std::max(ready, r);
-    }
 
-    const bool is_mult = ir::is_critical_op(op.kind);
+    const bool is_mult = op.kind == TimingProfile::Kind::kCritical;
     const bool needs_unit = is_mult && shared;
     if (needs_unit && upr + upc == 0)
       throw InfeasibleError("architecture '" + architecture.name +
                             "' shares multipliers but PE(" +
-                            std::to_string(op.pe.row) + "," +
-                            std::to_string(op.pe.col) +
-                            ") reaches no unit");
+                            std::to_string(op.row) + "," +
+                            std::to_string(op.col) + ") reaches no unit");
 
-    const int pe_slot = array.linear(op.pe);
     // A multi-cycle (pipelined) operation keeps its issuing PE busy for all
     // stages: the PE waits for the product to return through the bus switch
     // (paper Fig. 6 — the 1*/2* stage pair occupies the PE's slots).
     const int latency = is_mult ? mult_latency : 1;
-    const int row_pool = op.pe.row * upr;
-    const int col_pool = row_units + op.pe.col * upc;
+    const int row_pool = op.row * upr;
+    const int col_pool = row_units + op.col * upc;
     int t = std::max(ready, op.not_before);
     int unit_slot = -1;
     for (;; ++t) {
-      if (t > options_.max_cycles)
-        throw InternalError("schedule exceeds max_cycles — livelock?");
+      if (t > options_.max_cycles) throw InternalError(kMaxCyclesExceeded);
       bool pe_free = true;
       for (int s = 0; s < latency && pe_free; ++s)
-        pe_free = pe_busy.used(t + s, pe_slot) == 0;
+        pe_free = pe_busy.used(t + s, op.pe_slot) == 0;
       if (!pe_free) continue;
-      if (op.kind == ir::OpKind::kLoad &&
-          read_bus.used(t, op.pe.row) >= array.read_buses_per_row)
+      if (op.kind == TimingProfile::Kind::kLoad &&
+          read_bus.used(t, op.row) >= array.read_buses_per_row)
         continue;
-      if (op.kind == ir::OpKind::kStore &&
-          write_bus.used(t, op.pe.row) >= array.write_buses_per_row)
+      if (op.kind == TimingProfile::Kind::kStore &&
+          write_bus.used(t, op.row) >= array.write_buses_per_row)
         continue;
       if (needs_unit) {
         // First fit: row-pool units, then column-pool units, in index order.
@@ -155,16 +202,55 @@ ScheduleTiming ContextScheduler::timing(
     }
 
     // Commit.
-    for (int s = 0; s < latency; ++s) pe_busy.take(t + s, pe_slot);
-    if (op.kind == ir::OpKind::kLoad) read_bus.take(t, op.pe.row);
-    if (op.kind == ir::OpKind::kStore) write_bus.take(t, op.pe.row);
+    for (int s = 0; s < latency; ++s) pe_busy.take(t + s, op.pe_slot);
+    if (op.kind == TimingProfile::Kind::kLoad) read_bus.take(t, op.row);
+    if (op.kind == TimingProfile::Kind::kStore) write_bus.take(t, op.row);
     if (unit_slot >= 0) unit_busy.take(t, unit_slot);
-    out.cycles[static_cast<std::size_t>(idx)] = t;
-    out.unit_slots[static_cast<std::size_t>(idx)] = unit_slot;
-    ready_at[static_cast<std::size_t>(idx)] = t + latency;
+    out.cycles[idx] = t;
+    out.unit_slots[idx] = unit_slot;
+    ready_at[idx] = t + latency;
     out.length = std::max(out.length, t + latency);
   }
   return out;
+}
+
+ScheduleTiming ContextScheduler::timing(
+    const PlacedProgram& program, const arch::Architecture& architecture)
+    const {
+  // An invalid target's error takes precedence over an invalid program's.
+  architecture.validate();
+  return timing(TimingProfile(program), architecture);
+}
+
+int ContextScheduler::stall_free_length(
+    const TimingProfile& profile, const arch::Architecture& architecture)
+    const {
+  if (!architecture.shares_multiplier())
+    return timing(profile, architecture).length;
+  // unlimited_units keeps everything validate() checks but the unit
+  // counts, which it sets valid, so checking the target suffices.
+  check_target(profile, architecture);
+  std::atomic<std::uint64_t>& slot =
+      profile.stall_free_.slots[static_cast<std::size_t>(
+          architecture.mult_latency() - 1)];
+  const std::uint64_t memo = slot.load();
+  if (memo != TimingProfile::StallFreeMemo::kUnset) {
+    const auto last_issue = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(memo));
+    if (last_issue > options_.max_cycles)
+      throw InternalError(kMaxCyclesExceeded);
+    return static_cast<int>(memo >> 32);
+  }
+  const ScheduleTiming free_run =
+      timing(profile, unlimited_units(architecture));
+  // The pass throws past max_cycles exactly when some op issues past it.
+  const int last_issue =
+      free_run.cycles.empty()
+          ? std::numeric_limits<int>::min()
+          : *std::max_element(free_run.cycles.begin(), free_run.cycles.end());
+  slot.store(static_cast<std::uint64_t>(free_run.length) << 32 |
+             static_cast<std::uint32_t>(last_issue));
+  return free_run.length;
 }
 
 ConfigurationContext ContextScheduler::schedule(

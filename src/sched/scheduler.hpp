@@ -19,8 +19,19 @@
 // The pass only decides issue cycles and unit slots (`timing`); `schedule`
 // runs it and then materialises the ScheduledOps. Measurements need the
 // lengths alone, so they take `timing` and build no context.
+//
+// What the pass reads of a placed program depends on the program alone, so
+// a TimingProfile extracts it once: the validated program's priority order
+// and, per op, its kind class, PE, not_before and predecessor list. Exact evaluation schedules one program on many architectures
+// (Fig. 7 step 5, the Table 4/5 suite), so it builds the profile once and
+// times every architecture on it. The stall-free schedule that RS stalls
+// are counted against depends only on the multiplier latency, so the
+// profile also memoizes its length per latency.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -43,6 +54,62 @@ struct ScheduleTiming {
   int length = 0;  ///< max over ops of (cycle + latency)
 };
 
+/// The per-program part of the scheduling pass, built once per placed
+/// program and scheduled on any number of architectures of its array
+/// geometry. The constructor is the pass's only call of
+/// PlacedProgram::validate and of the priority sort. The profile holds no
+/// reference to the program. One profile may be shared across threads:
+/// the stall-free memo is its only mutable state, and it is atomic.
+class TimingProfile {
+ public:
+  /// Throws what PlacedProgram::validate throws for an invalid `program`.
+  explicit TimingProfile(const PlacedProgram& program);
+
+  const arch::ArraySpec& array() const { return array_; }
+  std::size_t size() const { return order_.size(); }
+
+  /// Peak critical-operation issues in one cycle of `timing`, a schedule
+  /// of this profile's program: the count
+  /// ConfigurationContext::max_critical_issues_per_cycle takes.
+  int max_critical_issues(const ScheduleTiming& timing) const;
+
+ private:
+  friend class ContextScheduler;
+
+  enum class Kind : std::uint8_t { kOther, kLoad, kStore, kCritical };
+
+  /// One op as the pass reads it.
+  struct Op {
+    Kind kind = Kind::kOther;
+    int pe_slot = 0;  ///< ArraySpec::linear of the PE
+    int row = 0;
+    int col = 0;
+    int not_before = 0;
+  };
+
+  /// Per multiplier latency 1..kMaxPipelineStages, the stall-free
+  /// schedule's length (high half) and largest issue cycle (low half), or
+  /// kUnset. Racing fills store the same value. A copy keeps what is
+  /// memoized.
+  struct StallFreeMemo {
+    static constexpr std::uint64_t kUnset = ~std::uint64_t{0};
+    std::array<std::atomic<std::uint64_t>, arch::kMaxPipelineStages> slots;
+
+    StallFreeMemo();
+    StallFreeMemo(const StallFreeMemo& other);
+    StallFreeMemo& operator=(const StallFreeMemo&) = delete;
+  };
+
+  arch::ArraySpec array_;
+  std::vector<ProgIndex> order_;  ///< program indices, by priority
+  std::vector<Op> ops_;           ///< indexed like the program's ops
+  /// Operand and order-dependence predecessors of op i, as program
+  /// indices: preds_[pred_start_[i] .. pred_start_[i + 1]).
+  std::vector<std::size_t> pred_start_;
+  std::vector<ProgIndex> preds_;
+  mutable StallFreeMemo stall_free_;
+};
+
 class ContextScheduler {
  public:
   explicit ContextScheduler(SchedulerOptions options = {})
@@ -52,9 +119,23 @@ class ContextScheduler {
   ConfigurationContext schedule(const PlacedProgram& program,
                                 const arch::Architecture& architecture) const;
 
-  /// The scheduling pass of `schedule` alone: the same checks and the same
-  /// issue cycles and units, without building the context.
+  /// The scheduling pass: the issue cycles and units `schedule` assigns,
+  /// without building the context. Every call validates `architecture`,
+  /// checks that it has the profile's array geometry and aborts past
+  /// max_cycles. This is the only implementation of the pass; the
+  /// program-taking entries build a temporary profile and call it.
+  ScheduleTiming timing(const TimingProfile& profile,
+                        const arch::Architecture& architecture) const;
   ScheduleTiming timing(const PlacedProgram& program,
+                        const arch::Architecture& architecture) const;
+
+  /// Length of the stall-free schedule RS stalls are counted against:
+  /// `architecture`'s pipelining on unlimited_units(architecture). Nothing
+  /// else of a sharing target enters that schedule, so `profile` memoizes
+  /// it per multiplier latency. The target checks of `timing` run on every
+  /// call, and a memoized schedule whose largest issue cycle exceeds this
+  /// scheduler's max_cycles throws as the pass would.
+  int stall_free_length(const TimingProfile& profile,
                         const arch::Architecture& architecture) const;
 
  private:

@@ -197,7 +197,9 @@ TEST_F(ExplorerFlow, ParetoPointsAreEvaluatedExactly) {
       ++pareto;
       EXPECT_TRUE(c.evaluated);
       EXPECT_GT(c.exact_cycles, 0);
-      // The estimate is an optimistic bound (paper §4).
+      // The estimate was optimistic (paper §4) on every paper-domain point;
+      // off that domain it is not a bound in either direction (see the
+      // oracle, bench/bench_dse_oracle.cpp).
       EXPECT_LE(c.estimated_cycles, c.exact_cycles) << c.point.label();
     } else {
       EXPECT_FALSE(c.evaluated);
@@ -348,7 +350,7 @@ TEST(Explorer, HookedExploreIsFieldEqualToUnhooked) {
   const sched::ContextScheduler scheduler;
   const MeasureFn measure = [&](std::size_t k, const arch::Architecture& a) {
     ++measured;
-    return core::measure_perf(scheduler, records[k]->program, a).perf;
+    return core::measure_perf(scheduler, records[k]->timing_profile, a).perf;
   };
   const ExplorationResult hooked = explorer.explore(domain, prepare, measure);
 

@@ -585,6 +585,56 @@ TEST(MappingCache, EstimatesMatchDirectComputation) {
   }
 }
 
+TEST(MappingCache, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
+  // Serve threads measure through one record's timing profile, whose
+  // stall-free memo starts cold. Four tasks sweep the default grid at once
+  // (each from a different start point), so the fills of every multiplier
+  // latency race; every task must measure what a serial sweep on a fresh
+  // record measures.
+  const kernels::Workload w = kernels::find_workload("State");
+  const dse::Explorer explorer(w.array);
+  const arch::Architecture base = explorer.base_architecture();
+  std::vector<arch::Architecture> grid;
+  for (const dse::DesignPoint& point : explorer.enumerate_points())
+    grid.push_back(explorer.point_architecture(point, base));
+  ASSERT_EQ(grid.size(), 97u);
+
+  const sched::ContextScheduler scheduler;
+  const auto measure_at = [&](const sched::TimingProfile& profile,
+                              std::size_t i) {
+    const core::MeasuredPerf m =
+        core::measure_perf(scheduler, profile, grid[i]);
+    return EvalRecord{m.perf.cycles, m.perf.stalls, m.perf.nostall_cycles,
+                      m.max_critical_issues};
+  };
+  const dse::KernelPrep fresh = dse::prepare_kernel(w);
+  std::vector<EvalRecord> serial;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    serial.push_back(measure_at(fresh.timing_profile, i));
+
+  MappingCache cache;
+  const std::shared_ptr<const dse::KernelPrep> record = cache.get_or_map(w);
+  constexpr int kTasks = 4;
+  ThreadPool pool(kTasks);
+  std::atomic<int> started{0};
+  std::vector<std::future<std::vector<EvalRecord>>> futures;
+  for (int t = 0; t < kTasks; ++t)
+    futures.push_back(pool.submit([&, t] {
+      // Start together, so the cold fills overlap.
+      started.fetch_add(1);
+      while (started.load() < kTasks) std::this_thread::yield();
+      std::vector<EvalRecord> out(grid.size());
+      for (std::size_t k = 0; k < grid.size(); ++k) {
+        const std::size_t i = (k + static_cast<std::size_t>(t)) % grid.size();
+        out[i] = measure_at(record->timing_profile, i);
+      }
+      return out;
+    }));
+  for (int t = 0; t < kTasks; ++t)
+    EXPECT_EQ(futures[static_cast<std::size_t>(t)].get(), serial)
+        << "task " << t;
+}
+
 // -------------------------------------------------- thread-safe logging
 // --------------------------------------------------------- batched sim
 sched::ConfigurationContext schedule_workload(const kernels::Workload& w,

@@ -222,8 +222,8 @@ TEST(Scheduler, PipeliningReducesPeakUnitDemand) {
   EXPECT_LE(rsp_peak, 4);
 
   // Hence 4 pipelined multipliers (1 per row) suffice without any stall.
-  const PerfPoint rsp =
-      measure(s, p, arch::custom_architecture("RSP-4u", 4, 4, 1, 0, 2));
+  const PerfPoint rsp = measure(
+      s, TimingProfile(p), arch::custom_architecture("RSP-4u", 4, 4, 1, 0, 2));
   EXPECT_EQ(rsp.stalls, 0);
 }
 
@@ -231,7 +231,7 @@ TEST(Scheduler, PipeliningReducesPeakUnitDemand) {
 TEST(Scheduler, MeasureDecomposesStalls) {
   const ContextScheduler s;
   const auto w = kernels::find_workload("State");
-  const PlacedProgram p = place(w);
+  const TimingProfile p(place(w));
   const PerfPoint base = measure(s, p, base_for(w));
   EXPECT_EQ(base.stalls, 0);
   EXPECT_EQ(base.cycles, base.nostall_cycles);
@@ -519,8 +519,12 @@ bool same_op(const ScheduledOp& a, const ScheduledOp& b) {
 
 /// One (program, architecture) pair: schedule() agrees with the reference
 /// op for op, and sched::measure / core::measure_perf agree with the
-/// reference measurement field for field.
+/// reference measurement field for field, both on a fresh profile of
+/// `program` and on `shared`, the profile every pair of `program` shares
+/// (so its stall-free memo is hit by every later pair of the same stage
+/// count).
 void expect_matches_reference(const PlacedProgram& program,
+                              const TimingProfile& shared,
                               const arch::Architecture& architecture,
                               const std::string& what) {
   const ContextScheduler scheduler;
@@ -539,25 +543,30 @@ void expect_matches_reference(const PlacedProgram& program,
 
   const core::MeasuredPerf reference_perf =
       reference::measure_perf(SchedulerOptions{}, program, architecture);
-  const core::MeasuredPerf perf =
-      core::measure_perf(scheduler, program, architecture);
-  const PerfPoint point = measure(scheduler, program, architecture);
-  for (const PerfPoint& p : {perf.perf, point}) {
-    EXPECT_EQ(p.cycles, reference_perf.perf.cycles) << what;
-    EXPECT_EQ(p.stalls, reference_perf.perf.stalls) << what;
-    EXPECT_EQ(p.nostall_cycles, reference_perf.perf.nostall_cycles) << what;
+  const TimingProfile fresh(program);
+  for (const TimingProfile* profile : {&fresh, &shared}) {
+    const core::MeasuredPerf perf =
+        core::measure_perf(scheduler, *profile, architecture);
+    const PerfPoint point = measure(scheduler, *profile, architecture);
+    for (const PerfPoint& p : {perf.perf, point}) {
+      EXPECT_EQ(p.cycles, reference_perf.perf.cycles) << what;
+      EXPECT_EQ(p.stalls, reference_perf.perf.stalls) << what;
+      EXPECT_EQ(p.nostall_cycles, reference_perf.perf.nostall_cycles)
+          << what;
+    }
+    EXPECT_EQ(perf.max_critical_issues, reference_perf.max_critical_issues)
+        << what;
   }
-  EXPECT_EQ(perf.max_critical_issues, reference_perf.max_critical_issues)
-      << what;
 }
 
 TEST(SchedulerReference, CatalogueMatchesOnTheNineDesigns) {
   std::size_t pairs = 0;
   for (const kernels::Workload& w : kernels::full_catalogue()) {
     const PlacedProgram p = place(w);
+    const TimingProfile shared(p);
     for (const arch::Architecture& a :
          arch::standard_suite(w.array.rows, w.array.cols)) {
-      expect_matches_reference(p, a, w.name + " on " + a.name);
+      expect_matches_reference(p, shared, a, w.name + " on " + a.name);
       ++pairs;
     }
   }
@@ -568,13 +577,16 @@ TEST(SchedulerReference, PaperDomainMatchesOnTheDefaultGrid) {
   std::size_t pairs = 0;
   for (const kernels::Workload& w : kernels::paper_suite()) {
     const PlacedProgram p = place(w);
+    const TimingProfile shared(p);
     const dse::Explorer explorer(w.array);
     const arch::Architecture base = explorer.base_architecture();
     const std::vector<dse::DesignPoint> points = explorer.enumerate_points();
     EXPECT_EQ(points.size(), 97u);
+    // In enumeration order: the first sharing point of each stage count
+    // fills the shared profile's memo, and its other 23 points hit it.
     for (const dse::DesignPoint& point : points) {
       const arch::Architecture a = explorer.point_architecture(point, base);
-      expect_matches_reference(p, a, w.name + " on " + a.name);
+      expect_matches_reference(p, shared, a, w.name + " on " + a.name);
       ++pairs;
     }
   }
@@ -586,9 +598,10 @@ TEST(SchedulerReference, GeneratedKernelsMatchOnTheNineDesigns) {
     const kernels::Workload w =
         kernels::find_in_catalogue("gen:" + std::to_string(seed));
     const PlacedProgram p = place(w);
+    const TimingProfile shared(p);
     for (const arch::Architecture& a :
          arch::standard_suite(w.array.rows, w.array.cols))
-      expect_matches_reference(p, a, w.name + " on " + a.name);
+      expect_matches_reference(p, shared, a, w.name + " on " + a.name);
   }
 }
 
@@ -617,6 +630,25 @@ void expect_same_error(const SchedulerOptions& options,
             want);
 }
 
+/// On `warm`, a profile of `program` whose stall-free memo is filled,
+/// sched::measure and core::measure_perf throw what the reference
+/// measurement throws, an error of type E.
+template <typename E>
+void expect_same_measure_error(const SchedulerOptions& options,
+                               const TimingProfile& warm,
+                               const PlacedProgram& program,
+                               const arch::Architecture& architecture) {
+  const ContextScheduler scheduler(options);
+  EXPECT_THROW(measure(scheduler, warm, architecture), E);
+  const std::string want = thrown_by(
+      [&] { reference::measure_perf(options, program, architecture); });
+  EXPECT_EQ(thrown_by([&] { measure(scheduler, warm, architecture); }),
+            want);
+  EXPECT_EQ(
+      thrown_by([&] { core::measure_perf(scheduler, warm, architecture); }),
+      want);
+}
+
 TEST(SchedulerReference, TimingAndScheduleThrowTheSameErrors) {
   const PlacedProgram matmul = place(kernels::make_matmul(4));
   expect_same_error<InvalidArgumentError>({}, matmul,
@@ -635,6 +667,40 @@ TEST(SchedulerReference, TimingAndScheduleThrowTheSameErrors) {
   const PlacedProgram hydro = place(kernels::find_workload("Hydro"));
   expect_same_error<InternalError>(tight, hydro, arch::rs_architecture(1));
   expect_same_error<InternalError>(tight, hydro, arch::base_architecture());
+
+  // Profiles whose memo was filled under default options: every target
+  // check still runs on a memo hit.
+  const ContextScheduler loose;
+  const TimingProfile warm_hydro(hydro);
+  const arch::Architecture rs1 = arch::rs_architecture(1);
+  measure(loose, warm_hydro, rs1);
+  expect_same_measure_error<InternalError>(tight, warm_hydro, hydro, rs1);
+  const TimingProfile warm_matmul(matmul);
+  measure(loose, warm_matmul, arch::rs_architecture(1, 4, 4));
+  expect_same_measure_error<InvalidArgumentError>({}, warm_matmul, matmul,
+                                                  no_unit);
+  expect_same_measure_error<InvalidArgumentError>({}, warm_matmul, matmul,
+                                                  rs1);
+
+  // The memo hit itself honours max_cycles: it passes at the stall-free
+  // schedule's largest issue cycle and throws one cycle below, as the
+  // reference pass does.
+  const ConfigurationContext free_run =
+      reference::schedule({}, hydro, unlimited_units(rs1));
+  int last_issue = 0;
+  for (const ScheduledOp& op : free_run.ops())
+    last_issue = std::max(last_issue, op.cycle);
+  EXPECT_EQ(ContextScheduler({last_issue}).stall_free_length(warm_hydro, rs1),
+            free_run.length());
+  const SchedulerOptions below{last_issue - 1};
+  EXPECT_THROW(ContextScheduler(below).stall_free_length(warm_hydro, rs1),
+               InternalError);
+  EXPECT_EQ(thrown_by([&] {
+              ContextScheduler(below).stall_free_length(warm_hydro, rs1);
+            }),
+            thrown_by([&] {
+              reference::schedule(below, hydro, unlimited_units(rs1));
+            }));
 }
 
 }  // namespace
