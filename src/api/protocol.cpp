@@ -375,7 +375,7 @@ util::Json to_body(const BitstreamResponse& resp) {
 
 namespace {
 
-// Shared by the eval- and mapping-cache sections of cache_stats.
+// Shared by every memo table's section of cache_stats.
 util::Json& set_cache_stat_fields(util::Json& body,
                                   const runtime::CacheStats& stats) {
   return body.set("entries", static_cast<std::int64_t>(stats.entries))
@@ -399,6 +399,9 @@ util::Json to_body(const CacheStatsResponse& resp) {
   util::Json estimates = util::Json::object();
   set_cache_stat_fields(estimates, resp.estimate_stats);
   body.set("estimates", std::move(estimates));
+  util::Json schedules = util::Json::object();
+  set_cache_stat_fields(schedules, resp.schedule_stats);
+  body.set("schedules", std::move(schedules));
   util::Json sim = util::Json::object();
   set_cache_stat_fields(sim, resp.sim_stats);
   body.set("sim", std::move(sim));

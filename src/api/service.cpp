@@ -14,7 +14,6 @@
 #include "ir/dot.hpp"
 #include "kernels/registry.hpp"
 #include "rtl/generate.hpp"
-#include "runtime/sim_batch.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/scheduler.hpp"
@@ -24,6 +23,17 @@
 
 namespace rsp::api {
 
+namespace {
+
+// Key of the schedule and simulation memos: kernel name × architecture
+// name. Both names resolve through fixed tables (the catalogue and the
+// standard suite), so a name pins the full configuration.
+std::string pair_key(const kernels::Workload& w, const arch::Architecture& a) {
+  return w.name + '\n' + a.name;
+}
+
+}  // namespace
+
 Service::Service(ServiceOptions options)
     : cache_(options.cache ? std::move(options.cache)
                            : std::make_shared<runtime::EvalCache>(
@@ -32,21 +42,21 @@ Service::Service(ServiceOptions options)
                          ? std::move(options.mapping_cache)
                          : std::make_shared<runtime::MappingCache>(
                                16, options.cache_max_entries)),
+      schedules_(16, options.cache_max_entries),
       sim_runs_(16, options.cache_max_entries),
       catalogue_(kernels::full_catalogue()),
       workers_(options.threads),
       dispatch_(options.max_inflight) {}
 
-sched::ConfigurationContext Service::schedule_for(
+std::shared_ptr<const sched::ConfigurationContext> Service::schedule_for(
     const kernels::Workload& w, const arch::Architecture& a) const {
-  // The mapping memo-cache makes repeated map/simulate/vcd/bitstream
-  // requests skip remapping; only the target-architecture schedule runs.
-  const std::shared_ptr<const dse::KernelPrep> prep =
-      mapping_cache_->get_or_map(w);
-  const sched::ContextScheduler scheduler;
-  sched::ConfigurationContext ctx = scheduler.schedule(prep->program, a);
-  analysis::require_legal(ctx);
-  return ctx;
+  return schedules_.get_or_compute(pair_key(w, a), [&] {
+    auto ctx = std::make_shared<const sched::ConfigurationContext>(
+        sched::ContextScheduler().schedule(
+            mapping_cache_->get_or_map(w)->program, a));
+    analysis::require_legal(*ctx);
+    return ctx;
+  });
 }
 
 const kernels::Workload& Service::workload(const std::string& name) const {
@@ -79,15 +89,15 @@ ListResponse Service::list(const ListRequest&) const {
 
 EvalResponse Service::eval(const EvalRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
-  const std::shared_ptr<const dse::KernelPrep> prep =
+  const std::shared_ptr<const runtime::MappingRecord> record =
       mapping_cache_->get_or_map(w);
-  const std::string tag = runtime::EvalCache::program_tag(prep->program);
   EvalResponse resp;
   resp.kernel = w.name;
   resp.rows = core::RspEvaluator().evaluate_suite(
-      prep->program, arch::standard_suite(w.array.rows, w.array.cols),
+      record->program, arch::standard_suite(w.array.rows, w.array.cols),
       [&](const arch::Architecture& a) {
-        return cache_->get_or_measure(w.name, tag, prep->timing_profile, a);
+        return cache_->get_or_measure(w.name, record->program_tag,
+                                      record->timing_profile, a);
       });
   return resp;
 }
@@ -106,15 +116,14 @@ DseResponse Service::dse(const DseRequest& request) const {
 
   // Step 1 reads through the mapping cache, one MappingCache::key per
   // kernel for both the record and its estimate profile; step 5 reads
-  // through the evaluation cache, one program tag per kernel. explore
+  // through the evaluation cache under each record's program tag. explore
   // runs the step-1 hook for every kernel before the first measurement.
-  std::vector<std::shared_ptr<const dse::KernelPrep>> records(domain.size());
-  std::vector<std::string> tags(domain.size());
+  std::vector<std::shared_ptr<const runtime::MappingRecord>> records(
+      domain.size());
   const dse::PrepareFn prepare = [&](std::size_t k,
                                      const kernels::Workload& w) {
     const std::string key = runtime::MappingCache::key(w);
     records[k] = mapping_cache_->get_or_map(key, w);
-    tags[k] = runtime::EvalCache::program_tag(records[k]->program);
     return dse::PreparedKernel{
         records[k],
         mapping_cache_->get_or_profile(key, records[k]->base_context)};
@@ -122,8 +131,8 @@ DseResponse Service::dse(const DseRequest& request) const {
   const dse::MeasureFn measure = [&](std::size_t k,
                                      const arch::Architecture& a) {
     return cache_
-        ->get_or_measure(domain[k].name, tags[k], records[k]->timing_profile,
-                         a)
+        ->get_or_measure(domain[k].name, records[k]->program_tag,
+                         records[k]->timing_profile, a)
         .perf;
   };
   resp.result = explorer.explore(domain, prepare, measure);
@@ -162,8 +171,7 @@ LintResponse Service::lint(const LintRequest& request) const {
       row.kernel = w.name;
       row.arch = a.name;
       try {
-        row.report =
-            analysis::lint_context(schedule_for(w, a));
+        row.report = analysis::lint_context(*schedule_for(w, a));
       } catch (const std::exception& e) {
         // Mapping/scheduling died before a context existed (e.g. the
         // scheduler cannot place the kernel on this architecture) — a
@@ -184,24 +192,26 @@ MapResponse Service::map(const MapRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
-  const sched::ConfigurationContext ctx = schedule_for(w, a);
+  const std::shared_ptr<const sched::ConfigurationContext> ctx =
+      schedule_for(w, a);
   MapResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;
-  resp.schedule = sched::render_schedule(ctx);
-  resp.cycles = ctx.length();
-  resp.peak_critical_issues = ctx.max_critical_issues_per_cycle();
+  resp.schedule = sched::render_schedule(*ctx);
+  resp.cycles = ctx->length();
+  resp.peak_critical_issues = ctx->max_critical_issues_per_cycle();
   return resp;
 }
 
 std::shared_ptr<const Service::SimRun> Service::sim_run(
     const kernels::Workload& w, const arch::Architecture& a) const {
-  return sim_runs_.get_or_compute(w.name + '\n' + a.name, [&]() {
-    sched::ConfigurationContext ctx = schedule_for(w, a);
+  return sim_runs_.get_or_compute(pair_key(w, a), [&]() {
+    std::shared_ptr<const sched::ConfigurationContext> ctx =
+        schedule_for(w, a);
     ir::Memory mem, golden;
     w.setup(mem);
     w.setup(golden);
-    const sim::SimResult result = sim::Machine().run(ctx, mem);
+    const sim::SimResult result = sim::Machine().run(*ctx, mem);
     w.golden(golden);
     return std::make_shared<const SimRun>(
         SimRun{std::move(ctx), result, mem == golden});
@@ -242,40 +252,36 @@ SimulateBatchResponse Service::simulate_batch(
     }
   }
 
-  std::vector<sched::ConfigurationContext> contexts;
-  std::vector<ir::Memory> memories;
-  contexts.reserve(archs.size());
-  memories.reserve(archs.size());
-  for (const arch::Architecture& a : archs) {
-    contexts.push_back(schedule_for(w, a));
-    memories.emplace_back();
-    w.setup(memories.back());
+  // Rows come from the simulation memo. The pairs not simulated yet run
+  // on the worker pool — a dispatch task may block on workers_ futures,
+  // never the reverse (see the class comment) — so a warm request submits
+  // nothing. Every pool run finishes before the first row is read, so none
+  // outlives this frame when a row throws; the first failing row wins.
+  std::vector<std::future<std::shared_ptr<const SimRun>>> cold(archs.size());
+  bool mapped = false;
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    if (sim_runs_.contains(pair_key(w, archs[i]))) continue;
+    // Map here, once, rather than in every worker racing on a cold kernel.
+    if (!mapped) mapping_cache_->get_or_map(w);
+    mapped = true;
+    cold[i] = workers_.submit([this, &w, &a = archs[i]] {
+      return sim_run(w, a);
+    });
   }
-  std::vector<const sched::ConfigurationContext*> pointers;
-  pointers.reserve(contexts.size());
-  for (const sched::ConfigurationContext& ctx : contexts)
-    pointers.push_back(&ctx);
-
-  // Fan out on the worker pool: a dispatch task may block on workers_
-  // futures, never the reverse (see the class comment).
-  runtime::SimBatchOptions options;
-  options.pool = &workers_;
-  const std::vector<runtime::SimBatchResult> outcomes =
-      runtime::simulate_many(pointers, std::move(memories), options);
-
-  ir::Memory golden;
-  w.setup(golden);
-  w.golden(golden);
+  for (const auto& run : cold)
+    if (run.valid()) run.wait();
 
   SimulateBatchResponse resp;
   resp.kernel = w.name;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    const std::shared_ptr<const SimRun> run =
+        cold[i].valid() ? cold[i].get() : sim_run(w, archs[i]);
     SimulateResponse row;
     row.kernel = w.name;
     row.arch = archs[i].name;
-    row.cycles = outcomes[i].result.stats.cycles;
-    row.pe_utilization = outcomes[i].result.stats.pe_utilization();
-    row.matches_golden = outcomes[i].memory == golden;
+    row.cycles = run->result.stats.cycles;
+    row.pe_utilization = run->result.stats.pe_utilization();
+    row.matches_golden = run->matches_golden;
     resp.rows.push_back(std::move(row));
   }
   return resp;
@@ -306,7 +312,7 @@ VcdResponse Service::vcd(const VcdRequest& request) const {
   VcdResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;
-  resp.vcd = sim::to_vcd(run->context, run->result);
+  resp.vcd = sim::to_vcd(*run->context, run->result);
   return resp;
 }
 
@@ -314,8 +320,7 @@ BitstreamResponse Service::bitstream(const BitstreamRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
-  const sched::ConfigurationContext ctx = schedule_for(w, a);
-  const arch::ConfigCache config = ctx.encode();
+  const arch::ConfigCache config = schedule_for(w, a)->encode();
   BitstreamResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;
@@ -329,6 +334,7 @@ CacheStatsResponse Service::cache_stats(const CacheStatsRequest&) const {
   resp.stats = cache_->stats();
   resp.mapping_stats = mapping_cache_->stats();
   resp.estimate_stats = mapping_cache_->estimate_stats();
+  resp.schedule_stats = schedules_.stats();
   resp.sim_stats = sim_runs_.stats();
   resp.threads = workers_.thread_count();
   return resp;

@@ -13,13 +13,17 @@
 //     (core::RspEvaluator::evaluate_suite, dse::Explorer::explore) on the
 //     dispatch thread, reading through the mapping and evaluation caches
 //     via the loops' measure/prepare hooks.
-//   * `workers` — the simulation pool `simulate_batch` fans its runs out
-//     on. A dispatch task may block on `workers` futures but never the
-//     other way around, so the two-pool split cannot deadlock — request
-//     tasks submitted to a single shared pool could starve their own inner
-//     tasks.
-// Results are bit-identical to the serial paths regardless of either
-// pool's size: memoized entries are the serial computations' results.
+//   * `workers` — the simulation pool `simulate_batch` runs the pairs it
+//     has not simulated before on. A dispatch task may block on `workers`
+//     futures but never the other way around, so the two-pool split cannot
+//     deadlock — request tasks submitted to a single shared pool could
+//     starve their own inner tasks.
+// Per (kernel, architecture) pair the Service schedules and
+// legality-checks once (the schedule memo, read by map, lint, bitstream
+// and the simulation memo) and simulates once (the simulation memo, read
+// by simulate, vcd and simulate_batch). Results are bit-identical to the
+// serial paths regardless of either pool's size: memoized entries are the
+// serial computations' results.
 #pragma once
 
 #include <cstddef>
@@ -68,10 +72,11 @@ struct SimulateRequest {
   std::string arch;
 };
 
-/// One kernel simulated across many architectures on the shared worker
-/// pool (runtime::simulate_many). Empty `archs` runs the full standard
-/// suite — the paper's nine designs. A name listed twice is rejected, so
-/// one request simulates at most those nine.
+/// One kernel simulated across many architectures, row by row from the
+/// Service's simulation memo; the pairs it has not simulated before run on
+/// the shared worker pool. Empty `archs` runs the full standard suite — the
+/// paper's nine designs. A name listed twice is rejected, so one request
+/// simulates at most those nine.
 struct SimulateBatchRequest {
   std::string kernel;
   std::vector<std::string> archs;
@@ -222,6 +227,7 @@ struct CacheStatsResponse {
   runtime::CacheStats stats;           ///< evaluation memo table
   runtime::CacheStats mapping_stats;   ///< step-1 mapping memo table
   runtime::CacheStats estimate_stats;  ///< step-2/3 estimate memo table
+  runtime::CacheStats schedule_stats;  ///< legal-context memo table
   runtime::CacheStats sim_stats;       ///< simulation-run memo table
   int threads = 0;                     ///< simulate_batch pool size
 };
@@ -268,8 +274,8 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  // Typed entry points. All are thread-safe; eval/dse read through the
-  // shared memo caches and simulate_batch fans out on the worker pool.
+  // Typed entry points. All are thread-safe and read through the memo
+  // caches; simulate_batch runs its cold pairs on the worker pool.
   ListResponse list(const ListRequest&) const;
   EvalResponse eval(const EvalRequest&) const;
   DseResponse dse(const DseRequest&) const;
@@ -325,23 +331,22 @@ class Service {
   const kernels::Workload& workload(const std::string& name) const;
   arch::Architecture architecture(const std::string& name, int rows,
                                   int cols) const;
-  /// Maps `w` (through the mapping memo-cache) and schedules it on `a`.
-  sched::ConfigurationContext schedule_for(const kernels::Workload& w,
-                                           const arch::Architecture& a) const;
+  /// The legal context of `w` on `a`, from the schedule memo or computed:
+  /// mapped through the mapping memo-cache, scheduled, and checked with
+  /// analysis::require_legal. A failure throws and is never memoized, so
+  /// every repeat fails the same way.
+  std::shared_ptr<const sched::ConfigurationContext> schedule_for(
+      const kernels::Workload& w, const arch::Architecture& a) const;
 
-  /// One memoized simulation: everything both `simulate` and `vcd` need, so
-  /// the pair costs a single run (the pre-PR-6 service re-simulated from
-  /// scratch for the VCD dump).
+  /// One memoized simulation: everything `simulate`, `vcd` and
+  /// `simulate_batch` need, so they share a single run per pair.
   struct SimRun {
-    sched::ConfigurationContext context;
+    std::shared_ptr<const sched::ConfigurationContext> context;
     sim::SimResult result;
     bool matches_golden = false;
   };
 
-  /// Runs (or recalls) the simulation of `w` on `a`. Keys by kernel name ×
-  /// architecture name — both names resolve through fixed tables (the
-  /// catalogue and the standard suite), so a name pins the full
-  /// configuration.
+  /// Runs (or recalls) the simulation of `w` on `a`'s legal context.
   std::shared_ptr<const SimRun> sim_run(const kernels::Workload& w,
                                         const arch::Architecture& a) const;
 
@@ -352,7 +357,13 @@ class Service {
   // futures.
   std::shared_ptr<runtime::EvalCache> cache_;
   std::shared_ptr<runtime::MappingCache> mapping_cache_;
-  /// Memoized simulation runs (simulate/vcd sharing); service-local.
+  /// Memoized legal contexts, service-local. Kept apart from `sim_runs_`
+  /// so map, lint and bitstream never depend on a simulation succeeding: a
+  /// legal context can still fail its memory bounds at run time.
+  mutable runtime::StripedMemoCache<
+      std::shared_ptr<const sched::ConfigurationContext>>
+      schedules_;
+  /// Memoized simulation runs, service-local.
   mutable runtime::StripedMemoCache<std::shared_ptr<const SimRun>> sim_runs_;
   /// Built once; read-only after construction (lookups are concurrent).
   std::vector<kernels::Workload> catalogue_;

@@ -1,7 +1,9 @@
 #include "runtime/mapping_cache.hpp"
 
 #include <string_view>
+#include <utility>
 
+#include "runtime/eval_cache.hpp"
 #include "util/hash.hpp"
 
 namespace rsp::runtime {
@@ -67,11 +69,12 @@ std::string MappingCache::key(const kernels::Workload& w) {
   return k;
 }
 
-std::shared_ptr<const dse::KernelPrep> MappingCache::get_or_map(
+std::shared_ptr<const MappingRecord> MappingCache::get_or_map(
     const std::string& mapping_key, const kernels::Workload& workload) {
   return cache_.get_or_compute(mapping_key, [&workload] {
-    return std::make_shared<const dse::KernelPrep>(
-        dse::prepare_kernel(workload));
+    MappingRecord record{dse::prepare_kernel(workload), {}};
+    record.program_tag = EvalCache::program_tag(record.program);
+    return std::make_shared<const MappingRecord>(std::move(record));
   });
 }
 

@@ -6,11 +6,14 @@
 // serial front-end of a serving process. This cache memoizes the
 // dse::KernelPrep (placed program, base configuration context and timing
 // profile) per stable (kernel, array-spec) fingerprint so repeated
-// requests skip remapping entirely. Records are shared by pointer: a hit
-// is one shared_ptr copy, never a program copy, and eviction just drops a
-// reference (in-flight readers keep theirs alive). They are immutable but
-// for the timing profile's stall-free memo, which is atomic, so every
-// request measuring a kernel fills and reuses the same memo.
+// requests skip remapping entirely. Each record also carries its program's
+// EvalCache::program_tag, hashed once when the record is built, so a
+// request measuring through the EvalCache on a hit does not rehash the
+// program. Records are shared by pointer: a hit is one shared_ptr copy,
+// never a program copy, and eviction just drops a reference (in-flight
+// readers keep theirs alive). They are immutable but for the timing
+// profile's stall-free memo, which is atomic, so every request measuring
+// a kernel fills and reuses the same memo.
 //
 // Key composition: the kernel's canonical name plus a content hash of
 // everything the mapper reads — the array spec, the mapping hints, the
@@ -49,6 +52,12 @@
 
 namespace rsp::runtime {
 
+/// One memoized step-1 product: the KernelPrep and the
+/// EvalCache::program_tag of its program.
+struct MappingRecord : dse::KernelPrep {
+  std::string program_tag;
+};
+
 class MappingCache {
  public:
   /// `max_entries` bounds each table independently (segmented-LRU
@@ -64,14 +73,14 @@ class MappingCache {
   static std::string key(const kernels::Workload& workload);
 
   /// The memoized step 1: returns the cached record or computes it via
-  /// dse::prepare_kernel (outside any shard lock) and publishes it. The
-  /// returned record is safe to share across threads (see the file
-  /// comment).
+  /// dse::prepare_kernel and EvalCache::program_tag (outside any shard
+  /// lock) and publishes it. The returned record is safe to share across
+  /// threads (see the file comment).
   /// `mapping_key` must be key(workload) — callers touching a workload
   /// repeatedly compute it once.
-  std::shared_ptr<const dse::KernelPrep> get_or_map(
+  std::shared_ptr<const MappingRecord> get_or_map(
       const std::string& mapping_key, const kernels::Workload& workload);
-  std::shared_ptr<const dse::KernelPrep> get_or_map(
+  std::shared_ptr<const MappingRecord> get_or_map(
       const kernels::Workload& workload) {
     return get_or_map(key(workload), workload);
   }
@@ -83,7 +92,7 @@ class MappingCache {
       const std::string& mapping_key,
       const sched::ConfigurationContext& base_context);
 
-  std::optional<std::shared_ptr<const dse::KernelPrep>> lookup(
+  std::optional<std::shared_ptr<const MappingRecord>> lookup(
       const std::string& key) const {
     return cache_.lookup(key);
   }
@@ -103,7 +112,7 @@ class MappingCache {
   std::size_t max_entries() const { return cache_.max_entries(); }
 
  private:
-  StripedMemoCache<std::shared_ptr<const dse::KernelPrep>> cache_;
+  StripedMemoCache<std::shared_ptr<const MappingRecord>> cache_;
   StripedMemoCache<std::shared_ptr<const core::EstimateProfile>> estimates_;
 };
 

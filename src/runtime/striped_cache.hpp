@@ -180,6 +180,15 @@ class StripedMemoCache {
     return it->second;
   }
 
+  /// Whether `key` is resident, without counting a hit or a miss and
+  /// without a recency update: a probe for callers deciding where to run a
+  /// get_or_compute, which then does the counting.
+  bool contains(const std::string& key) const {
+    const Shard& shard = shard_for(key);
+    const util::MutexLock lock(shard.mutex);
+    return shard.map.count(key) > 0;
+  }
+
   void insert(const std::string& key, const Value& value) {
     Shard& shard = shard_for(key);
     const util::MutexLock lock(shard.mutex);

@@ -306,6 +306,110 @@ TEST(Service, SimulateBatchRejectsRepeatedArchitecture) {
   EXPECT_EQ(service.cache_stats({}).mapping_stats.misses, 0u);
 }
 
+// map, lint, bitstream, simulate, vcd and simulate_batch of SAD across
+// the standard suite: every op that reads the schedule or simulation memo.
+std::vector<Request> sad_suite_requests() {
+  const std::vector<arch::Architecture> suite = arch::standard_suite();
+  std::vector<Request> requests;
+  for (const arch::Architecture& a : suite)
+    requests.push_back(MapRequest{"SAD", a.name});
+  requests.push_back(LintRequest{"SAD", ""});
+  for (const arch::Architecture& a : suite)
+    requests.push_back(BitstreamRequest{"SAD", a.name});
+  for (const arch::Architecture& a : suite)
+    requests.push_back(SimulateRequest{"SAD", a.name});
+  for (const arch::Architecture& a : suite)
+    requests.push_back(VcdRequest{"SAD", a.name});
+  requests.push_back(SimulateBatchRequest{"SAD", {}});
+  return requests;
+}
+
+std::vector<std::string> bodies(const Service& service,
+                                const std::vector<Request>& requests) {
+  std::vector<std::string> out;
+  for (const Request& request : requests)
+    out.push_back(service.handle(request).dump());
+  return out;
+}
+
+TEST(Service, RepeatedPairsScheduleAndSimulateOnce) {
+  const std::vector<Request> requests = sad_suite_requests();
+  const Service service(small_options());
+  const std::vector<std::string> first = bodies(service, requests);
+  const std::vector<std::string> second = bodies(service, requests);
+
+  // One schedule and one simulation per (kernel, architecture) pair, over
+  // both rounds of all six ops.
+  const CacheStatsResponse stats = service.cache_stats({});
+  EXPECT_EQ(stats.schedule_stats.misses, 9u);
+  EXPECT_EQ(stats.schedule_stats.entries, 9u);
+  EXPECT_EQ(stats.sim_stats.misses, 9u);
+  EXPECT_EQ(stats.sim_stats.entries, 9u);
+
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_NE(first[i].find("\"ok\":true"), std::string::npos) << first[i];
+    EXPECT_EQ(second[i], first[i]) << "request " << i;
+    const Service fresh(small_options());
+    EXPECT_EQ(fresh.handle(requests[i]).dump(), first[i]) << "request " << i;
+  }
+
+  // A cold simulate_batch simulates each pair once, on the worker pool.
+  const Service cold(small_options());
+  cold.simulate_batch({"SAD", {}});
+  EXPECT_EQ(cold.cache_stats({}).schedule_stats.misses, 9u);
+  EXPECT_EQ(cold.cache_stats({}).sim_stats.misses, 9u);
+}
+
+TEST(Service, ConcurrentRepeatsMatchSerialBodies) {
+  const std::vector<Request> requests = sad_suite_requests();
+  const std::vector<std::string> serial =
+      bodies(Service(small_options(1, 1)), requests);
+
+  // Four threads race the same ops on one cold Service, two front to back
+  // and two back to front, so both the same pair and different ops on one
+  // pair are computed concurrently.
+  const Service service(small_options(2, 4));
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> raced(
+      kThreads, std::vector<std::string>(requests.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t n = 0; n < requests.size(); ++n) {
+        const std::size_t i = t % 2 == 0 ? n : requests.size() - 1 - n;
+        raced[t][i] = service.handle(requests[i]).dump();
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < requests.size(); ++i)
+      EXPECT_EQ(raced[t][i], serial[i]) << "thread " << t << ", request " << i;
+  EXPECT_EQ(service.cache_stats({}).schedule_stats.entries, 9u);
+  EXPECT_EQ(service.cache_stats({}).sim_stats.entries, 9u);
+}
+
+TEST(Service, BoundedMemosAnswerIdenticallyUnderEviction) {
+  const std::vector<Request> requests = {LintRequest{"SAD", ""},
+                                         SimulateBatchRequest{"SAD", {}}};
+  const std::vector<std::string> expected =
+      bodies(Service(small_options()), requests);
+
+  ServiceOptions options = small_options();
+  options.cache_max_entries = 2;
+  const Service bounded(options);
+  for (int round = 0; round < 2; ++round)
+    EXPECT_EQ(bodies(bounded, requests), expected) << "round " << round;
+
+  // The pairs did not all fit, so some were evicted and computed again.
+  const CacheStatsResponse stats = bounded.cache_stats({});
+  EXPECT_GT(stats.schedule_stats.evictions, 0u);
+  EXPECT_GT(stats.schedule_stats.misses, 9u);
+  EXPECT_GT(stats.sim_stats.evictions, 0u);
+  EXPECT_GT(stats.sim_stats.misses, 9u);
+}
+
 TEST(Service, HandleReportsFailuresInBand) {
   const Service service(small_options(1, 1));
   const util::Json body = service.handle(EvalRequest{"no-such-kernel"});
@@ -562,6 +666,8 @@ TEST(Service, CacheStatsReportMappingAndEvictionFields) {
   EXPECT_EQ(body.at("mapping").at("entries").as_number(), 1);
   EXPECT_TRUE(body.at("estimates").is_object());
   EXPECT_GE(body.at("estimates").at("entries").as_number(), 0);
+  EXPECT_EQ(body.at("schedules").at("entries").as_number(), 1);  // map's
+  EXPECT_EQ(body.at("schedules").at("max_entries").as_number(), 64);
 
   // PR-6: the simulation-run memo table reports its own section.
   EXPECT_TRUE(body.at("sim").is_object());
@@ -570,6 +676,9 @@ TEST(Service, CacheStatsReportMappingAndEvictionFields) {
   service.simulate({"SAD", "RSP#2"});
   const util::Json after = service.handle(CacheStatsRequest{});
   EXPECT_EQ(after.at("sim").at("entries").as_number(), 1);
+  // The simulation ran on the context map had already scheduled.
+  EXPECT_EQ(after.at("schedules").at("entries").as_number(), 1);
+  EXPECT_EQ(after.at("schedules").at("hits").as_number(), 1);
 }
 
 TEST(Protocol, DecodeV2ParsesTypedPayloads) {

@@ -234,6 +234,31 @@ TEST(EvalCache, ProgramTagsOfDistinctProgramsDiffer) {
   EXPECT_EQ(owner.size(), domain.size() - 1);
 }
 
+TEST(EvalCache, FailedComputeIsRethrownAndNeverCached) {
+  // A compute that throws publishes nothing: every repeat recomputes and
+  // fails with the same message, and only a later success is memoized.
+  EvalCache cache;
+  int calls = 0;
+  const auto failing = [&calls]() -> EvalRecord {
+    ++calls;
+    throw InfeasibleError("no unit reachable");
+  };
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    try {
+      cache.get_or_compute("k", failing);
+      FAIL() << "expected InfeasibleError";
+    } catch (const InfeasibleError& e) {
+      EXPECT_STREQ(e.what(), "no unit reachable");
+    }
+  }
+  EXPECT_EQ(calls, 2);
+  EXPECT_FALSE(cache.lookup("k").has_value());
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.get_or_compute("k", [] { return EvalRecord{7, 0, 7, 1}; }),
+            (EvalRecord{7, 0, 7, 1}));
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
 TEST(EvalCache, InvalidationNeverServesStaleEntries) {
   EvalCache cache;
   const std::string key = "SAD|base";
@@ -532,6 +557,8 @@ TEST(MappingCache, GetOrMapHitsAndMatchesDirectPreparation) {
   const dse::KernelPrep direct = dse::prepare_kernel(w);
   EXPECT_EQ(EvalCache::program_tag(first->program),
             EvalCache::program_tag(direct.program));
+  // The record carries the tag it was built with.
+  EXPECT_EQ(first->program_tag, EvalCache::program_tag(direct.program));
   EXPECT_EQ(first->base_context.length(), direct.base_context.length());
 }
 
@@ -704,43 +731,6 @@ TEST(SimBatch, RunsOnExternalPool) {
   for (const auto& out : batch) EXPECT_TRUE(out.memory == golden);
 }
 
-TEST(SimBatch, SimulateManyIsPositionalAcrossContexts) {
-  const kernels::Workload sad = kernels::find_workload("SAD");
-  const kernels::Workload mvm = kernels::find_workload("MVM");
-  const sched::ConfigurationContext sad_ctx =
-      schedule_workload(sad, arch::rsp_architecture(4));
-  const sched::ConfigurationContext mvm_ctx =
-      schedule_workload(mvm, arch::base_architecture());
-
-  std::vector<ir::Memory> memories(2);
-  sad.setup(memories[0]);
-  mvm.setup(memories[1]);
-  const auto outcomes = simulate_many({&sad_ctx, &mvm_ctx}, memories,
-                                      SimBatchOptions{.threads = 2});
-  ASSERT_EQ(outcomes.size(), 2u);
-
-  ir::Memory sad_golden, mvm_golden;
-  sad.setup(sad_golden);
-  sad.golden(sad_golden);
-  mvm.setup(mvm_golden);
-  mvm.golden(mvm_golden);
-  EXPECT_TRUE(outcomes[0].memory == sad_golden);
-  EXPECT_TRUE(outcomes[1].memory == mvm_golden);
-}
-
-TEST(SimBatch, SimulateManyValidatesShapes) {
-  const kernels::Workload w = kernels::find_workload("SAD");
-  const sched::ConfigurationContext ctx =
-      schedule_workload(w, arch::base_architecture());
-  std::vector<ir::Memory> two(2);
-  w.setup(two[0]);
-  w.setup(two[1]);
-  EXPECT_THROW(simulate_many({&ctx}, two), InvalidArgumentError);
-  std::vector<ir::Memory> one(1);
-  w.setup(one[0]);
-  EXPECT_THROW(simulate_many({nullptr}, one), InvalidArgumentError);
-}
-
 TEST(SimBatch, PropagatesSimulationErrorsFromWorkers) {
   // Two kConst ops double-book PE (0,0): every job must fail, and the
   // batch call surfaces the first failure by position.
@@ -750,9 +740,6 @@ TEST(SimBatch, PropagatesSimulationErrorsFromWorkers) {
   const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
   std::vector<ir::Memory> memories(3);
   EXPECT_THROW(simulate_batch(ctx, memories, SimBatchOptions{.threads = 2}),
-               Error);
-  EXPECT_THROW(simulate_many({&ctx, &ctx, &ctx}, memories,
-                             SimBatchOptions{.threads = 2}),
                Error);
 }
 
