@@ -6,9 +6,10 @@
 // which many dse requests touch the same kernels and design points. Modes:
 //
 //   serial   dse::Explorer::explore, measured directly, every round
-//   memo     one api::Service{threads=1} answering the same dse requests:
-//            the first round fills the mapping, estimate-profile and
-//            evaluation caches, later rounds read through them
+//   memo     one api::Service{max_inflight=1} answering the same dse
+//            requests: the first round fills the mapping,
+//            estimate-profile and evaluation caches, later rounds read
+//            through them
 //
 // Expected shape: with 3 rounds two thirds of the step-1 and step-5 work
 // is served from the caches (66.7% hit rates), which is where the >1.5x
@@ -63,7 +64,6 @@ int main() {
   }
 
   api::ServiceOptions options;
-  options.threads = 1;
   options.max_inflight = 1;
   double memo_ms = 0.0;
   api::DseResponse memo_response;

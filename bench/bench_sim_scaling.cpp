@@ -1,6 +1,5 @@
 // Simulator scaling bench: what the compile/run split of sim::SimProgram
-// costs and buys, and how batched multi-config simulation scales on the
-// thread pool.
+// costs and buys.
 //
 // The timed workload is a deliberately sparse schedule: a long
 // configuration (65536 cycles) in which only one cycle in 512 issues
@@ -9,25 +8,17 @@
 //
 //   compile+run        sim::Machine::run: compile + run each round
 //   precompiled        SimProgram::compile once, run() per round
-//   batch              runtime::simulate_batch over a busy schedule,
-//                      kBatchJobs memories on a 4-worker pool, vs the
-//                      same compile-once-run-all work done serially
 //
-// Every row is informational: the binary exits 1 only when the batch
-// results differ from the serial runs (a correctness failure), never on
-// a timing. Expected shape: compilation (which includes the verifier's
-// legality replay) dominates compile+run, and the batch pool adds scaling
-// across independent memories where the host has idle cores.
+// Both rows are informational; the bench has no gate. Expected shape:
+// compilation (which includes the verifier's legality replay) dominates
+// compile+run.
 #include <chrono>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "arch/presets.hpp"
 #include "bench_common.hpp"
 #include "ir/interp.hpp"
-#include "runtime/sim_batch.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sched/context.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
@@ -61,9 +52,6 @@ double best_of(int reps, const Fn& fn) {
 constexpr int kLength = 65536;
 constexpr int kStride = 512;  // one active cycle in kStride
 constexpr int kRounds = 40;
-constexpr int kBatchRounds = 5;
-constexpr int kBatchJobs = 32;
-constexpr int kBatchThreads = 4;
 constexpr int kArraySize = 64;
 
 // Legal-by-construction schedule on the base 8x8 array: every active cycle
@@ -134,7 +122,7 @@ int main() {
       make_context(a, kLength, kStride, /*rows_used=*/2);
   const sim::SimProgram program = sim::SimProgram::compile(context);
 
-  bench::print_header("Simulator scaling: compile/run split and batch pool");
+  bench::print_header("Simulator scaling: compile/run split");
   std::cout << context.size() << " ops over " << context.length()
             << " cycles, " << program.active_cycle_count()
             << " active cycles, " << kRounds << " rounds\n";
@@ -171,47 +159,6 @@ int main() {
   const double precompiled_speedup = compile_run_ms / precompiled_ms;
   record("precompiled", precompiled_ms, precompiled_speedup);
 
-  // Batched multi-config simulation. Jobs must dwarf the fan-out cost for
-  // pool scaling to mean anything, so this section runs a *busy* schedule
-  // — every cycle active on all 8 rows — with kBatchJobs independent
-  // memories per round: serial baseline vs the pool fan-out. The speedup
-  // column compares the two directly (serial = 1).
-  const sched::ConfigurationContext busy =
-      make_context(a, 1024, /*stride=*/1, /*rows_used=*/8);
-  std::vector<ir::Memory> memories;
-  for (int j = 0; j < kBatchJobs; ++j) memories.push_back(make_memory());
-
-  // The serial baseline mirrors simulate_batch's own work per call —
-  // compile once, then run every job — so the comparison isolates the
-  // pool fan-out.
-  std::vector<runtime::SimBatchResult> serial;
-  const Clock::time_point serial_batch_start = Clock::now();
-  for (int r = 0; r < kBatchRounds; ++r) {
-    const sim::SimProgram round_program = sim::SimProgram::compile(busy);
-    serial.clear();
-    for (int j = 0; j < kBatchJobs; ++j) {
-      runtime::SimBatchResult out;
-      out.memory = memories[static_cast<std::size_t>(j)];
-      out.result = round_program.run(out.memory);
-      serial.push_back(std::move(out));
-    }
-  }
-  const double serial_batch_ms = ms_since(serial_batch_start);
-
-  runtime::ThreadPool pool(kBatchThreads);
-  runtime::SimBatchOptions options;
-  options.pool = &pool;
-  std::vector<runtime::SimBatchResult> batch;
-  const Clock::time_point batch_start = Clock::now();
-  for (int r = 0; r < kBatchRounds; ++r)
-    batch = runtime::simulate_batch(busy, memories, options);
-  const double batch_ms = ms_since(batch_start);
-  const double batch_speedup = serial_batch_ms / batch_ms;
-  record("batch-serial(" + std::to_string(kBatchJobs) + " busy jobs)",
-         serial_batch_ms, 1.0);
-  record("batch-pool(" + std::to_string(kBatchThreads) + " threads)",
-         batch_ms, batch_speedup);
-
   std::cout << table.render();
   bench::maybe_write_csv(csv, "bench_sim_scaling");
 
@@ -223,29 +170,13 @@ int main() {
       .set("total_cycles", context.length())
       .set("active_cycles", program.active_cycle_count())
       .set("rounds", kRounds)
-      .set("batch_jobs", kBatchJobs)
-      .set("batch_threads", kBatchThreads)
-      .set("hardware_threads",
-           static_cast<std::int64_t>(std::thread::hardware_concurrency()))
       .set("rows", std::move(json_rows));
   util::Json summary = util::Json::object();
-  summary.set("precompiled_speedup", precompiled_speedup)
-      .set("batch_pool_speedup", batch_speedup);
+  summary.set("precompiled_speedup", precompiled_speedup);
   json_doc.set("summary", std::move(summary));
   bench::maybe_write_json(json_doc, "sim_scaling");
 
   std::cout << "\nprecompiled vs compile+run: "
-            << util::format_trimmed(precompiled_speedup, 2)
-            << "x, batch pool speedup "
-            << util::format_trimmed(batch_speedup, 2) << "x ("
-            << kBatchThreads << " threads, " << kBatchJobs << " jobs)\n";
-
-  // The one gate: the pool must return exactly the serial results.
-  for (std::size_t j = 0; j < batch.size(); ++j)
-    if (!(batch[j].result == serial[j].result) ||
-        !(batch[j].memory == serial[j].memory)) {
-      std::cerr << "batch job " << j << " differs from its serial run\n";
-      return 1;
-    }
+            << util::format_trimmed(precompiled_speedup, 2) << "x\n";
   return 0;
 }

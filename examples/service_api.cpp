@@ -14,7 +14,6 @@ int main() {
   using namespace rsp;
 
   api::ServiceOptions options;
-  options.threads = 1;       // simulate_batch fan-out (unused here)
   options.max_inflight = 4;  // concurrent requests
   api::Service service(options);
 

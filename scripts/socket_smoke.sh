@@ -34,12 +34,12 @@ cat > "$workdir/requests_b.ndjson" <<'EOF'
 EOF
 
 # Reference: the same streams through the plain stdin/stdout serve path.
-"$cli" serve --threads 2 < "$workdir/requests_a.ndjson" \
+"$cli" serve < "$workdir/requests_a.ndjson" \
   | sort > "$workdir/expect_a"
-"$cli" serve --threads 2 < "$workdir/requests_b.ndjson" \
+"$cli" serve < "$workdir/requests_b.ndjson" \
   | sort > "$workdir/expect_b"
 
-"$cli" serve --listen "$sock" --threads 2 --max-connections 8 \
+"$cli" serve --listen "$sock" --max-connections 8 \
   > "$workdir/server.ready" 2> "$workdir/server.log" &
 server_pid=$!
 

@@ -381,7 +381,6 @@ util::Json& set_cache_stat_fields(util::Json& body,
   return body.set("entries", static_cast<std::int64_t>(stats.entries))
       .set("hits", static_cast<std::int64_t>(stats.hits))
       .set("misses", static_cast<std::int64_t>(stats.misses))
-      .set("invalidations", static_cast<std::int64_t>(stats.invalidations))
       .set("evictions", static_cast<std::int64_t>(stats.evictions))
       .set("max_entries", static_cast<std::int64_t>(stats.max_entries))
       .set("hit_rate", stats.hit_rate());
@@ -391,7 +390,6 @@ util::Json& set_cache_stat_fields(util::Json& body,
 
 util::Json to_body(const CacheStatsResponse& resp) {
   util::Json body = ok_body("cache_stats");
-  body.set("threads", resp.threads);
   set_cache_stat_fields(body, resp.stats);
   util::Json mapping = util::Json::object();
   set_cache_stat_fields(mapping, resp.mapping_stats);

@@ -1,7 +1,7 @@
 // Long-running serving mode: newline-delimited JSON over a byte stream.
 //
 // Each input line is one v2 request object (see api/protocol.hpp). Requests
-// are dispatched concurrently on the Service's pools and each response is
+// are dispatched concurrently on the Service's pool and each response is
 // written — as one line, atomically — the moment it completes, so responses
 // may appear out of input order; clients correlate by the echoed `id`.
 //

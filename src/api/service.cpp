@@ -45,7 +45,6 @@ Service::Service(ServiceOptions options)
       schedules_(16, options.cache_max_entries),
       sim_runs_(16, options.cache_max_entries),
       catalogue_(kernels::full_catalogue()),
-      workers_(options.threads),
       dispatch_(options.max_inflight) {}
 
 std::shared_ptr<const sched::ConfigurationContext> Service::schedule_for(
@@ -218,10 +217,8 @@ std::shared_ptr<const Service::SimRun> Service::sim_run(
   });
 }
 
-SimulateResponse Service::simulate(const SimulateRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
-  const arch::Architecture a =
-      architecture(request.arch, w.array.rows, w.array.cols);
+SimulateResponse Service::simulate_pair(const kernels::Workload& w,
+                                       const arch::Architecture& a) const {
   const std::shared_ptr<const SimRun> run = sim_run(w, a);
   SimulateResponse resp;
   resp.kernel = w.name;
@@ -232,6 +229,12 @@ SimulateResponse Service::simulate(const SimulateRequest& request) const {
   return resp;
 }
 
+SimulateResponse Service::simulate(const SimulateRequest& request) const {
+  const kernels::Workload& w = workload(request.kernel);
+  return simulate_pair(w,
+                       architecture(request.arch, w.array.rows, w.array.cols));
+}
+
 SimulateBatchResponse Service::simulate_batch(
     const SimulateBatchRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
@@ -240,7 +243,7 @@ SimulateBatchResponse Service::simulate_batch(
     archs = arch::standard_suite(w.array.rows, w.array.cols);
   } else {
     // Rejecting repeats bounds a request at the nine suite designs: every
-    // listed name costs a context and a memory before anything runs.
+    // listed name can cost a schedule and a simulation.
     for (const std::string& name : request.archs) {
       if (std::any_of(archs.begin(), archs.end(),
                       [&](const arch::Architecture& a) {
@@ -252,38 +255,13 @@ SimulateBatchResponse Service::simulate_batch(
     }
   }
 
-  // Rows come from the simulation memo. The pairs not simulated yet run
-  // on the worker pool — a dispatch task may block on workers_ futures,
-  // never the reverse (see the class comment) — so a warm request submits
-  // nothing. Every pool run finishes before the first row is read, so none
-  // outlives this frame when a row throws; the first failing row wins.
-  std::vector<std::future<std::shared_ptr<const SimRun>>> cold(archs.size());
-  bool mapped = false;
-  for (std::size_t i = 0; i < archs.size(); ++i) {
-    if (sim_runs_.contains(pair_key(w, archs[i]))) continue;
-    // Map here, once, rather than in every worker racing on a cold kernel.
-    if (!mapped) mapping_cache_->get_or_map(w);
-    mapped = true;
-    cold[i] = workers_.submit([this, &w, &a = archs[i]] {
-      return sim_run(w, a);
-    });
-  }
-  for (const auto& run : cold)
-    if (run.valid()) run.wait();
-
+  // Rows come from the simulation memo, in request order; a pair not
+  // simulated yet runs here, on this request's thread. The first failing
+  // row's error answers the request.
   SimulateBatchResponse resp;
   resp.kernel = w.name;
-  for (std::size_t i = 0; i < archs.size(); ++i) {
-    const std::shared_ptr<const SimRun> run =
-        cold[i].valid() ? cold[i].get() : sim_run(w, archs[i]);
-    SimulateResponse row;
-    row.kernel = w.name;
-    row.arch = archs[i].name;
-    row.cycles = run->result.stats.cycles;
-    row.pe_utilization = run->result.stats.pe_utilization();
-    row.matches_golden = run->matches_golden;
-    resp.rows.push_back(std::move(row));
-  }
+  for (const arch::Architecture& a : archs)
+    resp.rows.push_back(simulate_pair(w, a));
   return resp;
 }
 
@@ -336,7 +314,6 @@ CacheStatsResponse Service::cache_stats(const CacheStatsRequest&) const {
   resp.estimate_stats = mapping_cache_->estimate_stats();
   resp.schedule_stats = schedules_.stats();
   resp.sim_stats = sim_runs_.stats();
-  resp.threads = workers_.thread_count();
   return resp;
 }
 

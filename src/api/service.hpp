@@ -6,23 +6,19 @@
 // shares the same ThreadPool and EvalCache. Requests and responses are
 // typed structs; the JSON wire format lives in api/protocol.hpp.
 //
-// Concurrency model: the Service owns two pools.
-//   * `dispatch` — the request-level executor behind `submit()`.
-//     Independent requests run concurrently here, sharing the memo caches.
-//     Within a request, eval and dse run the serial Fig. 7 loops
-//     (core::RspEvaluator::evaluate_suite, dse::Explorer::explore) on the
-//     dispatch thread, reading through the mapping and evaluation caches
-//     via the loops' measure/prepare hooks.
-//   * `workers` — the simulation pool `simulate_batch` runs the pairs it
-//     has not simulated before on. A dispatch task may block on `workers`
-//     futures but never the other way around, so the two-pool split cannot
-//     deadlock — request tasks submitted to a single shared pool could
-//     starve their own inner tasks.
+// Concurrency model: the Service owns one pool, `dispatch`, the
+// request-level executor behind `submit()`, sized by
+// ServiceOptions::max_inflight. Independent requests run concurrently
+// there, sharing the memo caches; each request runs start to finish on its
+// dispatch thread. eval and dse run the serial Fig. 7 loops
+// (core::RspEvaluator::evaluate_suite, dse::Explorer::explore), reading
+// through the mapping and evaluation caches via the loops' measure/prepare
+// hooks, and simulate_batch builds its rows one after another.
 // Per (kernel, architecture) pair the Service schedules and
 // legality-checks once (the schedule memo, read by map, lint, bitstream
 // and the simulation memo) and simulates once (the simulation memo, read
 // by simulate, vcd and simulate_batch). Results are bit-identical to the
-// serial paths regardless of either pool's size: memoized entries are the
+// serial paths regardless of the pool's size: memoized entries are the
 // serial computations' results.
 #pragma once
 
@@ -72,11 +68,11 @@ struct SimulateRequest {
   std::string arch;
 };
 
-/// One kernel simulated across many architectures, row by row from the
-/// Service's simulation memo; the pairs it has not simulated before run on
-/// the shared worker pool. Empty `archs` runs the full standard suite — the
-/// paper's nine designs. A name listed twice is rejected, so one request
-/// simulates at most those nine.
+/// One kernel simulated across many architectures, row by row in request
+/// order from the Service's simulation memo; the pairs it has not
+/// simulated before run on the request's dispatch thread. Empty `archs`
+/// runs the full standard suite — the paper's nine designs. A name listed
+/// twice is rejected, so one request simulates at most those nine.
 struct SimulateBatchRequest {
   std::string kernel;
   std::vector<std::string> archs;
@@ -229,7 +225,6 @@ struct CacheStatsResponse {
   runtime::CacheStats estimate_stats;  ///< step-2/3 estimate memo table
   runtime::CacheStats schedule_stats;  ///< legal-context memo table
   runtime::CacheStats sim_stats;       ///< simulation-run memo table
-  int threads = 0;                     ///< simulate_batch pool size
 };
 
 struct CacheSaveResponse {
@@ -250,8 +245,9 @@ struct PingResponse {
 // ----------------------------------------------------------------- service
 
 struct ServiceOptions {
-  /// Workers of the pool `simulate_batch` fans out on; 0 = hardware
-  /// count.
+  /// Accepted and ignored: the Service has one pool, sized by
+  /// `max_inflight`. Kept only because the frozen perfbench sources set
+  /// it; nothing else may.
   int threads = 0;
   /// Request-level concurrency (dispatch-pool threads); 0 = hardware count.
   int max_inflight = 0;
@@ -274,8 +270,8 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  // Typed entry points. All are thread-safe and read through the memo
-  // caches; simulate_batch runs its cold pairs on the worker pool.
+  // Typed entry points. All are thread-safe, run on the calling thread and
+  // read through the memo caches.
   ListResponse list(const ListRequest&) const;
   EvalResponse eval(const EvalRequest&) const;
   DseResponse dse(const DseRequest&) const;
@@ -299,7 +295,7 @@ class Service {
   util::Json handle(const Request& request) const;
 
   /// Asynchronous `handle` on the dispatch pool: independent requests run
-  /// concurrently while sharing the worker pool and memo caches.
+  /// concurrently while sharing the memo caches.
   std::future<util::Json> submit(Request request) const;
 
   /// As above, but delivers the response body to `done` on the dispatch
@@ -320,8 +316,6 @@ class Service {
     stats_extension_ = std::move(extension);
   }
 
-  int thread_count() const { return workers_.thread_count(); }
-  int max_inflight() const { return dispatch_.thread_count(); }
   const std::shared_ptr<runtime::EvalCache>& cache() const { return cache_; }
   const std::shared_ptr<runtime::MappingCache>& mapping_cache() const {
     return mapping_cache_;
@@ -349,12 +343,13 @@ class Service {
   /// Runs (or recalls) the simulation of `w` on `a`'s legal context.
   std::shared_ptr<const SimRun> sim_run(const kernels::Workload& w,
                                         const arch::Architecture& a) const;
+  /// The `simulate` response of one pair, from sim_run.
+  SimulateResponse simulate_pair(const kernels::Workload& w,
+                                 const arch::Architecture& a) const;
 
-  // Declaration order is destruction-order-critical: the pools must be
-  // destroyed (draining their queued tasks) *before* the caches and
-  // catalogue those tasks read, so they are declared after them — and
-  // dispatch_ after workers_, since dispatch tasks block on worker
-  // futures.
+  // Declaration order is destruction-order-critical: the pool must be
+  // destroyed (draining its queued tasks) *before* the caches and
+  // catalogue those tasks read, so it is declared after them.
   std::shared_ptr<runtime::EvalCache> cache_;
   std::shared_ptr<runtime::MappingCache> mapping_cache_;
   /// Memoized legal contexts, service-local. Kept apart from `sim_runs_`
@@ -369,7 +364,6 @@ class Service {
   std::vector<kernels::Workload> catalogue_;
   /// Set once before serving starts, read concurrently afterwards.
   std::function<util::Json()> stats_extension_;
-  mutable runtime::ThreadPool workers_;
   mutable runtime::ThreadPool dispatch_;
 };
 

@@ -3,7 +3,7 @@
 // `SocketServer` listens on any number of unix-domain sockets and/or TCP
 // ports and runs the existing `api::serve` loop per accepted connection
 // over a socket-backed iostream. Every connection shares ONE Service —
-// the thread pools, the EvalCache and the MappingCache stay process-wide,
+// the dispatch pool, the EvalCache and the MappingCache stay process-wide,
 // so a second client's eval of an already-measured kernel is a cache hit —
 // while the serve-loop state (duplicate-id window, in-flight futures) is
 // per-connection: id scopes never leak across clients.

@@ -10,7 +10,7 @@
 #include "arch/presets.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/machine.hpp"
+#include "sim/program.hpp"
 #include "util/error.hpp"
 
 namespace rsp::gen {
@@ -98,10 +98,12 @@ FuzzReport fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
         return report;
       }
 
+      // Compiled once, run in both datapath modes.
+      const sim::SimProgram compiled = sim::SimProgram::compile(ctx);
       for (int m = 0; m < 2; ++m) {
         const ir::DatapathMode mode = modes[m];
         ir::Memory memory = initial;
-        const sim::SimResult result = sim::Machine(mode).run(ctx, memory);
+        const sim::SimResult result = compiled.run(memory, mode);
         if (options.inject_event_bug) {
           // names() returns by value; copy the name out of the temporary.
           const std::string array = memory.names().front();
@@ -170,7 +172,6 @@ FuzzReport service_smoke(std::uint64_t seed) {
   };
   try {
     api::ServiceOptions options;
-    options.threads = 2;
     options.max_inflight = 2;
     const api::Service service(options);
     const std::string name = gen_name(seed);

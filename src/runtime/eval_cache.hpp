@@ -10,13 +10,12 @@
 // full key string is stored and compared, so the shard-picking hash adds
 // no further collision risk.
 //
-// The concurrency machinery — shard striping, the per-key publish ticket
-// that keeps an entry invalidated mid-compute from being resurrected, and
-// the bounded-capacity segmented-LRU eviction — lives in
-// runtime/striped_cache.hpp and is shared with the MappingCache; this
-// class adds the key/fingerprint composition and the persistence format.
-// It holds no locks of its own, so the thread-safety annotations
-// (util/thread_annotations.hpp) live entirely in the shared core.
+// The concurrency machinery — shard striping and the bounded-capacity
+// segmented-LRU eviction — lives in runtime/striped_cache.hpp and is
+// shared with the MappingCache; this class adds the key/fingerprint
+// composition and the persistence format. It holds no locks of its own,
+// so the thread-safety annotations (util/thread_annotations.hpp) live
+// entirely in the shared core.
 #pragma once
 
 #include <cstddef>
@@ -85,10 +84,8 @@ class EvalCache {
   }
 
   /// lookup, or run `compute` and insert its result. `compute` runs outside
-  /// any shard lock (it reschedules kernels — far too slow to serialize),
-  /// and the result is published only if this key was not invalidated
-  /// meanwhile — an entry invalidated mid-compute stays invalidated, and
-  /// invalidations of *other* keys do not block the publish.
+  /// any shard lock (it reschedules kernels — far too slow to serialize);
+  /// when it throws, nothing is published.
   EvalRecord get_or_compute(const std::string& key,
                             const std::function<EvalRecord()>& compute) {
     return cache_.get_or_compute(key, compute);
@@ -106,11 +103,6 @@ class EvalCache {
                                     const std::string& program_tag,
                                     const sched::TimingProfile& profile,
                                     const arch::Architecture& architecture);
-
-  /// Removes one entry; returns whether it existed. A subsequent lookup
-  /// misses and recomputes — stale values are never served.
-  bool invalidate(const std::string& key) { return cache_.invalidate(key); }
-  void clear() { cache_.clear(); }
 
   /// Serialization format version; bumped whenever the entry schema or the
   /// key fingerprint composition changes incompatibly.

@@ -86,12 +86,4 @@ std::shared_ptr<const core::EstimateProfile> MappingCache::get_or_profile(
   });
 }
 
-bool MappingCache::invalidate(const std::string& key) {
-  // Drop the derived profile with the record: it would still be correct
-  // (the computation is deterministic per key), but an invalidation means
-  // "forget everything about this kernel".
-  estimates_.invalidate(key);
-  return cache_.invalidate(key);
-}
-
 }  // namespace rsp::runtime

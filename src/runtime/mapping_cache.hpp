@@ -42,7 +42,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/estimate.hpp"
@@ -91,20 +90,6 @@ class MappingCache {
   std::shared_ptr<const core::EstimateProfile> get_or_profile(
       const std::string& mapping_key,
       const sched::ConfigurationContext& base_context);
-
-  std::optional<std::shared_ptr<const MappingRecord>> lookup(
-      const std::string& key) const {
-    return cache_.lookup(key);
-  }
-
-  /// Removes one step-1 record and the estimate profile derived from it;
-  /// returns whether the record existed. The next get_or_map remaps — stale
-  /// records are never served.
-  bool invalidate(const std::string& key);
-  void clear() {
-    cache_.clear();
-    estimates_.clear();
-  }
 
   CacheStats stats() const { return cache_.stats(); }
   CacheStats estimate_stats() const { return estimates_.stats(); }

@@ -4,7 +4,7 @@
 // memo tables (EvalCache for (kernel, architecture) measurements, the
 // MappingCache for step-1 mapping products): a string-keyed table striped
 // over independently locked shards so worker threads rarely contend, with
-// hit/miss/invalidation/eviction counters feeding the runtime reports.
+// hit/miss/eviction counters feeding the runtime reports.
 //
 // Capacity is bounded per shard (ceil(max_entries / shards); 0 keeps the
 // table unbounded) and enforced with a *segmented* LRU: new keys enter a
@@ -16,9 +16,8 @@
 // to probation instead of pinning the whole shard.
 //
 // get_or_compute runs the compute outside any shard lock (computes
-// reschedule kernels — far too slow to serialize) and publishes through a
-// per-key ticket, so an entry invalidated mid-compute is never resurrected
-// while invalidations of *other* keys do not block the publish. Values are
+// reschedule kernels — far too slow to serialize) and publishes its result
+// like an insert; a compute that throws publishes nothing. Values are
 // deterministic functions of their key, so two threads racing to compute
 // the same key insert identical values and the race is benign.
 #pragma once
@@ -43,7 +42,6 @@ struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t entries = 0;
-  std::uint64_t invalidations = 0;
   std::uint64_t evictions = 0;
   /// Configured capacity bound; 0 = unbounded.
   std::uint64_t max_entries = 0;
@@ -90,19 +88,6 @@ class SegmentedLru {
       index_[probation_.front()] = Pos{Segment::kProbation,
                                        probation_.begin()};
     }
-  }
-
-  void erase(const std::string& key) {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return;
-    segment_list(it->second.segment).erase(it->second.it);
-    index_.erase(it);
-  }
-
-  void clear() {
-    probation_.clear();
-    protected_.clear();
-    index_.clear();
   }
 
   bool empty() const { return index_.empty(); }
@@ -180,15 +165,6 @@ class StripedMemoCache {
     return it->second;
   }
 
-  /// Whether `key` is resident, without counting a hit or a miss and
-  /// without a recency update: a probe for callers deciding where to run a
-  /// get_or_compute, which then does the counting.
-  bool contains(const std::string& key) const {
-    const Shard& shard = shard_for(key);
-    const util::MutexLock lock(shard.mutex);
-    return shard.map.count(key) > 0;
-  }
-
   void insert(const std::string& key, const Value& value) {
     Shard& shard = shard_for(key);
     const util::MutexLock lock(shard.mutex);
@@ -200,77 +176,13 @@ class StripedMemoCache {
   }
 
   /// lookup, or run `compute` and insert its result. `compute` runs outside
-  /// any shard lock, and the result is published only if this key was not
-  /// invalidated meanwhile — an entry invalidated mid-compute stays
-  /// invalidated, and invalidations of *other* keys do not block the
-  /// publish.
+  /// any shard lock; when it throws, nothing is published.
   Value get_or_compute(const std::string& key,
                        const std::function<Value()>& compute) {
-    Shard& shard = shard_for(key);
-    std::uint64_t ticket = 0;
-    {
-      const util::MutexLock lock(shard.mutex);
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (shard_capacity_ > 0) shard.lru.touch(key, protected_capacity_);
-        return it->second;
-      }
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      ticket = ++shard.next_ticket;
-      shard.pending[key] = ticket;
-    }
-    const auto drop_ticket = [&] {
-      const util::MutexLock lock(shard.mutex);
-      const auto it = shard.pending.find(key);
-      if (it != shard.pending.end() && it->second == ticket)
-        shard.pending.erase(it);
-    };
-    std::optional<Value> value;
-    try {
-      value = compute();  // slow path, outside the lock
-    } catch (...) {
-      drop_ticket();
-      throw;
-    }
-    {
-      const util::MutexLock lock(shard.mutex);
-      // Publish only if this key's compute was not superseded: an
-      // invalidation dropped the ticket (the key must stay gone) or a later
-      // compute of the same key replaced it (that one publishes instead).
-      const auto it = shard.pending.find(key);
-      if (it != shard.pending.end() && it->second == ticket) {
-        shard.map.insert_or_assign(key, *value);
-        shard.pending.erase(it);
-        if (shard_capacity_ > 0) {
-          shard.lru.admit(key);
-          evict_overflow(shard, key);
-        }
-      }
-    }
-    return std::move(*value);
-  }
-
-  /// Removes one entry; returns whether it existed. A subsequent lookup
-  /// misses and recomputes — stale values are never served. Also cancels
-  /// any in-flight compute of the key (see get_or_compute).
-  bool invalidate(const std::string& key) {
-    Shard& shard = shard_for(key);
-    const util::MutexLock lock(shard.mutex);
-    const bool erased = shard.map.erase(key) > 0;
-    shard.lru.erase(key);
-    shard.pending.erase(key);
-    if (erased) invalidations_.fetch_add(1, std::memory_order_relaxed);
-    return erased;
-  }
-
-  void clear() {
-    for (Shard& shard : shards_) {
-      const util::MutexLock lock(shard.mutex);
-      shard.map.clear();
-      shard.lru.clear();
-      shard.pending.clear();
-    }
+    if (std::optional<Value> hit = lookup(key)) return std::move(*hit);
+    Value value = compute();  // slow path, outside the lock
+    insert(key, value);
+    return value;
   }
 
   /// Consistent per entry, not across concurrent writers (shards are locked
@@ -288,7 +200,6 @@ class StripedMemoCache {
     CacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
-    s.invalidations = invalidations_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
     s.max_entries = max_entries_;
     for (const Shard& shard : shards_) {
@@ -308,10 +219,6 @@ class StripedMemoCache {
     /// Recency over the resident keys; mutable because a lookup hit is a
     /// (mutex-guarded) recency update on a logically-const table.
     mutable SegmentedLru lru RSP_GUARDED_BY(mutex);
-    /// In-flight computes: key → ticket of the compute allowed to publish.
-    std::unordered_map<std::string, std::uint64_t> pending
-        RSP_GUARDED_BY(mutex);
-    std::uint64_t next_ticket RSP_GUARDED_BY(mutex) = 0;
   };
 
   // mix64 on top of FNV-1a: near-identical keys (consecutive parameter
@@ -325,9 +232,7 @@ class StripedMemoCache {
 
   // Under the shard lock: evict until the shard is back within capacity,
   // never choosing `admitted` (the key that triggered the overflow) while
-  // another entry exists. Eviction only removes *published* entries; an
-  // in-flight compute keeps its ticket (eviction is capacity management,
-  // not invalidation).
+  // another entry exists.
   void evict_overflow(Shard& shard, const std::string& admitted)
       RSP_REQUIRES(shard.mutex) {
     while (shard_capacity_ > 0 && shard.map.size() > shard_capacity_ &&
@@ -343,7 +248,6 @@ class StripedMemoCache {
   std::vector<Shard> shards_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> invalidations_{0};
   std::atomic<std::uint64_t> evictions_{0};
 };
 

@@ -11,10 +11,10 @@ ThreadPool::ThreadPool(int threads) {
   if (threads < 0)
     throw InvalidArgumentError("ThreadPool requires a non-negative count");
   if (threads == 0) threads = default_thread_count();
-  workers_.reserve(static_cast<std::size_t>(threads));
+  threads_.reserve(static_cast<std::size_t>(threads));
   try {
     for (int i = 0; i < threads; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
+      threads_.emplace_back([this] { worker_loop(); });
   } catch (...) {
     // A failed std::thread launch (thread exhaustion) must not leave the
     // already-started workers joinable — their ~thread would terminate the
@@ -24,7 +24,7 @@ ThreadPool::ThreadPool(int threads) {
       stopping_ = true;
     }
     ready_.notify_all();
-    for (std::thread& w : workers_) w.join();
+    for (std::thread& w : threads_) w.join();
     throw;
   }
 }
@@ -35,7 +35,7 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
+  for (std::thread& w : threads_) w.join();
 }
 
 void ThreadPool::worker_loop() {

@@ -30,7 +30,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int thread_count() const { return static_cast<int>(workers_.size()); }
+  int thread_count() const { return static_cast<int>(threads_.size()); }
 
   /// Hardware concurrency, at least 1.
   static int default_thread_count();
@@ -60,7 +60,7 @@ class ThreadPool {
   std::condition_variable_any ready_;
   std::deque<std::function<void()>> queue_ RSP_GUARDED_BY(mutex_);
   bool stopping_ RSP_GUARDED_BY(mutex_) = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace rsp::runtime

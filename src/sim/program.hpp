@@ -22,8 +22,8 @@
 // tests keep a dense per-cycle loop that visits every cycle as the
 // independent reference and require bit-identical values, stats, final
 // memory and VCD bytes from this engine. One compiled program can be run
-// against many independent memories; src/runtime/sim_batch.hpp fans that
-// out over a ThreadPool.
+// against many independent memories, from many threads at once;
+// gen::fuzz_one runs each compiled context in both datapath modes.
 #pragma once
 
 #include <cstdint>

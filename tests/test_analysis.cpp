@@ -731,7 +731,6 @@ TEST(LintCatalogue, EveryKernelOnEveryArchitectureIsStrictlyClean) {
 
 TEST(LintCatalogue, ServiceLintIsCleanOverTheCatalogue) {
   api::ServiceOptions options;
-  options.threads = 1;
   options.max_inflight = 1;
   const api::Service service(options);
   const api::LintResponse resp = service.lint({"", ""});

@@ -50,9 +50,8 @@ class TempFile {
   std::string path_;
 };
 
-ServiceOptions small_options(int threads = 2, int max_inflight = 2) {
+ServiceOptions small_options(int max_inflight = 2) {
   ServiceOptions options;
-  options.threads = threads;
   options.max_inflight = max_inflight;
   return options;
 }
@@ -77,7 +76,7 @@ TEST(Service, EvalBitIdenticalToSerialEvaluator) {
           mapper.map(w.kernel, w.hints, w.reduction),
           arch::standard_suite(w.array.rows, w.array.cols));
 
-  const Service service(small_options(4));
+  const Service service(small_options());
   // Twice: the second pass is served from the warm cache and must not
   // drift from the serial rows either.
   for (int round = 0; round < 2; ++round) {
@@ -160,7 +159,7 @@ TEST(Service, ConcurrentDseRequestsMatchSerialExplorer) {
       dse::Explorer(arch::ArraySpec{}).explore(kernels::paper_suite());
   const std::string expected = to_body(serial).dump();
 
-  const Service service(small_options(1, 2));
+  const Service service(small_options(2));
   std::future<util::Json> a = service.submit(DseRequest{});
   std::future<util::Json> b = service.submit(DseRequest{});
   EXPECT_EQ(a.get().dump(), expected);
@@ -168,7 +167,7 @@ TEST(Service, ConcurrentDseRequestsMatchSerialExplorer) {
 }
 
 TEST(Service, DseRejectsAMixedGeometryDomain) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   DseRequest request;
   request.kernels = {"SAD", "MatMul4"};  // 8x8 and 4x4 arrays
   EXPECT_THROW(service.dse(request), InvalidArgumentError);
@@ -190,7 +189,7 @@ TEST(Service, DseWithoutKernelsExploresPaperSuite) {
 }
 
 TEST(Service, ListReportsCatalogueAndStandardSuite) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   const ListResponse resp = service.list({});
   EXPECT_EQ(resp.kernels.size(), kernels::full_catalogue().size());
   ASSERT_EQ(resp.architectures.size(), 9u);  // Base, RS#1..4, RSP#1..4
@@ -206,7 +205,7 @@ TEST(Service, ListReportsCatalogueAndStandardSuite) {
 }
 
 TEST(Service, MapSimulateBitstreamRoundTrip) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   const MapResponse map = service.map({"SAD", "RSP#4"});
   EXPECT_EQ(map.kernel, "SAD");
   EXPECT_EQ(map.arch, "RSP#4");
@@ -224,7 +223,7 @@ TEST(Service, MapSimulateBitstreamRoundTrip) {
 }
 
 TEST(Service, RtlDotVcdEmitText) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   EXPECT_NE(service.rtl({"RSP#2"}).verilog.find("module"),
             std::string::npos);
   EXPECT_NE(service.dot({"SAD"}).dot.find("digraph"), std::string::npos);
@@ -232,7 +231,7 @@ TEST(Service, RtlDotVcdEmitText) {
 }
 
 TEST(Service, UnknownNamesThrowNotFound) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   EXPECT_THROW(service.eval({"no-such-kernel"}), NotFoundError);
   EXPECT_THROW(service.map({"SAD", "no-such-arch"}), NotFoundError);
 }
@@ -240,7 +239,7 @@ TEST(Service, UnknownNamesThrowNotFound) {
 TEST(Service, SimulateAndVcdShareOneSimulationRun) {
   // PR-6 satellite: vcd used to rerun the simulation simulate had already
   // produced. Both must now resolve through the sim-run memo table.
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   const SimulateResponse sim = service.simulate({"SAD", "RSP#4"});
   EXPECT_TRUE(sim.matches_golden);
   const CacheStatsResponse after_sim = service.cache_stats({});
@@ -289,10 +288,9 @@ TEST(Service, SimulateBatchCoversSuiteAndMatchesSingleRuns) {
 }
 
 TEST(Service, SimulateBatchRejectsRepeatedArchitecture) {
-  // Every listed name costs a context and a memory before anything runs,
-  // so a repeat is refused up front: a request holds at most the nine
-  // suite designs.
-  const Service service(small_options(1, 1));
+  // Every listed name can cost a schedule and a simulation, so a repeat
+  // is refused up front: a request holds at most the nine suite designs.
+  const Service service(small_options(1));
   try {
     service.simulate_batch({"SAD", {"Base", "RSP#4", "Base"}});
     FAIL() << "expected InvalidArgumentError";
@@ -354,7 +352,7 @@ TEST(Service, RepeatedPairsScheduleAndSimulateOnce) {
     EXPECT_EQ(fresh.handle(requests[i]).dump(), first[i]) << "request " << i;
   }
 
-  // A cold simulate_batch simulates each pair once, on the worker pool.
+  // A cold simulate_batch simulates each pair once, on its own thread.
   const Service cold(small_options());
   cold.simulate_batch({"SAD", {}});
   EXPECT_EQ(cold.cache_stats({}).schedule_stats.misses, 9u);
@@ -364,12 +362,12 @@ TEST(Service, RepeatedPairsScheduleAndSimulateOnce) {
 TEST(Service, ConcurrentRepeatsMatchSerialBodies) {
   const std::vector<Request> requests = sad_suite_requests();
   const std::vector<std::string> serial =
-      bodies(Service(small_options(1, 1)), requests);
+      bodies(Service(small_options(1)), requests);
 
   // Four threads race the same ops on one cold Service, two front to back
   // and two back to front, so both the same pair and different ops on one
   // pair are computed concurrently.
-  const Service service(small_options(2, 4));
+  const Service service(small_options(4));
   constexpr int kThreads = 4;
   std::vector<std::vector<std::string>> raced(
       kThreads, std::vector<std::string>(requests.size()));
@@ -411,7 +409,7 @@ TEST(Service, BoundedMemosAnswerIdenticallyUnderEviction) {
 }
 
 TEST(Service, HandleReportsFailuresInBand) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   const util::Json body = service.handle(EvalRequest{"no-such-kernel"});
   EXPECT_FALSE(body.at("ok").as_bool());
   EXPECT_NE(body.at("error").as_string().find("no-such-kernel"),
@@ -419,7 +417,7 @@ TEST(Service, HandleReportsFailuresInBand) {
 }
 
 TEST(Service, PingRejectsOutOfRangeDelay) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   EXPECT_THROW(service.ping({-1}), InvalidArgumentError);
   EXPECT_THROW(service.ping({kMaxPingDelayMs + 1}), InvalidArgumentError);
   EXPECT_EQ(service.ping({0}).delay_ms, 0);
@@ -431,7 +429,7 @@ TEST(Service, SubmitRunsRequestsConcurrently) {
   // air at once on the dispatch pool. The delay is generous because this
   // suite also runs under ThreadSanitizer (5-15x slowdown) on loaded CI
   // runners — the immediate ping's full round trip must finish inside it.
-  const Service service(small_options(1, 2));
+  const Service service(small_options(2));
   std::future<util::Json> slow = service.submit(PingRequest{1000});
   std::future<util::Json> fast = service.submit(PingRequest{0});
   const util::Json fast_body = fast.get();
@@ -448,7 +446,11 @@ TEST(Service, CacheStatsTracksSharedCacheActivity) {
   service.eval({"MVM"});
   const CacheStatsResponse stats = service.cache_stats({});
   EXPECT_GT(stats.stats.entries, 0u);
-  EXPECT_EQ(stats.threads, service.thread_count());
+  // The body has one counter set per table and no pool size.
+  const util::Json body = to_body(stats);
+  EXPECT_FALSE(body.contains("threads")) << body.dump();
+  EXPECT_FALSE(body.contains("invalidations")) << body.dump();
+  EXPECT_FALSE(body.at("sim").contains("invalidations")) << body.dump();
 }
 
 // ------------------------------------------------------- cache persistence
@@ -495,7 +497,7 @@ TEST(Service, CacheLoadRejectsVersionMismatch) {
 }
 
 TEST(Service, CacheLoadRejectsMissingOrForeignFiles) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   EXPECT_THROW(service.cache_load({"/nonexistent/cache.json"}),
                NotFoundError);
   TempFile file("cache_foreign.json");
@@ -637,7 +639,7 @@ TEST(Protocol, RejectsNonsensicalDseConfigsInBand) {
           R"({"protocol_version": 2, "id": "a", "op": "dse",)"
           R"( "config": {"max_stages": 0}})")),
       InvalidArgumentError);
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   DseRequest bad;
   bad.config.max_stages = 0;
   const util::Json body = service.handle(bad);
@@ -647,7 +649,7 @@ TEST(Protocol, RejectsNonsensicalDseConfigsInBand) {
 }
 
 TEST(Service, CacheStatsReportMappingAndEvictionFields) {
-  ServiceOptions options = small_options(1, 1);
+  ServiceOptions options = small_options(1);
   options.cache_max_entries = 64;
   const Service service(options);
   service.eval({"SAD"});
@@ -746,7 +748,7 @@ TEST(Protocol, DecodeV2ParsesSimulateAndBatch) {
 }
 
 TEST(Protocol, SimulateBodiesCarryNoEngine) {
-  const Service service(small_options(1, 1));
+  const Service service(small_options(1));
   const util::Json single = service.handle(SimulateRequest{"SAD", "Base"});
   EXPECT_TRUE(single.at("ok").as_bool());
   EXPECT_FALSE(single.contains("engine")) << single.dump();
@@ -795,7 +797,7 @@ ServeOutput run_serve(Service& service, const std::string& input,
 TEST(Serve, StreamsResponsesOutOfOrderById) {
   // Delay sized for TSan on loaded CI runners: the immediate ping's
   // parse+dispatch+write round trip must complete inside it.
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   const ServeOutput output = run_serve(
       service,
       "{\"protocol_version\": 2, \"id\": \"slow\", \"op\": \"ping\", "
@@ -819,7 +821,7 @@ TEST(Serve, ProtocolErrorsAreInBandAndNonFatal) {
   // duplicate id and a JSON array line (the retired v1 batch document) —
   // each answered in-band, and the loop still serves the valid request
   // that follows.
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   const ServeOutput output = run_serve(
       service,
       "{this is not json\n"
@@ -877,7 +879,7 @@ TEST(Serve, ProtocolErrorsAreInBandAndNonFatal) {
 TEST(Serve, OverlongRequestLineIsRejectedInBand) {
   // A line past kMaxRequestLineBytes costs one in-band error with a null
   // id; the rest of it is discarded and the next line is served.
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   const std::string overlong(4 * kMaxRequestLineBytes, 'x');
   const ServeOutput output = run_serve(
       service, overlong +
@@ -924,7 +926,7 @@ TEST(Serve, OverlongRequestLineIsRejectedInBand) {
 TEST(Serve, OversizedDseGridIsRejectedInBand) {
   // Bounds a client sets beyond the array would make the explorer build an
   // unbounded grid; the request must fail in-band and the loop keep going.
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   const ServeOutput output = run_serve(
       service,
       "{\"protocol_version\": 2, \"id\": \"huge\", \"op\": \"dse\", "
@@ -951,7 +953,7 @@ TEST(Serve, RepeatedBatchArchitectureIsRejectedInBand) {
   // Every listed name costs a context and a memory, so the second "Base"
   // of 1,000 fails the request in-band before any is built. An "engine"
   // field is an unknown field like any other.
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   std::string archs = "\"Base\"";
   for (int i = 0; i < 999; ++i) archs += ", \"Base\"";
   const std::string batch =
@@ -981,7 +983,7 @@ TEST(Serve, RepeatedBatchArchitectureIsRejectedInBand) {
 }
 
 TEST(Serve, ExecutionErrorsEchoTheRequestId) {
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   const ServeOutput output = run_serve(
       service,
       "{\"protocol_version\": 2, \"id\": \"bad\", \"op\": \"eval\", "
@@ -995,7 +997,7 @@ TEST(Serve, ExecutionErrorsEchoTheRequestId) {
 }
 
 TEST(Serve, BlankLinesAreSkipped) {
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   const ServeOutput output = run_serve(
       service,
       "\n   \n{\"protocol_version\": 2, \"id\": \"x\", \"op\": \"list\"}\n");
@@ -1005,7 +1007,7 @@ TEST(Serve, BlankLinesAreSkipped) {
 }
 
 TEST(Serve, FailedOutputStreamStopsTheLoopAndIsReported) {
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   // The first line's parse-error response is written synchronously by the
   // reader thread, so the stream failure is observed before line two is
   // read — the loop must stop there and report the loss.
@@ -1020,7 +1022,7 @@ TEST(Serve, FailedOutputStreamStopsTheLoopAndIsReported) {
 }
 
 TEST(Serve, NumericIdsEchoVerbatim) {
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   const ServeOutput output = run_serve(
       service, "{\"protocol_version\": 2, \"id\": 7, \"op\": \"ping\"}\n");
   ASSERT_EQ(output.lines.size(), 1u);
@@ -1032,7 +1034,7 @@ TEST(Serve, SeenIdWindowAllowsReuseOnceEvicted) {
   // A duplicate inside the sliding window is rejected; an id older than
   // the last `seen_id_window` accepted requests may be reused — the bound
   // that keeps long-lived socket connections at constant memory.
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   ServeOptions options;
   options.seen_id_window = 2;
   const ServeOutput output = run_serve(
@@ -1060,7 +1062,7 @@ TEST(Serve, SeenIdWindowAllowsReuseOnceEvicted) {
 TEST(Serve, RejectedDuplicateDoesNotAgeTheWindow) {
   // Only *accepted* ids enter the window: hammering a duplicate must not
   // evict the id it collides with (which would re-admit the duplicate).
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   ServeOptions options;
   options.seen_id_window = 1;
   const ServeOutput output = run_serve(
@@ -1164,7 +1166,7 @@ TEST(Socket, ParseListenAddressForms) {
 }
 
 TEST(Socket, RejectsBadServerConfigs) {
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   EXPECT_THROW(SocketServer(service, {}), InvalidArgumentError);
   SocketServerOptions zero_connections;
   zero_connections.max_connections = 0;
@@ -1184,7 +1186,7 @@ TEST(Socket, BindRefusesToReplaceNonSocketFile) {
     std::ofstream out(file.path());
     out << "precious\n";
   }
-  Service service(small_options(1, 1));
+  Service service(small_options(1));
   try {
     SocketServer server(service, {parse_listen_address(file.path())});
     FAIL() << "expected the bind to be refused";
@@ -1201,7 +1203,7 @@ TEST(Socket, BindRefusesToStealLiveServerSocket) {
   // Unlink-before-bind only clears *debris*: a second server on the path
   // of a live one must fail, not silently strand the first server.
   TempFile socket_path("live.sock");
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   SocketServer first(service, {parse_listen_address(socket_path.path())});
   ServerRunner runner(first);
   try {
@@ -1225,7 +1227,7 @@ TEST(Socket, SecondShutdownForceClosesNonReadingClient) {
   // drain alone could wait forever. The escalation contract: a second
   // shutdown() force-closes such connections and run() still returns.
   TempFile socket_path("force.sock");
-  Service service(small_options(2, 2));
+  Service service(small_options(2));
   SocketServer server(service,
                       {parse_listen_address(socket_path.path())});
   std::thread run_thread([&server] { server.run(); });
@@ -1274,7 +1276,7 @@ TEST(Socket, UnixLoopbackByteIdenticalToStdinServe) {
 }
 
 TEST(Socket, TcpEphemeralPortRoundTrip) {
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   SocketServer server(service, {parse_listen_address("127.0.0.1:0")});
   ASSERT_EQ(server.addresses().size(), 1u);
   EXPECT_GT(server.addresses()[0].port, 0);  // ephemeral port resolved
@@ -1314,7 +1316,7 @@ TEST(Socket, ConcurrentClientsIsolatedIdScopesByteIdentical) {
   const ServeOutput reference_b = run_serve(reference_b_service, requests_b);
 
   TempFile socket_path("concurrent.sock");
-  Service service(small_options(2, 4));
+  Service service(small_options(4));
   SocketServer server(service,
                       {parse_listen_address(socket_path.path())});
   ServerRunner runner(server);
@@ -1339,7 +1341,7 @@ TEST(Socket, ConcurrentClientsIsolatedIdScopesByteIdentical) {
 
 TEST(Socket, ConnectionLimitAnsweredInBand) {
   TempFile socket_path("limit.sock");
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   SocketServerOptions options;
   options.max_connections = 1;
   SocketServer server(service, {parse_listen_address(socket_path.path())},
@@ -1386,7 +1388,7 @@ TEST(Socket, ConnectionLimitAnsweredInBand) {
 
 TEST(Socket, GracefulShutdownDrainsInflightRequests) {
   TempFile socket_path("drain.sock");
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   SocketServer server(service,
                       {parse_listen_address(socket_path.path())});
   std::thread run_thread([&server] { server.run(); });
@@ -1430,7 +1432,7 @@ TEST(Socket, GracefulShutdownDrainsInflightRequests) {
 
 TEST(Socket, CacheStatsFoldsServerSection) {
   TempFile socket_path("stats.sock");
-  Service service(small_options(1, 2));
+  Service service(small_options(2));
   SocketServerOptions options;
   options.max_connections = 7;
   SocketServer server(service, {parse_listen_address(socket_path.path())},
@@ -1450,7 +1452,7 @@ TEST(Socket, CacheStatsFoldsServerSection) {
   EXPECT_EQ(section.at("connections").at("rejected").as_number(), 0);
 
   // The pipe transport installs no extension: no "server" section there.
-  Service pipe_service(small_options(1, 1));
+  Service pipe_service(small_options(1));
   const ServeOutput pipe = run_serve(
       pipe_service,
       "{\"protocol_version\": 2, \"id\": \"s\", \"op\": \"cache_stats\"}\n");

@@ -95,8 +95,7 @@ TEST(CliJson, ServeV2NdjsonMatchesInProcessService) {
   // the envelope and the ordering.
   const CliResult served =
       run_shell(std::string(RSP_CLI_BINARY) +
-                " serve --threads 2 < " RSP_TEST_DATA_DIR
-                "/serve_requests.ndjson");
+                " serve < " RSP_TEST_DATA_DIR "/serve_requests.ndjson");
   ASSERT_EQ(served.exit_code, 0);
   std::map<std::string, std::string> by_id;
   std::istringstream lines(served.stdout_text);
@@ -109,7 +108,6 @@ TEST(CliJson, ServeV2NdjsonMatchesInProcessService) {
   ASSERT_EQ(by_id.size(), 2u);
 
   api::ServiceOptions options;
-  options.threads = 1;
   options.max_inflight = 1;
   const api::Service service(options);
   std::ifstream requests(RSP_TEST_DATA_DIR "/serve_requests.ndjson");

@@ -212,7 +212,6 @@ TEST(GenCatalogue, MalformedGenNamesAreNotFound) {
 
 TEST(GenCatalogue, ServiceServesGeneratedKernels) {
   api::ServiceOptions options;
-  options.threads = 2;
   options.max_inflight = 2;
   const api::Service service(options);
 

@@ -1,5 +1,5 @@
-// The evaluation runtime: thread pool semantics, memo-cache correctness
-// (including invalidation), batched simulation, and thread-safe logging
+// The evaluation runtime: thread pool semantics, memo-cache correctness,
+// one compiled simulation shared across threads, and thread-safe logging
 // under concurrency.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -18,12 +19,12 @@
 #include "kernels/registry.hpp"
 #include "runtime/eval_cache.hpp"
 #include "runtime/mapping_cache.hpp"
-#include "runtime/sim_batch.hpp"
 #include "runtime/striped_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/mapper.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
+#include "sim/program.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -259,66 +260,6 @@ TEST(EvalCache, FailedComputeIsRethrownAndNeverCached) {
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(EvalCache, InvalidationNeverServesStaleEntries) {
-  EvalCache cache;
-  const std::string key = "SAD|base";
-  EvalRecord stale;
-  stale.cycles = 1;
-  cache.insert(key, stale);
-  ASSERT_TRUE(cache.lookup(key).has_value());
-
-  EXPECT_TRUE(cache.invalidate(key));
-  EXPECT_FALSE(cache.invalidate(key));  // already gone
-  EXPECT_FALSE(cache.lookup(key).has_value());
-
-  EvalRecord fresh;
-  fresh.cycles = 2;
-  const EvalRecord served =
-      cache.get_or_compute(key, [&fresh] { return fresh; });
-  EXPECT_EQ(served.cycles, 2);  // recomputed, not the stale value
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST(EvalCache, InvalidationDuringComputeIsNotResurrected) {
-  EvalCache cache;
-  const std::string key = "SAD|base";
-  EvalRecord computed;
-  computed.cycles = 7;
-  // The compute callback races an invalidation: the result may be
-  // *returned* but must not be *published* over the invalidation.
-  const EvalRecord served = cache.get_or_compute(key, [&] {
-    cache.invalidate(key);  // cancels this in-flight compute's publish
-    return computed;
-  });
-  EXPECT_EQ(served.cycles, 7);
-  EXPECT_FALSE(cache.lookup(key).has_value());
-}
-
-TEST(EvalCache, InvalidatingAnotherKeyDoesNotSuppressPublish) {
-  EvalCache cache(1);  // one shard, so both keys share it
-  const std::string key = "SAD|base";
-  const std::string other = "MVM|base";
-  EvalRecord computed;
-  computed.cycles = 5;
-  cache.get_or_compute(key, [&] {
-    cache.invalidate(other);  // unrelated key: must not cancel this publish
-    return computed;
-  });
-  EXPECT_TRUE(cache.lookup(key).has_value());
-}
-
-TEST(EvalCache, ClearEmptiesEveryShard) {
-  EvalCache cache(8);
-  for (int v = 1; v <= 4; ++v) {
-    EvalRecord r;
-    r.cycles = v;
-    cache.insert("k" + std::to_string(v), r);
-  }
-  EXPECT_EQ(cache.stats().entries, 4u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
 TEST(EvalCache, SerializeDeserializeRoundTrip) {
   EvalCache cache(4);
   for (int v = 1; v <= 5; ++v) {
@@ -513,7 +454,6 @@ TEST(EvalCache, EvictionUnderConcurrencyStaysConsistent) {
             return r;
           });
       ASSERT_EQ(served.cycles, key);
-      if (i % 7 == 0) cache.invalidate("k" + std::to_string((key + 1) % 32));
     }));
   for (std::future<void>& f : futures) f.get();
   const CacheStats stats = cache.stats();
@@ -560,32 +500,6 @@ TEST(MappingCache, GetOrMapHitsAndMatchesDirectPreparation) {
   // The record carries the tag it was built with.
   EXPECT_EQ(first->program_tag, EvalCache::program_tag(direct.program));
   EXPECT_EQ(first->base_context.length(), direct.base_context.length());
-}
-
-TEST(MappingCache, InvalidationForcesRemapAndDropsDerivedEstimates) {
-  const kernels::Workload w = kernels::find_workload("SAD");
-  const std::string key = MappingCache::key(w);
-  MappingCache cache;
-  const auto record = cache.get_or_map(w);
-  const auto profile = cache.get_or_profile(key, record->base_context);
-  EXPECT_GT(profile->estimate(arch::rsp_architecture(2)).estimated_cycles(),
-            0);
-  EXPECT_EQ(cache.estimate_stats().entries, 1u);
-
-  EXPECT_TRUE(cache.invalidate(key));
-  EXPECT_FALSE(cache.invalidate(key));  // already gone
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.estimate_stats().entries, 0u);  // derived profile dropped
-  EXPECT_EQ(cache.estimate_stats().invalidations, 1u);
-  // The next fetch rebuilds the profile instead of serving the old one.
-  EXPECT_NE(cache.get_or_profile(key, record->base_context).get(),
-            profile.get());
-
-  // The remap recomputes an identical record (mapping is deterministic).
-  const auto fresh = cache.get_or_map(w);
-  EXPECT_NE(fresh.get(), record.get());
-  EXPECT_EQ(EvalCache::program_tag(fresh->program),
-            EvalCache::program_tag(record->program));
 }
 
 TEST(MappingCache, EstimatesMatchDirectComputation) {
@@ -662,87 +576,49 @@ TEST(MappingCache, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
         << "task " << t;
 }
 
-// -------------------------------------------------- thread-safe logging
-// --------------------------------------------------------- batched sim
-sched::ConfigurationContext schedule_workload(const kernels::Workload& w,
-                                              const arch::Architecture& a) {
-  const sched::LoopPipeliner mapper(w.array);
-  return sched::ContextScheduler().schedule(
-      mapper.map(w.kernel, w.hints, w.reduction), a);
-}
-
-TEST(SimBatch, BatchIsBitIdenticalToSerialRunsAndPositional) {
+// ------------------------------------------------ shared compiled program
+TEST(ThreadPool, SharesOneCompiledSimProgramAcrossThreads) {
+  // SimProgram::run is const and reentrant: four pool threads run one
+  // compiled program at once, each on its own memory, and every result
+  // equals a serial run of the same memory.
   const kernels::Workload w = kernels::find_workload("SAD");
-  const sched::ConfigurationContext ctx =
-      schedule_workload(w, arch::rsp_architecture(4));
+  const sched::LoopPipeliner mapper(w.array);
+  const sched::ConfigurationContext ctx = sched::ContextScheduler().schedule(
+      mapper.map(w.kernel, w.hints, w.reduction), arch::rsp_architecture(4));
+  const sim::SimProgram program = sim::SimProgram::compile(ctx);
 
-  // Six memories, each perturbed at a distinct address so a shuffled result
-  // order could not pass.
-  std::vector<ir::Memory> memories(6);
-  for (int i = 0; i < 6; ++i) {
+  // Each memory is perturbed at a distinct address, so a result handed to
+  // the wrong job could not pass.
+  constexpr int kThreads = 4;
+  std::vector<ir::Memory> memories(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
     w.setup(memories[static_cast<std::size_t>(i)]);
     memories[static_cast<std::size_t>(i)].write("cur", i, 100 + i);
   }
 
-  const std::vector<SimBatchResult> batch =
-      simulate_batch(ctx, memories, SimBatchOptions{.threads = 4});
-  ASSERT_EQ(batch.size(), memories.size());
+  ThreadPool pool(kThreads);
+  std::atomic<int> started{0};
+  std::vector<std::future<std::pair<sim::SimResult, ir::Memory>>> futures;
+  for (const ir::Memory& initial : memories)
+    futures.push_back(pool.submit([&, memory = initial]() mutable {
+      // Start together, so the runs overlap.
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      sim::SimResult result = program.run(memory);
+      return std::make_pair(std::move(result), std::move(memory));
+    }));
 
-  const sim::Machine machine;  // serial reference
+  const sim::Machine machine;  // serial reference, compiled afresh
   for (std::size_t i = 0; i < memories.size(); ++i) {
     ir::Memory serial = memories[i];
     const sim::SimResult expected = machine.run(ctx, serial);
-    EXPECT_TRUE(batch[i].result == expected) << "job " << i;
-    EXPECT_TRUE(batch[i].memory == serial) << "job " << i;
+    const auto [result, memory] = futures[i].get();
+    EXPECT_TRUE(result == expected) << "job " << i;
+    EXPECT_TRUE(memory == serial) << "job " << i;
   }
 }
 
-TEST(SimBatch, EmptyAndSingleJobShortcuts) {
-  const kernels::Workload w = kernels::find_workload("SAD");
-  const sched::ConfigurationContext ctx =
-      schedule_workload(w, arch::base_architecture());
-  EXPECT_TRUE(simulate_batch(ctx, {}).empty());
-
-  std::vector<ir::Memory> one(1);
-  w.setup(one[0]);
-  ir::Memory serial = one[0];
-  const auto batch = simulate_batch(ctx, std::move(one));
-  ASSERT_EQ(batch.size(), 1u);
-  const sim::SimResult expected = sim::Machine().run(ctx, serial);
-  EXPECT_TRUE(batch[0].result == expected);
-  EXPECT_TRUE(batch[0].memory == serial);
-}
-
-TEST(SimBatch, RunsOnExternalPool) {
-  const kernels::Workload w = kernels::find_workload("MVM");
-  const sched::ConfigurationContext ctx =
-      schedule_workload(w, arch::rsp_architecture(1));
-  std::vector<ir::Memory> memories(4);
-  for (auto& m : memories) w.setup(m);
-
-  ThreadPool pool(2);
-  SimBatchOptions options;
-  options.pool = &pool;
-  const auto batch = simulate_batch(ctx, memories, options);
-  ASSERT_EQ(batch.size(), 4u);
-  ir::Memory golden;
-  w.setup(golden);
-  w.golden(golden);
-  for (const auto& out : batch) EXPECT_TRUE(out.memory == golden);
-}
-
-TEST(SimBatch, PropagatesSimulationErrorsFromWorkers) {
-  // Two kConst ops double-book PE (0,0): every job must fail, and the
-  // batch call surfaces the first failure by position.
-  std::vector<sched::ScheduledOp> ops(2);
-  ops[0].kind = ir::OpKind::kConst;
-  ops[1].kind = ir::OpKind::kConst;
-  const sched::ConfigurationContext ctx(arch::base_architecture(), ops);
-  std::vector<ir::Memory> memories(3);
-  EXPECT_THROW(simulate_batch(ctx, memories, SimBatchOptions{.threads = 2}),
-               Error);
-}
-
+// -------------------------------------------------- thread-safe logging
 TEST(LoggingThreads, ConcurrentEmissionIsSerializedAndLossless) {
   std::mutex sink_mutex;
   std::vector<std::string> lines;

@@ -32,7 +32,7 @@ namespace {
 
 using namespace rsp;
 
-// Parses a strictly positive integer flag value ("--threads 4").
+// Parses a strictly positive integer flag value ("--max-inflight 4").
 int positive_int_flag(const std::string& flag, const std::string& value) {
   int parsed_value = 0;
   try {
@@ -137,11 +137,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::vector<api::ListenAddress> listen;
   bool saw_max_connections = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--threads") {
-      if (i + 1 >= args.size())
-        throw InvalidArgumentError("--threads requires a worker count");
-      options.threads = positive_int_flag("--threads", args[++i]);
-    } else if (args[i] == "--max-inflight") {
+    if (args[i] == "--max-inflight") {
       if (i + 1 >= args.size())
         throw InvalidArgumentError("--max-inflight requires a request count");
       options.max_inflight = positive_int_flag("--max-inflight", args[++i]);
@@ -165,8 +161,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else {
       throw InvalidArgumentError(
           "unknown flag '" + args[i] +
-          "' for serve (--threads N, --max-inflight N, --cache-entries N, "
-          "--listen ADDR, --max-connections N)");
+          "' for serve (--max-inflight N, --cache-entries N, --listen ADDR, "
+          "--max-connections N)");
     }
   }
 
@@ -189,7 +185,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     return 0;
   }
 
-  // Socket transport: all connections share this one service (pools +
+  // Socket transport: all connections share this one service (pool +
   // caches); logs go to stderr. Stdout carries exactly one machine-
   // parseable "READY <resolved-addr>" line per listener (ephemeral ports
   // resolved) so scripts can wait for the bind without connect-polling.
@@ -427,7 +423,6 @@ int cmd_lint(const std::vector<std::string>& args) {
     resp.rows.push_back(std::move(row));
   } else {
     api::ServiceOptions options;
-    options.threads = 1;
     options.max_inflight = 1;
     resp = api::Service(options).lint({kernel, arch});
   }
@@ -469,7 +464,7 @@ int usage() {
          "verify\n"
          "  explore|dse                       DSE over the full kernel "
          "domain\n"
-         "  serve [--threads N] [--max-inflight N] [--cache-entries N]\n"
+         "  serve [--max-inflight N] [--cache-entries N]\n"
          "        [--listen <path|host:port>]... [--max-connections N]\n"
          "                                    stream v2 NDJSON requests "
          "stdin->stdout,\n"
@@ -524,12 +519,10 @@ int main(int argc, char** argv) {
     if (cmd == "fuzz") return cmd_fuzz(args);
     if (cmd == "lint") return cmd_lint(args);
 
-    // One service per invocation, with one worker and one dispatch thread:
-    // the CLI runs exactly one request, and the only operation that fans
-    // out on the worker pool (simulate_batch) is not a subcommand.
+    // One service per invocation, with one dispatch thread: the CLI runs
+    // exactly one request.
     const auto light_service = [] {
       api::ServiceOptions options;
-      options.threads = 1;
       options.max_inflight = 1;
       return api::Service(options);
     };
