@@ -3,8 +3,9 @@
 // Measures the speed of the pieces a user iterates with during design space
 // exploration: kernel unrolling, mapping, scheduling per architecture
 // class, exact measurement and its per-kernel timing profile, legality
-// checking, cycle simulation, and the fast performance estimate that makes
-// the exploration loop cheap.
+// checking and the full lint, the schedule grid `map` renders, cycle
+// simulation, and the fast performance estimate that makes the exploration
+// loop cheap.
 #include <benchmark/benchmark.h>
 
 #include "analysis/verifier.hpp"
@@ -14,6 +15,7 @@
 #include "ir/unroll.hpp"
 #include "kernels/registry.hpp"
 #include "sched/mapper.hpp"
+#include "sched/pretty.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
 
@@ -122,6 +124,38 @@ void BM_Legality(benchmark::State& state) {
   state.SetLabel(w.name);
 }
 BENCHMARK(BM_Legality)->DenseRange(0, 8);
+
+// The full lint (every rule, findings collected) of the context
+// BM_Legality checks: what a Service pays once per pair, on its first
+// `lint`.
+void BM_Lint(benchmark::State& state) {
+  const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
+  const sched::LoopPipeliner mapper(w.array);
+  const sched::PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
+  const sched::ContextScheduler s;
+  const auto ctx = s.schedule(p, arch::rsp_architecture(2));
+  for (auto _ : state) {
+    auto rep = analysis::lint_context(ctx);
+    benchmark::DoNotOptimize(rep.diagnostics.size());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_Lint)->DenseRange(0, 8);
+
+// The `map` response's grid of the same context.
+void BM_RenderSchedule(benchmark::State& state) {
+  const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
+  const sched::LoopPipeliner mapper(w.array);
+  const sched::PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
+  const sched::ContextScheduler s;
+  const auto ctx = s.schedule(p, arch::rsp_architecture(2));
+  for (auto _ : state) {
+    auto grid = sched::render_schedule(ctx);
+    benchmark::DoNotOptimize(grid.size());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_RenderSchedule)->DenseRange(0, 8);
 
 void BM_Simulate(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));

@@ -4,9 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/op.hpp"
@@ -475,31 +475,71 @@ void warning_pass(const arch::Architecture& a,
   // RSP-W004/W005: same-cycle conflicts on one memory port
   // (array, address). The simulator resolves both deterministically in issue
   // order, but the outcome depends on that order, not the dataflow.
-  std::map<std::tuple<int, std::string, long>,
-           std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
-      ports;  // (cycle, array, address) -> (load ops, store ops)
+  // Ports are reported by cycle, array name, then address: one flat table
+  // of (cycle, name rank, address, op), sorted once, where a name's rank
+  // is its place among the context's distinct array names.
+  std::unordered_map<std::string_view, int> name_ids;
+  std::vector<std::string_view> names;  // distinct, in order of first use
+  struct PortUse {
+    int cycle;
+    int name;  // index into `names`, then the name's rank
+    long address;
+    std::size_t op;
+    bool operator<(const PortUse& o) const {
+      return std::tie(cycle, name, address, op) <
+             std::tie(o.cycle, o.name, o.address, o.op);
+    }
+  };
+  std::vector<PortUse> uses;
   for (std::size_t i = 0; i < n; ++i) {
     const sched::ScheduledOp& op = ops[i];
     if (!ir::is_memory_op(op.kind) || skip_replay[i]) continue;
-    auto& [loads, stores] =
-        ports[{op.cycle, op.array, static_cast<long>(op.address)}];
-    (op.kind == ir::OpKind::kLoad ? loads : stores).push_back(i);
+    const auto [id, fresh] =
+        name_ids.try_emplace(op.array, static_cast<int>(names.size()));
+    if (fresh) names.push_back(op.array);
+    uses.push_back({op.cycle, id->second, static_cast<long>(op.address), i});
   }
-  for (const auto& [port, users] : ports) {
-    const auto& [loads, stores] = users;
-    const auto& [cycle, name, address] = port;
-    if (stores.size() > 1)
+  std::vector<std::string_view> by_rank = names;
+  std::sort(by_rank.begin(), by_rank.end());
+  std::vector<int> rank(names.size());
+  for (std::size_t k = 0; k < names.size(); ++k)
+    rank[k] = static_cast<int>(
+        std::lower_bound(by_rank.begin(), by_rank.end(), names[k]) -
+        by_rank.begin());
+  for (PortUse& use : uses) use.name = rank[static_cast<std::size_t>(use.name)];
+  std::sort(uses.begin(), uses.end());
+  for (std::size_t first = 0, last = 0; first < uses.size(); first = last) {
+    const PortUse& port = uses[first];
+    // The port's ops are uses[first, last), ascending by index.
+    std::size_t loads = 0, stores = 0, first_load = 0, first_store = 0,
+                second_store = 0;
+    for (last = first; last < uses.size() && uses[last].cycle == port.cycle &&
+                       uses[last].name == port.name &&
+                       uses[last].address == port.address;
+         ++last) {
+      const std::size_t i = uses[last].op;
+      if (ops[i].kind == ir::OpKind::kLoad) {
+        if (loads++ == 0) first_load = i;
+      } else if (stores++ == 0) {
+        first_store = i;
+      } else if (stores == 2) {
+        second_store = i;
+      }
+    }
+    const std::string name(by_rank[static_cast<std::size_t>(port.name)]);
+    if (stores > 1)
       emit({"RSP-W004", Severity::kWarning,
-            locus_of(stores[1], ops[stores[1]]),
-            "array '" + name + "'[" + std::to_string(address) +
-                "] is stored " + std::to_string(stores.size()) +
-                " times in cycle " + std::to_string(cycle)});
-    if (!stores.empty() && !loads.empty())
-      emit({"RSP-W005", Severity::kWarning, locus_of(loads[0], ops[loads[0]]),
-            "array '" + name + "'[" + std::to_string(address) +
-                "] is both loaded (op " + std::to_string(loads[0]) +
-                ") and stored (op " + std::to_string(stores[0]) +
-                ") in cycle " + std::to_string(cycle)});
+            locus_of(second_store, ops[second_store]),
+            "array '" + name + "'[" + std::to_string(port.address) +
+                "] is stored " + std::to_string(stores) + " times in cycle " +
+                std::to_string(port.cycle)});
+    if (stores > 0 && loads > 0)
+      emit({"RSP-W005", Severity::kWarning,
+            locus_of(first_load, ops[first_load]),
+            "array '" + name + "'[" + std::to_string(port.address) +
+                "] is both loaded (op " + std::to_string(first_load) +
+                ") and stored (op " + std::to_string(first_store) +
+                ") in cycle " + std::to_string(port.cycle)});
   }
 
   // RSP-W006: aggregate shared-pool over-subscription — more critical
@@ -507,15 +547,20 @@ void warning_pass(const arch::Architecture& a,
   // can ever legalise the cycle.
   if (a.shares_multiplier()) {
     const int total_units = a.sharing.total_units(array);
-    std::map<int, int> critical_per_cycle;
-    for (std::size_t i = 0; i < n; ++i)
-      if (!skip_replay[i] && ir::is_critical_op(ops[i].kind))
-        ++critical_per_cycle[ops[i].cycle];
-    for (const auto& [cycle, count] : critical_per_cycle)
-      if (count > total_units)
-        emit({"RSP-W006", Severity::kWarning, Locus{-1, cycle, -1, -1},
+    std::vector<int> critical_per_cycle;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (skip_replay[i] || !ir::is_critical_op(ops[i].kind)) continue;
+      const auto cycle = static_cast<std::size_t>(ops[i].cycle);
+      if (cycle >= critical_per_cycle.size())
+        critical_per_cycle.resize(cycle + 1, 0);
+      ++critical_per_cycle[cycle];
+    }
+    for (std::size_t cycle = 0; cycle < critical_per_cycle.size(); ++cycle)
+      if (critical_per_cycle[cycle] > total_units)
+        emit({"RSP-W006", Severity::kWarning,
+              Locus{-1, static_cast<int>(cycle), -1, -1},
               "cycle " + std::to_string(cycle) + " issues " +
-                  std::to_string(count) +
+                  std::to_string(critical_per_cycle[cycle]) +
                   " critical ops but the architecture has only " +
                   std::to_string(total_units) + " shared units"});
   }

@@ -47,14 +47,20 @@ Service::Service(ServiceOptions options)
       catalogue_(kernels::full_catalogue()),
       dispatch_(options.max_inflight) {}
 
-std::shared_ptr<const sched::ConfigurationContext> Service::schedule_for(
+const analysis::LintReport& Service::ScheduledPair::lint_report() const {
+  std::call_once(lint_once_,
+                 [this] { lint_report_ = analysis::lint_context(context); });
+  return lint_report_;
+}
+
+std::shared_ptr<const Service::ScheduledPair> Service::schedule_for(
     const kernels::Workload& w, const arch::Architecture& a) const {
   return schedules_.get_or_compute(pair_key(w, a), [&] {
-    auto ctx = std::make_shared<const sched::ConfigurationContext>(
+    auto pair = std::make_shared<const ScheduledPair>(
         sched::ContextScheduler().schedule(
             mapping_cache_->get_or_map(w)->program, a));
-    analysis::require_legal(*ctx);
-    return ctx;
+    analysis::require_legal(pair->context);
+    return pair;
   });
 }
 
@@ -170,7 +176,7 @@ LintResponse Service::lint(const LintRequest& request) const {
       row.kernel = w.name;
       row.arch = a.name;
       try {
-        row.report = analysis::lint_context(*schedule_for(w, a));
+        row.report = schedule_for(w, a)->lint_report();
       } catch (const std::exception& e) {
         // Mapping/scheduling died before a context existed (e.g. the
         // scheduler cannot place the kernel on this architecture) — a
@@ -191,29 +197,28 @@ MapResponse Service::map(const MapRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
-  const std::shared_ptr<const sched::ConfigurationContext> ctx =
-      schedule_for(w, a);
+  const std::shared_ptr<const ScheduledPair> pair = schedule_for(w, a);
+  const sched::ConfigurationContext& ctx = pair->context;
   MapResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;
-  resp.schedule = sched::render_schedule(*ctx);
-  resp.cycles = ctx->length();
-  resp.peak_critical_issues = ctx->max_critical_issues_per_cycle();
+  resp.schedule = sched::render_schedule(ctx);
+  resp.cycles = ctx.length();
+  resp.peak_critical_issues = ctx.max_critical_issues_per_cycle();
   return resp;
 }
 
 std::shared_ptr<const Service::SimRun> Service::sim_run(
     const kernels::Workload& w, const arch::Architecture& a) const {
   return sim_runs_.get_or_compute(pair_key(w, a), [&]() {
-    std::shared_ptr<const sched::ConfigurationContext> ctx =
-        schedule_for(w, a);
+    std::shared_ptr<const ScheduledPair> pair = schedule_for(w, a);
     ir::Memory mem, golden;
     w.setup(mem);
     w.setup(golden);
-    const sim::SimResult result = sim::Machine().run(*ctx, mem);
+    const sim::SimResult result = sim::Machine().run(pair->context, mem);
     w.golden(golden);
     return std::make_shared<const SimRun>(
-        SimRun{std::move(ctx), result, mem == golden});
+        SimRun{std::move(pair), result, mem == golden});
   });
 }
 
@@ -290,7 +295,7 @@ VcdResponse Service::vcd(const VcdRequest& request) const {
   VcdResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;
-  resp.vcd = sim::to_vcd(*run->context, run->result);
+  resp.vcd = sim::to_vcd(run->pair->context, run->result);
   return resp;
 }
 
@@ -298,7 +303,7 @@ BitstreamResponse Service::bitstream(const BitstreamRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
-  const arch::ConfigCache config = schedule_for(w, a)->encode();
+  const arch::ConfigCache config = schedule_for(w, a)->context.encode();
   BitstreamResponse resp;
   resp.kernel = w.name;
   resp.arch = a.name;

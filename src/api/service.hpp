@@ -16,16 +16,19 @@
 // hooks, and simulate_batch builds its rows one after another.
 // Per (kernel, architecture) pair the Service schedules and
 // legality-checks once (the schedule memo, read by map, lint, bitstream
-// and the simulation memo) and simulates once (the simulation memo, read
-// by simulate, vcd and simulate_batch). Results are bit-identical to the
-// serial paths regardless of the pool's size: memoized entries are the
-// serial computations' results.
+// and the simulation memo), lints once (the pair's schedule-memo entry
+// keeps the lint report the first `lint` of the pair builds; nothing else
+// pays for it) and simulates once (the simulation memo, read by simulate,
+// vcd and simulate_batch). Results are bit-identical to the serial paths
+// regardless of the pool's size: memoized entries are the serial
+// computations' results.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <variant>
 #include <vector>
@@ -99,7 +102,8 @@ struct BitstreamRequest {
 /// Static verification (analysis::lint_context) of the scheduled context a
 /// kernel compiles to. Empty `kernel` lints the full catalogue; empty
 /// `arch` lints across the full standard suite — `{}` is "lint
-/// everything".
+/// everything". Each pair is linted once per Service: its report is kept
+/// with the pair's schedule-memo entry, and repeats copy it.
 struct LintRequest {
   std::string kernel;
   std::string arch;
@@ -325,17 +329,37 @@ class Service {
   const kernels::Workload& workload(const std::string& name) const;
   arch::Architecture architecture(const std::string& name, int rows,
                                   int cols) const;
-  /// The legal context of `w` on `a`, from the schedule memo or computed:
-  /// mapped through the mapping memo-cache, scheduled, and checked with
+  /// One schedule-memo entry: the legal context of a (kernel,
+  /// architecture) pair and its lint report, which the first `lint` of the
+  /// pair builds. Filling the entry never lints, so map, bitstream and the
+  /// simulations pay nothing for the report.
+  class ScheduledPair {
+   public:
+    explicit ScheduledPair(sched::ConfigurationContext context)
+        : context(std::move(context)) {}
+
+    const sched::ConfigurationContext context;
+
+    /// analysis::lint_context(context), built on the first call; callers
+    /// racing that call wait for it. A throwing lint stores nothing.
+    const analysis::LintReport& lint_report() const;
+
+   private:
+    mutable std::once_flag lint_once_;
+    mutable analysis::LintReport lint_report_;
+  };
+
+  /// The pair of `w` on `a`, from the schedule memo or computed: mapped
+  /// through the mapping memo-cache, scheduled, and checked with
   /// analysis::require_legal. A failure throws and is never memoized, so
   /// every repeat fails the same way.
-  std::shared_ptr<const sched::ConfigurationContext> schedule_for(
+  std::shared_ptr<const ScheduledPair> schedule_for(
       const kernels::Workload& w, const arch::Architecture& a) const;
 
   /// One memoized simulation: everything `simulate`, `vcd` and
   /// `simulate_batch` need, so they share a single run per pair.
   struct SimRun {
-    std::shared_ptr<const sched::ConfigurationContext> context;
+    std::shared_ptr<const ScheduledPair> pair;
     sim::SimResult result;
     bool matches_golden = false;
   };
@@ -352,11 +376,11 @@ class Service {
   // catalogue those tasks read, so it is declared after them.
   std::shared_ptr<runtime::EvalCache> cache_;
   std::shared_ptr<runtime::MappingCache> mapping_cache_;
-  /// Memoized legal contexts, service-local. Kept apart from `sim_runs_`
-  /// so map, lint and bitstream never depend on a simulation succeeding: a
-  /// legal context can still fail its memory bounds at run time.
-  mutable runtime::StripedMemoCache<
-      std::shared_ptr<const sched::ConfigurationContext>>
+  /// Memoized legal contexts and their lint reports, service-local. Kept
+  /// apart from `sim_runs_` so map, lint and bitstream never depend on a
+  /// simulation succeeding: a legal context can still fail its memory
+  /// bounds at run time.
+  mutable runtime::StripedMemoCache<std::shared_ptr<const ScheduledPair>>
       schedules_;
   /// Memoized simulation runs, service-local.
   mutable runtime::StripedMemoCache<std::shared_ptr<const SimRun>> sim_runs_;

@@ -1,46 +1,74 @@
 #include "sched/pretty.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <sstream>
+#include <cstddef>
+#include <string>
+#include <vector>
 
-#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace rsp::sched {
 
+namespace {
+
+// One symbol in one grid cell. `cell` is lane-major (lane * cycles +
+// cycle); `symbol` is an ir::OpKind, or -s for pipeline stage s ("s*").
+struct CellSymbol {
+  std::size_t cell;
+  int symbol;
+};
+
+void append_symbol(std::string& text, int symbol) {
+  if (symbol < 0) {
+    text += std::to_string(-symbol);
+    text += '*';
+  } else {
+    text += ir::op_symbol(static_cast<ir::OpKind>(symbol));
+  }
+}
+
+}  // namespace
+
 std::string render_schedule(const ConfigurationContext& context,
                             PrettyOptions options) {
   const arch::ArraySpec& array = context.architecture().array;
-  const int cycles = std::min(context.length(), options.max_cycles);
+  const int cycles =
+      std::max(std::min(context.length(), options.max_cycles), 0);
   const bool pipelined = context.architecture().pipelines_multiplier();
   const int stages = context.architecture().mult_latency();
-
-  // lane -> cycle -> symbols.
   const int lanes = options.per_pe ? array.num_pes() : array.cols;
-  std::map<std::pair<int, int>, std::vector<std::string>> cells;
+  const auto cell_of = [cycles](int lane, int cycle) {
+    return static_cast<std::size_t>(lane) * static_cast<std::size_t>(cycles) +
+           static_cast<std::size_t>(cycle);
+  };
 
+  // Every (cell, symbol) in op order, then grouped by cell; the stable sort
+  // keeps each cell's symbols in op order.
+  std::vector<CellSymbol> entries;
+  entries.reserve(context.ops().size());
   for (const ScheduledOp& op : context.ops()) {
-    const int lane =
-        options.per_pe ? array.linear(op.pe) : op.pe.col;
-    if (ir::is_critical_op(op.kind) && pipelined && options.show_stages) {
-      for (int s = 0; s < stages; ++s) {
-        if (op.cycle + s >= cycles) break;
-        cells[{lane, op.cycle + s}].push_back(std::to_string(s + 1) + "*");
-      }
-    } else {
-      if (op.cycle < cycles)
-        cells[{lane, op.cycle}].push_back(ir::op_symbol(op.kind));
+    const int lane = options.per_pe ? array.linear(op.pe) : op.pe.col;
+    if (ir::is_critical_op(op.kind) && pipelined) {
+      for (int s = 0; s < stages && op.cycle + s < cycles; ++s)
+        entries.push_back({cell_of(lane, op.cycle + s), -(s + 1)});
+    } else if (op.cycle < cycles) {
+      entries.push_back(
+          {cell_of(lane, op.cycle), static_cast<int>(op.kind)});
     }
   }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const CellSymbol& x, const CellSymbol& y) {
+                     return x.cell < y.cell;
+                   });
 
   std::vector<std::string> header = {options.per_pe ? "PE" : "col#"};
   for (int t = 0; t < cycles; ++t) header.push_back(std::to_string(t + 1));
   util::Table table(std::move(header));
 
+  auto next = entries.begin();
   for (int lane = 0; lane < lanes; ++lane) {
     std::vector<std::string> row;
+    row.reserve(static_cast<std::size_t>(cycles) + 1);
     if (options.per_pe) {
       const arch::PeCoord pe = array.coord(lane);
       row.push_back("(" + std::to_string(pe.row) + "," +
@@ -48,30 +76,30 @@ std::string render_schedule(const ConfigurationContext& context,
     } else {
       row.push_back(std::to_string(lane + 1));
     }
-    bool any = false;
+    const auto lane_first = next;
     for (int t = 0; t < cycles; ++t) {
-      auto it = cells.find({lane, t});
-      if (it == cells.end()) {
-        row.push_back("");
-        continue;
+      // The cell's symbols, each once, in order of first appearance.
+      std::string text;
+      const auto first = next;
+      for (; next != entries.end() && next->cell == cell_of(lane, t); ++next) {
+        const int symbol = next->symbol;
+        if (std::any_of(first, next, [symbol](const CellSymbol& e) {
+              return e.symbol == symbol;
+            }))
+          continue;
+        if (!text.empty()) text += ',';
+        append_symbol(text, symbol);
       }
-      any = true;
-      // Deduplicate symbols, keeping order of first appearance.
-      std::vector<std::string> unique;
-      for (const std::string& s : it->second)
-        if (std::find(unique.begin(), unique.end(), s) == unique.end())
-          unique.push_back(s);
-      row.push_back(util::join(unique, ","));
+      row.push_back(std::move(text));
     }
-    if (any || options.per_pe) table.add_row(std::move(row));
+    if (next != lane_first || options.per_pe) table.add_row(std::move(row));
   }
 
-  std::ostringstream os;
-  os << table.render();
+  std::string out = table.render();
   if (context.length() > options.max_cycles)
-    os << "... (" << context.length() - options.max_cycles
-       << " more cycles truncated)\n";
-  return os.str();
+    out += "... (" + std::to_string(context.length() - options.max_cycles) +
+           " more cycles truncated)\n";
+  return out;
 }
 
 }  // namespace rsp::sched

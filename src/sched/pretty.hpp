@@ -11,9 +11,8 @@
 namespace rsp::sched {
 
 struct PrettyOptions {
-  int max_cycles = 64;        ///< truncate very long schedules
-  bool per_pe = false;        ///< one row per PE instead of per array column
-  bool show_stages = true;    ///< display pipelined mults as 1*/2*/...
+  int max_cycles = 64;   ///< truncate very long schedules
+  bool per_pe = false;   ///< one row per PE instead of per array column
 };
 
 std::string render_schedule(const ConfigurationContext& context,

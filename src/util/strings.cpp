@@ -31,16 +31,6 @@ std::string join(const std::vector<std::string>& parts,
   return os.str();
 }
 
-std::string pad_left(const std::string& s, std::size_t w) {
-  if (s.size() >= w) return s;
-  return std::string(w - s.size(), ' ') + s;
-}
-
-std::string pad_right(const std::string& s, std::size_t w) {
-  if (s.size() >= w) return s;
-  return s + std::string(w - s.size(), ' ');
-}
-
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() &&
          s.compare(0, prefix.size(), prefix) == 0;

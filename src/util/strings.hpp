@@ -1,5 +1,5 @@
-// Small string/number formatting helpers used by the table writers and the
-// schedule pretty-printers.
+// Small string/number formatting helpers: fixed and trimmed numbers,
+// percentages, joins and splits.
 #pragma once
 
 #include <string>
@@ -16,10 +16,6 @@ std::string format_trimmed(double value, int max_digits = 2);
 
 /// Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
-
-/// Left/right pads `s` with spaces to width `w` (no-op if already wider).
-std::string pad_left(const std::string& s, std::size_t w);
-std::string pad_right(const std::string& s, std::size_t w);
 
 /// Returns true if `s` starts with `prefix`.
 bool starts_with(const std::string& s, const std::string& prefix);

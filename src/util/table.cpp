@@ -1,10 +1,8 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace rsp::util {
 
@@ -43,33 +41,44 @@ std::string Table::render() const {
       width[c] = std::max(width[c], row.cells[c].size());
   }
 
-  auto rule = [&]() {
-    std::string s = "+";
-    for (std::size_t w : width) s += std::string(w + 2, '-') + "+";
-    return s + "\n";
-  };
-  auto line = [&](const std::vector<std::string>& cells) {
-    std::string s = "|";
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      const std::string padded = align_[c] == Align::kLeft
-                                     ? pad_right(cells[c], width[c])
-                                     : pad_left(cells[c], width[c]);
-      s += " " + padded + " |";
+  // One output string, appended in place: no per-cell temporaries.
+  std::string out;
+  const auto rule = [&] {
+    out += '+';
+    for (std::size_t w : width) {
+      out.append(w + 2, '-');
+      out += '+';
     }
-    return s + "\n";
+    out += '\n';
+  };
+  const auto line = [&](const std::vector<std::string>& cells) {
+    out += '|';
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      const std::size_t pad = width[c] - cells[c].size();
+      out += ' ';
+      if (align_[c] == Align::kRight) out.append(pad, ' ');
+      out += cells[c];
+      if (align_[c] == Align::kLeft) out.append(pad, ' ');
+      out += " |";
+    }
+    out += '\n';
   };
 
-  std::ostringstream os;
-  if (!title_.empty()) os << title_ << "\n";
-  os << rule() << line(header_) << rule();
+  if (!title_.empty()) {
+    out += title_;
+    out += '\n';
+  }
+  rule();
+  line(header_);
+  rule();
   for (const Row& row : rows_) {
     if (row.separator)
-      os << rule();
+      rule();
     else
-      os << line(row.cells);
+      line(row.cells);
   }
-  os << rule();
-  return os.str();
+  rule();
+  return out;
 }
 
 }  // namespace rsp::util

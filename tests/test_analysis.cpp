@@ -518,6 +518,98 @@ TEST(LintWarnings, W006AggregateSharedPoolOversubscription) {
   EXPECT_EQ(d->locus.cycle, 0);
 }
 
+TEST(LintWarnings, PortAndPoolFindingsKeepTheirOrder) {
+  // Memory ports are reported by cycle, then array name, then address, and
+  // W006 by cycle; none of that follows op order here. "zeta" is used
+  // before "alpha", the cycle-1 ops come first, and alpha[2] comes before
+  // alpha[1]. An 8x2 array with one column-pool unit per column has 2
+  // units, so both cycles' three multiplications oversubscribe it (W006)
+  // and collide on column 1's unit (S005).
+  const arch::Architecture a =
+      arch::custom_architecture("two-units", 8, 2, 0, 1, 1);
+  std::vector<sched::ScheduledOp> ops;
+  const auto memory = [&](ir::OpKind kind, int row, int cycle,
+                          const char* array, int address) {
+    sched::ScheduledOp op;
+    op.kind = kind;
+    op.pe = {row, 0};  // one memory op per row and cycle: no bus findings
+    op.cycle = cycle;
+    op.array = array;
+    op.address = address;
+    if (kind == ir::OpKind::kStore) op.operands = {sched::ProgOperand{-1, 1}};
+    ops.push_back(op);
+  };
+  const auto mult = [&](int row, int cycle) {
+    sched::ScheduledOp op;
+    op.kind = ir::OpKind::kMult;
+    op.pe = {row, 1};
+    op.cycle = cycle;
+    op.latency = a.mult_latency();
+    op.operands = {sched::ProgOperand{-1, 2}, sched::ProgOperand{-1, 3}};
+    op.unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kColumn, 1, 0};
+    ops.push_back(op);
+  };
+  using ir::OpKind;
+  memory(OpKind::kStore, 0, 1, "zeta", 0);    // op 0
+  memory(OpKind::kLoad, 1, 1, "zeta", 0);     // op 1
+  memory(OpKind::kStore, 2, 1, "alpha", 7);   // op 2
+  memory(OpKind::kStore, 3, 1, "alpha", 7);   // op 3
+  memory(OpKind::kStore, 4, 1, "alpha", 7);   // op 4
+  memory(OpKind::kStore, 0, 0, "zeta", 5);    // op 5
+  memory(OpKind::kLoad, 1, 0, "zeta", 5);     // op 6
+  memory(OpKind::kStore, 2, 0, "zeta", 5);    // op 7
+  memory(OpKind::kStore, 3, 0, "alpha", 2);   // op 8
+  memory(OpKind::kLoad, 4, 0, "alpha", 2);    // op 9
+  memory(OpKind::kStore, 5, 0, "alpha", 1);   // op 10
+  memory(OpKind::kStore, 6, 0, "alpha", 1);   // op 11
+  memory(OpKind::kLoad, 7, 0, "alpha", 3);    // op 12, no conflict
+  for (int row = 0; row < 3; ++row) mult(row, 1);  // ops 13-15
+  for (int row = 0; row < 3; ++row) mult(row, 0);  // ops 16-18
+  const sched::ConfigurationContext ctx(a, ops);
+
+  std::vector<std::string> findings;
+  for (const Diagnostic& d : analysis::lint_context(ctx).diagnostics) {
+    std::string line = d.rule + " op " + std::to_string(d.locus.op) +
+                       " cycle " + std::to_string(d.locus.cycle);
+    if (d.rule >= "RSP-W004" && d.rule <= "RSP-W006") line += ": " + d.message;
+    findings.push_back(line);
+  }
+  const std::vector<std::string> expected = {
+      // Structural replay, in issue order.
+      "RSP-S005 op 17 cycle 0",
+      "RSP-S005 op 18 cycle 0",
+      "RSP-S005 op 14 cycle 1",
+      "RSP-S005 op 15 cycle 1",
+      // Dead values, by op.
+      "RSP-W002 op 1 cycle 1",
+      "RSP-W002 op 6 cycle 0",
+      "RSP-W002 op 9 cycle 0",
+      "RSP-W002 op 12 cycle 0",
+      "RSP-W002 op 13 cycle 1",
+      "RSP-W002 op 14 cycle 1",
+      "RSP-W002 op 15 cycle 1",
+      "RSP-W002 op 16 cycle 0",
+      "RSP-W002 op 17 cycle 0",
+      "RSP-W002 op 18 cycle 0",
+      // Ports, by cycle, array name, address.
+      "RSP-W004 op 11 cycle 0: array 'alpha'[1] is stored 2 times in cycle 0",
+      "RSP-W005 op 9 cycle 0: array 'alpha'[2] is both loaded (op 9) and "
+      "stored (op 8) in cycle 0",
+      "RSP-W004 op 7 cycle 0: array 'zeta'[5] is stored 2 times in cycle 0",
+      "RSP-W005 op 6 cycle 0: array 'zeta'[5] is both loaded (op 6) and "
+      "stored (op 5) in cycle 0",
+      "RSP-W004 op 3 cycle 1: array 'alpha'[7] is stored 3 times in cycle 1",
+      "RSP-W005 op 1 cycle 1: array 'zeta'[0] is both loaded (op 1) and "
+      "stored (op 0) in cycle 1",
+      // Pool pressure, by cycle.
+      "RSP-W006 op -1 cycle 0: cycle 0 issues 3 critical ops but the "
+      "architecture has only 2 shared units",
+      "RSP-W006 op -1 cycle 1: cycle 1 issues 3 critical ops but the "
+      "architecture has only 2 shared units",
+  };
+  EXPECT_EQ(findings, expected);
+}
+
 TEST(LintWarnings, W007UnroutableOperand) {
   std::vector<sched::ScheduledOp> ops(2);
   ops[0].kind = ir::OpKind::kConst;  // PE (0,0)

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <latch>
 #include <map>
 #include <sstream>
 #include <string>
@@ -386,6 +387,32 @@ TEST(Service, ConcurrentRepeatsMatchSerialBodies) {
       EXPECT_EQ(raced[t][i], serial[i]) << "thread " << t << ", request " << i;
   EXPECT_EQ(service.cache_stats({}).schedule_stats.entries, 9u);
   EXPECT_EQ(service.cache_stats({}).sim_stats.entries, 9u);
+}
+
+TEST(Service, ConcurrentFirstLintsMatchSerialBody) {
+  // Each pair's first lint builds the report its schedule-memo entry keeps.
+  // Four threads released together lint the whole catalogue (126 pairs) on
+  // one cold Service, so they race both the schedules and those first
+  // builds.
+  const Request request = LintRequest{};
+  const std::string serial = Service(small_options(1)).handle(request).dump();
+
+  const Service service(small_options(4));
+  constexpr int kThreads = 4;
+  std::vector<std::string> raced(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      raced[t] = service.handle(request).dump();
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_NE(serial.find("\"ok\":true"), std::string::npos) << serial;
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(raced[t], serial) << "thread " << t;
+  EXPECT_EQ(service.cache_stats({}).schedule_stats.entries, 126u);
 }
 
 TEST(Service, BoundedMemosAnswerIdenticallyUnderEviction) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <numeric>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <typeinfo>
 
 #include "analysis/verifier.hpp"
@@ -280,6 +282,43 @@ TEST(Pretty, PerPeViewListsEveryPe) {
   opt.per_pe = true;
   const std::string grid = render_schedule(ctx, opt);
   EXPECT_NE(grid.find("(3,3)"), std::string::npos);
+}
+
+// Every grid of tests/data/schedule_grids_golden.txt, each under a
+// "== <kernel> on <architecture> ==" line: column views of one kernel per
+// architecture class (2D-FDCT on RSP#1 runs 90 cycles, so its grid ends in
+// the truncation line) and one per-PE view cut at 24 cycles.
+std::string golden_grids() {
+  const ContextScheduler s;
+  std::ostringstream doc;
+  const auto add = [&](const kernels::Workload& w, const arch::Architecture& a,
+                       const PrettyOptions& opt, const std::string& view) {
+    doc << "== " << w.name << " on " << a.name << view << " ==\n"
+        << render_schedule(s.schedule(place(w), a), opt);
+  };
+  add(kernels::find_workload("2D-FDCT"), arch::rsp_architecture(1), {}, "");
+  add(kernels::find_workload("SAD"), arch::rsp_architecture(4), {}, "");
+  add(kernels::find_workload("Hydro"), arch::base_architecture(), {}, "");
+  add(kernels::find_workload("FFT"), arch::rs_architecture(2), {}, "");
+  const auto matmul = kernels::make_matmul(4);
+  const arch::Architecture rsp4x4 =
+      arch::custom_architecture("RSP", 4, 4, 2, 0, 2);
+  add(matmul, rsp4x4, {}, "");
+  PrettyOptions per_pe;
+  per_pe.per_pe = true;
+  per_pe.max_cycles = 24;
+  add(matmul, rsp4x4, per_pe, ", per PE, 24 cycles");
+  return doc.str();
+}
+
+TEST(Pretty, GridsMatchCheckedInGolden) {
+  std::ifstream in(RSP_TEST_DATA_DIR "/schedule_grids_golden.txt",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing tests/data/schedule_grids_golden.txt";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(golden_grids(), expected.str())
+      << "schedule grids drifted from the checked-in golden file";
 }
 
 // ---------------------------------------------------------------- encode

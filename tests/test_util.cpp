@@ -36,12 +36,6 @@ TEST(Strings, JoinAndSplit) {
   EXPECT_EQ(parts[1], "");
 }
 
-TEST(Strings, Padding) {
-  EXPECT_EQ(util::pad_left("x", 3), "  x");
-  EXPECT_EQ(util::pad_right("x", 3), "x  ");
-  EXPECT_EQ(util::pad_left("xyz", 2), "xyz");
-}
-
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(util::starts_with("RSP#1", "RSP"));
   EXPECT_FALSE(util::starts_with("RS", "RSP"));
@@ -55,6 +49,21 @@ TEST(Table, RendersAlignedGrid) {
   const std::string s = t.render();
   EXPECT_NE(s.find("| Base | 55739 |"), std::string::npos);
   EXPECT_NE(s.find("| RS#1 | 32446 |"), std::string::npos);
+}
+
+TEST(Table, PadsCellsToColumnWidth) {
+  // Column 0 is left-aligned and the others right-aligned; a cell as wide
+  // as its column gets no padding.
+  util::Table t({"k", "value"});
+  t.add_row({"long", "7"});
+  t.add_row({"x", "12345"});
+  EXPECT_EQ(t.render(),
+            "+------+-------+\n"
+            "| k    | value |\n"
+            "+------+-------+\n"
+            "| long |     7 |\n"
+            "| x    | 12345 |\n"
+            "+------+-------+\n");
 }
 
 TEST(Table, RejectsArityMismatch) {
