@@ -127,7 +127,7 @@ int main() {
 
   // The acceptance bar for the memo caches: repeated domains must be
   // explored >1.5x faster than the serial loop, with both the evaluation
-  // and the mapping cache serving more than half of their requests, and
+  // and the mapping memo serving more than half of their requests, and
   // without changing a single reported field.
   std::cout << "\nmemo speedup: " << util::format_trimmed(speedup, 2)
             << "x (target >1.5x), eval hit rate "

@@ -1,12 +1,13 @@
 // Exhaustive DSE oracle: how much the fast estimate costs the Fig. 7 flow.
 //
 // For each domain it runs Explorer::explore with the default grid, then
-// measures every grid point exactly (sched::measure on each kernel's timing
-// profile) and judges it with step 3's two reject rules, eq. (2) cost and
-// the performance floor applied to the exact time. The area × time optimum
-// of the surviving points is the exhaustive optimum; regret is how much
-// worse the explorer's selection scores. The domains are the paper domain,
-// each catalogue kernel alone and gen:1..200, one kernel each.
+// measures every grid point exactly (core::measure_perf on each kernel's
+// timing profile) and judges it with step 3's two reject rules, eq. (2)
+// cost and the performance floor applied to the exact time. The area ×
+// time optimum of the surviving points is the exhaustive optimum; regret
+// is how much worse the explorer's selection scores. The domains are the
+// paper domain, each catalogue kernel alone and gen:1..200, one kernel
+// each.
 //
 // One CSV row per domain (domain, selected, optimum, regret %, points whose
 // estimate exceeds the exact cycles, points); `ctest -R golden.dse_oracle`
@@ -18,6 +19,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
 
@@ -79,7 +81,7 @@ OracleRow run_oracle(const std::string& name,
                                     const arch::Architecture& a) {
     core::PerfEstimate e;
     e.base_cycles =
-        sched::measure(scheduler, preps[k]->timing_profile, a).cycles;
+        core::measure_perf(scheduler, preps[k]->timing_profile, a).perf.cycles;
     return e;
   };
   const arch::Architecture base = explorer.base_architecture();
@@ -159,7 +161,7 @@ int main() {
                          std::to_string(group.points)});
   }
   std::cout << summary.render() << "\nMisses:\n"
-            << misses.render() << "\nexact sweep (sched::measure on each "
+            << misses.render() << "\nexact sweep (core::measure_perf on each "
             << "kernel's timing profile): "
             << util::format_fixed(sweep_s, 3) << " s\n";
   bench::maybe_write_csv(csv, "dse_oracle");

@@ -9,6 +9,7 @@
 #include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
 #include "bench_common.hpp"
+#include "core/evaluator.hpp"
 #include "kernels/matmul.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
@@ -42,17 +43,22 @@ int main() {
   const sched::ConfigurationContext fig6 = scheduler.schedule(program, rsp);
   analysis::require_legal(fig6);
   const sched::TimingProfile profile(program);
-  const sched::PerfPoint perf = sched::measure(scheduler, profile, rsp);
+  const sched::PerfPoint perf =
+      core::measure_perf(scheduler, profile, rsp).perf;
   std::cout << "Fig. 6 — 4 shared 2-stage multipliers (1*/2* = stages):\n"
             << render_schedule(fig6) << "cycles: " << fig6.length()
             << "  |  RS stalls: " << perf.stalls
             << "  (paper: only 4 multipliers, no stall)\n\n";
 
   // ---- Fig. 3 claim: the un-pipelined design needs twice the units ----
-  const sched::PerfPoint rs4 = sched::measure(
-      scheduler, profile, arch::custom_architecture("RS-4u", 4, 4, 1, 0, 1));
-  const sched::PerfPoint rs8 = sched::measure(
-      scheduler, profile, arch::custom_architecture("RS-8u", 4, 4, 2, 0, 1));
+  const sched::PerfPoint rs4 =
+      core::measure_perf(scheduler, profile,
+                         arch::custom_architecture("RS-4u", 4, 4, 1, 0, 1))
+          .perf;
+  const sched::PerfPoint rs8 =
+      core::measure_perf(scheduler, profile,
+                         arch::custom_architecture("RS-8u", 4, 4, 2, 0, 1))
+          .perf;
   util::Table t({"Design", "multipliers", "cycles", "stalls",
                  "peak issue demand"});
   auto peak = [&](const arch::Architecture& a) {

@@ -9,11 +9,11 @@
 
 #include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
+#include "core/evaluator.hpp"
 #include "ir/dot.hpp"
 #include "kernels/matmul.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
-#include "sched/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
 
@@ -56,8 +56,9 @@ int main() {
                " Fig. 6;\n1*/2* are the pipeline stages):\n"
             << render_schedule(rsp_ctx)
             << "cycles: " << rsp_ctx.length() << ", RS stalls: "
-            << sched::measure(scheduler, sched::TimingProfile(program), rsp)
-                   .stalls
+            << core::measure_perf(scheduler, sched::TimingProfile(program),
+                                  rsp)
+                   .perf.stalls
             << "\n\n";
 
   // 5. Execute both on the cycle simulator and verify against the golden.

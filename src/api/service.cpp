@@ -27,7 +27,8 @@ namespace {
 
 // Key of the schedule and simulation memos: kernel name × architecture
 // name. Both names resolve through fixed tables (the catalogue and the
-// standard suite), so a name pins the full configuration.
+// standard suite), so a name pins the full configuration; the mapping and
+// estimate memos key by the kernel name alone.
 std::string pair_key(const kernels::Workload& w, const arch::Architecture& a) {
   return w.name + '\n' + a.name;
 }
@@ -35,13 +36,9 @@ std::string pair_key(const kernels::Workload& w, const arch::Architecture& a) {
 }  // namespace
 
 Service::Service(ServiceOptions options)
-    : cache_(options.cache ? std::move(options.cache)
-                           : std::make_shared<runtime::EvalCache>(
-                                 16, options.cache_max_entries)),
-      mapping_cache_(options.mapping_cache
-                         ? std::move(options.mapping_cache)
-                         : std::make_shared<runtime::MappingCache>(
-                               16, options.cache_max_entries)),
+    : evals_(16, options.cache_max_entries),
+      mappings_(16, options.cache_max_entries),
+      estimates_(16, options.cache_max_entries),
       schedules_(16, options.cache_max_entries),
       sim_runs_(16, options.cache_max_entries),
       catalogue_(kernels::full_catalogue()),
@@ -53,12 +50,20 @@ const analysis::LintReport& Service::ScheduledPair::lint_report() const {
   return lint_report_;
 }
 
+std::shared_ptr<const Service::KernelRecord> Service::kernel_record(
+    const kernels::Workload& w) const {
+  return mappings_.get_or_compute(w.name, [&w] {
+    KernelRecord record{dse::prepare_kernel(w), {}};
+    record.program_tag = runtime::EvalCache::program_tag(record.program);
+    return std::make_shared<const KernelRecord>(std::move(record));
+  });
+}
+
 std::shared_ptr<const Service::ScheduledPair> Service::schedule_for(
     const kernels::Workload& w, const arch::Architecture& a) const {
   return schedules_.get_or_compute(pair_key(w, a), [&] {
     auto pair = std::make_shared<const ScheduledPair>(
-        sched::ContextScheduler().schedule(
-            mapping_cache_->get_or_map(w)->program, a));
+        sched::ContextScheduler().schedule(kernel_record(w)->program, a));
     analysis::require_legal(pair->context);
     return pair;
   });
@@ -94,15 +99,14 @@ ListResponse Service::list(const ListRequest&) const {
 
 EvalResponse Service::eval(const EvalRequest& request) const {
   const kernels::Workload& w = workload(request.kernel);
-  const std::shared_ptr<const runtime::MappingRecord> record =
-      mapping_cache_->get_or_map(w);
+  const std::shared_ptr<const KernelRecord> record = kernel_record(w);
   EvalResponse resp;
   resp.kernel = w.name;
   resp.rows = core::RspEvaluator().evaluate_suite(
       record->program, arch::standard_suite(w.array.rows, w.array.cols),
       [&](const arch::Architecture& a) {
-        return cache_->get_or_measure(w.name, record->program_tag,
-                                      record->timing_profile, a);
+        return evals_.get_or_measure(w.name, record->program_tag,
+                                     record->timing_profile, a);
       });
   return resp;
 }
@@ -119,25 +123,24 @@ DseResponse Service::dse(const DseRequest& request) const {
   for (const kernels::Workload& w : domain) resp.kernels.push_back(w.name);
   const dse::Explorer explorer(domain.front().array, request.config);
 
-  // Step 1 reads through the mapping cache, one MappingCache::key per
-  // kernel for both the record and its estimate profile; step 5 reads
+  // Step 1 reads through the mapping and estimate memos; step 5 reads
   // through the evaluation cache under each record's program tag. explore
   // runs the step-1 hook for every kernel before the first measurement.
-  std::vector<std::shared_ptr<const runtime::MappingRecord>> records(
-      domain.size());
+  std::vector<std::shared_ptr<const KernelRecord>> records(domain.size());
   const dse::PrepareFn prepare = [&](std::size_t k,
                                      const kernels::Workload& w) {
-    const std::string key = runtime::MappingCache::key(w);
-    records[k] = mapping_cache_->get_or_map(key, w);
+    records[k] = kernel_record(w);
     return dse::PreparedKernel{
-        records[k],
-        mapping_cache_->get_or_profile(key, records[k]->base_context)};
+        records[k], estimates_.get_or_compute(w.name, [&] {
+          return std::make_shared<const core::EstimateProfile>(
+              records[k]->base_context);
+        })};
   };
   const dse::MeasureFn measure = [&](std::size_t k,
                                      const arch::Architecture& a) {
-    return cache_
-        ->get_or_measure(domain[k].name, records[k]->program_tag,
-                         records[k]->timing_profile, a)
+    return evals_
+        .get_or_measure(domain[k].name, records[k]->program_tag,
+                        records[k]->timing_profile, a)
         .perf;
   };
   resp.result = explorer.explore(domain, prepare, measure);
@@ -314,16 +317,16 @@ BitstreamResponse Service::bitstream(const BitstreamRequest& request) const {
 
 CacheStatsResponse Service::cache_stats(const CacheStatsRequest&) const {
   CacheStatsResponse resp;
-  resp.stats = cache_->stats();
-  resp.mapping_stats = mapping_cache_->stats();
-  resp.estimate_stats = mapping_cache_->estimate_stats();
+  resp.stats = evals_.stats();
+  resp.mapping_stats = mappings_.stats();
+  resp.estimate_stats = estimates_.stats();
   resp.schedule_stats = schedules_.stats();
   resp.sim_stats = sim_runs_.stats();
   return resp;
 }
 
 CacheSaveResponse Service::cache_save(const CacheSaveRequest& request) const {
-  const util::Json doc = cache_->serialize();
+  const util::Json doc = evals_.serialize();
   std::ofstream file(request.path);
   if (!file)
     throw Error("cannot write cache file '" + request.path + "'");
@@ -345,8 +348,8 @@ CacheLoadResponse Service::cache_load(const CacheLoadRequest& request) const {
   text << file.rdbuf();
   CacheLoadResponse resp;
   resp.path = request.path;
-  resp.entries_loaded = cache_->deserialize(util::Json::parse(text.str()));
-  resp.entries_total = cache_->stats().entries;
+  resp.entries_loaded = evals_.deserialize(util::Json::parse(text.str()));
+  resp.entries_total = evals_.stats().entries;
   return resp;
 }
 

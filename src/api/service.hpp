@@ -3,7 +3,7 @@
 // Every entry point into the machinery (rsp_cli subcommands, the NDJSON
 // serving mode over stdin or sockets) dispatches through one stateful
 // Service instance, so capabilities are wired once and every transport
-// shares the same ThreadPool and EvalCache. Requests and responses are
+// shares the same ThreadPool and memo tables. Requests and responses are
 // typed structs; the JSON wire format lives in api/protocol.hpp.
 //
 // Concurrency model: the Service owns one pool, `dispatch`, the
@@ -12,16 +12,18 @@
 // there, sharing the memo caches; each request runs start to finish on its
 // dispatch thread. eval and dse run the serial Fig. 7 loops
 // (core::RspEvaluator::evaluate_suite, dse::Explorer::explore), reading
-// through the mapping and evaluation caches via the loops' measure/prepare
-// hooks, and simulate_batch builds its rows one after another.
-// Per (kernel, architecture) pair the Service schedules and
-// legality-checks once (the schedule memo, read by map, lint, bitstream
-// and the simulation memo), lints once (the pair's schedule-memo entry
-// keeps the lint report the first `lint` of the pair builds; nothing else
-// pays for it) and simulates once (the simulation memo, read by simulate,
-// vcd and simulate_batch). Results are bit-identical to the serial paths
-// regardless of the pool's size: memoized entries are the serial
-// computations' results.
+// through the kernel memos and the evaluation cache via the loops'
+// measure/prepare hooks, and simulate_batch builds its rows one after
+// another. Per kernel the Service maps and base-schedules once (the
+// mapping memo, Fig. 7 step 1) and builds one estimate profile (the
+// estimate memo, read by dse). Per (kernel, architecture) pair it
+// schedules and legality-checks once (the schedule memo, read by map,
+// lint, bitstream and the simulation memo), lints once (the pair's
+// schedule-memo entry keeps the lint report the first `lint` of the pair
+// builds; nothing else pays for it) and simulates once (the simulation
+// memo, read by simulate, vcd and simulate_batch). Results are
+// bit-identical to the serial paths regardless of the pool's size:
+// memoized entries are the serial computations' results.
 #pragma once
 
 #include <cstddef>
@@ -34,11 +36,11 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#include "core/estimate.hpp"
 #include "core/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "kernels/workload.hpp"
 #include "runtime/eval_cache.hpp"
-#include "runtime/mapping_cache.hpp"
 #include "runtime/striped_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/context.hpp"
@@ -255,15 +257,8 @@ struct ServiceOptions {
   int threads = 0;
   /// Request-level concurrency (dispatch-pool threads); 0 = hardware count.
   int max_inflight = 0;
-  /// Shared memo table; created internally when null. Pass one in to keep
-  /// cache state warm across Service instances in the same process.
-  std::shared_ptr<runtime::EvalCache> cache;
-  /// Step-1 mapping memo table; created internally when null (same warm-
-  /// sharing contract as `cache`).
-  std::shared_ptr<runtime::MappingCache> mapping_cache;
-  /// Capacity bound applied to each memo table the Service creates
-  /// internally (segmented-LRU eviction); 0 = unbounded. Tables passed in
-  /// keep the bound they were constructed with.
+  /// Capacity bound applied to each memo table (segmented-LRU eviction);
+  /// 0 = unbounded.
   std::size_t cache_max_entries = 0;
 };
 
@@ -320,15 +315,25 @@ class Service {
     stats_extension_ = std::move(extension);
   }
 
-  const std::shared_ptr<runtime::EvalCache>& cache() const { return cache_; }
-  const std::shared_ptr<runtime::MappingCache>& mapping_cache() const {
-    return mapping_cache_;
-  }
-
  private:
   const kernels::Workload& workload(const std::string& name) const;
   arch::Architecture architecture(const std::string& name, int rows,
                                   int cols) const;
+
+  /// One mapping-memo entry, Fig. 7 step 1 for one kernel: the KernelPrep
+  /// (placed program, base context, timing profile) and the
+  /// EvalCache::program_tag of its program, hashed once when the record is
+  /// built. Immutable but for the timing profile's atomic stall-free memo,
+  /// so every request measuring the kernel shares one record.
+  struct KernelRecord : dse::KernelPrep {
+    std::string program_tag;
+  };
+
+  /// The step-1 record of `w`, from the mapping memo or built through
+  /// dse::prepare_kernel.
+  std::shared_ptr<const KernelRecord> kernel_record(
+      const kernels::Workload& w) const;
+
   /// One schedule-memo entry: the legal context of a (kernel,
   /// architecture) pair and its lint report, which the first `lint` of the
   /// pair builds. Filling the entry never lints, so map, bitstream and the
@@ -350,7 +355,7 @@ class Service {
   };
 
   /// The pair of `w` on `a`, from the schedule memo or computed: mapped
-  /// through the mapping memo-cache, scheduled, and checked with
+  /// through the mapping memo, scheduled, and checked with
   /// analysis::require_legal. A failure throws and is never memoized, so
   /// every repeat fails the same way.
   std::shared_ptr<const ScheduledPair> schedule_for(
@@ -374,15 +379,27 @@ class Service {
   // Declaration order is destruction-order-critical: the pool must be
   // destroyed (draining its queued tasks) *before* the caches and
   // catalogue those tasks read, so it is declared after them.
-  std::shared_ptr<runtime::EvalCache> cache_;
-  std::shared_ptr<runtime::MappingCache> mapping_cache_;
-  /// Memoized legal contexts and their lint reports, service-local. Kept
-  /// apart from `sim_runs_` so map, lint and bitstream never depend on a
-  /// simulation succeeding: a legal context can still fail its memory
-  /// bounds at run time.
+  //
+  // The kernel and pair memos key by catalogue name, which is sound only
+  // because one name pins one workload (kernels::find_in_catalogue always
+  // builds a `gen:` name with the default generator config).
+  /// Measurements per (program, architecture); `cache_save` and
+  /// `cache_load` persist this table.
+  mutable runtime::EvalCache evals_;
+  /// Step-1 records per kernel.
+  mutable runtime::StripedMemoCache<std::shared_ptr<const KernelRecord>>
+      mappings_;
+  /// Estimate profiles of each kernel's base context, read by dse.
+  mutable runtime::StripedMemoCache<
+      std::shared_ptr<const core::EstimateProfile>>
+      estimates_;
+  /// Memoized legal contexts and their lint reports. Kept apart from
+  /// `sim_runs_` so map, lint and bitstream never depend on a simulation
+  /// succeeding: a legal context can still fail its memory bounds at run
+  /// time.
   mutable runtime::StripedMemoCache<std::shared_ptr<const ScheduledPair>>
       schedules_;
-  /// Memoized simulation runs, service-local.
+  /// Memoized simulation runs.
   mutable runtime::StripedMemoCache<std::shared_ptr<const SimRun>> sim_runs_;
   /// Built once; read-only after construction (lookups are concurrent).
   std::vector<kernels::Workload> catalogue_;

@@ -3,8 +3,8 @@
 // `SocketServer` listens on any number of unix-domain sockets and/or TCP
 // ports and runs the existing `api::serve` loop per accepted connection
 // over a socket-backed iostream. Every connection shares ONE Service —
-// the dispatch pool, the EvalCache and the MappingCache stay process-wide,
-// so a second client's eval of an already-measured kernel is a cache hit —
+// the dispatch pool and the memo tables stay process-wide, so a second
+// client's eval of an already-measured kernel is a cache hit —
 // while the serve-loop state (duplicate-id window, in-flight futures) is
 // per-connection: id scopes never leak across clients.
 //

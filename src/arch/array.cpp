@@ -9,22 +9,6 @@ std::ostream& operator<<(std::ostream& os, const PeCoord& c) {
   return os << "PE(" << c.row << "," << c.col << ")";
 }
 
-const char* route_kind_name(RouteKind kind) {
-  switch (kind) {
-    case RouteKind::kSamePe:
-      return "same-pe";
-    case RouteKind::kNeighbor:
-      return "neighbor";
-    case RouteKind::kRowLine:
-      return "row-line";
-    case RouteKind::kColumnLine:
-      return "column-line";
-    case RouteKind::kNone:
-      return "none";
-  }
-  throw InternalError("unknown RouteKind");
-}
-
 void ArraySpec::validate() const {
   if (rows <= 0 || cols <= 0)
     throw InvalidArgumentError("array must have positive dimensions");

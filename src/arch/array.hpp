@@ -35,8 +35,6 @@ enum class RouteKind {
   kNone,       // not reachable in one hop
 };
 
-const char* route_kind_name(RouteKind kind);
-
 struct ArraySpec {
   int rows = 8;
   int cols = 8;

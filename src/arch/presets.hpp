@@ -35,16 +35,6 @@ struct Architecture {
     return pipelines_multiplier() ? sharing.pipeline_stages : 1;
   }
 
-  /// Multipliers usable by PEs of row r / column c in a single cycle:
-  /// unlimited (= cols per row) in the base architecture, pool-bounded when
-  /// shared. `-1` encodes "one per PE" (base).
-  int multipliers_per_row_pool() const {
-    return shares_multiplier() ? sharing.units_per_row : -1;
-  }
-  int multipliers_per_col_pool() const {
-    return shares_multiplier() ? sharing.units_per_col : -1;
-  }
-
   void validate() const;
 
   bool operator==(const Architecture&) const = default;

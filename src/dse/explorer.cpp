@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "analysis/verifier.hpp"
+#include "core/evaluator.hpp"
 #include "dse/pareto.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -223,7 +224,8 @@ ExplorationResult Explorer::explore(
   const sched::ContextScheduler scheduler;
   const MeasureFn measure_directly = [&](std::size_t k,
                                          const arch::Architecture& a) {
-    return sched::measure(scheduler, kernels[k].prep->timing_profile, a);
+    return core::measure_perf(scheduler, kernels[k].prep->timing_profile, a)
+        .perf;
   };
   for (Candidate& cand : result.candidates) {
     if (!cand.pareto) continue;

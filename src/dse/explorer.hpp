@@ -28,6 +28,7 @@
 #include "kernels/workload.hpp"
 #include "sched/mapper.hpp"
 #include "sched/report.hpp"
+#include "sched/scheduler.hpp"
 #include "synth/synthesis.hpp"
 
 namespace rsp::dse {
@@ -107,7 +108,7 @@ struct ExplorationResult {
 /// Step-1 product for one kernel: the placed program, its schedule on the
 /// base architecture (one of the paper's "initial configuration
 /// contexts") and the program's timing profile, which step 5 measures
-/// every survivor through. This is what the runtime's mapping memo-cache
+/// every survivor through. This is what api::Service's mapping memo
 /// stores; the profile's stall-free memo is thread-safe, so one record
 /// serves every request.
 struct KernelPrep {
@@ -119,8 +120,9 @@ struct KernelPrep {
 /// The canonical step-1 computation for one kernel on its own array
 /// geometry: map, build the timing profile, schedule on the base
 /// architecture, legality-check.
-/// Explorer::explore and the mapping memo-cache fill both go through this
-/// one function, so a cached step-1 product cannot drift from a fresh one.
+/// Explorer::explore and the Service's mapping-memo fill both go through
+/// this one function, so a cached step-1 product cannot drift from a fresh
+/// one.
 KernelPrep prepare_kernel(const kernels::Workload& workload);
 
 /// What the step-1 hook hands `Explorer::explore` for one kernel: the
@@ -136,13 +138,13 @@ struct PreparedKernel {
 
 /// Step-1 hook for `Explorer::explore`: prepares kernel `kernel_index` of
 /// the domain. Empty = prepare_kernel with no profile, the serial path;
-/// api::Service interposes the mapping memo-cache here.
+/// api::Service interposes its mapping and estimate memos here.
 using PrepareFn = std::function<PreparedKernel(
     std::size_t kernel_index, const kernels::Workload& workload)>;
 
 /// Measurement hook for `evaluate_exact`: returns the PerfPoint of placed
 /// program `program_index` on `architecture`. The serial path calls
-/// sched::measure on the kernel's KernelPrep::timing_profile directly;
+/// core::measure_perf on the kernel's KernelPrep::timing_profile directly;
 /// api::Service interposes the evaluation memo-cache here.
 using MeasureFn = std::function<sched::PerfPoint(
     std::size_t program_index, const arch::Architecture& architecture)>;

@@ -97,20 +97,6 @@ class GraphBuilder {
     return id;
   }
 
-  /// Binary op whose second operand is `producer`'s value from a previous
-  /// iteration (generic recurrence, e.g. Livermore State).
-  NodeId binary_carried(OpKind kind, NodeId a, NodeId producer, int distance,
-                        std::int64_t init, std::string label = {}) {
-    Node n;
-    n.kind = kind;
-    n.inputs = {a, kInvalidNode};
-    n.carried = {CarriedInput{producer, distance, init}};
-    n.label = std::move(label);
-    const NodeId id = graph_.add(std::move(n));
-    graph_.validate();
-    return id;
-  }
-
   const DataflowGraph& graph() const { return graph_; }
 
   DataflowGraph take() {

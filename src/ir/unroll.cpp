@@ -40,8 +40,8 @@ UnrolledGraph::UnrolledGraph(const LoopKernel& kernel)
               std::to_string(iter));
       }
 
+      const OpId self = iter * body_size_ + nid;
       if (node.mem) {
-        const OpId self = iter * body_size_ + nid;
         Location& loc = memory_state[{op.array, op.address}];
         if (op.kind == OpKind::kLoad) {
           if (loc.last_store != kInvalidOp) op.mem_deps.push_back(loc.last_store);
@@ -69,20 +69,11 @@ UnrolledGraph::UnrolledGraph(const LoopKernel& kernel)
             operand.imm = c.init;
           }
         }
+        RSP_ASSERT_MSG(operand.is_imm() || operand.op < self,
+                       "unrolled graph must be topologically ordered");
         op.operands.push_back(operand);
       }
       ops_.push_back(std::move(op));
-    }
-  }
-
-  users_.resize(ops_.size());
-  for (OpId id = 0; id < size(); ++id) {
-    for (const ConcreteOperand& operand : ops_[static_cast<std::size_t>(id)].operands) {
-      if (!operand.is_imm()) {
-        RSP_ASSERT_MSG(operand.op < id,
-                       "unrolled graph must be topologically ordered");
-        users_[static_cast<std::size_t>(operand.op)].push_back(id);
-      }
     }
   }
 }

@@ -58,12 +58,8 @@ class UnrolledGraph {
   /// Op id of (body node, iteration).
   OpId id_of(NodeId node, std::int64_t iter) const;
 
-  /// Users of each op (computed once on construction).
-  const std::vector<std::vector<OpId>>& users() const { return users_; }
-
  private:
   std::vector<ConcreteOp> ops_;
-  std::vector<std::vector<OpId>> users_;
   std::int64_t trip_count_ = 0;
   std::int32_t body_size_ = 0;
 };

@@ -26,9 +26,8 @@ std::string name_list(const std::vector<Workload>& workloads) {
 // Materialised `gen:<seed>` workloads. The cache guarantees the const-ref
 // find_in_catalogue overload hands out stable references (std::map nodes
 // never move) under concurrent Service dispatch. Always built with the
-// default GeneratorConfig: runtime::MappingCache keys on kernel name +
-// content hash but cannot see IndexFn closures, so one gen name must always
-// denote one workload.
+// default GeneratorConfig, so one gen name always denotes one workload:
+// api::Service keys its memos by kernel name.
 const Workload& generated_workload(std::uint64_t seed) {
   static std::mutex mutex;
   static std::map<std::uint64_t, Workload> cache;

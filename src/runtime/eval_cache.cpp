@@ -38,9 +38,14 @@ std::string EvalCache::program_tag(const sched::PlacedProgram& program) {
   return std::to_string(h);
 }
 
+namespace {
+
+// Canonical, human-readable fingerprint of the architecture parameters
+// that influence scheduling and estimation: every field the scheduler,
+// estimator or clock model reads. Cosmetic fields (the name) are excluded
+// so a preset ("RSP#2") and an identically-parameterised custom design
+// share one fingerprint.
 std::string arch_fingerprint(const arch::Architecture& a) {
-  // Every field the scheduler, estimator or clock model reads is included;
-  // cosmetic fields (the name) are not.
   std::string k;
   k += std::to_string(a.array.rows) + 'x' + std::to_string(a.array.cols);
   k += ";rb" + std::to_string(a.array.read_buses_per_row);
@@ -56,6 +61,8 @@ std::string arch_fingerprint(const arch::Architecture& a) {
   k += ";st" + std::to_string(a.sharing.pipeline_stages);
   return k;
 }
+
+}  // namespace
 
 std::string EvalCache::key(const std::string& kernel_id,
                            const std::string& program_tag,

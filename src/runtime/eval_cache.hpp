@@ -12,10 +12,10 @@
 //
 // The concurrency machinery — shard striping and the bounded-capacity
 // segmented-LRU eviction — lives in runtime/striped_cache.hpp and is
-// shared with the MappingCache; this class adds the key/fingerprint
-// composition and the persistence format. It holds no locks of its own,
-// so the thread-safety annotations (util/thread_annotations.hpp) live
-// entirely in the shared core.
+// shared with api::Service's other memo tables; this class adds the
+// key/fingerprint composition and the persistence format. It holds no
+// locks of its own, so the thread-safety annotations
+// (util/thread_annotations.hpp) live entirely in the shared core.
 #pragma once
 
 #include <cstddef>
@@ -44,13 +44,6 @@ struct EvalRecord {
   bool operator==(const EvalRecord&) const = default;
 };
 
-/// Canonical, human-readable fingerprint of the architecture parameters
-/// that influence scheduling and estimation. Cosmetic fields (the name)
-/// are excluded so a preset ("RSP#2") and an identically-parameterised
-/// custom design share one fingerprint. Shared by the EvalCache and
-/// MappingCache key compositions.
-std::string arch_fingerprint(const arch::Architecture& architecture);
-
 class EvalCache {
  public:
   /// `max_entries` bounds the table (segmented-LRU eviction, enforced per
@@ -63,7 +56,8 @@ class EvalCache {
 
   /// Fingerprint of a placed program's scheduling-relevant content. It
   /// closes the alias trap where one kernel id is paired with two
-  /// different mappings (e.g. changed hints) against a warm shared cache.
+  /// different mappings (e.g. changed hints) against a warm or restored
+  /// table.
   /// Hashing is O(program) — compute once per program and reuse the tag
   /// across key() calls, not once per lookup.
   static std::string program_tag(const sched::PlacedProgram& program);

@@ -1,10 +1,10 @@
 // Striped memo table with bounded capacity and segmented-LRU eviction.
 //
-// StripedMemoCache<Value> is the concurrency core shared by the runtime's
-// memo tables (EvalCache for (kernel, architecture) measurements, the
-// MappingCache for step-1 mapping products): a string-keyed table striped
-// over independently locked shards so worker threads rarely contend, with
-// hit/miss/eviction counters feeding the runtime reports.
+// StripedMemoCache<Value> is the concurrency core shared by the memo
+// tables (EvalCache for (kernel, architecture) measurements, and
+// api::Service's per-kernel and per-pair memos): a string-keyed table
+// striped over independently locked shards so worker threads rarely
+// contend, with hit/miss/eviction counters feeding the runtime reports.
 //
 // Capacity is bounded per shard (ceil(max_entries / shards); 0 keeps the
 // table unbounded) and enforced with a *segmented* LRU: new keys enter a

@@ -29,17 +29,6 @@ const ScheduledOp& ConfigurationContext::op(ProgIndex i) const {
   return ops_[static_cast<std::size_t>(i)];
 }
 
-std::vector<ProgIndex> ConfigurationContext::ops_at(int cycle) const {
-  std::vector<ProgIndex> out;
-  for (ProgIndex i = 0; i < size(); ++i)
-    if (ops_[static_cast<std::size_t>(i)].cycle == cycle) out.push_back(i);
-  std::sort(out.begin(), out.end(), [&](ProgIndex a, ProgIndex b) {
-    return ops_[static_cast<std::size_t>(a)].priority <
-           ops_[static_cast<std::size_t>(b)].priority;
-  });
-  return out;
-}
-
 std::vector<int> ConfigurationContext::critical_issues_per_cycle() const {
   std::vector<int> counts(static_cast<std::size_t>(length_), 0);
   for (const ScheduledOp& op : ops_)

@@ -50,9 +50,6 @@ class ConfigurationContext {
   /// Schedule length in cycles: max over ops of (cycle + latency).
   int length() const { return length_; }
 
-  /// Indices of ops issued at `cycle`, ascending by priority.
-  std::vector<ProgIndex> ops_at(int cycle) const;
-
   /// Number of critical-resource (mult) issues per cycle.
   std::vector<int> critical_issues_per_cycle() const;
 

@@ -13,16 +13,4 @@ ScheduleStats stats_of(const ConfigurationContext& context) {
   return s;
 }
 
-PerfPoint measure(const ContextScheduler& scheduler,
-                  const TimingProfile& profile,
-                  const arch::Architecture& architecture) {
-  PerfPoint p;
-  p.cycles = scheduler.timing(profile, architecture).length;
-  p.nostall_cycles = architecture.shares_multiplier()
-                         ? scheduler.stall_free_length(profile, architecture)
-                         : p.cycles;
-  p.stalls = p.cycles - p.nostall_cycles;
-  return p;
-}
-
 }  // namespace rsp::sched

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "sched/context.hpp"
-#include "sched/program.hpp"
-#include "sched/scheduler.hpp"
 
 namespace rsp::sched {
 
@@ -31,13 +29,5 @@ struct PerfPoint {
   int stalls = 0;
   int nostall_cycles = 0;  ///< schedule length with unlimited units
 };
-
-/// Measures the program `profile` was built from on `architecture`: the
-/// real schedule with ContextScheduler::timing and the stall-free one with
-/// ContextScheduler::stall_free_length, so no configuration context is
-/// built and the stall-free run is memoized in the profile.
-PerfPoint measure(const ContextScheduler& scheduler,
-                  const TimingProfile& profile,
-                  const arch::Architecture& architecture);
 
 }  // namespace rsp::sched

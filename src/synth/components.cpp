@@ -43,33 +43,6 @@ ComponentCost ComponentLibrary::component(arch::Resource r) const {
   throw InternalError("unknown Resource");
 }
 
-void ComponentLibrary::set_component(arch::Resource r, ComponentCost cost) {
-  switch (r) {
-    case arch::Resource::kMultiplexer:
-      mux_ = cost;
-      return;
-    case arch::Resource::kAlu:
-      alu_ = cost;
-      return;
-    case arch::Resource::kArrayMultiplier:
-      multiplier_ = cost;
-      return;
-    case arch::Resource::kShiftLogic:
-      shift_ = cost;
-      return;
-    case arch::Resource::kOutputRegister:
-      output_reg_ = cost;
-      return;
-    case arch::Resource::kPipelineRegister:
-      pipeline_reg_area_ = cost.area_slices;
-      pipeline_reg_delay_ = cost.delay_ns;
-      return;
-    case arch::Resource::kBusSwitch:
-      throw InvalidArgumentError("bus switch cost is derived, not settable");
-  }
-  throw InternalError("unknown Resource");
-}
-
 ComponentCost ComponentLibrary::bus_switch(int reachable_units) const {
   if (reachable_units <= 0) return {0.0, 0.0};
   // Measured points (paper Table 2 SW columns), indexed by reachable units.

@@ -62,11 +62,6 @@ class ComponentLibrary {
     return shares ? shared_opt_factor_ : base_opt_factor_;
   }
 
-  // --- mutation hooks for exploration of other technologies -------------
-  void set_component(arch::Resource r, ComponentCost cost);
-  void set_base_pe(ComponentCost cost) { base_pe_ = cost; }
-  void set_shared_pe(ComponentCost cost) { shared_pe_ = cost; }
-
  private:
   ComponentCost mux_, alu_, multiplier_, shift_, output_reg_;
   ComponentCost base_pe_, shared_pe_;

@@ -51,8 +51,4 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-std::string format_percent(double value) {
-  return format_trimmed(value, 2);
-}
-
 }  // namespace rsp::util

@@ -1,5 +1,5 @@
 // Small string/number formatting helpers: fixed and trimmed numbers,
-// percentages, joins and splits.
+// joins and splits.
 #pragma once
 
 #include <string>
@@ -22,8 +22,5 @@ bool starts_with(const std::string& s, const std::string& prefix);
 
 /// Splits on a single character, keeping empty fields.
 std::vector<std::string> split(const std::string& s, char sep);
-
-/// Formats a percentage like the paper: "42.8", "-16.27", "0".
-std::string format_percent(double value);
 
 }  // namespace rsp::util

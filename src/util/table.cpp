@@ -9,8 +9,6 @@ namespace rsp::util {
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
   if (header_.empty())
     throw InvalidArgumentError("Table requires at least one column");
-  align_.assign(header_.size(), Align::kRight);
-  align_[0] = Align::kLeft;
 }
 
 void Table::add_row(std::vector<std::string> cells) {
@@ -22,12 +20,6 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 void Table::add_separator() { rows_.push_back(Row{true, {}}); }
-
-void Table::set_align(std::size_t column, Align align) {
-  if (column >= align_.size())
-    throw InvalidArgumentError("column out of range");
-  align_[column] = align;
-}
 
 void Table::set_title(std::string title) { title_ = std::move(title); }
 
@@ -56,9 +48,9 @@ std::string Table::render() const {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const std::size_t pad = width[c] - cells[c].size();
       out += ' ';
-      if (align_[c] == Align::kRight) out.append(pad, ' ');
+      if (c != 0) out.append(pad, ' ');
       out += cells[c];
-      if (align_[c] == Align::kLeft) out.append(pad, ' ');
+      if (c == 0) out.append(pad, ' ');
       out += " |";
     }
     out += '\n';

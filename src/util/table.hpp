@@ -8,10 +8,8 @@
 
 namespace rsp::util {
 
-/// Column alignment inside a rendered table.
-enum class Align { kLeft, kRight };
-
-/// A simple row/column text table.
+/// A simple row/column text table: the first column is left-aligned, the
+/// others right-aligned.
 ///
 /// Usage:
 ///   Table t({"Arch", "Area", "R(%)"});
@@ -27,14 +25,8 @@ class Table {
   /// Appends a horizontal separator at the current position.
   void add_separator();
 
-  /// Overrides the default alignment (left for col 0, right otherwise).
-  void set_align(std::size_t column, Align align);
-
   /// Optional caption printed above the table.
   void set_title(std::string title);
-
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_columns() const { return header_.size(); }
 
   /// Renders with box-drawing using '-', '|', '+'.
   std::string render() const;
@@ -48,7 +40,6 @@ class Table {
   std::string title_;
   std::vector<std::string> header_;
   std::vector<Row> rows_;
-  std::vector<Align> align_;
 };
 
 }  // namespace rsp::util

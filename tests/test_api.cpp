@@ -51,6 +51,15 @@ class TempFile {
   std::string path_;
 };
 
+// The snapshot `service.cache_save` writes, parsed back.
+util::Json saved_snapshot(const Service& service, const TempFile& file) {
+  service.cache_save({file.path()});
+  std::ifstream in(file.path());
+  std::ostringstream text;
+  text << in.rdbuf();
+  return util::Json::parse(text.str());
+}
+
 ServiceOptions small_options(int max_inflight = 2) {
   ServiceOptions options;
   options.max_inflight = max_inflight;
@@ -305,11 +314,14 @@ TEST(Service, SimulateBatchRejectsRepeatedArchitecture) {
   EXPECT_EQ(service.cache_stats({}).mapping_stats.misses, 0u);
 }
 
-// map, lint, bitstream, simulate, vcd and simulate_batch of SAD across
-// the standard suite: every op that reads the schedule or simulation memo.
+// eval and a one-kernel dse of SAD, then map, lint, bitstream, simulate,
+// vcd and simulate_batch of SAD across the standard suite: every op that
+// reads the mapping, schedule or simulation memo.
 std::vector<Request> sad_suite_requests() {
   const std::vector<arch::Architecture> suite = arch::standard_suite();
   std::vector<Request> requests;
+  requests.push_back(EvalRequest{"SAD"});
+  requests.push_back(DseRequest{{"SAD"}, small_dse_config()});
   for (const arch::Architecture& a : suite)
     requests.push_back(MapRequest{"SAD", a.name});
   requests.push_back(LintRequest{"SAD", ""});
@@ -337,9 +349,13 @@ TEST(Service, RepeatedPairsScheduleAndSimulateOnce) {
   const std::vector<std::string> first = bodies(service, requests);
   const std::vector<std::string> second = bodies(service, requests);
 
-  // One schedule and one simulation per (kernel, architecture) pair, over
-  // both rounds of all six ops.
+  // One mapping and one estimate profile for the kernel, and one schedule
+  // and one simulation per (kernel, architecture) pair, over both rounds
+  // of all eight ops.
   const CacheStatsResponse stats = service.cache_stats({});
+  EXPECT_EQ(stats.mapping_stats.misses, 1u);
+  EXPECT_EQ(stats.mapping_stats.entries, 1u);
+  EXPECT_EQ(stats.estimate_stats.misses, 1u);
   EXPECT_EQ(stats.schedule_stats.misses, 9u);
   EXPECT_EQ(stats.schedule_stats.entries, 9u);
   EXPECT_EQ(stats.sim_stats.misses, 9u);
@@ -385,6 +401,7 @@ TEST(Service, ConcurrentRepeatsMatchSerialBodies) {
   for (int t = 0; t < kThreads; ++t)
     for (std::size_t i = 0; i < requests.size(); ++i)
       EXPECT_EQ(raced[t][i], serial[i]) << "thread " << t << ", request " << i;
+  EXPECT_EQ(service.cache_stats({}).mapping_stats.entries, 1u);
   EXPECT_EQ(service.cache_stats({}).schedule_stats.entries, 9u);
   EXPECT_EQ(service.cache_stats({}).sim_stats.entries, 9u);
 }
@@ -510,7 +527,7 @@ TEST(Service, CacheLoadRejectsVersionMismatch) {
   TempFile file("cache_badversion.json");
   const Service service(small_options());
   service.eval({"SAD"});
-  util::Json doc = service.cache()->serialize();
+  util::Json doc = saved_snapshot(service, file);
   doc.set("version", 99);
   {
     std::ofstream out(file.path());
@@ -569,7 +586,7 @@ TEST(Service, CacheLoadRejectsACorruptedEntryWithoutPartialMerge) {
   TempFile file("cache_corrupt_entry.json");
   const Service warm(small_options());
   warm.eval({"SAD"});
-  util::Json doc = warm.cache()->serialize();
+  util::Json doc = saved_snapshot(warm, file);
   const util::Json& entries = doc.at("entries");
   ASSERT_GT(entries.size(), 1u);
   util::Json corrupted = util::Json::array();

@@ -7,6 +7,7 @@
 
 #include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
+#include "core/evaluator.hpp"
 #include "ir/builder.hpp"
 #include "ir/interp.hpp"
 #include "kernels/workload.hpp"
@@ -174,12 +175,13 @@ TEST_P(ArchPairProperty, StallAccountingConsistent) {
       s.schedule(p, arch::base_architecture()).length();
   for (int v = 1; v <= 4; ++v) {
     // RS with unlimited units = base length exactly.
-    const sched::PerfPoint rs = measure(s, profile, arch::rs_architecture(v));
+    const sched::PerfPoint rs =
+        core::measure_perf(s, profile, arch::rs_architecture(v)).perf;
     EXPECT_EQ(rs.nostall_cycles, base_len);
     EXPECT_GE(rs.stalls, 0);
     // RSP no-stall schedule is never shorter than the base.
     const sched::PerfPoint rsp =
-        measure(s, profile, arch::rsp_architecture(v));
+        core::measure_perf(s, profile, arch::rsp_architecture(v)).perf;
     EXPECT_GE(rsp.nostall_cycles, base_len);
     EXPECT_GE(rsp.stalls, 0);
   }

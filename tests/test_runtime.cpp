@@ -8,6 +8,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -18,7 +19,6 @@
 #include "dse/explorer.hpp"
 #include "kernels/registry.hpp"
 #include "runtime/eval_cache.hpp"
-#include "runtime/mapping_cache.hpp"
 #include "runtime/striped_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/mapper.hpp"
@@ -462,76 +462,13 @@ TEST(EvalCache, EvictionUnderConcurrencyStaysConsistent) {
   EXPECT_LE(stats.entries, 8u);
 }
 
-// ------------------------------------------------------------ mapping cache
-TEST(MappingCache, KeySeparatesHintsReductionAndGeometry) {
-  const kernels::Workload base = kernels::find_workload("SAD");
-  EXPECT_EQ(MappingCache::key(base), MappingCache::key(base));
-
-  kernels::Workload changed_hints = base;
-  changed_hints.hints.stagger += 1;
-  EXPECT_NE(MappingCache::key(base), MappingCache::key(changed_hints));
-
-  kernels::Workload changed_reduction = base;
-  changed_reduction.reduction.index0 += 1;
-  EXPECT_NE(MappingCache::key(base), MappingCache::key(changed_reduction));
-
-  kernels::Workload changed_array = base;
-  changed_array.array.read_buses_per_row += 1;
-  EXPECT_NE(MappingCache::key(base), MappingCache::key(changed_array));
-
-  // Distinct kernels never share an entry even under an equal layout.
-  EXPECT_NE(MappingCache::key(base),
-            MappingCache::key(kernels::find_workload("MVM")));
-}
-
-TEST(MappingCache, GetOrMapHitsAndMatchesDirectPreparation) {
-  const kernels::Workload w = kernels::find_workload("SAD");
-  MappingCache cache;
-  const auto first = cache.get_or_map(w);
-  const auto second = cache.get_or_map(w);
-  EXPECT_EQ(first.get(), second.get());  // one shared record, no remap
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-
-  const dse::KernelPrep direct = dse::prepare_kernel(w);
-  EXPECT_EQ(EvalCache::program_tag(first->program),
-            EvalCache::program_tag(direct.program));
-  // The record carries the tag it was built with.
-  EXPECT_EQ(first->program_tag, EvalCache::program_tag(direct.program));
-  EXPECT_EQ(first->base_context.length(), direct.base_context.length());
-}
-
-TEST(MappingCache, EstimatesMatchDirectComputation) {
-  // One profile entry per kernel, shared by every later fetch, estimating
-  // exactly what the one-shot core::estimate_performance computes.
-  const kernels::Workload w = kernels::find_workload("MVM");
-  const std::string key = MappingCache::key(w);
-  MappingCache cache;
-  const auto record = cache.get_or_map(w);
-  const auto cold = cache.get_or_profile(key, record->base_context);
-  const auto warm = cache.get_or_profile(key, record->base_context);
-  EXPECT_EQ(cold.get(), warm.get());
-  EXPECT_EQ(cache.estimate_stats().entries, 1u);
-  EXPECT_EQ(cache.estimate_stats().misses, 1u);
-  EXPECT_EQ(cache.estimate_stats().hits, 1u);
-  for (const arch::Architecture& a :
-       arch::standard_suite(w.array.rows, w.array.cols)) {
-    const core::PerfEstimate direct =
-        core::estimate_performance(record->base_context, a);
-    const core::PerfEstimate cached = warm->estimate(a);
-    EXPECT_EQ(cached.base_cycles, direct.base_cycles) << a.name;
-    EXPECT_EQ(cached.rs_stall_bound, direct.rs_stall_bound) << a.name;
-    EXPECT_EQ(cached.rp_overhead, direct.rp_overhead) << a.name;
-  }
-}
-
-TEST(MappingCache, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
-  // Serve threads measure through one record's timing profile, whose
-  // stall-free memo starts cold. Four tasks sweep the default grid at once
-  // (each from a different start point), so the fills of every multiplier
-  // latency race; every task must measure what a serial sweep on a fresh
-  // record measures.
+// ------------------------------------------------- shared timing profile
+TEST(ThreadPool, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
+  // Serve threads measure through one step-1 record's timing profile,
+  // whose stall-free memo starts cold. Four tasks sweep the default grid at
+  // once (each from a different start point), so the fills of every
+  // multiplier latency race; every task must measure what a serial sweep
+  // on a fresh record measures.
   const kernels::Workload w = kernels::find_workload("State");
   const dse::Explorer explorer(w.array);
   const arch::Architecture base = explorer.base_architecture();
@@ -553,8 +490,8 @@ TEST(MappingCache, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
   for (std::size_t i = 0; i < grid.size(); ++i)
     serial.push_back(measure_at(fresh.timing_profile, i));
 
-  MappingCache cache;
-  const std::shared_ptr<const dse::KernelPrep> record = cache.get_or_map(w);
+  const std::shared_ptr<const dse::KernelPrep> record =
+      std::make_shared<const dse::KernelPrep>(dse::prepare_kernel(w));
   constexpr int kTasks = 4;
   ThreadPool pool(kTasks);
   std::atomic<int> started{0};

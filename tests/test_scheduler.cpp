@@ -224,8 +224,10 @@ TEST(Scheduler, PipeliningReducesPeakUnitDemand) {
   EXPECT_LE(rsp_peak, 4);
 
   // Hence 4 pipelined multipliers (1 per row) suffice without any stall.
-  const PerfPoint rsp = measure(
-      s, TimingProfile(p), arch::custom_architecture("RSP-4u", 4, 4, 1, 0, 2));
+  const PerfPoint rsp =
+      core::measure_perf(s, TimingProfile(p),
+                         arch::custom_architecture("RSP-4u", 4, 4, 1, 0, 2))
+          .perf;
   EXPECT_EQ(rsp.stalls, 0);
 }
 
@@ -234,13 +236,13 @@ TEST(Scheduler, MeasureDecomposesStalls) {
   const ContextScheduler s;
   const auto w = kernels::find_workload("State");
   const TimingProfile p(place(w));
-  const PerfPoint base = measure(s, p, base_for(w));
+  const PerfPoint base = core::measure_perf(s, p, base_for(w)).perf;
   EXPECT_EQ(base.stalls, 0);
   EXPECT_EQ(base.cycles, base.nostall_cycles);
-  const PerfPoint rs1 = measure(s, p, arch::rs_architecture(1));
+  const PerfPoint rs1 = core::measure_perf(s, p, arch::rs_architecture(1)).perf;
   EXPECT_EQ(rs1.cycles, rs1.nostall_cycles + rs1.stalls);
   EXPECT_GT(rs1.stalls, 0);  // State hammers RS#1 (paper: 15 stalls)
-  const PerfPoint rs4 = measure(s, p, arch::rs_architecture(4));
+  const PerfPoint rs4 = core::measure_perf(s, p, arch::rs_architecture(4)).perf;
   EXPECT_EQ(rs4.stalls, 0);
 }
 
@@ -557,8 +559,8 @@ bool same_op(const ScheduledOp& a, const ScheduledOp& b) {
 }
 
 /// One (program, architecture) pair: schedule() agrees with the reference
-/// op for op, and sched::measure / core::measure_perf agree with the
-/// reference measurement field for field, both on a fresh profile of
+/// op for op, and core::measure_perf agrees with the reference
+/// measurement field for field, both on a fresh profile of
 /// `program` and on `shared`, the profile every pair of `program` shares
 /// (so its stall-free memo is hit by every later pair of the same stage
 /// count).
@@ -586,13 +588,10 @@ void expect_matches_reference(const PlacedProgram& program,
   for (const TimingProfile* profile : {&fresh, &shared}) {
     const core::MeasuredPerf perf =
         core::measure_perf(scheduler, *profile, architecture);
-    const PerfPoint point = measure(scheduler, *profile, architecture);
-    for (const PerfPoint& p : {perf.perf, point}) {
-      EXPECT_EQ(p.cycles, reference_perf.perf.cycles) << what;
-      EXPECT_EQ(p.stalls, reference_perf.perf.stalls) << what;
-      EXPECT_EQ(p.nostall_cycles, reference_perf.perf.nostall_cycles)
-          << what;
-    }
+    EXPECT_EQ(perf.perf.cycles, reference_perf.perf.cycles) << what;
+    EXPECT_EQ(perf.perf.stalls, reference_perf.perf.stalls) << what;
+    EXPECT_EQ(perf.perf.nostall_cycles, reference_perf.perf.nostall_cycles)
+        << what;
     EXPECT_EQ(perf.max_critical_issues, reference_perf.max_critical_issues)
         << what;
   }
@@ -670,19 +669,17 @@ void expect_same_error(const SchedulerOptions& options,
 }
 
 /// On `warm`, a profile of `program` whose stall-free memo is filled,
-/// sched::measure and core::measure_perf throw what the reference
-/// measurement throws, an error of type E.
+/// core::measure_perf throws what the reference measurement throws, an
+/// error of type E.
 template <typename E>
 void expect_same_measure_error(const SchedulerOptions& options,
                                const TimingProfile& warm,
                                const PlacedProgram& program,
                                const arch::Architecture& architecture) {
   const ContextScheduler scheduler(options);
-  EXPECT_THROW(measure(scheduler, warm, architecture), E);
+  EXPECT_THROW(core::measure_perf(scheduler, warm, architecture), E);
   const std::string want = thrown_by(
       [&] { reference::measure_perf(options, program, architecture); });
-  EXPECT_EQ(thrown_by([&] { measure(scheduler, warm, architecture); }),
-            want);
   EXPECT_EQ(
       thrown_by([&] { core::measure_perf(scheduler, warm, architecture); }),
       want);
@@ -712,10 +709,10 @@ TEST(SchedulerReference, TimingAndScheduleThrowTheSameErrors) {
   const ContextScheduler loose;
   const TimingProfile warm_hydro(hydro);
   const arch::Architecture rs1 = arch::rs_architecture(1);
-  measure(loose, warm_hydro, rs1);
+  core::measure_perf(loose, warm_hydro, rs1);
   expect_same_measure_error<InternalError>(tight, warm_hydro, hydro, rs1);
   const TimingProfile warm_matmul(matmul);
-  measure(loose, warm_matmul, arch::rs_architecture(1, 4, 4));
+  core::measure_perf(loose, warm_matmul, arch::rs_architecture(1, 4, 4));
   expect_same_measure_error<InvalidArgumentError>({}, warm_matmul, matmul,
                                                   no_unit);
   expect_same_measure_error<InvalidArgumentError>({}, warm_matmul, matmul,
