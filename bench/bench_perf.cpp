@@ -1,7 +1,8 @@
 // Ablation A3: toolchain throughput (google-benchmark).
 //
 // Measures the speed of the pieces a user iterates with during design space
-// exploration: kernel unrolling, mapping, scheduling per architecture
+// exploration: kernel unrolling, mapping, the whole of step 1
+// (dse::prepare_kernel), scheduling per architecture
 // class, exact measurement and its per-kernel timing profile, legality
 // checking and the full lint, the schedule grid `map` renders, cycle
 // simulation, and the fast performance estimate that makes the exploration
@@ -12,6 +13,7 @@
 #include "arch/presets.hpp"
 #include "core/estimate.hpp"
 #include "core/evaluator.hpp"
+#include "dse/explorer.hpp"
 #include "ir/unroll.hpp"
 #include "kernels/registry.hpp"
 #include "sched/mapper.hpp"
@@ -48,6 +50,18 @@ void BM_Map(benchmark::State& state) {
   state.SetLabel(w.name);
 }
 BENCHMARK(BM_Map)->DenseRange(0, 8);
+
+// The whole of Fig. 7 step 1 for one kernel: map (unroll included), the
+// timing profile, the base schedule through it and the legality check.
+void BM_PrepareKernel(benchmark::State& state) {
+  const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const dse::KernelPrep prep = dse::prepare_kernel(w);
+    benchmark::DoNotOptimize(prep.base_context.length());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_PrepareKernel)->DenseRange(0, 8);
 
 void BM_ScheduleBase(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));

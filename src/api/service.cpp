@@ -62,8 +62,10 @@ std::shared_ptr<const Service::KernelRecord> Service::kernel_record(
 std::shared_ptr<const Service::ScheduledPair> Service::schedule_for(
     const kernels::Workload& w, const arch::Architecture& a) const {
   return schedules_.get_or_compute(pair_key(w, a), [&] {
+    const std::shared_ptr<const KernelRecord> record = kernel_record(w);
     auto pair = std::make_shared<const ScheduledPair>(
-        sched::ContextScheduler().schedule(kernel_record(w)->program, a));
+        sched::ContextScheduler().schedule(record->program,
+                                           record->timing_profile, a));
     analysis::require_legal(pair->context);
     return pair;
   });

@@ -355,7 +355,8 @@ class Service {
   };
 
   /// The pair of `w` on `a`, from the schedule memo or computed: mapped
-  /// through the mapping memo, scheduled, and checked with
+  /// through the mapping memo, scheduled on the record's timing profile,
+  /// and checked with
   /// analysis::require_legal. A failure throws and is never memoized, so
   /// every repeat fails the same way.
   std::shared_ptr<const ScheduledPair> schedule_for(

@@ -13,22 +13,29 @@ namespace {
 /// Maximum number of one cycle's multiplications the row and column unit
 /// pools can serve. Pool nodes are numbered rows first (row r is node r),
 /// then columns (column c is node rows + c); a node's capacity is its
-/// pool's unit count. The scratch is sized once per estimate and reused for
-/// every cycle, so matching a cycle allocates nothing.
+/// pool's unit count. The scratch arrays are carved from one buffer sized
+/// once per estimate and reused for every cycle, so matching a cycle
+/// allocates nothing.
 class PoolMatcher {
  public:
   PoolMatcher(const arch::ArraySpec& array, const arch::SharingPlan& plan,
               int max_sites)
-      : rows_(array.rows),
-        capacity_(static_cast<std::size_t>(array.rows + array.cols),
-                  plan.units_per_col),
-        load_(capacity_.size(), 0),
-        seen_(capacity_.size(), 0),
-        via_(capacity_.size(), -1),
-        queue_(capacity_.size(), 0),
-        pool_of_(static_cast<std::size_t>(max_sites), -1) {
-    std::fill_n(capacity_.begin(), rows_, plan.units_per_row);
+      : rows_(array.rows) {
+    const auto nodes = static_cast<std::size_t>(array.rows + array.cols);
+    buffer_.assign(5 * nodes + static_cast<std::size_t>(max_sites), 0);
+    capacity_ = buffer_.data();
+    load_ = capacity_ + nodes;
+    seen_ = load_ + nodes;
+    via_ = seen_ + nodes;
+    queue_ = via_ + nodes;
+    pool_of_ = queue_ + nodes;
+    std::fill(capacity_, capacity_ + rows_, plan.units_per_row);
+    std::fill(capacity_ + rows_, load_, plan.units_per_col);
+    std::fill(via_, queue_, -1);
+    std::fill_n(pool_of_, max_sites, -1);
   }
+  PoolMatcher(const PoolMatcher&) = delete;
+  PoolMatcher& operator=(const PoolMatcher&) = delete;
 
   int served(const arch::PeCoord* sites, int count) {
     ++epoch_;
@@ -103,13 +110,16 @@ class PoolMatcher {
   }
 
   int rows_;
-  std::vector<int> capacity_;
-  std::vector<int> load_;
-  std::vector<unsigned> seen_;  ///< == epoch_: reached since the last move
-  std::vector<int> via_;        ///< site that moves into the node
-  std::vector<int> queue_;
-  std::vector<int> pool_of_;    ///< per site: its pool node, -1 = unserved
-  unsigned epoch_ = 0;
+  std::vector<int> buffer_;  ///< backs the six arrays below
+  int* capacity_ = nullptr;
+  int* load_ = nullptr;
+  int* seen_ = nullptr;     ///< == epoch_: reached since the last move
+  int* via_ = nullptr;      ///< site that moves into the node
+  int* queue_ = nullptr;
+  int* pool_of_ = nullptr;  ///< per site: its pool node, -1 = unserved
+  /// Bumped once per served cycle and per augmentation, so at most
+  /// cycles + sites per estimate.
+  int epoch_ = 0;
 };
 
 }  // namespace

@@ -95,7 +95,7 @@ KernelPrep prepare_kernel(const kernels::Workload& workload) {
       mapper.map(workload.kernel, workload.hints, workload.reduction);
   sched::TimingProfile timing_profile(program);
   sched::ConfigurationContext base_context =
-      scheduler.schedule(program, base);
+      scheduler.schedule(program, timing_profile, base);
   analysis::require_legal(base_context);
   return KernelPrep{std::move(program), std::move(base_context),
                     std::move(timing_profile)};

@@ -119,7 +119,7 @@ struct KernelPrep {
 
 /// The canonical step-1 computation for one kernel on its own array
 /// geometry: map, build the timing profile, schedule on the base
-/// architecture, legality-check.
+/// architecture through that profile, legality-check.
 /// Explorer::explore and the Service's mapping-memo fill both go through
 /// this one function, so a cached step-1 product cannot drift from a fresh
 /// one.

@@ -123,25 +123,27 @@ InterpResult interpret(const UnrolledGraph& graph, Memory& memory,
   };
 
   for (OpId id = 0; id < graph.size(); ++id) {
-    const ConcreteOp& op = graph.op(id);
+    const OpKind kind = graph.kind(id);
+    const std::span<const ConcreteOperand> operands = graph.operands(id);
     std::int64_t value = 0;
-    switch (op.kind) {
+    switch (kind) {
       case OpKind::kLoad:
-        value = memory.read(op.array, op.address);
+        value = memory.read(graph.array_name(id), graph.address(id));
         ++result.loads;
         break;
       case OpKind::kStore:
-        memory.write(op.array, op.address, operand_value(op.operands[0]));
+        memory.write(graph.array_name(id), graph.address(id),
+                     operand_value(operands[0]));
         ++result.stores;
         break;
       case OpKind::kNop:
         break;
       default: {
         const std::int64_t a =
-            op.operands.size() > 0 ? operand_value(op.operands[0]) : 0;
+            operands.size() > 0 ? operand_value(operands[0]) : 0;
         const std::int64_t b =
-            op.operands.size() > 1 ? operand_value(op.operands[1]) : 0;
-        value = eval_op(op.kind, a, b, op.imm, mode);
+            operands.size() > 1 ? operand_value(operands[1]) : 0;
+        value = eval_op(kind, a, b, graph.imm(id), mode);
         break;
       }
     }

@@ -16,24 +16,36 @@ std::string EvalCache::program_tag(const sched::PlacedProgram& program) {
   const auto mix = [&h](std::int64_t v) {
     h = util::mix64(h ^ static_cast<std::uint64_t>(v));
   };
-  for (const sched::ProgramOp& op : program.ops()) {
-    mix(static_cast<std::int64_t>(op.kind));
-    mix(op.pe.row);
-    mix(op.pe.col);
-    mix(op.priority);
-    mix(op.imm);
-    mix(op.address);
-    mix(op.not_before);
-    mix(static_cast<std::int64_t>(util::fnv1a(op.array)));
+  // Each interned array name is hashed once; an op naming no array mixes
+  // the hash of "".
+  std::vector<std::uint64_t> name_hash;
+  name_hash.reserve(program.array_names().size());
+  for (const std::string& name : program.array_names())
+    name_hash.push_back(util::fnv1a(name));
+  for (sched::ProgIndex i = 0; i < program.size(); ++i) {
+    const arch::PeCoord pe = program.pe(i);
+    const ir::ArrayId array = program.array_id(i);
+    mix(static_cast<std::int64_t>(program.kind(i)));
+    mix(pe.row);
+    mix(pe.col);
+    mix(program.priority(i));
+    mix(program.imm(i));
+    mix(program.address(i));
+    mix(program.not_before(i));
+    mix(static_cast<std::int64_t>(
+        array == ir::kNoArray ? util::fnv1a("")
+                              : name_hash[static_cast<std::size_t>(array)]));
     // Variable-length sections are length-prefixed so, e.g., an operand
     // list {5, 0} and an order_deps list [5, 0] cannot alias.
-    mix(static_cast<std::int64_t>(op.operands.size()));
-    for (const sched::ProgOperand& operand : op.operands) {
+    const std::span<const sched::ProgOperand> operands = program.operands(i);
+    mix(static_cast<std::int64_t>(operands.size()));
+    for (const sched::ProgOperand& operand : operands) {
       mix(operand.producer);
       mix(operand.imm);
     }
-    mix(static_cast<std::int64_t>(op.order_deps.size()));
-    for (const sched::ProgIndex dep : op.order_deps) mix(dep);
+    const std::span<const sched::ProgIndex> deps = program.order_deps(i);
+    mix(static_cast<std::int64_t>(deps.size()));
+    for (const sched::ProgIndex dep : deps) mix(dep);
   }
   return std::to_string(h);
 }

@@ -1,7 +1,7 @@
 #include "sched/mapper.hpp"
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -54,18 +54,22 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
     throw InfeasibleError("kernel '" + kernel.name() +
                           "': columns exceed the array width");
 
-  const ir::DataflowGraph& body = kernel.body();
-  const std::int32_t body_len = body.size();
+  const std::int32_t body_len = kernel.body().size();
   const std::int64_t trips = kernel.trip_count();
   const std::int64_t lanes = hints.lanes;
+  if (unrolled.body_size() != body_len || unrolled.trip_count() != trips)
+    throw InvalidArgumentError("kernel '" + kernel.name() +
+                               "': the unrolled graph is of another kernel");
+  // Only memory ops name arrays.
+  for (const std::string& name : unrolled.array_names())
+    if (name.empty())
+      throw InvalidArgumentError("memory op requires an array name");
 
   // The body is linearised in node-id order (already topological); the
   // wave pitch must exceed the body length so priorities stay monotone
   // along loop-carried edges between consecutive waves.
   const PriorityLayout prio{static_cast<std::int64_t>(body_len) + lanes,
                             lanes};
-
-  PlacedProgram program(array_);
 
   const std::int64_t bands =
       hints.cycle_row_bands
@@ -80,50 +84,61 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
         hints.first_col + static_cast<int>(wave % hints.columns)};
   };
 
-  // --- loop body ---------------------------------------------------------
-  for (ir::OpId uid = 0; uid < unrolled.size(); ++uid) {
-    const ir::ConcreteOp& cop = unrolled.op(uid);
-    const std::int64_t wave = cop.iter / lanes;
-    const std::int64_t lane = cop.iter % lanes;
+  // --- loop body: unrolled op i becomes program op i, in one pass --------
+  PlacedProgram program(array_);
+  const auto n = static_cast<std::size_t>(unrolled.size());
+  // Room for the epilogue too: at most one add per partial (one per PE)
+  // and one store per row.
+  const std::size_t capacity =
+      n + (reduction.enabled()
+               ? static_cast<std::size_t>(array_.num_pes() + array_.rows)
+               : 0);
+  const auto size_columns = [n, capacity](auto&... columns) {
+    ((columns.reserve(capacity), columns.resize(n)), ...);
+  };
+  size_columns(program.kind_, program.pe_, program.priority_, program.iter_,
+               program.source_, program.imm_, program.array_id_,
+               program.address_, program.not_before_);
+  program.names_ = unrolled.array_names();
+  program.operand_start_.reserve(capacity + 1);
+  program.operands_.reserve(2 * capacity);  // no op kind takes more than 2
+  program.dep_start_.reserve(capacity + 1);
+  for (std::int64_t iter = 0; iter < trips; ++iter) {
+    const std::int64_t wave = iter / lanes;
+    const std::int64_t lane = iter % lanes;
+    const arch::PeCoord pe = pe_of_iter(iter);
+    for (ir::NodeId node = 0; node < body_len; ++node) {
+      const ir::OpId uid = iter * body_len + node;
+      const auto i = static_cast<std::size_t>(uid);
+      program.kind_[i] = unrolled.kind(uid);
+      program.pe_[i] = pe;
+      program.priority_[i] = prio.of(wave, node, lane);
+      program.iter_[i] = iter;
+      program.source_[i] = uid;
+      program.imm_[i] = unrolled.imm(uid);
+      program.array_id_[i] = unrolled.array_id(uid);
+      program.address_[i] = unrolled.address(uid);
+      program.not_before_[i] = static_cast<int>(wave) * hints.stagger + node;
 
-    ProgramOp pop;
-    pop.kind = cop.kind;
-    pop.pe = pe_of_iter(cop.iter);
-    pop.priority = prio.of(wave, cop.body_node, lane);
-    pop.not_before =
-        static_cast<int>(wave) * hints.stagger + cop.body_node;
-    pop.iter = cop.iter;
-    pop.source = uid;
-    pop.imm = cop.imm;
-    pop.array = cop.array;
-    pop.address = cop.address;
-
-    for (const ir::ConcreteOperand& operand : cop.operands) {
-      ProgOperand po;
-      if (operand.is_imm()) {
-        po.imm = operand.imm;
-      } else {
-        po.producer = program.index_of_source(operand.op);
-        RSP_ASSERT_MSG(po.producer != kNoProducer,
-                       "producer op was not placed");
+      for (const ir::ConcreteOperand& operand : unrolled.operands(uid)) {
         // Routability check with a kernel-level diagnostic.
-        const arch::PeCoord from = program.op(po.producer).pe;
-        if (array_.route(from, pop.pe) == arch::RouteKind::kNone)
+        if (!operand.is_imm() &&
+            array_.route(program.pe_[static_cast<std::size_t>(operand.op)],
+                         pe) == arch::RouteKind::kNone)
           throw InvalidArgumentError(
               "kernel '" + kernel.name() +
               "': loop-carried dependence between iterations " +
-              std::to_string(unrolled.op(operand.op).iter) + " and " +
-              std::to_string(cop.iter) +
+              std::to_string(program.iter_[static_cast<std::size_t>(
+                  operand.op)]) +
+              " and " + std::to_string(iter) +
               " is not routable under the given mapping hints");
+        program.operands_.push_back(ProgOperand{operand.op, operand.imm});
       }
-      pop.operands.push_back(po);
+      program.operand_start_.push_back(program.operands_.size());
+      const std::span<const ir::OpId> deps = unrolled.mem_deps(uid);
+      program.deps_.insert(program.deps_.end(), deps.begin(), deps.end());
+      program.dep_start_.push_back(program.deps_.size());
     }
-    for (ir::OpId dep : cop.mem_deps) {
-      const ProgIndex pi = program.index_of_source(dep);
-      RSP_ASSERT_MSG(pi != kNoProducer, "memory dep op was not placed");
-      pop.order_deps.push_back(pi);
-    }
-    program.add(std::move(pop));
   }
 
   // --- reduction epilogue -------------------------------------------------
@@ -134,19 +149,21 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
       throw InvalidArgumentError("reduction requires a destination array");
 
     // Final value of the source node on every PE = the instance with the
-    // highest priority per PE.
-    std::map<int, ProgIndex> partial;  // pe linear id -> program index
-    for (ProgIndex i = 0; i < program.size(); ++i) {
-      const ProgramOp& op = program.op(i);
-      if (op.source == ir::kInvalidOp) continue;
-      if (unrolled.op(op.source).body_node != reduction.source) continue;
-      const int pe = array_.linear(op.pe);
-      auto it = partial.find(pe);
-      if (it == partial.end() ||
-          program.op(it->second).priority < op.priority)
-        partial[pe] = i;
+    // highest priority per PE (the first one on a tie).
+    std::vector<ProgIndex> partial(static_cast<std::size_t>(array_.num_pes()),
+                                   kNoProducer);  // by ArraySpec::linear
+    bool any_partial = false;
+    for (std::int64_t iter = 0; iter < trips; ++iter) {
+      const ProgIndex i = iter * body_len + reduction.source;
+      ProgIndex& best = partial[static_cast<std::size_t>(
+          array_.linear(program.pe_[static_cast<std::size_t>(i)]))];
+      if (best == kNoProducer || program.priority_[static_cast<std::size_t>(
+                                     best)] <
+                                     program.priority_[static_cast<std::size_t>(i)])
+        best = i;
+      any_partial = true;
     }
-    if (partial.empty())
+    if (!any_partial)
       throw InvalidArgumentError("reduction source produced no partials");
 
     const std::int64_t num_waves = (trips + lanes - 1) / lanes;
@@ -159,55 +176,63 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
     auto combine = [&](ProgIndex a, ProgIndex b) {
       ProgramOp add;
       add.kind = ir::OpKind::kAdd;
-      add.pe = program.op(a).pe;
+      add.pe = program.pe(a);
       add.priority = epilogue_priority();
-      add.operands = {ProgOperand{a, 0}, ProgOperand{b, 0}};
-      return program.add(std::move(add));
+      const ProgOperand operands[] = {{a, 0}, {b, 0}};
+      return program.append(add, operands, {});
     };
     auto store_result = [&](ProgIndex value, std::int64_t index) {
       ProgramOp st;
       st.kind = ir::OpKind::kStore;
-      st.pe = program.op(value).pe;
+      st.pe = program.pe(value);
       st.priority = epilogue_priority();
-      st.operands = {ProgOperand{value, 0}};
       st.array = reduction.array;
       st.address = index;
-      program.add(std::move(st));
+      const ProgOperand operands[] = {{value, 0}};
+      program.append(st, operands, {});
     };
 
-    // Phase 1: within each column, tree-reduce the lanes (column routes).
-    std::map<int, std::vector<ProgIndex>> by_col;
-    for (const auto& [pe_lin, idx] : partial)
-      by_col[array_.coord(pe_lin).col].push_back(idx);
-
-    auto tree_reduce = [&](std::vector<ProgIndex> items) {
+    // Pairwise tree reduction in place; returns the root.
+    auto tree_reduce = [&](std::vector<ProgIndex>& items) {
       while (items.size() > 1) {
         ++level;
         const std::size_t half = (items.size() + 1) / 2;
-        std::vector<ProgIndex> next;
-        for (std::size_t i = 0; i < half; ++i) {
-          if (i + half < items.size())
-            next.push_back(combine(items[i], items[i + half]));
-          else
-            next.push_back(items[i]);
-        }
-        items = std::move(next);
+        for (std::size_t i = 0; i + half < items.size(); ++i)
+          items[i] = combine(items[i], items[i + half]);
+        items.resize(half);
       }
       return items.front();
     };
+    // The partials of one column (by row) or one row (by column).
+    std::vector<ProgIndex> items;
+    auto gather = [&](int count, auto pe_at) {
+      items.clear();
+      for (int k = 0; k < count; ++k) {
+        const ProgIndex p =
+            partial[static_cast<std::size_t>(array_.linear(pe_at(k)))];
+        if (p != kNoProducer) items.push_back(p);
+      }
+      return !items.empty();
+    };
 
     if (reduction.scope == ReductionSpec::Scope::kAll) {
+      // Phase 1: within each column, tree-reduce the lanes (column routes);
+      // phase 2: reduce the column sums along a row.
       std::vector<ProgIndex> col_sums;
-      for (auto& [col, items] : by_col) col_sums.push_back(tree_reduce(items));
+      for (int col = 0; col < array_.cols; ++col)
+        if (gather(array_.rows, [col](int row) {
+              return arch::PeCoord{row, col};
+            }))
+          col_sums.push_back(tree_reduce(items));
       ++level;
       const ProgIndex total = tree_reduce(col_sums);
       ++level;
       store_result(total, reduction.index0);
     } else {  // kPerRow: reduce along each row, store per row.
-      std::map<int, std::vector<ProgIndex>> by_row;
-      for (const auto& [pe_lin, idx] : partial)
-        by_row[array_.coord(pe_lin).row].push_back(idx);
-      for (auto& [row, items] : by_row) {
+      for (int row = 0; row < array_.rows; ++row) {
+        if (!gather(array_.cols,
+                    [row](int col) { return arch::PeCoord{row, col}; }))
+          continue;
         const ProgIndex sum = tree_reduce(items);
         ++level;
         store_result(sum, reduction.index0 + row);

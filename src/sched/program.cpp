@@ -1,12 +1,13 @@
 #include "sched/program.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/error.hpp"
 
 namespace rsp::sched {
 
-ProgIndex PlacedProgram::add(ProgramOp op) {
+ProgIndex PlacedProgram::add(const ProgramOp& op) {
   const ProgIndex idx = size();
   if (!array_.contains(op.pe))
     throw InvalidArgumentError("placed op PE out of range");
@@ -27,60 +28,81 @@ ProgIndex PlacedProgram::add(ProgramOp op) {
     if (d < 0 || d >= idx)
       throw InvalidArgumentError(
           "order dependences must reference earlier ops");
-  if (op.source != ir::kInvalidOp) {
-    if (op.source >= static_cast<ir::OpId>(source_index_.size()))
-      source_index_.resize(static_cast<std::size_t>(op.source) + 1,
-                           kNoProducer);
-    source_index_[static_cast<std::size_t>(op.source)] = idx;
-  }
-  ops_.push_back(std::move(op));
+  return append(op, op.operands, op.order_deps);
+}
+
+ProgIndex PlacedProgram::append(const ProgramOp& op,
+                                std::span<const ProgOperand> operands,
+                                std::span<const ProgIndex> order_deps) {
+  const ProgIndex idx = size();
+  stamp_ = next_stamp();
+  kind_.push_back(op.kind);
+  pe_.push_back(op.pe);
+  priority_.push_back(op.priority);
+  iter_.push_back(op.iter);
+  source_.push_back(op.source);
+  imm_.push_back(op.imm);
+  array_id_.push_back(intern(op.array));
+  address_.push_back(op.address);
+  not_before_.push_back(op.not_before);
+  operands_.insert(operands_.end(), operands.begin(), operands.end());
+  operand_start_.push_back(operands_.size());
+  deps_.insert(deps_.end(), order_deps.begin(), order_deps.end());
+  dep_start_.push_back(deps_.size());
   return idx;
 }
 
-const ProgramOp& PlacedProgram::op(ProgIndex i) const {
-  if (i < 0 || i >= size()) throw NotFoundError("program index out of range");
-  return ops_[static_cast<std::size_t>(i)];
+ir::ArrayId PlacedProgram::intern(const std::string& name) {
+  if (name.empty()) return ir::kNoArray;
+  const auto id = static_cast<ir::ArrayId>(
+      std::find(names_.begin(), names_.end(), name) - names_.begin());
+  if (id == static_cast<ir::ArrayId>(names_.size())) names_.push_back(name);
+  return id;
 }
 
-ProgIndex PlacedProgram::index_of_source(ir::OpId source) const {
-  if (source < 0 ||
-      source >= static_cast<ir::OpId>(source_index_.size()))
-    return kNoProducer;
-  return source_index_[static_cast<std::size_t>(source)];
+std::uint64_t PlacedProgram::next_stamp() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
+
+void PlacedProgram::throw_out_of_range() {
+  throw NotFoundError("program index out of range");
+}
+
+const std::string& PlacedProgram::array_name(ProgIndex i) const {
+  static const std::string kNone;
+  const ir::ArrayId a = array_id_[at(i)];
+  return a == ir::kNoArray ? kNone : names_[static_cast<std::size_t>(a)];
 }
 
 void PlacedProgram::validate() const {
   for (ProgIndex i = 0; i < size(); ++i) {
-    const ProgramOp& op = ops_[static_cast<std::size_t>(i)];
-    RSP_ASSERT(array_.contains(op.pe));
-    for (const ProgOperand& o : op.operands) {
+    const arch::PeCoord pe = pe_[static_cast<std::size_t>(i)];
+    const std::int64_t priority = priority_[static_cast<std::size_t>(i)];
+    RSP_ASSERT(array_.contains(pe));
+    for (const ProgOperand& o : operands(i)) {
       if (o.is_imm()) continue;
       RSP_ASSERT_MSG(o.producer >= 0 && o.producer < i,
                      "operands must reference earlier ops");
-      const ProgramOp& prod = ops_[static_cast<std::size_t>(o.producer)];
-      if (array_.route(prod.pe, op.pe) == arch::RouteKind::kNone)
+      const arch::PeCoord from = pe_[static_cast<std::size_t>(o.producer)];
+      if (array_.route(from, pe) == arch::RouteKind::kNone)
         throw InvalidArgumentError(
             "producer→consumer edge is not routable in one hop between " +
-            std::to_string(prod.pe.row) + "," + std::to_string(prod.pe.col) +
-            " and " + std::to_string(op.pe.row) + "," +
-            std::to_string(op.pe.col));
-      if (prod.priority >= op.priority)
+            std::to_string(from.row) + "," + std::to_string(from.col) +
+            " and " + std::to_string(pe.row) + "," + std::to_string(pe.col));
+      if (priority_[static_cast<std::size_t>(o.producer)] >= priority)
         throw InvalidArgumentError(
             "priorities must strictly increase along dependence edges");
     }
-    for (ProgIndex d : op.order_deps) {
-      const ProgramOp& prod = ops_[static_cast<std::size_t>(d)];
-      if (prod.priority >= op.priority)
+    for (ProgIndex d : order_deps(i))
+      if (priority_[static_cast<std::size_t>(d)] >= priority)
         throw InvalidArgumentError(
             "priorities must strictly increase along order dependences");
-    }
   }
 }
 
 std::int64_t PlacedProgram::count(ir::OpKind kind) const {
-  return static_cast<std::int64_t>(
-      std::count_if(ops_.begin(), ops_.end(),
-                    [&](const ProgramOp& o) { return o.kind == kind; }));
+  return static_cast<std::int64_t>(std::count(kind_.begin(), kind_.end(), kind));
 }
 
 }  // namespace rsp::sched

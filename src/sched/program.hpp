@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@
 
 namespace rsp::sched {
 
-/// Index into PlacedProgram::ops.
+/// Index into a PlacedProgram's op table.
 using ProgIndex = std::int64_t;
 inline constexpr ProgIndex kNoProducer = -1;
 
@@ -29,7 +30,8 @@ struct ProgOperand {
   bool is_imm() const { return producer == kNoProducer; }
 };
 
-/// One placed operation.
+/// One placed operation, as PlacedProgram::add takes it. The program
+/// stores its fields in columns, not as ProgramOp values.
 struct ProgramOp {
   ir::OpKind kind = ir::OpKind::kNop;
   arch::PeCoord pe;
@@ -54,7 +56,16 @@ struct ProgramOp {
   int not_before = 0;
 };
 
-/// The full placed computation for one kernel on one array geometry.
+/// The full placed computation for one kernel on one array geometry: an op
+/// table with one column per ProgramOp field, interned array names and the
+/// operand and order-dependence lists in CSR form. A mapped program keeps
+/// the unrolled graph's numbering: body op i is program op i (its source),
+/// and the reduction epilogue follows. Every per-op accessor throws
+/// NotFoundError for an index outside [0, size()).
+///
+/// Each program carries a stamp, a process-wide unique number taken at
+/// construction and at every appended op and shared only by copies, so a
+/// TimingProfile can tell the program it was built from in O(1).
 class PlacedProgram {
  public:
   explicit PlacedProgram(arch::ArraySpec array) : array_(array) {
@@ -64,27 +75,75 @@ class PlacedProgram {
   const arch::ArraySpec& array() const { return array_; }
 
   /// Appends an op; operands must reference earlier ops. Returns its index.
-  ProgIndex add(ProgramOp op);
+  ProgIndex add(const ProgramOp& op);
 
-  const std::vector<ProgramOp>& ops() const { return ops_; }
-  const ProgramOp& op(ProgIndex i) const;
-  std::int64_t size() const { return static_cast<std::int64_t>(ops_.size()); }
+  std::int64_t size() const { return static_cast<std::int64_t>(kind_.size()); }
 
-  /// Index of the program op realising unrolled op `source`
-  /// (kNoProducer if the mapper dropped/replaced it).
-  ProgIndex index_of_source(ir::OpId source) const;
+  ir::OpKind kind(ProgIndex i) const { return kind_[at(i)]; }
+  arch::PeCoord pe(ProgIndex i) const { return pe_[at(i)]; }
+  std::int64_t priority(ProgIndex i) const { return priority_[at(i)]; }
+  std::int64_t iter(ProgIndex i) const { return iter_[at(i)]; }
+  ir::OpId source(ProgIndex i) const { return source_[at(i)]; }
+  std::int64_t imm(ProgIndex i) const { return imm_[at(i)]; }
+  ir::ArrayId array_id(ProgIndex i) const { return array_id_[at(i)]; }
+  /// The op's array name; "" when it names none.
+  const std::string& array_name(ProgIndex i) const;
+  std::int64_t address(ProgIndex i) const { return address_[at(i)]; }
+  int not_before(ProgIndex i) const { return not_before_[at(i)]; }
+  std::span<const ProgOperand> operands(ProgIndex i) const {
+    const std::size_t k = at(i);
+    return {operands_.data() + operand_start_[k],
+            operands_.data() + operand_start_[k + 1]};
+  }
+  std::span<const ProgIndex> order_deps(ProgIndex i) const {
+    const std::size_t k = at(i);
+    return {deps_.data() + dep_start_[k], deps_.data() + dep_start_[k + 1]};
+  }
+
+  /// Distinct array names in order of first use; ir::ArrayId indexes it.
+  const std::vector<std::string>& array_names() const { return names_; }
 
   /// Structural checks: operand ordering, PE bounds, single-hop routability
   /// of every producer→consumer edge, priorities monotone along edges.
   void validate() const;
 
-  /// Number of mult ops (for quick sanity checks).
+  /// Number of ops of `kind` (for quick sanity checks).
   std::int64_t count(ir::OpKind kind) const;
 
  private:
+  friend class LoopPipeliner;  // fills the columns directly
+  friend class TimingProfile;  // reads them directly
+
+  std::size_t at(ProgIndex i) const {
+    if (i < 0 || i >= size()) throw_out_of_range();
+    return static_cast<std::size_t>(i);
+  }
+  [[noreturn]] static void throw_out_of_range();
+  static std::uint64_t next_stamp();
+  ir::ArrayId intern(const std::string& name);
+  /// Appends `op` with `operands` and `order_deps` in place of its own
+  /// lists, unchecked.
+  ProgIndex append(const ProgramOp& op, std::span<const ProgOperand> operands,
+                   std::span<const ProgIndex> order_deps);
+
   arch::ArraySpec array_;
-  std::vector<ProgramOp> ops_;
-  std::vector<ProgIndex> source_index_;  // unrolled OpId -> program index
+  std::uint64_t stamp_ = next_stamp();
+  std::vector<std::string> names_;
+  std::vector<ir::OpKind> kind_;
+  std::vector<arch::PeCoord> pe_;
+  std::vector<std::int64_t> priority_;
+  std::vector<std::int64_t> iter_;
+  std::vector<ir::OpId> source_;
+  std::vector<std::int64_t> imm_;
+  std::vector<ir::ArrayId> array_id_;
+  std::vector<std::int64_t> address_;
+  std::vector<int> not_before_;
+  /// Op i's operands are operands_[operand_start_[i] .. operand_start_[i + 1]).
+  std::vector<std::size_t> operand_start_{0};
+  std::vector<ProgOperand> operands_;
+  /// Op i's order dependences, likewise.
+  std::vector<std::size_t> dep_start_{0};
+  std::vector<ProgIndex> deps_;
 };
 
 }  // namespace rsp::sched

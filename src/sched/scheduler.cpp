@@ -65,36 +65,45 @@ TimingProfile::StallFreeMemo::StallFreeMemo(const StallFreeMemo& other) {
 }
 
 TimingProfile::TimingProfile(const PlacedProgram& program)
-    : array_(program.array()) {
+    : array_(program.array()), program_stamp_(program.stamp_) {
   program.validate();
-  const std::vector<ProgramOp>& ops = program.ops();
-  const std::size_t n = ops.size();
+  const std::vector<std::int64_t>& priority = program.priority_;
+  const std::size_t n = priority.size();
 
   // Scheduling order: by priority (stable on index for determinism).
   order_.resize(n);
   std::iota(order_.begin(), order_.end(), 0);
   std::stable_sort(order_.begin(), order_.end(),
-                   [&ops](ProgIndex a, ProgIndex b) {
-                     return ops[static_cast<std::size_t>(a)].priority <
-                            ops[static_cast<std::size_t>(b)].priority;
+                   [&priority](ProgIndex a, ProgIndex b) {
+                     return priority[static_cast<std::size_t>(a)] <
+                            priority[static_cast<std::size_t>(b)];
                    });
 
   ops_.reserve(n);
   pred_start_.reserve(n + 1);
   pred_start_.push_back(0);
-  for (const ProgramOp& op : ops) {
+  preds_.reserve(program.operands_.size() + program.deps_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const ir::OpKind op_kind = program.kind_[i];
     Kind kind = Kind::kOther;
-    if (ir::is_critical_op(op.kind))
+    if (ir::is_critical_op(op_kind))
       kind = Kind::kCritical;
-    else if (op.kind == ir::OpKind::kLoad)
+    else if (op_kind == ir::OpKind::kLoad)
       kind = Kind::kLoad;
-    else if (op.kind == ir::OpKind::kStore)
+    else if (op_kind == ir::OpKind::kStore)
       kind = Kind::kStore;
-    ops_.push_back(
-        Op{kind, array_.linear(op.pe), op.pe.row, op.pe.col, op.not_before});
-    for (const ProgOperand& o : op.operands)
-      if (!o.is_imm()) preds_.push_back(o.producer);
-    preds_.insert(preds_.end(), op.order_deps.begin(), op.order_deps.end());
+    const arch::PeCoord pe = program.pe_[i];
+    ops_.push_back(Op{kind, array_.linear(pe), pe.row, pe.col,
+                      program.not_before_[i]});
+    for (std::size_t k = program.operand_start_[i];
+         k < program.operand_start_[i + 1]; ++k)
+      if (!program.operands_[k].is_imm())
+        preds_.push_back(program.operands_[k].producer);
+    preds_.insert(preds_.end(),
+                  program.deps_.begin() +
+                      static_cast<std::ptrdiff_t>(program.dep_start_[i]),
+                  program.deps_.begin() +
+                      static_cast<std::ptrdiff_t>(program.dep_start_[i + 1]));
     pred_start_.push_back(preds_.size());
   }
 }
@@ -256,28 +265,47 @@ int ContextScheduler::stall_free_length(
 ConfigurationContext ContextScheduler::schedule(
     const PlacedProgram& program, const arch::Architecture& architecture)
     const {
-  const ScheduleTiming timing = this->timing(program, architecture);
+  // An invalid target's error takes precedence over an invalid program's.
+  architecture.validate();
+  return build_context(program, timing(TimingProfile(program), architecture),
+                       architecture);
+}
+
+ConfigurationContext ContextScheduler::schedule(
+    const PlacedProgram& program, const TimingProfile& profile,
+    const arch::Architecture& architecture) const {
+  if (!profile.built_from(program))
+    throw InvalidArgumentError(
+        "timing profile was built from another program");
+  return build_context(program, timing(profile, architecture), architecture);
+}
+
+ConfigurationContext ContextScheduler::build_context(
+    const PlacedProgram& program, const ScheduleTiming& timing,
+    const arch::Architecture& architecture) {
   const int mult_latency = architecture.mult_latency();
   const int upr = architecture.sharing.units_per_row;
   const int upc = architecture.sharing.units_per_col;
   const int row_units = architecture.array.rows * upr;
 
-  std::vector<ScheduledOp> scheduled(program.ops().size());
+  std::vector<ScheduledOp> scheduled(static_cast<std::size_t>(program.size()));
   for (std::size_t i = 0; i < scheduled.size(); ++i) {
-    const ProgramOp& op = program.ops()[i];
+    const auto idx = static_cast<ProgIndex>(i);
     ScheduledOp& out = scheduled[i];
-    out.kind = op.kind;
-    out.pe = op.pe;
+    out.kind = program.kind(idx);
+    out.pe = program.pe(idx);
     out.cycle = timing.cycles[i];
-    out.latency = ir::is_critical_op(op.kind) ? mult_latency : 1;
-    out.priority = op.priority;
-    out.iter = op.iter;
-    out.source = op.source;
-    out.operands = op.operands;
-    out.order_deps = op.order_deps;
-    out.imm = op.imm;
-    out.array = op.array;
-    out.address = op.address;
+    out.latency = ir::is_critical_op(out.kind) ? mult_latency : 1;
+    out.priority = program.priority(idx);
+    out.iter = program.iter(idx);
+    out.source = program.source(idx);
+    const std::span<const ProgOperand> operands = program.operands(idx);
+    out.operands.assign(operands.begin(), operands.end());
+    const std::span<const ProgIndex> deps = program.order_deps(idx);
+    out.order_deps.assign(deps.begin(), deps.end());
+    out.imm = program.imm(idx);
+    out.array = program.array_name(idx);
+    out.address = program.address(idx);
     const int slot = timing.unit_slots[i];
     if (slot >= row_units)
       out.unit = arch::SharedUnitId{arch::SharedUnitId::Pool::kColumn,

@@ -22,11 +22,14 @@
 //
 // What the pass reads of a placed program depends on the program alone, so
 // a TimingProfile extracts it once: the validated program's priority order
-// and, per op, its kind class, PE, not_before and predecessor list. Exact evaluation schedules one program on many architectures
-// (Fig. 7 step 5, the Table 4/5 suite), so it builds the profile once and
-// times every architecture on it. The stall-free schedule that RS stalls
-// are counted against depends only on the multiplier latency, so the
-// profile also memoizes its length per latency.
+// and, per op, its kind class, PE, not_before and predecessor list. Exact
+// evaluation schedules one program on many architectures (Fig. 7 step 5,
+// the Table 4/5 suite), so it builds the profile once and times every
+// architecture on it; callers that also need contexts (step 1's base
+// schedule, the Service's schedule memo, the fuzzer) pass the same profile
+// to `schedule`. The stall-free schedule that RS stalls are counted against
+// depends only on the multiplier latency, so the profile also memoizes its
+// length per latency.
 #pragma once
 
 #include <array>
@@ -68,6 +71,12 @@ class TimingProfile {
   const arch::ArraySpec& array() const { return array_; }
   std::size_t size() const { return order_.size(); }
 
+  /// True when this profile was built from `program` or from a copy of
+  /// it that nothing has appended to since (PlacedProgram's stamp).
+  bool built_from(const PlacedProgram& program) const {
+    return program.stamp_ == program_stamp_;
+  }
+
   /// Peak critical-operation issues in one cycle of `timing`, a schedule
   /// of this profile's program: the count
   /// ConfigurationContext::max_critical_issues_per_cycle takes.
@@ -101,6 +110,7 @@ class TimingProfile {
   };
 
   arch::ArraySpec array_;
+  std::uint64_t program_stamp_;   ///< the stamp of the program it reads
   std::vector<ProgIndex> order_;  ///< program indices, by priority
   std::vector<Op> ops_;           ///< indexed like the program's ops
   /// Operand and order-dependence predecessors of op i, as program
@@ -117,6 +127,14 @@ class ContextScheduler {
 
   /// Schedules `program` on `architecture`.
   ConfigurationContext schedule(const PlacedProgram& program,
+                                const arch::Architecture& architecture) const;
+
+  /// The same context, timed on `profile`, which must be built from
+  /// `program` (callers scheduling one program on several architectures
+  /// build its profile once). Throws InvalidArgumentError for a profile of
+  /// another program, then what `timing` throws.
+  ConfigurationContext schedule(const PlacedProgram& program,
+                                const TimingProfile& profile,
                                 const arch::Architecture& architecture) const;
 
   /// The scheduling pass: the issue cycles and units `schedule` assigns,
@@ -139,6 +157,11 @@ class ContextScheduler {
                         const arch::Architecture& architecture) const;
 
  private:
+  /// The context of `program` with `timing`'s cycles and units.
+  static ConfigurationContext build_context(
+      const PlacedProgram& program, const ScheduleTiming& timing,
+      const arch::Architecture& architecture);
+
   SchedulerOptions options_;
 };
 

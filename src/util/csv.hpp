@@ -16,8 +16,6 @@ class CsvWriter {
 
   void add_row(std::vector<std::string> cells);
 
-  std::size_t num_rows() const { return rows_.size(); }
-
   /// Full document including header line.
   std::string render() const;
 

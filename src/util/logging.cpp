@@ -1,5 +1,6 @@
 #include "util/logging.hpp"
 
+#include <atomic>
 #include <iostream>
 #include <mutex>
 
@@ -7,14 +8,15 @@ namespace rsp::util {
 
 namespace {
 
-// One mutex guards the sink, the threshold and every emission. Sink
-// invocation deliberately happens *under* the lock: records from runtime
-// worker threads arrive at the sink whole and in a single global order,
-// and a sink swapped out by set_log_sink can never be entered again after
-// the swap returns. The contract (documented on LogSink) is that sinks
-// must not call back into the logger.
+// One mutex guards the sink and every emission. Sink invocation
+// deliberately happens *under* the lock: records from runtime worker
+// threads arrive at the sink whole and in a single global order, and a
+// sink swapped out by set_log_sink can never be entered again after the
+// swap returns. The contract (documented on LogSink) is that sinks must
+// not call back into the logger. The threshold is atomic so a disabled
+// RSP_LOG line can skip the lock; `log` reads it again under the lock.
 std::mutex g_mutex;
-LogLevel g_threshold = LogLevel::kWarning;
+std::atomic<LogLevel> g_threshold{LogLevel::kWarning};
 
 void default_sink(LogLevel level, const std::string& message) {
   std::cerr << "[rsp:" << to_string(level) << "] " << message << '\n';
@@ -48,19 +50,17 @@ LogSink set_log_sink(LogSink sink) {
   return previous;
 }
 
-void set_log_threshold(LogLevel level) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_threshold = level;
-}
+void set_log_threshold(LogLevel level) { g_threshold.store(level); }
 
-LogLevel log_threshold() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return g_threshold;
+LogLevel log_threshold() { return g_threshold.load(); }
+
+bool log_enabled(LogLevel level) {
+  return static_cast<int>(level) >= static_cast<int>(g_threshold.load());
 }
 
 void log(LogLevel level, const std::string& message) {
   std::lock_guard<std::mutex> lock(g_mutex);
-  if (static_cast<int>(level) < static_cast<int>(g_threshold)) return;
+  if (!log_enabled(level)) return;
   if (sink_storage()) sink_storage()(level, message);
 }
 

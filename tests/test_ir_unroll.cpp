@@ -26,10 +26,10 @@ TEST(Unroll, SizeAndIndexing) {
   EXPECT_EQ(u.size(), 5 * k.body().size());
   EXPECT_EQ(u.body_size(), k.body().size());
   const OpId id = u.id_of(2, 3);
-  EXPECT_EQ(u.op(id).body_node, 2);
-  EXPECT_EQ(u.op(id).iter, 3);
+  EXPECT_EQ(u.body_node(id), 2);
+  EXPECT_EQ(u.iter(id), 3);
   EXPECT_THROW(u.id_of(99, 0), NotFoundError);
-  EXPECT_THROW(u.op(-1), NotFoundError);
+  EXPECT_THROW(u.kind(-1), NotFoundError);
 }
 
 TEST(Unroll, AddressesAreConcrete) {
@@ -38,8 +38,8 @@ TEST(Unroll, AddressesAreConcrete) {
   b.store("y", [](std::int64_t k) { return k; }, x);
   const LoopKernel k("strided", b.take(), 4);
   const UnrolledGraph u(k);
-  EXPECT_EQ(u.op(u.id_of(0, 0)).address, 1);
-  EXPECT_EQ(u.op(u.id_of(0, 3)).address, 7);
+  EXPECT_EQ(u.address(u.id_of(0, 0)), 1);
+  EXPECT_EQ(u.address(u.id_of(0, 3)), 7);
 }
 
 TEST(Unroll, RejectsNegativeAddress) {
@@ -58,16 +58,16 @@ TEST(Unroll, CarriedInputResolvesAcrossIterations) {
   const LoopKernel k("acc2", b.take(), 5);
   const UnrolledGraph u(k);
   // Iterations 0 and 1: boundary → immediate init 100.
-  EXPECT_TRUE(u.op(u.id_of(acc, 0)).operands[1].is_imm());
-  EXPECT_EQ(u.op(u.id_of(acc, 1)).operands[1].imm, 100);
+  EXPECT_TRUE(u.operands(u.id_of(acc, 0))[1].is_imm());
+  EXPECT_EQ(u.operands(u.id_of(acc, 1))[1].imm, 100);
   // Iteration 3 reads the accumulator of iteration 1.
-  EXPECT_EQ(u.op(u.id_of(acc, 3)).operands[1].op, u.id_of(acc, 1));
+  EXPECT_EQ(u.operands(u.id_of(acc, 3))[1].op, u.id_of(acc, 1));
 }
 
 TEST(Unroll, TopologicalOrderInvariant) {
   const UnrolledGraph u(axpy_kernel(7));
   for (OpId i = 0; i < u.size(); ++i) {
-    for (const ConcreteOperand& o : u.op(i).operands) {
+    for (const ConcreteOperand& o : u.operands(i)) {
       if (!o.is_imm()) {
         EXPECT_LT(o.op, i);
       }
@@ -83,11 +83,11 @@ TEST(Unroll, MemoryDependencesTracked) {
   const LoopKernel k("chain", b.take(), 3);
   const UnrolledGraph u(k);
   // Iteration 1's load of buf[1] must depend on iteration 0's store to buf[1].
-  const ConcreteOp& load1 = u.op(u.id_of(0, 1));
-  ASSERT_EQ(load1.mem_deps.size(), 1u);
-  EXPECT_EQ(load1.mem_deps[0], u.id_of(1, 0));
+  const std::span<const OpId> load1 = u.mem_deps(u.id_of(0, 1));
+  ASSERT_EQ(load1.size(), 1u);
+  EXPECT_EQ(load1[0], u.id_of(1, 0));
   // Iteration 0's load of buf[0] has no prior store.
-  EXPECT_TRUE(u.op(u.id_of(0, 0)).mem_deps.empty());
+  EXPECT_TRUE(u.mem_deps(u.id_of(0, 0)).empty());
 }
 
 TEST(Unroll, WarDependenceOnStore) {
@@ -97,12 +97,11 @@ TEST(Unroll, WarDependenceOnStore) {
   const LoopKernel k("war", b.take(), 2);
   const UnrolledGraph u(k);
   // Iteration 0's store to buf[0] must wait for iteration 0's load (WAR).
-  const ConcreteOp& st0 = u.op(u.id_of(1, 0));
-  ASSERT_EQ(st0.mem_deps.size(), 1u);
-  EXPECT_EQ(st0.mem_deps[0], u.id_of(0, 0));
+  const std::span<const OpId> st0 = u.mem_deps(u.id_of(1, 0));
+  ASSERT_EQ(st0.size(), 1u);
+  EXPECT_EQ(st0[0], u.id_of(0, 0));
   // Iteration 1's store has WAW on store 0 and WAR on load 1.
-  const ConcreteOp& st1 = u.op(u.id_of(1, 1));
-  EXPECT_EQ(st1.mem_deps.size(), 2u);
+  EXPECT_EQ(u.mem_deps(u.id_of(1, 1)).size(), 2u);
 }
 
 // ----------------------------------------------------------------- memory

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "ir/builder.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/registry.hpp"
+#include "runtime/eval_cache.hpp"
 #include "sched/mapper.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace rsp::sched {
 namespace {
@@ -41,9 +46,7 @@ TEST(Mapper, PlacesWavesColumnRoundRobin) {
   // iteration 0 → wave 0 lane 0 → PE(0,0); iteration 5 → wave 1 lane 1 →
   // PE(1,1); iteration 13 → wave 3 lane 1 → column 3 % 3 = 0.
   const ir::UnrolledGraph u(tiny_kernel(24));
-  auto pe_of = [&](std::int64_t iter) {
-    return p.op(p.index_of_source(u.id_of(0, iter))).pe;
-  };
+  auto pe_of = [&](std::int64_t iter) { return p.pe(u.id_of(0, iter)); };
   EXPECT_EQ(pe_of(0), (arch::PeCoord{0, 0}));
   EXPECT_EQ(pe_of(5), (arch::PeCoord{1, 1}));
   EXPECT_EQ(pe_of(13), (arch::PeCoord{1, 0}));
@@ -58,9 +61,7 @@ TEST(Mapper, RowBandsCycleWhenEnabled) {
   hints.cycle_row_bands = true;  // 4 bands of 2 rows
   const PlacedProgram p = mapper.map(tiny_kernel(16), hints);
   const ir::UnrolledGraph u(tiny_kernel(16));
-  auto pe_of = [&](std::int64_t iter) {
-    return p.op(p.index_of_source(u.id_of(0, iter))).pe;
-  };
+  auto pe_of = [&](std::int64_t iter) { return p.pe(u.id_of(0, iter)); };
   EXPECT_EQ(pe_of(0).row, 0);   // wave 0 band 0
   EXPECT_EQ(pe_of(4).row, 2);   // wave 2 band 1
   EXPECT_EQ(pe_of(8).row, 4);   // wave 4 band 2
@@ -77,7 +78,7 @@ TEST(Mapper, NotBeforeEncodesNominalLockstepSlot) {
   const ir::UnrolledGraph u(tiny_kernel(32));
   // iteration 17 → wave 2: not_before = 2·3 + slot.
   for (ir::NodeId slot = 0; slot < 4; ++slot)
-    EXPECT_EQ(p.op(p.index_of_source(u.id_of(slot, 17))).not_before, 6 + slot);
+    EXPECT_EQ(p.not_before(u.id_of(slot, 17)), 6 + slot);
 }
 
 TEST(Mapper, PrioritiesStrictlyIncreaseAlongEdges) {
@@ -93,12 +94,13 @@ TEST(Mapper, EveryUnrolledOpIsPlacedExactlyOnce) {
   const ir::UnrolledGraph u(w.kernel);
   LoopPipeliner mapper(w.array);
   const PlacedProgram p = mapper.map(w.kernel, u, w.hints, w.reduction);
+  ASSERT_GE(p.size(), u.size());
   for (ir::OpId id = 0; id < u.size(); ++id) {
-    const ProgIndex idx = p.index_of_source(id);
-    ASSERT_NE(idx, kNoProducer);
-    EXPECT_EQ(p.op(idx).source, id);
-    EXPECT_EQ(p.op(idx).kind, u.op(id).kind);
+    EXPECT_EQ(p.source(id), id);
+    EXPECT_EQ(p.kind(id), u.kind(id));
   }
+  for (ProgIndex i = u.size(); i < p.size(); ++i)
+    EXPECT_EQ(p.source(i), ir::kInvalidOp);
 }
 
 TEST(Mapper, InfeasibleHintsRejected) {
@@ -130,6 +132,15 @@ TEST(Mapper, UnroutableCarriedDependenceDiagnosed) {
   EXPECT_THROW(mapper.map(k, hints), InvalidArgumentError);
 }
 
+TEST(Mapper, UnnamedArrayRejected) {
+  ir::GraphBuilder b;
+  auto x = b.load("", [](std::int64_t k) { return k; });
+  b.store("y", [](std::int64_t k) { return k; }, x);
+  const ir::LoopKernel k("unnamed", b.take(), 4);
+  EXPECT_THROW(LoopPipeliner(arch::ArraySpec{}).map(k, MappingHints{}),
+               InvalidArgumentError);
+}
+
 // --------------------------------------------------------------- reduction
 TEST(Mapper, ReductionAllAppendsTreeAndStore) {
   const auto w = kernels::find_workload("Inner product");
@@ -138,11 +149,11 @@ TEST(Mapper, ReductionAllAppendsTreeAndStore) {
   const PlacedProgram without = mapper.map(w.kernel, w.hints, {});
   // 64 partials → 63 combining adds + 1 store.
   EXPECT_EQ(with.size(), without.size() + 64);
-  const ProgramOp& last = with.op(with.size() - 1);
-  EXPECT_EQ(last.kind, ir::OpKind::kStore);
-  EXPECT_EQ(last.array, "sum");
-  EXPECT_EQ(last.iter, -1);
-  EXPECT_EQ(last.source, ir::kInvalidOp);
+  const ProgIndex last = with.size() - 1;
+  EXPECT_EQ(with.kind(last), ir::OpKind::kStore);
+  EXPECT_EQ(with.array_name(last), "sum");
+  EXPECT_EQ(with.iter(last), -1);
+  EXPECT_EQ(with.source(last), ir::kInvalidOp);
 }
 
 TEST(Mapper, ReductionPerRowProducesOneStorePerRow) {
@@ -151,11 +162,11 @@ TEST(Mapper, ReductionPerRowProducesOneStorePerRow) {
   const PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
   int stores = 0;
   std::set<std::int64_t> addresses;
-  for (const ProgramOp& op : p.ops()) {
-    if (op.kind == ir::OpKind::kStore && op.array == "y") {
+  for (ProgIndex i = 0; i < p.size(); ++i) {
+    if (p.kind(i) == ir::OpKind::kStore && p.array_name(i) == "y") {
       ++stores;
-      addresses.insert(op.address);
-      EXPECT_EQ(op.pe.row, op.address);  // row r stores y[r]
+      addresses.insert(p.address(i));
+      EXPECT_EQ(p.pe(i).row, p.address(i));  // row r stores y[r]
     }
   }
   EXPECT_EQ(stores, 8);
@@ -198,11 +209,44 @@ TEST(Program, MatmulPlacementMatchesFig2Discipline) {
   LoopPipeliner mapper(w.array);
   const PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
   // Every op of iteration (i,j) lives on PE(i,j).
-  for (const ProgramOp& op : p.ops()) {
-    ASSERT_GE(op.iter, 0);
-    EXPECT_EQ(op.pe.row, op.iter % 4);
-    EXPECT_EQ(op.pe.col, op.iter / 4);
+  for (ProgIndex i = 0; i < p.size(); ++i) {
+    ASSERT_GE(p.iter(i), 0);
+    EXPECT_EQ(p.pe(i).row, p.iter(i) % 4);
+    EXPECT_EQ(p.pe(i).col, p.iter(i) / 4);
   }
+}
+
+// ------------------------------------------------------------ golden
+// One line per mapped program of the 14 catalogue kernels and gen:1..200:
+// its EvalCache::program_tag, its op count and a checksum over the two
+// fields the tag leaves out, every op's iter and source.
+std::string program_golden() {
+  std::vector<kernels::Workload> domain = kernels::full_catalogue();
+  for (int seed = 1; seed <= 200; ++seed)
+    domain.push_back(
+        kernels::find_in_catalogue("gen:" + std::to_string(seed)));
+  std::ostringstream doc;
+  for (const kernels::Workload& w : domain) {
+    const PlacedProgram p =
+        LoopPipeliner(w.array).map(w.kernel, w.hints, w.reduction);
+    std::uint64_t h = util::kFnvOffsetBasis;
+    for (ProgIndex i = 0; i < p.size(); ++i) {
+      h = util::mix64(h ^ static_cast<std::uint64_t>(p.iter(i)));
+      h = util::mix64(h ^ static_cast<std::uint64_t>(p.source(i)));
+    }
+    doc << w.name << '\t' << runtime::EvalCache::program_tag(p) << '\t'
+        << p.size() << '\t' << h << '\n';
+  }
+  return doc.str();
+}
+
+TEST(Program, MappedProgramsMatchCheckedInGolden) {
+  std::ifstream in(RSP_TEST_DATA_DIR "/program_golden.txt", std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing tests/data/program_golden.txt";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(program_golden(), expected.str())
+      << "mapped programs drifted from the checked-in golden file";
 }
 
 }  // namespace

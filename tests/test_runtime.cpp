@@ -195,20 +195,21 @@ TEST(EvalCache, ProgramTagKeepsOperandsAndOrderDepsApart) {
 // Equal in every field program_tag hashes.
 bool same_tagged_content(const sched::PlacedProgram& a,
                          const sched::PlacedProgram& b) {
-  return std::equal(
-      a.ops().begin(), a.ops().end(), b.ops().begin(), b.ops().end(),
-      [](const sched::ProgramOp& x, const sched::ProgramOp& y) {
-        return x.kind == y.kind && x.pe == y.pe && x.priority == y.priority &&
-               x.imm == y.imm && x.address == y.address &&
-               x.not_before == y.not_before && x.array == y.array &&
-               x.order_deps == y.order_deps &&
-               std::equal(x.operands.begin(), x.operands.end(),
-                          y.operands.begin(), y.operands.end(),
-                          [](const sched::ProgOperand& p,
-                             const sched::ProgOperand& q) {
-                            return p.producer == q.producer && p.imm == q.imm;
-                          });
-      });
+  if (a.size() != b.size()) return false;
+  const auto same_operand = [](const sched::ProgOperand& p,
+                               const sched::ProgOperand& q) {
+    return p.producer == q.producer && p.imm == q.imm;
+  };
+  for (sched::ProgIndex i = 0; i < a.size(); ++i)
+    if (!(a.kind(i) == b.kind(i) && a.pe(i) == b.pe(i) &&
+          a.priority(i) == b.priority(i) && a.imm(i) == b.imm(i) &&
+          a.address(i) == b.address(i) &&
+          a.not_before(i) == b.not_before(i) &&
+          a.array_name(i) == b.array_name(i) &&
+          std::ranges::equal(a.order_deps(i), b.order_deps(i)) &&
+          std::ranges::equal(a.operands(i), b.operands(i), same_operand)))
+      return false;
+  return true;
 }
 
 TEST(EvalCache, ProgramTagsOfDistinctProgramsDiffer) {

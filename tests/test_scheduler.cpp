@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <functional>
 #include <numeric>
 #include <optional>
@@ -66,7 +67,7 @@ TEST(Scheduler, NotBeforeRespected) {
   const PlacedProgram p = place(w);
   const ConfigurationContext ctx = s.schedule(p, base_for(w));
   for (ProgIndex i = 0; i < p.size(); ++i)
-    EXPECT_GE(ctx.op(i).cycle, p.op(i).not_before);
+    EXPECT_GE(ctx.op(i).cycle, p.not_before(i));
 }
 
 TEST(Scheduler, RejectsGeometryMismatch) {
@@ -378,6 +379,24 @@ class OccupancyTable {
   std::vector<int> cells_;
 };
 
+// Op `i` of `program` as a ProgramOp value, for the reference pass.
+ProgramOp op_at(const PlacedProgram& program, ProgIndex i) {
+  ProgramOp op;
+  op.kind = program.kind(i);
+  op.pe = program.pe(i);
+  op.priority = program.priority(i);
+  op.iter = program.iter(i);
+  op.source = program.source(i);
+  op.operands.assign(program.operands(i).begin(), program.operands(i).end());
+  op.imm = program.imm(i);
+  op.array = program.array_name(i);
+  op.address = program.address(i);
+  op.order_deps.assign(program.order_deps(i).begin(),
+                       program.order_deps(i).end());
+  op.not_before = program.not_before(i);
+  return op;
+}
+
 ConfigurationContext schedule(const SchedulerOptions& options_,
                               const PlacedProgram& program,
                               const arch::Architecture& architecture) {
@@ -395,7 +414,7 @@ ConfigurationContext schedule(const SchedulerOptions& options_,
   std::vector<ProgIndex> order(static_cast<std::size_t>(program.size()));
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](ProgIndex a, ProgIndex b) {
-    return program.op(a).priority < program.op(b).priority;
+    return program.priority(a) < program.priority(b);
   });
 
   // Occupancy: PEs, row read buses, row write buses, shared units.
@@ -415,7 +434,7 @@ ConfigurationContext schedule(const SchedulerOptions& options_,
   std::vector<ScheduledOp> scheduled(static_cast<std::size_t>(program.size()));
 
   for (ProgIndex idx : order) {
-    const ProgramOp& op = program.op(idx);
+    const ProgramOp op = op_at(program, idx);
 
     // Earliest cycle by dataflow and memory ordering.
     int ready = 0;
@@ -595,6 +614,50 @@ void expect_matches_reference(const PlacedProgram& program,
     EXPECT_EQ(perf.max_critical_issues, reference_perf.max_critical_issues)
         << what;
   }
+}
+
+TEST(Scheduler, ScheduleOnTheProgramsProfileMatchesTheOneShotEntry) {
+  const ContextScheduler scheduler;
+  for (const kernels::Workload& w : kernels::paper_suite()) {
+    const PlacedProgram p = place(w);
+    const TimingProfile profile(p);
+    for (const arch::Architecture& a : arch::standard_suite()) {
+      const ConfigurationContext once = scheduler.schedule(p, a);
+      const ConfigurationContext shared = scheduler.schedule(p, profile, a);
+      ASSERT_EQ(once.size(), shared.size()) << w.name << " on " << a.name;
+      for (ProgIndex i = 0; i < once.size(); ++i)
+        ASSERT_TRUE(same_op(once.op(i), shared.op(i)))
+            << w.name << " on " << a.name << ": op " << i;
+    }
+  }
+}
+
+TEST(Scheduler, RejectsTheProfileOfAnotherProgram) {
+  const ContextScheduler scheduler;
+  const arch::Architecture base = arch::base_architecture();
+  const PlacedProgram hydro = place(kernels::find_workload("Hydro"));
+  const PlacedProgram iccg = place(kernels::find_workload("ICCG"));
+  const TimingProfile hydro_profile(hydro);
+  EXPECT_TRUE(hydro_profile.built_from(hydro));
+  EXPECT_FALSE(hydro_profile.built_from(iccg));
+  EXPECT_THROW(scheduler.schedule(iccg, hydro_profile, base),
+               InvalidArgumentError);
+
+  // A copy is the same program; appending an op makes it another one.
+  PlacedProgram copy = hydro;
+  EXPECT_EQ(scheduler.schedule(copy, hydro_profile, base).length(),
+            scheduler.schedule(hydro, base).length());
+  ProgramOp extra;
+  extra.kind = ir::OpKind::kConst;
+  extra.priority = std::numeric_limits<std::int64_t>::max();
+  copy.add(extra);
+  EXPECT_THROW(scheduler.schedule(copy, hydro_profile, base),
+               InvalidArgumentError);
+
+  // An identical program placed again is still another program.
+  EXPECT_THROW(scheduler.schedule(place(kernels::find_workload("Hydro")),
+                                  hydro_profile, base),
+               InvalidArgumentError);
 }
 
 TEST(SchedulerReference, CatalogueMatchesOnTheNineDesigns) {

@@ -159,6 +159,24 @@ TEST(Logging, SinkReceivesAboveThreshold) {
   EXPECT_EQ(seen[0], "visible 42");
 }
 
+TEST(Logging, DisabledLineEvaluatesNothing) {
+  int calls = 0;
+  const auto counted = [&calls] { return ++calls; };
+  std::vector<std::string> seen;
+  auto prev = util::set_log_sink(
+      [&](util::LogLevel, const std::string& m) { seen.push_back(m); });
+  ASSERT_EQ(util::log_threshold(), util::LogLevel::kWarning);  // the default
+  RSP_LOG(kInfo) << counted();
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(seen.empty());
+  util::set_log_threshold(util::LogLevel::kDebug);
+  RSP_LOG(kInfo) << counted();
+  util::set_log_sink(prev);
+  util::set_log_threshold(util::LogLevel::kWarning);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seen, std::vector<std::string>{"1"});
+}
+
 // ------------------------------------------------------------------- hash
 TEST(Hash, Fnv1aMatchesReferenceVectors) {
   // Published FNV-1a 64-bit test vectors.
