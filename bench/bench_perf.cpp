@@ -5,9 +5,13 @@
 // (dse::prepare_kernel), scheduling per architecture
 // class, exact measurement and its per-kernel timing profile, legality
 // checking and the full lint, the schedule grid `map` renders, cycle
-// simulation, and the fast performance estimate that makes the exploration
-// loop cheap.
+// simulation, the fast performance estimate that makes the exploration
+// loop cheap, and a warm hit on the memo tables the Service answers from.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
@@ -16,6 +20,7 @@
 #include "dse/explorer.hpp"
 #include "ir/unroll.hpp"
 #include "kernels/registry.hpp"
+#include "runtime/striped_cache.hpp"
 #include "sched/mapper.hpp"
 #include "sched/pretty.hpp"
 #include "sched/scheduler.hpp"
@@ -220,6 +225,36 @@ void BM_ProfileEstimate(benchmark::State& state) {
   state.SetLabel(w.name);
 }
 BENCHMARK(BM_ProfileEstimate)->DenseRange(0, 8);
+
+// Warm get_or_compute hits on a 256-key memo table striped over range(0)
+// shards, from one and from four threads: the lock contention that
+// api::Service's 16 stripes per table avoid.
+void BM_MemoHit(benchmark::State& state) {
+  using Memo = runtime::StripedMemoCache<std::shared_ptr<const int>>;
+  static const std::vector<std::string> keys = [] {
+    std::vector<std::string> k;
+    for (int i = 0; i < 256; ++i)
+      k.push_back("gen:" + std::to_string(i) + "|RSP#4");
+    return k;
+  }();
+  static std::unique_ptr<Memo> memo;
+  if (state.thread_index() == 0) {
+    memo = std::make_unique<Memo>(static_cast<std::size_t>(state.range(0)));
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      memo->insert(keys[i], std::make_shared<const int>(static_cast<int>(i)));
+  }
+  std::size_t next = static_cast<std::size_t>(state.thread_index()) * 64;
+  for (auto _ : state) {
+    auto hit = memo->get_or_compute(keys[next++ % keys.size()], [] {
+      return std::shared_ptr<const int>();
+    });
+    benchmark::DoNotOptimize(hit);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(state.range(0)) + " shards");
+  if (state.thread_index() == 0) memo.reset();
+}
+BENCHMARK(BM_MemoHit)->Arg(1)->Arg(16)->Threads(1)->Threads(4)->UseRealTime();
 
 }  // namespace
 

@@ -257,8 +257,9 @@ struct ServiceOptions {
   int threads = 0;
   /// Request-level concurrency (dispatch-pool threads); 0 = hardware count.
   int max_inflight = 0;
-  /// Capacity bound applied to each memo table (segmented-LRU eviction);
-  /// 0 = unbounded.
+  /// Capacity bound applied to each memo table: 16 stripes of at most
+  /// ceil(cache_max_entries / 16) entries, each evicting its least recently
+  /// used entry; 0 = unbounded.
   std::size_t cache_max_entries = 0;
 };
 

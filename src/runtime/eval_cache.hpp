@@ -10,8 +10,8 @@
 // full key string is stored and compared, so the shard-picking hash adds
 // no further collision risk.
 //
-// The concurrency machinery — shard striping and the bounded-capacity
-// segmented-LRU eviction — lives in runtime/striped_cache.hpp and is
+// The concurrency machinery — shard striping and each shard's
+// least-recently-used eviction — lives in runtime/striped_cache.hpp and is
 // shared with api::Service's other memo tables; this class adds the
 // key/fingerprint composition and the persistence format. It holds no
 // locks of its own, so the thread-safety annotations
@@ -46,8 +46,9 @@ struct EvalRecord {
 
 class EvalCache {
  public:
-  /// `max_entries` bounds the table (segmented-LRU eviction, enforced per
-  /// shard as ceil(max_entries / shards)); 0 keeps it unbounded.
+  /// `max_entries` bounds the table: each of the `shards` stripes holds at
+  /// most ceil(max_entries / shards) entries and evicts its least recently
+  /// used one. 0 keeps it unbounded.
   explicit EvalCache(std::size_t shards = 16, std::size_t max_entries = 0)
       : cache_(shards, max_entries) {}
 
@@ -124,8 +125,6 @@ class EvalCache {
   std::size_t deserialize(const util::Json& doc);
 
   CacheStats stats() const { return cache_.stats(); }
-  std::size_t shard_count() const { return cache_.shard_count(); }
-  std::size_t max_entries() const { return cache_.max_entries(); }
 
  private:
   StripedMemoCache<EvalRecord> cache_;

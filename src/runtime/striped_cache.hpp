@@ -1,19 +1,25 @@
-// Striped memo table with bounded capacity and segmented-LRU eviction.
+// Striped memo table with bounded capacity and least-recently-used eviction.
 //
 // StripedMemoCache<Value> is the concurrency core shared by the memo
 // tables (EvalCache for (kernel, architecture) measurements, and
 // api::Service's per-kernel and per-pair memos): a string-keyed table
 // striped over independently locked shards so worker threads rarely
 // contend, with hit/miss/eviction counters feeding the runtime reports.
+// The stripes pay for themselves. On a shared 4-vCPU container, a
+// one-lock-per-table variant of the Service used more CPU per perfbench
+// serve_mix request in 4 of 4 alternating 20 s pairs (median 0.127 ->
+// 0.134 ms) and finished fewer requests in each (411k -> 187k in 20 s at
+// seed 11); there, BM_MemoHit (bench/bench_perf.cpp) reads 2.0-2.3M warm
+// hits/s from four threads on one shard against 4.8-6.3M/s on 16.
 //
 // Capacity is bounded per shard (ceil(max_entries / shards); 0 keeps the
-// table unbounded) and enforced with a *segmented* LRU: new keys enter a
-// probationary segment and are promoted to a protected segment on their
-// first hit, so a scan of one-shot keys (a sweep over a huge design grid)
-// cannot flush the repeatedly-hit entries a serving process lives off.
-// Victims come from the probation tail first; the protected segment is
-// capped at ~80% of the shard so promotion pressure demotes its tail back
-// to probation instead of pinning the whole shard.
+// table unbounded). Each shard keeps its entries in one list, least
+// recently used first, with a hash index into it: an insert or an
+// overwrite puts its entry at the most recent end, and so does a hit in a
+// bounded table (an unbounded one needs no recency, so its concurrent hits
+// write no shared list node). An insert that takes the shard past its
+// capacity drops the entry at the least recent end; a new key is the most
+// recent entry, so it is never its own victim.
 //
 // get_or_compute runs the compute outside any shard lock (computes
 // reschedule kernels — far too slow to serialize) and publishes its result
@@ -25,9 +31,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -52,88 +60,6 @@ struct CacheStats {
   }
 };
 
-/// Recency bookkeeping for one shard (externally guarded by the shard
-/// mutex). Tracks exactly the shard's resident keys, split into the
-/// probation and protected segments described above; both lists keep their
-/// most-recently-used key at the front.
-class SegmentedLru {
- public:
-  /// Registers a new resident key as the probation MRU (refreshes in place
-  /// when the key is already tracked — an insert-overwrite).
-  void admit(const std::string& key) {
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      refresh(it->second);
-      return;
-    }
-    probation_.push_front(key);
-    index_.emplace(key, Pos{Segment::kProbation, probation_.begin()});
-  }
-
-  /// Records a hit: probation keys are promoted to the protected MRU slot,
-  /// protected keys move back to it. When promotion pushes the protected
-  /// segment past `protected_capacity`, its LRU tail is demoted to the
-  /// probation MRU slot (not evicted — it keeps one more chance).
-  void touch(const std::string& key, std::size_t protected_capacity) {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return;  // not resident
-    protected_.splice(protected_.begin(),
-                      it->second.segment == Segment::kProbation ? probation_
-                                                                : protected_,
-                      it->second.it);
-    it->second = Pos{Segment::kProtected, protected_.begin()};
-    while (protected_capacity > 0 && protected_.size() > protected_capacity) {
-      probation_.splice(probation_.begin(), protected_,
-                        std::prev(protected_.end()));
-      index_[probation_.front()] = Pos{Segment::kProbation,
-                                       probation_.begin()};
-    }
-  }
-
-  bool empty() const { return index_.empty(); }
-
-  /// Removes and returns the eviction victim: the probation LRU tail when
-  /// one exists, the protected LRU tail otherwise — except that `exclude`
-  /// (the key whose admission triggered the eviction) is never chosen
-  /// while another candidate exists. Without the exception, a shard whose
-  /// protected segment fills its whole capacity would evict every new key
-  /// the moment it is inserted and pin the protected entries forever.
-  /// Precondition: !empty().
-  std::string pop_victim(const std::string& exclude) {
-    std::list<std::string>& from =
-        probation_.empty() ||
-                (probation_.size() == 1 && probation_.front() == exclude &&
-                 !protected_.empty())
-            ? protected_
-            : probation_;
-    std::string key = std::move(from.back());
-    from.pop_back();
-    index_.erase(key);
-    return key;
-  }
-
- private:
-  enum class Segment { kProbation, kProtected };
-  struct Pos {
-    Segment segment;
-    std::list<std::string>::iterator it;
-  };
-
-  std::list<std::string>& segment_list(Segment s) {
-    return s == Segment::kProbation ? probation_ : protected_;
-  }
-
-  void refresh(Pos& pos) {
-    std::list<std::string>& list = segment_list(pos.segment);
-    list.splice(list.begin(), list, pos.it);
-    pos.it = list.begin();
-  }
-
-  std::list<std::string> probation_;
-  std::list<std::string> protected_;
-  std::unordered_map<std::string, Pos> index_;
-};
-
 template <typename Value>
 class StripedMemoCache {
  public:
@@ -142,11 +68,8 @@ class StripedMemoCache {
       : max_entries_(max_entries), shards_(shards) {
     if (shards == 0)
       throw InvalidArgumentError("memo cache requires at least one shard");
-    if (max_entries > 0) {
+    if (max_entries > 0)
       shard_capacity_ = (max_entries + shards - 1) / shards;  // ceil
-      protected_capacity_ =
-          shard_capacity_ > 1 ? (shard_capacity_ * 4) / 5 : 1;
-    }
   }
 
   StripedMemoCache(const StripedMemoCache&) = delete;
@@ -155,23 +78,33 @@ class StripedMemoCache {
   std::optional<Value> lookup(const std::string& key) const {
     const Shard& shard = shard_for(key);
     const util::MutexLock lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
+    const auto it = shard.index.find(key);
+    if (it == shard.index.end()) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (shard_capacity_ > 0) shard.lru.touch(key, protected_capacity_);
-    return it->second;
+    if (shard_capacity_ > 0)
+      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
+    return it->second->second;
   }
 
   void insert(const std::string& key, const Value& value) {
     Shard& shard = shard_for(key);
     const util::MutexLock lock(shard.mutex);
-    shard.map.insert_or_assign(key, value);  // last writer wins
-    if (shard_capacity_ > 0) {
-      shard.lru.admit(key);
-      evict_overflow(shard, key);
+    const auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      it->second->second = value;  // last writer wins
+      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
+      return;
+    }
+    shard.entries.emplace_back(key, value);
+    shard.index.emplace(shard.entries.back().first,
+                        std::prev(shard.entries.end()));
+    if (shard_capacity_ > 0 && shard.entries.size() > shard_capacity_) {
+      shard.index.erase(shard.entries.front().first);
+      shard.entries.pop_front();
+      evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -185,13 +118,16 @@ class StripedMemoCache {
     return value;
   }
 
+  /// Each shard's entries in list order (least recently used first in a
+  /// bounded table), so inserting them in order into a table of the same
+  /// shape restores every shard's recency.
   /// Consistent per entry, not across concurrent writers (shards are locked
   /// one at a time) — callers wanting an exact image quiesce the pool first.
   std::vector<std::pair<std::string, Value>> snapshot() const {
     std::vector<std::pair<std::string, Value>> out;
     for (const Shard& shard : shards_) {
       const util::MutexLock lock(shard.mutex);
-      for (const auto& [key, value] : shard.map) out.emplace_back(key, value);
+      out.insert(out.end(), shard.entries.begin(), shard.entries.end());
     }
     return out;
   }
@@ -204,21 +140,23 @@ class StripedMemoCache {
     s.max_entries = max_entries_;
     for (const Shard& shard : shards_) {
       const util::MutexLock lock(shard.mutex);
-      s.entries += shard.map.size();
+      s.entries += shard.entries.size();
     }
     return s;
   }
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t max_entries() const { return max_entries_; }
-
  private:
+  using Entries = std::list<std::pair<std::string, Value>>;
+
   struct Shard {
     mutable util::Mutex mutex;
-    std::unordered_map<std::string, Value> map RSP_GUARDED_BY(mutex);
-    /// Recency over the resident keys; mutable because a lookup hit is a
-    /// (mutex-guarded) recency update on a logically-const table.
-    mutable SegmentedLru lru RSP_GUARDED_BY(mutex);
+    /// Resident entries, least recent first; mutable because a lookup hit
+    /// in a bounded table is a (mutex-guarded) recency update on a
+    /// logically-const table.
+    mutable Entries entries RSP_GUARDED_BY(mutex);
+    /// Each entry's list node, keyed by a view of the key the node holds.
+    std::unordered_map<std::string_view, typename Entries::iterator> index
+        RSP_GUARDED_BY(mutex);
   };
 
   // mix64 on top of FNV-1a: near-identical keys (consecutive parameter
@@ -230,21 +168,8 @@ class StripedMemoCache {
     return shards_[util::mix64(util::fnv1a(key)) % shards_.size()];
   }
 
-  // Under the shard lock: evict until the shard is back within capacity,
-  // never choosing `admitted` (the key that triggered the overflow) while
-  // another entry exists.
-  void evict_overflow(Shard& shard, const std::string& admitted)
-      RSP_REQUIRES(shard.mutex) {
-    while (shard_capacity_ > 0 && shard.map.size() > shard_capacity_ &&
-           !shard.lru.empty()) {
-      shard.map.erase(shard.lru.pop_victim(admitted));
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   std::size_t max_entries_ = 0;
-  std::size_t shard_capacity_ = 0;      ///< per shard; 0 = unbounded
-  std::size_t protected_capacity_ = 0;  ///< per shard; 0 = unbounded
+  std::size_t shard_capacity_ = 0;  ///< per shard; 0 = unbounded
   std::vector<Shard> shards_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};

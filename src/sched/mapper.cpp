@@ -242,7 +242,6 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
     }
   }
 
-  program.validate();
   return program;
 }
 

@@ -29,7 +29,9 @@ class LoopPipeliner {
   /// Maps the kernel. Throws InfeasibleError when the hints do not fit the
   /// array (too many lanes/columns) and InvalidArgumentError when a
   /// loop-carried dependence cannot be routed under the given hints
-  /// (distance not compatible with the wave layout).
+  /// (distance not compatible with the wave layout). The program's full
+  /// structural check (PlacedProgram::validate) runs once, in the
+  /// TimingProfile every scheduling path builds from it.
   PlacedProgram map(const ir::LoopKernel& kernel,
                     const ir::UnrolledGraph& unrolled,
                     const MappingHints& hints,

@@ -223,14 +223,6 @@ ScheduleTiming ContextScheduler::timing(
   return out;
 }
 
-ScheduleTiming ContextScheduler::timing(
-    const PlacedProgram& program, const arch::Architecture& architecture)
-    const {
-  // An invalid target's error takes precedence over an invalid program's.
-  architecture.validate();
-  return timing(TimingProfile(program), architecture);
-}
-
 int ContextScheduler::stall_free_length(
     const TimingProfile& profile, const arch::Architecture& architecture)
     const {

@@ -140,11 +140,10 @@ class ContextScheduler {
   /// The scheduling pass: the issue cycles and units `schedule` assigns,
   /// without building the context. Every call validates `architecture`,
   /// checks that it has the profile's array geometry and aborts past
-  /// max_cycles. This is the only implementation of the pass; the
-  /// program-taking entries build a temporary profile and call it.
+  /// max_cycles. This is the only implementation of the pass;
+  /// `schedule(program, arch)`, the one entry that takes a program, builds
+  /// a temporary profile and calls it.
   ScheduleTiming timing(const TimingProfile& profile,
-                        const arch::Architecture& architecture) const;
-  ScheduleTiming timing(const PlacedProgram& program,
                         const arch::Architecture& architecture) const;
 
   /// Length of the stall-free schedule RS stalls are counted against:

@@ -23,7 +23,7 @@ constexpr std::uint64_t fnv1a(std::string_view bytes,
 }
 
 /// splitmix64 finalizer: decorrelates near-identical hash values so they
-/// spread uniformly over hash-table shards (see EvalCache::shard_for).
+/// spread uniformly over hash-table shards (see StripedMemoCache::shard_for).
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

@@ -219,7 +219,8 @@ TEST(Program, MatmulPlacementMatchesFig2Discipline) {
 // ------------------------------------------------------------ golden
 // One line per mapped program of the 14 catalogue kernels and gen:1..200:
 // its EvalCache::program_tag, its op count and a checksum over the two
-// fields the tag leaves out, every op's iter and source.
+// fields the tag leaves out, every op's iter and source. Each program must
+// also pass PlacedProgram::validate, which map leaves to the timing profile.
 std::string program_golden() {
   std::vector<kernels::Workload> domain = kernels::full_catalogue();
   for (int seed = 1; seed <= 200; ++seed)
@@ -229,6 +230,7 @@ std::string program_golden() {
   for (const kernels::Workload& w : domain) {
     const PlacedProgram p =
         LoopPipeliner(w.array).map(w.kernel, w.hints, w.reduction);
+    p.validate();
     std::uint64_t h = util::kFnvOffsetBasis;
     for (ProgIndex i = 0; i < p.size(); ++i) {
       h = util::mix64(h ^ static_cast<std::uint64_t>(p.iter(i)));

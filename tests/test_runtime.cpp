@@ -349,7 +349,7 @@ TEST(EvalCache, EvictsLeastRecentlyUsedWhenBounded) {
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.stats().max_entries, 4u);
 
-  // A fifth insert evicts the least-recently-used probation key (k0).
+  // A fifth insert evicts the least recently used key (k0).
   EvalRecord r;
   r.cycles = 4;
   cache.insert("k4", r);
@@ -359,36 +359,29 @@ TEST(EvalCache, EvictsLeastRecentlyUsedWhenBounded) {
   EXPECT_TRUE(cache.lookup("k1").has_value());
 }
 
-TEST(EvalCache, SegmentedLruProtectsRepeatedlyHitKeysFromScans) {
-  EvalCache cache(1, 4);
-  EvalRecord hot;
-  hot.cycles = 99;
-  cache.insert("hot", hot);
-  ASSERT_TRUE(cache.lookup("hot").has_value());  // promoted to protected
+TEST(EvalCache, HitRefreshesRecencyWithinAShard) {
+  EvalCache cache(1, 3);
+  for (const char* key : {"a", "b", "c"}) cache.insert(key, EvalRecord{});
+  ASSERT_TRUE(cache.lookup("a").has_value());  // a is now the most recent
 
-  // A scan of one-shot keys three times the capacity churns through the
-  // probation segment but must not flush the protected entry.
-  for (int v = 0; v < 12; ++v) {
-    EvalRecord r;
-    r.cycles = v;
-    cache.insert("scan" + std::to_string(v), r);
-  }
-  EXPECT_GT(cache.stats().evictions, 0u);
-  const auto served = cache.lookup("hot");
-  ASSERT_TRUE(served.has_value());
-  EXPECT_EQ(served->cycles, 99);
+  cache.insert("d", EvalRecord{});
+  EXPECT_FALSE(cache.lookup("b").has_value());
+  for (const char* key : {"a", "c", "d"})
+    EXPECT_TRUE(cache.lookup(key).has_value()) << key;
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(EvalCache, NewKeysAreNeverTheirOwnEvictionVictim) {
   // Degenerate small shards: with capacity 1 and the sole resident entry
-  // promoted to the protected segment, an insert must evict the protected
-  // entry — not the key just admitted, which would pin the old entry
-  // forever and make the cache reject every new key.
+  // just hit, an insert must evict that entry — not the key just admitted,
+  // which would pin the old entry forever and make the cache reject every
+  // new key.
   EvalCache cache(1, 1);
   EvalRecord a;
   a.cycles = 1;
   cache.insert("a", a);
-  ASSERT_TRUE(cache.lookup("a").has_value());  // promote to protected
+  ASSERT_TRUE(cache.lookup("a").has_value());
 
   EvalRecord b;
   b.cycles = 2;

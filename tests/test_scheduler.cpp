@@ -722,10 +722,12 @@ void expect_same_error(const SchedulerOptions& options,
                        const PlacedProgram& program,
                        const arch::Architecture& architecture) {
   const ContextScheduler scheduler(options);
-  EXPECT_THROW(scheduler.timing(program, architecture), E);
+  EXPECT_THROW(scheduler.timing(TimingProfile(program), architecture), E);
   const std::string want = thrown_by(
       [&] { reference::schedule(options, program, architecture); });
-  EXPECT_EQ(thrown_by([&] { scheduler.timing(program, architecture); }),
+  EXPECT_EQ(thrown_by([&] {
+              scheduler.timing(TimingProfile(program), architecture);
+            }),
             want);
   EXPECT_EQ(thrown_by([&] { scheduler.schedule(program, architecture); }),
             want);
