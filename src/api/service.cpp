@@ -71,7 +71,7 @@ std::shared_ptr<const Service::ScheduledPair> Service::schedule_for(
   });
 }
 
-const kernels::Workload& Service::workload(const std::string& name) const {
+kernels::Workload Service::workload(const std::string& name) const {
   return kernels::find_in_catalogue(catalogue_, name);
 }
 
@@ -100,7 +100,7 @@ ListResponse Service::list(const ListRequest&) const {
 }
 
 EvalResponse Service::eval(const EvalRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
+  const kernels::Workload w = workload(request.kernel);
   const std::shared_ptr<const KernelRecord> record = kernel_record(w);
   EvalResponse resp;
   resp.kernel = w.name;
@@ -199,7 +199,7 @@ LintResponse Service::lint(const LintRequest& request) const {
 }
 
 MapResponse Service::map(const MapRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
+  const kernels::Workload w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
   const std::shared_ptr<const ScheduledPair> pair = schedule_for(w, a);
@@ -240,14 +240,14 @@ SimulateResponse Service::simulate_pair(const kernels::Workload& w,
 }
 
 SimulateResponse Service::simulate(const SimulateRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
+  const kernels::Workload w = workload(request.kernel);
   return simulate_pair(w,
                        architecture(request.arch, w.array.rows, w.array.cols));
 }
 
 SimulateBatchResponse Service::simulate_batch(
     const SimulateBatchRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
+  const kernels::Workload w = workload(request.kernel);
   std::vector<arch::Architecture> archs;
   if (request.archs.empty()) {
     archs = arch::standard_suite(w.array.rows, w.array.cols);
@@ -283,7 +283,7 @@ RtlResponse Service::rtl(const RtlRequest& request) const {
 }
 
 DotResponse Service::dot(const DotRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
+  const kernels::Workload w = workload(request.kernel);
   DotResponse resp;
   resp.kernel = w.name;
   resp.dot = ir::to_dot(w.kernel);
@@ -291,7 +291,7 @@ DotResponse Service::dot(const DotRequest& request) const {
 }
 
 VcdResponse Service::vcd(const VcdRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
+  const kernels::Workload w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
   // Shares the memoized run with `simulate`: the simulate+vcd pair on the
@@ -305,7 +305,7 @@ VcdResponse Service::vcd(const VcdRequest& request) const {
 }
 
 BitstreamResponse Service::bitstream(const BitstreamRequest& request) const {
-  const kernels::Workload& w = workload(request.kernel);
+  const kernels::Workload w = workload(request.kernel);
   const arch::Architecture a =
       architecture(request.arch, w.array.rows, w.array.cols);
   const arch::ConfigCache config = schedule_for(w, a)->context.encode();

@@ -317,7 +317,10 @@ class Service {
   }
 
  private:
-  const kernels::Workload& workload(const std::string& name) const;
+  /// The workload `name` denotes: a copy of its catalogue entry, or a
+  /// `gen:<seed>` kernel built for this request. Each request holds its
+  /// own; only the memo tables outlive it.
+  kernels::Workload workload(const std::string& name) const;
   arch::Architecture architecture(const std::string& name, int rows,
                                   int cols) const;
 
@@ -383,8 +386,10 @@ class Service {
   // catalogue those tasks read, so it is declared after them.
   //
   // The kernel and pair memos key by catalogue name, which is sound only
-  // because one name pins one workload (kernels::find_in_catalogue always
-  // builds a `gen:` name with the default generator config).
+  // because one name pins one workload (kernels::find_in_catalogue builds a
+  // `gen:` name afresh per request, always with the default generator
+  // config). Besides the fixed catalogue, these tables are all the Service
+  // keeps between requests, so their bounds bound its memory.
   /// Measurements per (program, architecture); `cache_save` and
   /// `cache_load` persist this table.
   mutable runtime::EvalCache evals_;

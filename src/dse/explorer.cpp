@@ -8,7 +8,6 @@
 #include "core/evaluator.hpp"
 #include "dse/pareto.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace rsp::dse {
 
@@ -230,9 +229,6 @@ ExplorationResult Explorer::explore(
   for (Candidate& cand : result.candidates) {
     if (!cand.pareto) continue;
     evaluate_exact(cand, kernels.size(), measure ? measure : measure_directly);
-    RSP_LOG(kInfo) << "pareto point " << cand.point.label() << ": area "
-                   << cand.area_synthesized << " slices, time "
-                   << cand.exact_time_ns << " ns";
   }
 
   // Step 6: select the optimum.

@@ -1,8 +1,5 @@
 #include "kernels/registry.hpp"
 
-#include <map>
-#include <mutex>
-
 #include "gen/generator.hpp"
 #include "kernels/dsp.hpp"
 #include "kernels/h264.hpp"
@@ -21,24 +18,6 @@ std::string name_list(const std::vector<Workload>& workloads) {
     names += w.name;
   }
   return names;
-}
-
-// Materialised `gen:<seed>` workloads. The cache guarantees the const-ref
-// find_in_catalogue overload hands out stable references (std::map nodes
-// never move) under concurrent Service dispatch. Always built with the
-// default GeneratorConfig, so one gen name always denotes one workload:
-// api::Service keys its memos by kernel name.
-const Workload& generated_workload(std::uint64_t seed) {
-  static std::mutex mutex;
-  static std::map<std::uint64_t, Workload> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = cache.find(seed);
-  if (it == cache.end()) {
-    gen::GeneratorConfig config;
-    config.seed = seed;
-    it = cache.emplace(seed, gen::generate_workload(config)).first;
-  }
-  return it->second;
 }
 
 }  // namespace
@@ -89,12 +68,15 @@ Workload find_in_catalogue(const std::string& name) {
   return find_in_catalogue(full_catalogue(), name);
 }
 
-const Workload& find_in_catalogue(const std::vector<Workload>& catalogue,
-                                  const std::string& name) {
+Workload find_in_catalogue(const std::vector<Workload>& catalogue,
+                           const std::string& name) {
   for (const Workload& w : catalogue)
     if (w.name == name) return w;
-  if (const std::optional<std::uint64_t> seed = gen::parse_gen_name(name))
-    return generated_workload(*seed);
+  if (const std::optional<std::uint64_t> seed = gen::parse_gen_name(name)) {
+    gen::GeneratorConfig config;
+    config.seed = *seed;
+    return gen::generate_workload(config);
+  }
   throw NotFoundError("unknown kernel '" + name + "'; available: " +
                       name_list(catalogue) +
                       ", or gen:<seed> for a generated kernel");

@@ -25,17 +25,16 @@ std::vector<Workload> full_catalogue();
 Workload find_workload(const std::string& name);
 
 /// Lookup across `full_catalogue()` plus the generated family: any
-/// `gen:<seed>` name materialises src/gen's seeded random kernel on demand
+/// `gen:<seed>` name builds src/gen's seeded random kernel on every call
 /// (always with the default GeneratorConfig, so a name pins one workload).
 /// Throws NotFoundError listing the available names.
 Workload find_in_catalogue(const std::string& name);
 
 /// Lookup in an already-built catalogue — callers resolving many names
-/// build `full_catalogue()` once instead of per lookup. `gen:<seed>` names
-/// resolve through a process-wide cache of materialised workloads (stable
-/// references, thread-safe). Throws NotFoundError listing the available
-/// names.
-const Workload& find_in_catalogue(const std::vector<Workload>& catalogue,
-                                  const std::string& name);
+/// build `full_catalogue()` once instead of per lookup. Returns a copy of
+/// the catalogue entry, or a `gen:<seed>` workload built for this call and
+/// kept nowhere. Throws NotFoundError listing the available names.
+Workload find_in_catalogue(const std::vector<Workload>& catalogue,
+                           const std::string& name);
 
 }  // namespace rsp::kernels

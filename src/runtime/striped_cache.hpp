@@ -4,7 +4,8 @@
 // tables (EvalCache for (kernel, architecture) measurements, and
 // api::Service's per-kernel and per-pair memos): a string-keyed table
 // striped over independently locked shards so worker threads rarely
-// contend, with hit/miss/eviction counters feeding the runtime reports.
+// contend, with per-shard hit/miss/eviction counters (summed by `stats`)
+// feeding the runtime reports.
 // The stripes pay for themselves. On a shared 4-vCPU container, a
 // one-lock-per-table variant of the Service used more CPU per perfbench
 // serve_mix request in 4 of 4 alternating 20 s pairs (median 0.127 ->
@@ -28,7 +29,6 @@
 // the same key insert identical values and the race is benign.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -80,10 +80,10 @@ class StripedMemoCache {
     const util::MutexLock lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.misses;
       return std::nullopt;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.hits;
     if (shard_capacity_ > 0)
       shard.entries.splice(shard.entries.end(), shard.entries, it->second);
     return it->second->second;
@@ -104,7 +104,7 @@ class StripedMemoCache {
     if (shard_capacity_ > 0 && shard.entries.size() > shard_capacity_) {
       shard.index.erase(shard.entries.front().first);
       shard.entries.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.evictions;
     }
   }
 
@@ -134,12 +134,12 @@ class StripedMemoCache {
 
   CacheStats stats() const {
     CacheStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
     s.max_entries = max_entries_;
     for (const Shard& shard : shards_) {
       const util::MutexLock lock(shard.mutex);
+      s.hits += shard.hits;
+      s.misses += shard.misses;
+      s.evictions += shard.evictions;
       s.entries += shard.entries.size();
     }
     return s;
@@ -157,6 +157,11 @@ class StripedMemoCache {
     /// Each entry's list node, keyed by a view of the key the node holds.
     std::unordered_map<std::string_view, typename Entries::iterator> index
         RSP_GUARDED_BY(mutex);
+    /// This shard's counters, written under the lock a lookup or insert
+    /// already holds, so threads on different shards share no counter.
+    mutable std::uint64_t hits RSP_GUARDED_BY(mutex) = 0;
+    mutable std::uint64_t misses RSP_GUARDED_BY(mutex) = 0;
+    std::uint64_t evictions RSP_GUARDED_BY(mutex) = 0;
   };
 
   // mix64 on top of FNV-1a: near-identical keys (consecutive parameter
@@ -171,9 +176,6 @@ class StripedMemoCache {
   std::size_t max_entries_ = 0;
   std::size_t shard_capacity_ = 0;  ///< per shard; 0 = unbounded
   std::vector<Shard> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
 };
 
 }  // namespace rsp::runtime

@@ -73,7 +73,7 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
     }
   }
 
-  // ------------------------------------- activity list (CSR over cycles)
+  // ------------------------------------------------------- activity list
   // Issue order: ascending cycle, then ascending op index within a cycle.
   std::vector<std::vector<std::int64_t>> by_cycle(
       static_cast<std::size_t>(std::max(total_cycles, 1)));
@@ -82,14 +82,11 @@ SimProgram SimProgram::compile(const sched::ConfigurationContext& context) {
         static_cast<std::int64_t>(i));
 
   p.issue_order_.reserve(n);
-  p.issue_offsets_.push_back(0);
   for (int t = 0; t < total_cycles; ++t) {
     const auto& issues = by_cycle[static_cast<std::size_t>(t)];
     if (issues.empty()) continue;
-    p.active_cycles_.push_back(t);
+    ++p.active_cycle_count_;
     p.issue_order_.insert(p.issue_order_.end(), issues.begin(), issues.end());
-    p.issue_offsets_.push_back(
-        static_cast<std::int64_t>(p.issue_order_.size()));
   }
 
   // --------------------------------------------- schedule-static stats

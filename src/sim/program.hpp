@@ -7,9 +7,9 @@
 //   * op records are flattened into parallel vectors (kind, two operand
 //     slots, immediate, interned array id + address) — integer ids
 //     everywhere, no per-cycle string keys;
-//   * the per-cycle issue lists become one CSR table over the *active*
-//     cycles only (`active_cycles_` / `issue_offsets_` / `issue_order_`),
-//     so idle cycles cost nothing at run time;
+//   * the per-cycle issue lists become one flat list of op indices in
+//     issue order (`issue_order_`), so idle cycles cost nothing at run
+//     time;
 //   * every structural-legality check (PE exclusivity, bus budgets,
 //     shared-unit arbitration, operand readiness) is replayed once at
 //     compile time, by analysis::verify_structural, in issue order
@@ -53,9 +53,7 @@ class SimProgram {
   }
   int total_cycles() const { return total_cycles_; }
   /// Cycles with at least one scheduled issue — the engine's work set.
-  std::int64_t active_cycle_count() const {
-    return static_cast<std::int64_t>(active_cycles_.size());
-  }
+  std::int64_t active_cycle_count() const { return active_cycle_count_; }
   /// Schedule-static utilisation counters (identical to what a run reports).
   const UtilizationStats& static_stats() const { return stats_; }
 
@@ -74,13 +72,11 @@ class SimProgram {
   std::vector<std::int64_t> address_;
   std::vector<std::string> array_names_;  // interned, indexed by array_id_
 
-  // Activity list: op indices in issue order (issue cycle, then
-  // op index), grouped per active cycle by the CSR offsets.
+  // Activity list: op indices in issue order (issue cycle, then op index).
   std::vector<std::int64_t> issue_order_;
-  std::vector<std::int32_t> active_cycles_;
-  std::vector<std::int64_t> issue_offsets_;  // size active_cycles_.size()+1
 
   int total_cycles_ = 0;
+  std::int64_t active_cycle_count_ = 0;
   UtilizationStats stats_;
 };
 

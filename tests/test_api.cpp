@@ -497,6 +497,20 @@ TEST(Service, CacheStatsTracksSharedCacheActivity) {
   EXPECT_FALSE(body.at("sim").contains("invalidations")) << body.dump();
 }
 
+TEST(Service, RepeatedGenEvalAnswersFromOneMapping) {
+  // Each request builds its own gen:9 workload; the second eval still finds
+  // the first one's step-1 record under the kernel name.
+  const Service service(small_options(1));
+  const std::string first = service.handle(EvalRequest{"gen:9"}).dump();
+  const std::string second = service.handle(EvalRequest{"gen:9"}).dump();
+  EXPECT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+  EXPECT_EQ(second, first);
+  const CacheStatsResponse stats = service.cache_stats({});
+  EXPECT_EQ(stats.mapping_stats.misses, 1u);
+  EXPECT_EQ(stats.mapping_stats.hits, 1u);
+  EXPECT_EQ(stats.mapping_stats.entries, 1u);
+}
+
 // ------------------------------------------------------- cache persistence
 
 TEST(Service, CacheSaveLoadRoundTripServesWarm) {

@@ -1,6 +1,6 @@
 // src/gen: the seeded random-kernel generator and the differential fuzzing
 // harness. Suites prefixed Gen* — GenCatalogue and GenFuzz also run under
-// the tsan preset (generated-name resolution is hit from concurrent Service
+// the tsan preset (generated names are resolved from concurrent Service
 // dispatch threads).
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include "gen/generator.hpp"
 #include "ir/builder.hpp"
 #include "kernels/registry.hpp"
+#include "runtime/eval_cache.hpp"
+#include "sched/mapper.hpp"
 #include "util/error.hpp"
 
 namespace rsp {
@@ -172,12 +174,29 @@ TEST(GenCatalogue, FindInCatalogueResolvesGenNames) {
             gen::generate_workload(config).kernel.body().size());
 }
 
-TEST(GenCatalogue, ConstRefOverloadReturnsStableReferences) {
+TEST(GenCatalogue, NameAlwaysDenotesOneWorkload) {
+  // Each resolution builds the workload afresh; the Service's name-keyed
+  // memos rely on every build being the same kernel and data.
   const std::vector<kernels::Workload> catalogue;
-  const kernels::Workload& a = kernels::find_in_catalogue(catalogue, "gen:5");
-  const kernels::Workload& b = kernels::find_in_catalogue(catalogue, "gen:5");
-  EXPECT_EQ(&a, &b);  // one materialisation, process-wide cache
+  const kernels::Workload a = kernels::find_in_catalogue(catalogue, "gen:5");
+  const kernels::Workload b = kernels::find_in_catalogue(catalogue, "gen:5");
   EXPECT_EQ(a.name, "gen:5");
+  EXPECT_EQ(b.name, "gen:5");
+  const auto tag = [](const kernels::Workload& w) {
+    return runtime::EvalCache::program_tag(
+        sched::LoopPipeliner(w.array).map(w.kernel, w.hints, w.reduction));
+  };
+  EXPECT_EQ(tag(a), tag(b));
+
+  ir::Memory setup_a, setup_b;
+  a.setup(setup_a);
+  b.setup(setup_b);
+  EXPECT_TRUE(setup_a == setup_b);
+  ir::Memory golden_a = setup_a, golden_b = setup_b;
+  a.golden(golden_a);
+  b.golden(golden_b);
+  EXPECT_TRUE(golden_a == golden_b);
+  EXPECT_FALSE(golden_a == setup_a);  // the golden model writes something
 }
 
 TEST(GenCatalogue, NotFoundListsCatalogueAndGenForm) {
@@ -221,8 +240,8 @@ TEST(GenCatalogue, ServiceServesGeneratedKernels) {
 
   EXPECT_TRUE(service.simulate({"gen:9", "Base"}).matches_golden);
 
-  // Concurrent dispatch resolves the same gen name from several threads —
-  // the registry cache must hand every thread the same stable workload.
+  // Concurrent dispatch resolves the same gen name from several threads,
+  // each building its own workload, and races them on the shared memos.
   std::vector<std::future<util::Json>> futures;
   for (int i = 0; i < 8; ++i)
     futures.push_back(service.submit(api::SimulateRequest{"gen:11", "RS#2"}));

@@ -1,6 +1,5 @@
-// The evaluation runtime: thread pool semantics, memo-cache correctness,
-// one compiled simulation shared across threads, and thread-safe logging
-// under concurrency.
+// The evaluation runtime: thread pool semantics, memo-cache correctness and
+// one compiled simulation shared across threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
@@ -26,7 +24,6 @@
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace rsp::runtime {
 namespace {
@@ -546,42 +543,6 @@ TEST(ThreadPool, SharesOneCompiledSimProgramAcrossThreads) {
     const auto [result, memory] = futures[i].get();
     EXPECT_TRUE(result == expected) << "job " << i;
     EXPECT_TRUE(memory == serial) << "job " << i;
-  }
-}
-
-// -------------------------------------------------- thread-safe logging
-TEST(LoggingThreads, ConcurrentEmissionIsSerializedAndLossless) {
-  std::mutex sink_mutex;
-  std::vector<std::string> lines;
-  const util::LogLevel previous_threshold = util::log_threshold();
-  util::set_log_threshold(util::LogLevel::kDebug);
-  util::LogSink previous = util::set_log_sink(
-      [&](util::LogLevel, const std::string& message) {
-        const std::lock_guard<std::mutex> lock(sink_mutex);
-        lines.push_back(message);
-      });
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 200;
-  {
-    ThreadPool pool(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-      pool.submit([t] {
-        for (int i = 0; i < kPerThread; ++i)
-          RSP_LOG(kDebug) << "thread " << t << " message " << i;
-      });
-  }
-
-  util::set_log_sink(std::move(previous));
-  util::set_log_threshold(previous_threshold);
-
-  ASSERT_EQ(lines.size(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
-  // Records must arrive whole: every line matches the emitted shape, with
-  // no interleaving of the two stream insertions.
-  for (const std::string& line : lines) {
-    EXPECT_EQ(line.rfind("thread ", 0), 0u) << line;
-    EXPECT_NE(line.find(" message "), std::string::npos) << line;
   }
 }
 

@@ -5,7 +5,6 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -143,38 +142,6 @@ TEST(Error, HierarchyIsCatchable) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("too big"), std::string::npos);
   }
-}
-
-// ---------------------------------------------------------------- logging
-TEST(Logging, SinkReceivesAboveThreshold) {
-  std::vector<std::string> seen;
-  auto prev = util::set_log_sink(
-      [&](util::LogLevel, const std::string& m) { seen.push_back(m); });
-  util::set_log_threshold(util::LogLevel::kInfo);
-  RSP_LOG(kDebug) << "hidden";
-  RSP_LOG(kInfo) << "visible " << 42;
-  util::set_log_sink(prev);
-  util::set_log_threshold(util::LogLevel::kWarning);
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], "visible 42");
-}
-
-TEST(Logging, DisabledLineEvaluatesNothing) {
-  int calls = 0;
-  const auto counted = [&calls] { return ++calls; };
-  std::vector<std::string> seen;
-  auto prev = util::set_log_sink(
-      [&](util::LogLevel, const std::string& m) { seen.push_back(m); });
-  ASSERT_EQ(util::log_threshold(), util::LogLevel::kWarning);  // the default
-  RSP_LOG(kInfo) << counted();
-  EXPECT_EQ(calls, 0);
-  EXPECT_TRUE(seen.empty());
-  util::set_log_threshold(util::LogLevel::kDebug);
-  RSP_LOG(kInfo) << counted();
-  util::set_log_sink(prev);
-  util::set_log_threshold(util::LogLevel::kWarning);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(seen, std::vector<std::string>{"1"});
 }
 
 // ------------------------------------------------------------------- hash
