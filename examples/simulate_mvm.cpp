@@ -43,9 +43,7 @@ int main() {
 
   std::cout << "Schedule on " << a.name << " (" << ctx.length()
             << " cycles):\n";
-  sched::PrettyOptions opt;
-  opt.max_cycles = 24;
-  std::cout << render_schedule(ctx, opt) << "\n";
+  std::cout << render_schedule(ctx) << "\n";
 
   const arch::ConfigCache cache = ctx.encode();
   std::cout << "Configuration cache: " << cache.summary() << ", "

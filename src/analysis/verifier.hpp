@@ -33,7 +33,7 @@
 namespace rsp::analysis {
 
 /// Latest cycle an op may end at (issue cycle + latency): twice the
-/// scheduler's default `max_cycles` issue bound (2^20), so no toolchain
+/// scheduler's issue bound sched::kMaxIssueCycle (2^20), so no toolchain
 /// schedule reaches it. A later op is an RSP-V008 error and stays out of
 /// the length and the structural replay, which allocates per cycle.
 inline constexpr std::int64_t kMaxScheduleLength = std::int64_t{1} << 21;

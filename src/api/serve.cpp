@@ -1,17 +1,13 @@
 #include "api/serve.hpp"
 
 #include <atomic>
-#include <chrono>
-#include <deque>
-#include <future>
+#include <condition_variable>
 #include <istream>
 #include <limits>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "api/protocol.hpp"
 #include "util/error.hpp"
@@ -19,36 +15,6 @@
 namespace rsp::api {
 
 namespace {
-
-/// In-flight futures above this size trigger a sweep of completed ones, so
-/// an endless stream does not accumulate one future per request forever.
-constexpr std::size_t kPruneThreshold = 64;
-
-/// Duplicate-id tracker over a sliding window of accepted ids: constant
-/// space for any stream lifetime. Only *accepted* ids enter the window —
-/// a rejected duplicate must not evict (and thereby re-admit) the id it
-/// collided with.
-class SeenIdWindow {
- public:
-  explicit SeenIdWindow(std::size_t window) : window_(window) {}
-
-  /// True when `id` was accepted (not seen within the window).
-  bool insert(const std::string& id) {
-    if (!seen_.insert(id).second) return false;
-    if (window_ == 0) return true;  // unbounded
-    order_.push_back(id);
-    if (order_.size() > window_) {
-      seen_.erase(order_.front());
-      order_.pop_front();
-    }
-    return true;
-  }
-
- private:
-  std::size_t window_;
-  std::unordered_set<std::string> seen_;
-  std::deque<std::string> order_;
-};
 
 enum class LineRead { kLine, kTooLong, kEnd };
 
@@ -90,16 +56,25 @@ LineRead read_request_line(std::istream& in, std::string& line) {
 
 }  // namespace
 
-ServeResult serve(Service& service, std::istream& in, std::ostream& out,
-                  const ServeOptions& options) {
+ServeResult serve(Service& service, std::istream& in, std::ostream& out) {
   std::mutex out_mutex;
   std::atomic<std::size_t> errors{0};
   // Set when the output stream fails: responses are being lost, so the
   // read loop stops accepting new requests and the caller is told.
   std::atomic<bool> output_failed{false};
   std::size_t requests = 0;
-  SeenIdWindow seen_ids(options.seen_id_window);
-  std::vector<std::future<void>> inflight;
+  SeenIdWindow seen_ids;
+
+  // Requests submitted and not yet answered. Each done-callback lowers the
+  // count and signals under the lock, so once the loop has seen it reach
+  // zero no callback touches this frame again.
+  std::mutex answered_mutex;
+  std::condition_variable answered;
+  std::size_t unanswered = 0;
+  const auto wait_for_fewer_unanswered_than = [&](std::size_t limit) {
+    std::unique_lock<std::mutex> lock(answered_mutex);
+    answered.wait(lock, [&] { return unanswered < limit; });
+  };
 
   // One response per line, written whole under the lock: concurrent
   // completions may interleave *lines* in any order but never bytes.
@@ -115,17 +90,21 @@ ServeResult serve(Service& service, std::istream& in, std::ostream& out,
     errors.fetch_add(1, std::memory_order_relaxed);
     write_line(encode_v2_response(id, error_body(message)));
   };
-  // Joins a completed (or, in the final drain, still-running) task. `done`
-  // callbacks only fail on pathological conditions (bad_alloc while
-  // rendering); the response is lost either way, so account for it and
-  // keep serving.
-  const auto join = [&errors](std::future<void>& f) {
-    if (!f.valid()) return;
+  // Runs on a dispatch thread once per submitted request (Service::handle
+  // answers every request in-band). Rendering or writing only fails on
+  // pathological conditions (bad_alloc); the response is lost either way,
+  // so account for it and keep serving.
+  const auto answer = [&](const util::Json& id, util::Json body) {
     try {
-      f.get();
+      if (body.contains("ok") && !body.at("ok").as_bool())
+        errors.fetch_add(1, std::memory_order_relaxed);
+      write_line(encode_v2_response(id, std::move(body)));
     } catch (...) {
       errors.fetch_add(1, std::memory_order_relaxed);
     }
+    const std::lock_guard<std::mutex> lock(answered_mutex);
+    --unanswered;
+    answered.notify_one();
   };
 
   // One non-blank input line: parse, validate, dispatch or answer.
@@ -161,39 +140,30 @@ ServeResult serve(Service& service, std::istream& in, std::ostream& out,
       return;
     }
 
-    // Grow the vector *before* submitting: if push_back could throw after
-    // submit, the task's future would be lost and the final drain would
-    // miss it — leaving the task to outlive this frame.
-    inflight.emplace_back();
-    inflight.back() = service.submit(
-        std::move(request), [&errors, &write_line, id](util::Json body) {
-          if (body.contains("ok") && !body.at("ok").as_bool())
-            errors.fetch_add(1, std::memory_order_relaxed);
-          write_line(encode_v2_response(id, std::move(body)));
-        });
-
-    if (inflight.size() >= kPruneThreshold) {
-      std::vector<std::future<void>> still_running;
-      // Reserve up front: a push_back throwing mid-sweep would destroy the
-      // futures already moved over, abandoning tasks that reference this
-      // frame.
-      still_running.reserve(inflight.size());
-      for (std::future<void>& f : inflight) {
-        if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready)
-          join(f);
-        else
-          still_running.push_back(std::move(f));
-      }
-      inflight = std::move(still_running);
+    // Counted before submitting, so the callback never lowers the count
+    // below zero; a submit that throws queued nothing.
+    {
+      const std::lock_guard<std::mutex> lock(answered_mutex);
+      ++unanswered;
+    }
+    try {
+      service.submit(std::move(request), [&answer, id](util::Json body) {
+        answer(id, std::move(body));
+      });
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(answered_mutex);
+      --unanswered;
+      throw;
     }
   };
 
-  // In-flight done-callbacks reference this frame's locals, so no
-  // exception (bad_alloc in parse/push_back, a write failure) may unwind
-  // it while tasks are still running: drain them first, then rethrow.
+  // Done-callbacks reference this frame's locals, so no exception
+  // (bad_alloc in parse, a write failure) may unwind it while requests are
+  // unanswered: wait for them first, then rethrow.
   std::string line;
   try {
     while (!output_failed.load(std::memory_order_relaxed)) {
+      wait_for_fewer_unanswered_than(kMaxUnansweredRequests);
       const LineRead read = read_request_line(in, line);
       if (read == LineRead::kEnd) break;
       if (read == LineRead::kTooLong) {
@@ -208,12 +178,11 @@ ServeResult serve(Service& service, std::istream& in, std::ostream& out,
       serve_line(line);
     }
   } catch (...) {
-    for (std::future<void>& f : inflight)
-      if (f.valid()) f.wait();
+    wait_for_fewer_unanswered_than(1);
     throw;
   }
 
-  for (std::future<void>& f : inflight) join(f);
+  wait_for_fewer_unanswered_than(1);
   ServeResult result;
   result.requests = requests;
   result.errors = errors.load();

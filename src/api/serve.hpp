@@ -10,19 +10,25 @@
 // {"ok": false, "error": ...} response on the output stream and never
 // terminate the loop; `id` is echoed when it could be extracted and null
 // otherwise. Request ids must be unique within a sliding window of the
-// stream's most recently accepted requests (ServeOptions::seen_id_window,
-// default kDefaultSeenIdWindow): a duplicate inside the window is rejected
-// in-band, while an id older than the window may be reused — bounding
-// duplicate tracking to window-many id strings keeps a long-lived socket
-// connection from accumulating one id per request forever.
+// stream's kSeenIdWindow most recently accepted requests: a duplicate
+// inside the window is rejected in-band, while an id older than the window
+// may be reused — bounding duplicate tracking to window-many id strings
+// keeps a long-lived socket connection from accumulating one id per
+// request forever.
 //
 // A request line longer than kMaxRequestLineBytes is never held whole: it
 // is answered with an in-band error (null id), discarded through its
-// newline, and the loop keeps reading.
+// newline, and the loop keeps reading. The loop reads the next line only
+// while fewer than kMaxUnansweredRequests of the stream's requests are
+// unanswered, so a client that writes without reading makes the server
+// hold at most that many queued requests.
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <iosfwd>
+#include <string>
+#include <unordered_set>
 
 #include "api/service.hpp"
 
@@ -37,13 +43,37 @@ inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 /// Duplicate-id tracking bound: ids are guaranteed unique only among the
 /// most recent this-many accepted requests of one stream (~64k id strings
 /// of state at worst, regardless of stream lifetime).
-inline constexpr std::size_t kDefaultSeenIdWindow = 65536;
+inline constexpr std::size_t kSeenIdWindow = 65536;
 
-struct ServeOptions {
-  /// Sliding-window size for duplicate-id rejection; 0 disables the bound
-  /// (every id retained for the stream's lifetime, the pre-socket
-  /// behaviour).
-  std::size_t seen_id_window = kDefaultSeenIdWindow;
+/// Most requests of one stream that may be unanswered at once. Below the
+/// id window, so every unanswered id stays inside it.
+inline constexpr std::size_t kMaxUnansweredRequests = 1024;
+static_assert(kMaxUnansweredRequests < kSeenIdWindow);
+
+/// Duplicate-id tracker over a sliding window of the last `window` (>= 1)
+/// accepted ids: constant space for any stream lifetime. Only *accepted*
+/// ids enter the window — a rejected duplicate must not evict (and thereby
+/// re-admit) the id it collided with.
+class SeenIdWindow {
+ public:
+  explicit SeenIdWindow(std::size_t window = kSeenIdWindow)
+      : window_(window) {}
+
+  /// True when `id` was accepted (not seen within the window).
+  bool insert(const std::string& id) {
+    if (!seen_.insert(id).second) return false;
+    order_.push_back(id);
+    if (order_.size() > window_) {
+      seen_.erase(order_.front());
+      order_.pop_front();
+    }
+    return true;
+  }
+
+ private:
+  std::size_t window_;
+  std::unordered_set<std::string> seen_;
+  std::deque<std::string> order_;
 };
 
 struct ServeResult {
@@ -58,7 +88,6 @@ struct ServeResult {
 /// Reads requests from `in` until EOF (or until `out` fails), streaming
 /// responses to `out`. Returns after every in-flight request has completed
 /// and been written.
-ServeResult serve(Service& service, std::istream& in, std::ostream& out,
-                  const ServeOptions& options = {});
+ServeResult serve(Service& service, std::istream& in, std::ostream& out);
 
 }  // namespace rsp::api

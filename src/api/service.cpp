@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -31,6 +32,19 @@ namespace {
 // estimate memos key by the kernel name alone.
 std::string pair_key(const kernels::Workload& w, const arch::Architecture& a) {
   return w.name + '\n' + a.name;
+}
+
+// A cache file is a regular file, or for cache_save a path that does not
+// exist yet. Checked before opening: a FIFO would block the dispatch thread
+// in open(), and a device such as /dev/zero would be read until allocation
+// fails.
+void require_no_special_file(const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) &&
+      !std::filesystem::is_regular_file(status))
+    throw InvalidArgumentError("cache file '" + path +
+                               "' is not a regular file");
 }
 
 }  // namespace
@@ -328,6 +342,7 @@ CacheStatsResponse Service::cache_stats(const CacheStatsRequest&) const {
 }
 
 CacheSaveResponse Service::cache_save(const CacheSaveRequest& request) const {
+  require_no_special_file(request.path);
   const util::Json doc = evals_.serialize();
   std::ofstream file(request.path);
   if (!file)
@@ -343,6 +358,7 @@ CacheSaveResponse Service::cache_save(const CacheSaveRequest& request) const {
 }
 
 CacheLoadResponse Service::cache_load(const CacheLoadRequest& request) const {
+  require_no_special_file(request.path);
   std::ifstream file(request.path);
   if (!file)
     throw NotFoundError("cannot open cache file '" + request.path + "'");

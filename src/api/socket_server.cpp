@@ -435,7 +435,7 @@ struct SocketServer::Impl {
       // and put areas are disjoint.
       std::istream in(&buf);
       std::ostream out(&buf);
-      result = serve(service, in, out, options.serve);
+      result = serve(service, in, out);
       out.flush();
     } catch (...) {
       // A connection must never take the server down (serve() itself only

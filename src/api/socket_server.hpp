@@ -5,8 +5,8 @@
 // over a socket-backed iostream. Every connection shares ONE Service —
 // the dispatch pool and the memo tables stay process-wide, so a second
 // client's eval of an already-measured kernel is a cache hit —
-// while the serve-loop state (duplicate-id window, in-flight futures) is
-// per-connection: id scopes never leak across clients.
+// while the serve-loop state (duplicate-id window, unanswered-request
+// count) is per-connection: id scopes never leak across clients.
 //
 // Lifecycle:
 //   * `run()` accepts in the calling thread and spawns one serving thread
@@ -98,8 +98,6 @@ struct SocketServerOptions {
   /// Concurrent-connection bound; a connection beyond it is answered with
   /// one in-band error line and closed (counted in `rejected`).
   int max_connections = 64;
-  /// Serve-loop tuning applied to every connection (duplicate-id window).
-  ServeOptions serve;
 };
 
 /// Aggregate counters across the server's lifetime (see stats_json()).

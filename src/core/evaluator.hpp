@@ -52,10 +52,6 @@ using MeasurePerfFn =
 
 class RspEvaluator {
  public:
-  explicit RspEvaluator(synth::SynthesisModel synth = synth::SynthesisModel(),
-                        sched::SchedulerOptions options = {})
-      : synth_(std::move(synth)), scheduler_(options) {}
-
   const synth::SynthesisModel& synthesis() const { return synth_; }
   const sched::ContextScheduler& scheduler() const { return scheduler_; }
 

@@ -46,9 +46,8 @@ void ExplorerConfig::validate() const {
     reject("'pareto_epsilon' must be non-negative");
 }
 
-Explorer::Explorer(arch::ArraySpec array, ExplorerConfig config,
-                   synth::SynthesisModel synth)
-    : array_(array), config_(config), synth_(std::move(synth)) {
+Explorer::Explorer(arch::ArraySpec array, ExplorerConfig config)
+    : array_(array), config_(config) {
   array_.validate();
   config_.validate();
   // enumerate_points builds every grid point, so the bounds must be finite

@@ -167,8 +167,7 @@ class Explorer {
   /// Throws InvalidArgumentError when `config` fails validate() or its grid
   /// exceeds the array: more units per row than columns, more units per
   /// column than rows, or more than arch::kMaxPipelineStages stages.
-  Explorer(arch::ArraySpec array, ExplorerConfig config = {},
-           synth::SynthesisModel synth = synth::SynthesisModel());
+  Explorer(arch::ArraySpec array, ExplorerConfig config = {});
 
   /// Runs the full Fig. 7 refinement flow on a domain of kernels. Step 1
   /// goes through `prepare` once per kernel and step 5 through `measure`

@@ -13,6 +13,35 @@ namespace rsp::gen {
 
 namespace {
 
+// The generator's fixed shape: bounds of the PE-array geometry, trip count
+// and body size it draws from the seed's stream. Changing any constant here
+// changes most gen:<seed> workloads.
+constexpr int kMinRows = 4;
+constexpr int kMaxRows = 8;
+constexpr int kMinCols = 4;  // >= 2: reductions need lanes x columns >= 2
+constexpr int kMaxCols = 8;
+constexpr std::int64_t kMinTrips = 4;
+constexpr std::int64_t kMaxTrips = 64;
+constexpr int kMinBodyOps = 3;  // arithmetic/load nodes beyond the first loads
+constexpr int kMaxBodyOps = 16;
+
+// Relative op-kind weights of a body node.
+constexpr int kAddWeight = 20;
+constexpr int kSubWeight = 15;
+constexpr int kMultWeight = 25;
+constexpr int kAbsWeight = 10;
+constexpr int kShiftWeight = 10;
+constexpr int kLoadWeight = 12;
+constexpr int kConstantWeight = 8;
+constexpr int kTotalWeight = kAddWeight + kSubWeight + kMultWeight +
+                             kAbsWeight + kShiftWeight + kLoadWeight +
+                             kConstantWeight;
+
+// Chance of a global (kAll) reduction epilogue, and of a second store (to
+// a distinct array).
+constexpr double kReductionProbability = 0.35;
+constexpr double kSecondStoreProbability = 0.25;
+
 // Local seeded data (FNV-1a of the array name mixed into the kernel seed).
 // Intentionally not kernels::deterministic_data: rsp_kernels links rsp_gen
 // for `gen:<seed>` catalogue resolution, so the generator cannot link back.
@@ -52,31 +81,6 @@ PoolEntry normalized(ir::GraphBuilder& b, PoolEntry e) {
 }  // namespace
 
 void GeneratorConfig::validate() const {
-  if (min_body_ops < 1 || min_body_ops > max_body_ops || max_body_ops > 256)
-    throw InvalidArgumentError(
-        "generator: body-op bounds require 1 <= min_body_ops <= max_body_ops "
-        "<= 256");
-  if (min_trips < 1 || min_trips > max_trips || max_trips > 4096)
-    throw InvalidArgumentError(
-        "generator: trip-count bounds require 1 <= min_trips <= max_trips <= "
-        "4096");
-  if (min_rows < 1 || min_rows > max_rows || max_rows > 16)
-    throw InvalidArgumentError(
-        "generator: row bounds require 1 <= min_rows <= max_rows <= 16");
-  if (min_cols < 2 || min_cols > max_cols || max_cols > 16)
-    throw InvalidArgumentError(
-        "generator: column bounds require 2 <= min_cols <= max_cols <= 16 "
-        "(reductions need lanes x columns >= 2)");
-  if (mix.add < 0 || mix.sub < 0 || mix.mult < 0 || mix.abs < 0 ||
-      mix.shift < 0 || mix.load < 0 || mix.constant < 0 || mix.total() <= 0)
-    throw InvalidArgumentError(
-        "generator: op-mix weights must be non-negative with a positive sum");
-  if (reduction_probability < 0.0 || reduction_probability > 1.0)
-    throw InvalidArgumentError(
-        "generator: reduction_probability must be in [0, 1]");
-  if (second_store_probability < 0.0 || second_store_probability > 1.0)
-    throw InvalidArgumentError(
-        "generator: second_store_probability must be in [0, 1]");
   if (value_magnitude < 1 || value_magnitude > (std::int64_t{1} << 20))
     throw InvalidArgumentError(
         "generator: value_magnitude must be in [1, 2^20]");
@@ -113,16 +117,16 @@ kernels::Workload generate_workload(const GeneratorConfig& config) {
   // Geometry, trip count and layout first: the reduction's carried distance
   // depends on lanes x columns, so the mapping is fixed before the body.
   arch::ArraySpec array;
-  array.rows = static_cast<int>(rng.uniform(config.min_rows, config.max_rows));
-  array.cols = static_cast<int>(rng.uniform(config.min_cols, config.max_cols));
-  const std::int64_t trips = rng.uniform(config.min_trips, config.max_trips);
+  array.rows = static_cast<int>(rng.uniform(kMinRows, kMaxRows));
+  array.cols = static_cast<int>(rng.uniform(kMinCols, kMaxCols));
+  const std::int64_t trips = rng.uniform(kMinTrips, kMaxTrips);
 
   sched::MappingHints hints;
   hints.lanes = static_cast<int>(rng.uniform(1, array.rows));
   hints.columns = static_cast<int>(rng.uniform(1, array.cols));
   hints.stagger = static_cast<int>(rng.uniform(0, 3));
 
-  const bool reduce = rng.chance(config.reduction_probability);
+  const bool reduce = rng.chance(kReductionProbability);
   // An accumulator chain must span >= 2 PEs to reduce; widen the column
   // round-robin if lanes x columns collapsed to a single PE.
   if (reduce && hints.lanes * hints.columns < 2) hints.columns = 2;
@@ -157,29 +161,27 @@ kernels::Workload generate_workload(const GeneratorConfig& config) {
   const int n_init_loads = static_cast<int>(rng.uniform(1, 3));
   for (int i = 0; i < n_init_loads; ++i) new_load();
 
-  const int n_ops = static_cast<int>(
-      rng.uniform(config.min_body_ops, config.max_body_ops));
-  const OpMix& mix = config.mix;
+  const int n_ops = static_cast<int>(rng.uniform(kMinBodyOps, kMaxBodyOps));
   for (int i = 0; i < n_ops; ++i) {
-    std::int64_t w = rng.uniform(0, mix.total() - 1);
-    if ((w -= mix.add) < 0) {
+    std::int64_t w = rng.uniform(0, kTotalWeight - 1);
+    if ((w -= kAddWeight) < 0) {
       const PoolEntry a = pick(), c = pick();
       pool.push_back(
           normalized(b, {b.add(a.id, c.id), a.bound + c.bound}));
-    } else if ((w -= mix.sub) < 0) {
+    } else if ((w -= kSubWeight) < 0) {
       const PoolEntry a = pick(), c = pick();
       pool.push_back(
           normalized(b, {b.sub(a.id, c.id), a.bound + c.bound}));
-    } else if ((w -= mix.mult) < 0) {
+    } else if ((w -= kMultWeight) < 0) {
       // Pool bounds never exceed kNodeMagnitudeCap (2^26), so the product
       // bound stays below 2^52 — exact int64 arithmetic cannot overflow.
       const PoolEntry a = pick(), c = pick();
       pool.push_back(
           normalized(b, {b.mult(a.id, c.id), a.bound * c.bound}));
-    } else if ((w -= mix.abs) < 0) {
+    } else if ((w -= kAbsWeight) < 0) {
       const PoolEntry a = pick();
       pool.push_back(PoolEntry{b.abs(a.id), a.bound});
-    } else if ((w -= mix.shift) < 0) {
+    } else if ((w -= kShiftWeight) < 0) {
       std::int64_t amount = rng.uniform(-3, 3);
       if (amount == 0) amount = 1;
       const PoolEntry a = pick();
@@ -187,7 +189,7 @@ kernels::Workload generate_workload(const GeneratorConfig& config) {
           amount > 0 ? (a.bound << amount) : a.bound;
       pool.push_back(normalized(
           b, {b.shift(a.id, static_cast<int>(amount)), bound}));
-    } else if ((w -= mix.load) < 0) {
+    } else if ((w -= kLoadWeight) < 0) {
       new_load();
     } else {
       const std::int64_t imm = rng.uniform(-mag, mag);
@@ -211,7 +213,7 @@ kernels::Workload generate_workload(const GeneratorConfig& config) {
   if (store_body) {
     b.store("out", [](std::int64_t k) { return k; }, pool.back().id);
     output_sizes.emplace_back("out", trips);
-    if (rng.chance(config.second_store_probability)) {
+    if (rng.chance(kSecondStoreProbability)) {
       b.store("out2", [](std::int64_t k) { return k; }, pick().id);
       output_sizes.emplace_back("out2", trips);
     }
@@ -231,10 +233,9 @@ kernels::Workload generate_workload(const GeneratorConfig& config) {
       m.allocate(arr, static_cast<std::size_t>(size));
   };
 
-  const ir::DatapathMode mode = config.golden_mode;
-  auto golden = [kernel, reduction, mode](ir::Memory& m) {
+  auto golden = [kernel, reduction](ir::Memory& m) {
     const ir::UnrolledGraph unrolled(kernel);
-    reference_run(kernel, reduction, unrolled, m, mode);
+    reference_run(kernel, reduction, unrolled, m, ir::DatapathMode::kExact);
   };
 
   return kernels::Workload{name,      std::move(kernel),  array, hints,

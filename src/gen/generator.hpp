@@ -36,59 +36,24 @@
 
 namespace rsp::gen {
 
-/// Relative op-mix weights for body construction (need not sum to anything
-/// particular; all zero is invalid).
-struct OpMix {
-  int add = 20;
-  int sub = 15;
-  int mult = 25;
-  int abs = 10;
-  int shift = 10;
-  int load = 12;
-  int constant = 8;
-
-  int total() const { return add + sub + mult + abs + shift + load + constant; }
-};
-
 /// Bound on any pool value's magnitude; results that could exceed it are
 /// renormalised with an arithmetic right shift before they re-enter the
 /// operand pool (see the overflow invariant in the header comment).
 inline constexpr std::int64_t kNodeMagnitudeCap = std::int64_t{1} << 26;
 
+/// What varies between generated workloads. Everything else the generator
+/// draws from — size bounds, op-mix weights, the reduction and second-store
+/// probabilities — is a constant of generator.cpp (docs/GENERATOR.md lists
+/// them), and the golden closure evaluates under DatapathMode::kExact.
 struct GeneratorConfig {
   std::uint64_t seed = 0;
-
-  /// Arithmetic/load body nodes beyond the initial loads.
-  int min_body_ops = 3;
-  int max_body_ops = 16;
-
-  std::int64_t min_trips = 4;
-  std::int64_t max_trips = 64;
-
-  /// PE-array geometry bounds (inclusive).
-  int min_rows = 4;
-  int max_rows = 8;
-  int min_cols = 4;
-  int max_cols = 8;
-
-  OpMix mix;
-
-  /// Probability of a global (kAll) reduction epilogue.
-  double reduction_probability = 0.35;
-  /// Probability of a second store (to a distinct array).
-  double second_store_probability = 0.25;
 
   /// Input data and constants are drawn from [-value_magnitude,
   /// value_magnitude]. Raise it (e.g. to a few hundred) to force wrap16 vs
   /// exact divergence through multiplications.
   std::int64_t value_magnitude = 64;
 
-  /// Datapath the workload's golden closure evaluates under. The catalogue
-  /// (`gen:<seed>` names) always uses the default config, hence kExact —
-  /// matching how api::Service checks `matches_golden`.
-  ir::DatapathMode golden_mode = ir::DatapathMode::kExact;
-
-  /// Throws InvalidArgumentError naming the offending knob.
+  /// Throws InvalidArgumentError unless value_magnitude is in [1, 2^20].
   void validate() const;
 };
 
@@ -114,7 +79,7 @@ ir::InterpResult reference_run(const ir::LoopKernel& kernel,
                                ir::Memory& memory, ir::DatapathMode mode);
 
 /// Convenience wrapper: unrolls `w.kernel` and calls `reference_run`. The
-/// generated workloads' golden closures are exactly this at `golden_mode`.
+/// generated workloads' golden closures are exactly this at kExact.
 void reference_execute(const kernels::Workload& w, ir::Memory& memory,
                        ir::DatapathMode mode);
 

@@ -4,11 +4,13 @@
 
 #include "arch/bus_switch.hpp"
 #include "arch/config_cache.hpp"
-#include "util/error.hpp"
 
 namespace rsp::rtl {
 
 namespace {
+
+// Configuration words per PE cache.
+constexpr int kContextDepth = 32;
 
 // ---------------------------------------------------------------- leaves
 
@@ -235,10 +237,8 @@ Module make_pe(const arch::Architecture& a, int word_bits) {
 
 }  // namespace
 
-Design generate(const arch::Architecture& a, GenerateOptions options) {
+Design generate(const arch::Architecture& a) {
   a.validate();
-  if (options.context_depth < 2)
-    throw InvalidArgumentError("context depth must be >= 2");
   const int w = a.array.data_width_bits;
   const arch::BusSwitchSpec sw =
       arch::make_bus_switch(a.sharing, a.array.data_width_bits);
@@ -249,7 +249,7 @@ Design generate(const arch::Architecture& a, GenerateOptions options) {
   design.add(make_alu(w));
   design.add(make_shift(w));
   design.add(make_multiplier(w, a.mult_latency()));
-  design.add(make_config_cache(word_bits, options.context_depth));
+  design.add(make_config_cache(word_bits, kContextDepth));
   if (a.shares_multiplier())
     design.add(make_bus_switch(w, a.sharing.units_reachable_per_pe()));
   design.add(make_pe(a, word_bits));
@@ -267,7 +267,7 @@ Design generate(const arch::Architecture& a, GenerateOptions options) {
   top.port(PortDir::kInput, "cfg_we");
   top.port(PortDir::kInput, "cfg_pe", 16);
   int addr_bits = 1;
-  while ((1 << addr_bits) < options.context_depth) ++addr_bits;
+  while ((1 << addr_bits) < kContextDepth) ++addr_bits;
   top.port(PortDir::kInput, "cfg_addr", addr_bits);
   top.port(PortDir::kInput, "cfg_data", word_bits);
   top.port(PortDir::kInput, "pc", addr_bits);
@@ -384,9 +384,8 @@ Design generate(const arch::Architecture& a, GenerateOptions options) {
   return design;
 }
 
-std::string generate_verilog(const arch::Architecture& a,
-                             GenerateOptions options) {
-  return generate(a, options)
+std::string generate_verilog(const arch::Architecture& a) {
+  return generate(a)
       .emit("Generated by rsp-cgra from architecture '" + a.name + "'");
 }
 

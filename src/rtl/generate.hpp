@@ -21,17 +21,12 @@
 
 namespace rsp::rtl {
 
-struct GenerateOptions {
-  int context_depth = 32;  ///< configuration words per PE cache
-};
-
-/// Builds the complete design for `architecture`.
-Design generate(const arch::Architecture& architecture,
-                GenerateOptions options = {});
+/// Builds the complete design for `architecture`, with 32 configuration
+/// words per PE cache.
+Design generate(const arch::Architecture& architecture);
 
 /// Convenience: emitted Verilog text for `architecture`.
-std::string generate_verilog(const arch::Architecture& architecture,
-                             GenerateOptions options = {});
+std::string generate_verilog(const arch::Architecture& architecture);
 
 /// Summary statistics of a generated design (used by tests and reports).
 struct RtlStats {

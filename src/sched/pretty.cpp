@@ -11,7 +11,10 @@ namespace rsp::sched {
 
 namespace {
 
-// One symbol in one grid cell. `cell` is lane-major (lane * cycles +
+// Cycles the grid shows.
+constexpr int kMaxGridCycles = 64;
+
+// One symbol in one grid cell. `cell` is column-major (col * cycles +
 // cycle); `symbol` is an ir::OpKind, or -s for pipeline stage s ("s*").
 struct CellSymbol {
   std::size_t cell;
@@ -29,16 +32,13 @@ void append_symbol(std::string& text, int symbol) {
 
 }  // namespace
 
-std::string render_schedule(const ConfigurationContext& context,
-                            PrettyOptions options) {
-  const arch::ArraySpec& array = context.architecture().array;
-  const int cycles =
-      std::max(std::min(context.length(), options.max_cycles), 0);
+std::string render_schedule(const ConfigurationContext& context) {
+  const int cycles = std::max(std::min(context.length(), kMaxGridCycles), 0);
   const bool pipelined = context.architecture().pipelines_multiplier();
   const int stages = context.architecture().mult_latency();
-  const int lanes = options.per_pe ? array.num_pes() : array.cols;
-  const auto cell_of = [cycles](int lane, int cycle) {
-    return static_cast<std::size_t>(lane) * static_cast<std::size_t>(cycles) +
+  const int cols = context.architecture().array.cols;
+  const auto cell_of = [cycles](int col, int cycle) {
+    return static_cast<std::size_t>(col) * static_cast<std::size_t>(cycles) +
            static_cast<std::size_t>(cycle);
   };
 
@@ -47,13 +47,12 @@ std::string render_schedule(const ConfigurationContext& context,
   std::vector<CellSymbol> entries;
   entries.reserve(context.ops().size());
   for (const ScheduledOp& op : context.ops()) {
-    const int lane = options.per_pe ? array.linear(op.pe) : op.pe.col;
     if (ir::is_critical_op(op.kind) && pipelined) {
       for (int s = 0; s < stages && op.cycle + s < cycles; ++s)
-        entries.push_back({cell_of(lane, op.cycle + s), -(s + 1)});
+        entries.push_back({cell_of(op.pe.col, op.cycle + s), -(s + 1)});
     } else if (op.cycle < cycles) {
       entries.push_back(
-          {cell_of(lane, op.cycle), static_cast<int>(op.kind)});
+          {cell_of(op.pe.col, op.cycle), static_cast<int>(op.kind)});
     }
   }
   std::stable_sort(entries.begin(), entries.end(),
@@ -61,27 +60,21 @@ std::string render_schedule(const ConfigurationContext& context,
                      return x.cell < y.cell;
                    });
 
-  std::vector<std::string> header = {options.per_pe ? "PE" : "col#"};
+  std::vector<std::string> header = {"col#"};
   for (int t = 0; t < cycles; ++t) header.push_back(std::to_string(t + 1));
   util::Table table(std::move(header));
 
   auto next = entries.begin();
-  for (int lane = 0; lane < lanes; ++lane) {
+  for (int col = 0; col < cols; ++col) {
     std::vector<std::string> row;
     row.reserve(static_cast<std::size_t>(cycles) + 1);
-    if (options.per_pe) {
-      const arch::PeCoord pe = array.coord(lane);
-      row.push_back("(" + std::to_string(pe.row) + "," +
-                    std::to_string(pe.col) + ")");
-    } else {
-      row.push_back(std::to_string(lane + 1));
-    }
-    const auto lane_first = next;
+    row.push_back(std::to_string(col + 1));
+    const auto col_first = next;
     for (int t = 0; t < cycles; ++t) {
       // The cell's symbols, each once, in order of first appearance.
       std::string text;
       const auto first = next;
-      for (; next != entries.end() && next->cell == cell_of(lane, t); ++next) {
+      for (; next != entries.end() && next->cell == cell_of(col, t); ++next) {
         const int symbol = next->symbol;
         if (std::any_of(first, next, [symbol](const CellSymbol& e) {
               return e.symbol == symbol;
@@ -92,12 +85,12 @@ std::string render_schedule(const ConfigurationContext& context,
       }
       row.push_back(std::move(text));
     }
-    if (next != lane_first || options.per_pe) table.add_row(std::move(row));
+    if (next != col_first) table.add_row(std::move(row));
   }
 
   std::string out = table.render();
-  if (context.length() > options.max_cycles)
-    out += "... (" + std::to_string(context.length() - options.max_cycles) +
+  if (context.length() > kMaxGridCycles)
+    out += "... (" + std::to_string(context.length() - kMaxGridCycles) +
            " more cycles truncated)\n";
   return out;
 }

@@ -1,7 +1,9 @@
-// Schedule pretty-printers reproducing the look of the paper's Fig. 2 and
+// Schedule pretty-printer reproducing the look of the paper's Fig. 2 and
 // Fig. 6: one row per array column, one text column per cycle, cells showing
 // the op symbols issued in that (array column, cycle). Pipelined
-// multiplications show their stages as "1*" and "2*".
+// multiplications show their stages as "1*" and "2*". The grid shows the
+// first 64 cycles, and a longer schedule ends in a truncation line; columns
+// that issue nothing in those cycles are left out.
 #pragma once
 
 #include <string>
@@ -10,12 +12,6 @@
 
 namespace rsp::sched {
 
-struct PrettyOptions {
-  int max_cycles = 64;   ///< truncate very long schedules
-  bool per_pe = false;   ///< one row per PE instead of per array column
-};
-
-std::string render_schedule(const ConfigurationContext& context,
-                            PrettyOptions options = {});
+std::string render_schedule(const ConfigurationContext& context);
 
 }  // namespace rsp::sched

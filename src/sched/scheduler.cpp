@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -42,7 +41,7 @@ class OccupancyTable {
 };
 
 constexpr const char* kMaxCyclesExceeded =
-    "schedule exceeds max_cycles — livelock?";
+    "schedule exceeds kMaxIssueCycle — livelock?";
 
 // The target checks every entry of the pass runs.
 void check_target(const TimingProfile& profile,
@@ -56,7 +55,7 @@ void check_target(const TimingProfile& profile,
 }  // namespace
 
 TimingProfile::StallFreeMemo::StallFreeMemo() {
-  for (std::atomic<std::uint64_t>& slot : slots) slot.store(kUnset);
+  for (std::atomic<int>& slot : slots) slot.store(kUnset);
 }
 
 TimingProfile::StallFreeMemo::StallFreeMemo(const StallFreeMemo& other) {
@@ -188,7 +187,7 @@ ScheduleTiming ContextScheduler::timing(
     int t = std::max(ready, op.not_before);
     int unit_slot = -1;
     for (;; ++t) {
-      if (t > options_.max_cycles) throw InternalError(kMaxCyclesExceeded);
+      if (t > kMaxIssueCycle) throw InternalError(kMaxCyclesExceeded);
       bool pe_free = true;
       for (int s = 0; s < latency && pe_free; ++s)
         pe_free = pe_busy.used(t + s, op.pe_slot) == 0;
@@ -231,27 +230,13 @@ int ContextScheduler::stall_free_length(
   // unlimited_units keeps everything validate() checks but the unit
   // counts, which it sets valid, so checking the target suffices.
   check_target(profile, architecture);
-  std::atomic<std::uint64_t>& slot =
-      profile.stall_free_.slots[static_cast<std::size_t>(
-          architecture.mult_latency() - 1)];
-  const std::uint64_t memo = slot.load();
-  if (memo != TimingProfile::StallFreeMemo::kUnset) {
-    const auto last_issue = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(memo));
-    if (last_issue > options_.max_cycles)
-      throw InternalError(kMaxCyclesExceeded);
-    return static_cast<int>(memo >> 32);
-  }
-  const ScheduleTiming free_run =
-      timing(profile, unlimited_units(architecture));
-  // The pass throws past max_cycles exactly when some op issues past it.
-  const int last_issue =
-      free_run.cycles.empty()
-          ? std::numeric_limits<int>::min()
-          : *std::max_element(free_run.cycles.begin(), free_run.cycles.end());
-  slot.store(static_cast<std::uint64_t>(free_run.length) << 32 |
-             static_cast<std::uint32_t>(last_issue));
-  return free_run.length;
+  std::atomic<int>& slot = profile.stall_free_.slots[static_cast<std::size_t>(
+      architecture.mult_latency() - 1)];
+  const int memo = slot.load();
+  if (memo != TimingProfile::StallFreeMemo::kUnset) return memo;
+  const int length = timing(profile, unlimited_units(architecture)).length;
+  slot.store(length);
+  return length;
 }
 
 ConfigurationContext ContextScheduler::schedule(

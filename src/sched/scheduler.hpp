@@ -43,10 +43,9 @@
 
 namespace rsp::sched {
 
-struct SchedulerOptions {
-  /// Safety valve: abort if a schedule exceeds this many cycles.
-  int max_cycles = 1 << 20;
-};
+/// Safety valve: the pass throws InternalError rather than issue an op
+/// past this cycle.
+inline constexpr int kMaxIssueCycle = 1 << 20;
 
 /// What the scheduling pass decides, indexed like the program's ops.
 struct ScheduleTiming {
@@ -97,12 +96,11 @@ class TimingProfile {
   };
 
   /// Per multiplier latency 1..kMaxPipelineStages, the stall-free
-  /// schedule's length (high half) and largest issue cycle (low half), or
-  /// kUnset. Racing fills store the same value. A copy keeps what is
-  /// memoized.
+  /// schedule's length, or kUnset. Racing fills store the same value. A
+  /// copy keeps what is memoized.
   struct StallFreeMemo {
-    static constexpr std::uint64_t kUnset = ~std::uint64_t{0};
-    std::array<std::atomic<std::uint64_t>, arch::kMaxPipelineStages> slots;
+    static constexpr int kUnset = -1;
+    std::array<std::atomic<int>, arch::kMaxPipelineStages> slots;
 
     StallFreeMemo();
     StallFreeMemo(const StallFreeMemo& other);
@@ -122,9 +120,6 @@ class TimingProfile {
 
 class ContextScheduler {
  public:
-  explicit ContextScheduler(SchedulerOptions options = {})
-      : options_(options) {}
-
   /// Schedules `program` on `architecture`.
   ConfigurationContext schedule(const PlacedProgram& program,
                                 const arch::Architecture& architecture) const;
@@ -140,7 +135,7 @@ class ContextScheduler {
   /// The scheduling pass: the issue cycles and units `schedule` assigns,
   /// without building the context. Every call validates `architecture`,
   /// checks that it has the profile's array geometry and aborts past
-  /// max_cycles. This is the only implementation of the pass;
+  /// kMaxIssueCycle. This is the only implementation of the pass;
   /// `schedule(program, arch)`, the one entry that takes a program, builds
   /// a temporary profile and calls it.
   ScheduleTiming timing(const TimingProfile& profile,
@@ -149,9 +144,9 @@ class ContextScheduler {
   /// Length of the stall-free schedule RS stalls are counted against:
   /// `architecture`'s pipelining on unlimited_units(architecture). Nothing
   /// else of a sharing target enters that schedule, so `profile` memoizes
-  /// it per multiplier latency. The target checks of `timing` run on every
-  /// call, and a memoized schedule whose largest issue cycle exceeds this
-  /// scheduler's max_cycles throws as the pass would.
+  /// its length per multiplier latency. The target checks of `timing` run
+  /// on every call; a run that throws past kMaxIssueCycle memoizes
+  /// nothing, so a memo hit needs no bound check.
   int stall_free_length(const TimingProfile& profile,
                         const arch::Architecture& architecture) const;
 
@@ -160,8 +155,6 @@ class ContextScheduler {
   static ConfigurationContext build_context(
       const PlacedProgram& program, const ScheduleTiming& timing,
       const arch::Architecture& architecture);
-
-  SchedulerOptions options_;
 };
 
 /// The architecture with the same pipelining but effectively unlimited

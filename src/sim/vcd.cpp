@@ -30,7 +30,7 @@ std::string bits_of(std::uint64_t value, int width) {
 }  // namespace
 
 std::string to_vcd(const sched::ConfigurationContext& context,
-                   const SimResult& result, VcdOptions options) {
+                   const SimResult& result) {
   const arch::ArraySpec& array = context.architecture().array;
   if (result.values.size() != static_cast<std::size_t>(context.size()))
     throw InvalidArgumentError(
@@ -39,7 +39,7 @@ std::string to_vcd(const sched::ConfigurationContext& context,
   std::ostringstream os;
   os << "$date generated by rsp-cgra $end\n"
      << "$version rsp-cgra simulator $end\n"
-     << "$timescale " << options.timescale << " $end\n"
+     << "$timescale 1ns $end\n"
      << "$scope module rsp_array $end\n";
 
   int next_signal = 0;
@@ -61,15 +61,12 @@ std::string to_vcd(const sched::ConfigurationContext& context,
       pe_signals[lin] = sig;
     }
   std::vector<std::string> row_reads, row_writes;
-  if (options.include_bus_signals) {
-    for (int r = 0; r < array.rows; ++r) {
-      row_reads.push_back(vcd_id(next_signal++));
-      row_writes.push_back(vcd_id(next_signal++));
-      os << "$var wire 2 " << row_reads.back() << " rbus_row" << r
-         << " $end\n"
-         << "$var wire 2 " << row_writes.back() << " wbus_row" << r
-         << " $end\n";
-    }
+  for (int r = 0; r < array.rows; ++r) {
+    row_reads.push_back(vcd_id(next_signal++));
+    row_writes.push_back(vcd_id(next_signal++));
+    os << "$var wire 2 " << row_reads.back() << " rbus_row" << r << " $end\n"
+       << "$var wire 2 " << row_writes.back() << " wbus_row" << r
+       << " $end\n";
   }
   os << "$upscope $end\n$enddefinitions $end\n";
 
@@ -99,13 +96,11 @@ std::string to_vcd(const sched::ConfigurationContext& context,
         if (op.kind == ir::OpKind::kStore) ++writes[op.pe.row];
       }
     }
-    if (options.include_bus_signals) {
-      for (int r = 0; r < array.rows; ++r) {
-        os << bits_of(static_cast<std::uint64_t>(reads[r]), 2) << " "
-           << row_reads[static_cast<std::size_t>(r)] << "\n";
-        os << bits_of(static_cast<std::uint64_t>(writes[r]), 2) << " "
-           << row_writes[static_cast<std::size_t>(r)] << "\n";
-      }
+    for (int r = 0; r < array.rows; ++r) {
+      os << bits_of(static_cast<std::uint64_t>(reads[r]), 2) << " "
+         << row_reads[static_cast<std::size_t>(r)] << "\n";
+      os << bits_of(static_cast<std::uint64_t>(writes[r]), 2) << " "
+         << row_writes[static_cast<std::size_t>(r)] << "\n";
     }
   }
   os << "#" << context.length() << "\n";

@@ -25,9 +25,6 @@ struct AreaBreakdown {
 
 class AreaModel {
  public:
-  explicit AreaModel(ComponentLibrary library = ComponentLibrary())
-      : lib_(std::move(library)) {}
-
   const ComponentLibrary& library() const { return lib_; }
 
   AreaBreakdown breakdown(const arch::Architecture& a) const;

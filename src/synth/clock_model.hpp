@@ -29,9 +29,6 @@ struct ClockBreakdown {
 
 class ClockModel {
  public:
-  explicit ClockModel(ComponentLibrary library = ComponentLibrary())
-      : lib_(std::move(library)) {}
-
   const ComponentLibrary& library() const { return lib_; }
 
   ClockBreakdown breakdown(const arch::Architecture& a) const;

@@ -27,9 +27,6 @@ struct SynthesisReport {
 
 class SynthesisModel {
  public:
-  explicit SynthesisModel(ComponentLibrary library = ComponentLibrary())
-      : area_(library), clock_(library) {}
-
   const AreaModel& area_model() const { return area_; }
   const ClockModel& clock_model() const { return clock_; }
 

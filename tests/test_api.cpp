@@ -1,18 +1,22 @@
 // The rsp::api façade: Service typed dispatch (bit-identical to the serial
 // paths), the v2 protocol codec, cache persistence, and the NDJSON serve
 // loop (out-of-order streaming, in-band protocol errors, bounded request
-// lines). The Service/Protocol/Serve suites also run under the
-// tsan preset — the serial-vs-service agreement checks are exercised with
-// ThreadSanitizer watching the pools.
+// lines and unanswered requests). The Service/Protocol/Serve suites also
+// run under the tsan preset — the serial-vs-service agreement checks are
+// exercised with ThreadSanitizer watching the pools.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <latch>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <variant>
 #include <vector>
@@ -564,6 +568,23 @@ TEST(Service, CacheLoadRejectsMissingOrForeignFiles) {
     out << "{\"hello\": 1}\n";
   }
   EXPECT_THROW(service.cache_load({file.path()}), InvalidArgumentError);
+
+  // Paths that are not regular files are refused before they are opened,
+  // so /dev/zero is not read at all.
+  EXPECT_THROW(service.cache_load({"/dev/zero"}), InvalidArgumentError);
+  EXPECT_THROW(service.cache_load({::testing::TempDir()}),
+               InvalidArgumentError);
+  const util::Json body = service.handle(CacheLoadRequest{"/dev/zero"});
+  EXPECT_FALSE(body.at("ok").as_bool());
+  EXPECT_EQ(body.at("error").as_string(),
+            "cache file '/dev/zero' is not a regular file");
+}
+
+TEST(Service, CacheSaveRejectsANonRegularTarget) {
+  const Service service(small_options(1));
+  EXPECT_THROW(service.cache_save({::testing::TempDir()}),
+               InvalidArgumentError);
+  EXPECT_THROW(service.cache_save({"/dev/null"}), InvalidArgumentError);
 }
 
 TEST(Service, CacheLoadRejectsATruncatedSnapshot) {
@@ -837,12 +858,11 @@ struct ServeOutput {
   std::vector<std::string> raw_lines;  ///< exact bytes, for transport diffs
 };
 
-ServeOutput run_serve(Service& service, const std::string& input,
-                      const ServeOptions& options = {}) {
+ServeOutput run_serve(Service& service, const std::string& input) {
   std::istringstream in(input);
   std::ostringstream out;
   ServeOutput output;
-  output.result = serve(service, in, out, options);
+  output.result = serve(service, in, out);
   std::istringstream reader(out.str());
   std::string line;
   while (std::getline(reader, line)) {
@@ -1090,46 +1110,124 @@ TEST(Serve, NumericIdsEchoVerbatim) {
 
 TEST(Serve, SeenIdWindowAllowsReuseOnceEvicted) {
   // A duplicate inside the sliding window is rejected; an id older than
-  // the last `seen_id_window` accepted requests may be reused — the bound
-  // that keeps long-lived socket connections at constant memory.
-  Service service(small_options(1));
-  ServeOptions options;
-  options.seen_id_window = 2;
-  const ServeOutput output = run_serve(
-      service,
-      "{\"protocol_version\": 2, \"id\": \"a\", \"op\": \"ping\"}\n"
-      "{\"protocol_version\": 2, \"id\": \"a\", \"op\": \"ping\"}\n"  // dup
-      "{\"protocol_version\": 2, \"id\": \"b\", \"op\": \"ping\"}\n"
-      "{\"protocol_version\": 2, \"id\": \"c\", \"op\": \"ping\"}\n"  // evicts a
-      "{\"protocol_version\": 2, \"id\": \"a\", \"op\": \"ping\"}\n",  // ok again
-      options);
-  EXPECT_EQ(output.result.requests, 5u);
-  EXPECT_EQ(output.result.errors, 1u);
-  std::size_t ok_count = 0, duplicate_errors = 0;
-  for (const util::Json& line : output.lines) {
-    if (line.at("ok").as_bool())
-      ++ok_count;
-    else if (line.at("error").as_string().find("duplicate request id") !=
-             std::string::npos)
-      ++duplicate_errors;
-  }
-  EXPECT_EQ(ok_count, 4u);
-  EXPECT_EQ(duplicate_errors, 1u);
+  // the window's last accepted ids may be reused — the bound that keeps
+  // long-lived socket connections at constant memory.
+  SeenIdWindow window(2);
+  EXPECT_TRUE(window.insert("a"));
+  EXPECT_FALSE(window.insert("a"));  // duplicate
+  EXPECT_TRUE(window.insert("b"));
+  EXPECT_TRUE(window.insert("c"));  // evicts a
+  EXPECT_TRUE(window.insert("a"));  // accepted again
+  EXPECT_FALSE(window.insert("c"));
 }
 
 TEST(Serve, RejectedDuplicateDoesNotAgeTheWindow) {
   // Only *accepted* ids enter the window: hammering a duplicate must not
   // evict the id it collides with (which would re-admit the duplicate).
+  SeenIdWindow window(1);
+  EXPECT_TRUE(window.insert("a"));
+  EXPECT_FALSE(window.insert("a"));
+  EXPECT_FALSE(window.insert("a"));
+  EXPECT_TRUE(window.insert("b"));  // evicts a
+  EXPECT_TRUE(window.insert("a"));
+}
+
+/// An input stream of `lines` (each ending in a newline) that hands its
+/// reader one line per underflow and counts the lines handed out.
+class LineFeed : public std::streambuf {
+ public:
+  explicit LineFeed(std::vector<std::string> lines)
+      : lines_(std::move(lines)) {}
+  std::size_t handed_out() const { return handed_out_.load(); }
+
+ protected:
+  int_type underflow() override {
+    const std::size_t next = handed_out_.load();
+    if (next == lines_.size()) return traits_type::eof();
+    std::string& line = lines_[next];
+    setg(line.data(), line.data(), line.data() + line.size());
+    handed_out_.store(next + 1);
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::atomic<std::size_t> handed_out_{0};
+};
+
+/// An output stream whose writes block until open(): a client that does
+/// not read its responses yet.
+class GatedSink : public std::streambuf {
+ public:
+  void open() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+  std::string text() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return text_;
+  }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    opened_.wait(lock, [this] { return open_; });
+    text_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof()))
+      return traits_type::not_eof(ch);
+    const char c = traits_type::to_char_type(ch);
+    xsputn(&c, 1);
+    return ch;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable opened_;
+  bool open_ = false;
+  std::string text_;
+};
+
+TEST(Serve, StopsReadingAtTheUnansweredBound) {
+  // The first response blocks in the sink, so no request is answered: the
+  // loop reads kMaxUnansweredRequests lines and then no more until a
+  // response is written.
   Service service(small_options(1));
-  ServeOptions options;
-  options.seen_id_window = 1;
-  const ServeOutput output = run_serve(
-      service,
-      "{\"protocol_version\": 2, \"id\": \"a\", \"op\": \"ping\"}\n"
-      "{\"protocol_version\": 2, \"id\": \"a\", \"op\": \"ping\"}\n"
-      "{\"protocol_version\": 2, \"id\": \"a\", \"op\": \"ping\"}\n",
-      options);
-  EXPECT_EQ(output.result.errors, 2u);
+  const std::size_t total = kMaxUnansweredRequests + 8;
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < total; ++i)
+    lines.push_back("{\"protocol_version\": 2, \"id\": " +
+                    std::to_string(i) + ", \"op\": \"ping\"}\n");
+  LineFeed feed(std::move(lines));
+  GatedSink sink;
+  std::istream in(&feed);
+  std::ostream out(&sink);
+  std::future<ServeResult> served = std::async(
+      std::launch::async, [&] { return serve(service, in, out); });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (feed.handed_out() < kMaxUnansweredRequests &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Time in which a loop without the bound would read on.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(feed.handed_out(), kMaxUnansweredRequests);
+
+  sink.open();
+  const ServeResult result = served.get();
+  EXPECT_EQ(result.requests, total);
+  EXPECT_EQ(result.errors, 0u);
+  EXPECT_EQ(feed.handed_out(), total);
+  const std::string text = sink.text();
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            total);
 }
 
 TEST(Serve, CacheOpsWorkOverTheWire) {

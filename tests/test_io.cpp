@@ -104,19 +104,5 @@ TEST(Vcd, RejectsForeignSimResult) {
   EXPECT_THROW(sim::to_vcd(ctx, bogus), InvalidArgumentError);
 }
 
-TEST(Vcd, BusSignalsOptional) {
-  const arch::Architecture a = arch::base_architecture();
-  const sched::ConfigurationContext ctx = context_for("MVM", a);
-  ir::Memory mem;
-  kernels::find_workload("MVM").setup(mem);
-  const sim::SimResult result = sim::Machine().run(ctx, mem);
-  sim::VcdOptions opt;
-  opt.include_bus_signals = false;
-  const std::string without = sim::to_vcd(ctx, result, opt);
-  EXPECT_EQ(without.find("rbus_row"), std::string::npos);
-  const std::string with = sim::to_vcd(ctx, result);
-  EXPECT_NE(with.find("rbus_row0"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rsp

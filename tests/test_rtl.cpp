@@ -139,13 +139,6 @@ TEST(Generate, AllNineArchitecturesEmit) {
   }
 }
 
-TEST(Generate, RejectsDegenerateOptions) {
-  GenerateOptions opt;
-  opt.context_depth = 1;
-  EXPECT_THROW(generate(arch::base_architecture(), opt),
-               InvalidArgumentError);
-}
-
 TEST(Generate, ColumnPoolUnitsAppearForVariant3) {
   const std::string v = generate_verilog(arch::rs_architecture(3));
   EXPECT_NE(v.find("u_mult_row0_u1"), std::string::npos);  // 2 per row

@@ -276,41 +276,23 @@ TEST(Pretty, RendersStagesForPipelinedMults) {
   EXPECT_NE(base_grid.find("*"), std::string::npos);
 }
 
-TEST(Pretty, PerPeViewListsEveryPe) {
-  const ContextScheduler s;
-  const auto w = kernels::make_matmul(4);
-  const ConfigurationContext ctx =
-      s.schedule(place(w), arch::base_architecture(4, 4));
-  PrettyOptions opt;
-  opt.per_pe = true;
-  const std::string grid = render_schedule(ctx, opt);
-  EXPECT_NE(grid.find("(3,3)"), std::string::npos);
-}
-
 // Every grid of tests/data/schedule_grids_golden.txt, each under a
-// "== <kernel> on <architecture> ==" line: column views of one kernel per
-// architecture class (2D-FDCT on RSP#1 runs 90 cycles, so its grid ends in
-// the truncation line) and one per-PE view cut at 24 cycles.
+// "== <kernel> on <architecture> ==" line: one kernel per architecture
+// class (2D-FDCT on RSP#1 runs 90 cycles, so its grid ends in the
+// truncation line).
 std::string golden_grids() {
   const ContextScheduler s;
   std::ostringstream doc;
-  const auto add = [&](const kernels::Workload& w, const arch::Architecture& a,
-                       const PrettyOptions& opt, const std::string& view) {
-    doc << "== " << w.name << " on " << a.name << view << " ==\n"
-        << render_schedule(s.schedule(place(w), a), opt);
+  const auto add = [&](const kernels::Workload& w,
+                       const arch::Architecture& a) {
+    doc << "== " << w.name << " on " << a.name << " ==\n"
+        << render_schedule(s.schedule(place(w), a));
   };
-  add(kernels::find_workload("2D-FDCT"), arch::rsp_architecture(1), {}, "");
-  add(kernels::find_workload("SAD"), arch::rsp_architecture(4), {}, "");
-  add(kernels::find_workload("Hydro"), arch::base_architecture(), {}, "");
-  add(kernels::find_workload("FFT"), arch::rs_architecture(2), {}, "");
-  const auto matmul = kernels::make_matmul(4);
-  const arch::Architecture rsp4x4 =
-      arch::custom_architecture("RSP", 4, 4, 2, 0, 2);
-  add(matmul, rsp4x4, {}, "");
-  PrettyOptions per_pe;
-  per_pe.per_pe = true;
-  per_pe.max_cycles = 24;
-  add(matmul, rsp4x4, per_pe, ", per PE, 24 cycles");
+  add(kernels::find_workload("2D-FDCT"), arch::rsp_architecture(1));
+  add(kernels::find_workload("SAD"), arch::rsp_architecture(4));
+  add(kernels::find_workload("Hydro"), arch::base_architecture());
+  add(kernels::find_workload("FFT"), arch::rs_architecture(2));
+  add(kernels::make_matmul(4), arch::custom_architecture("RSP", 4, 4, 2, 0, 2));
   return doc.str();
 }
 
@@ -397,8 +379,7 @@ ProgramOp op_at(const PlacedProgram& program, ProgIndex i) {
   return op;
 }
 
-ConfigurationContext schedule(const SchedulerOptions& options_,
-                              const PlacedProgram& program,
+ConfigurationContext schedule(const PlacedProgram& program,
                               const arch::Architecture& architecture) {
   architecture.validate();
   program.validate();
@@ -470,8 +451,8 @@ ConfigurationContext schedule(const SchedulerOptions& options_,
     std::optional<arch::SharedUnitId> unit;
     int unit_slot = -1;
     for (;; ++t) {
-      if (t > options_.max_cycles)
-        throw InternalError("schedule exceeds max_cycles — livelock?");
+      if (t > kMaxIssueCycle)
+        throw InternalError("schedule exceeds kMaxIssueCycle — livelock?");
       bool pe_free = true;
       for (int s = 0; s < occupancy && pe_free; ++s)
         pe_free = pe_busy.used(t + s, pe_slot) == 0;
@@ -528,8 +509,7 @@ ConfigurationContext schedule(const SchedulerOptions& options_,
   return ConfigurationContext(architecture, std::move(scheduled));
 }
 
-PerfPoint measure(const SchedulerOptions& options,
-                  const PlacedProgram& program,
+PerfPoint measure(const PlacedProgram& program,
                   const arch::Architecture& architecture,
                   const ConfigurationContext& real) {
   PerfPoint p;
@@ -540,20 +520,18 @@ PerfPoint measure(const SchedulerOptions& options,
     return p;
   }
   const ConfigurationContext free_run =
-      schedule(options, program, unlimited_units(architecture));
+      schedule(program, unlimited_units(architecture));
   p.nostall_cycles = free_run.length();
   p.stalls = p.cycles - p.nostall_cycles;
   return p;
 }
 
-core::MeasuredPerf measure_perf(const SchedulerOptions& options,
-                                const PlacedProgram& program,
+core::MeasuredPerf measure_perf(const PlacedProgram& program,
                                 const arch::Architecture& architecture) {
   // One schedule serves both the PerfPoint and the issue-width column.
-  const ConfigurationContext context =
-      schedule(options, program, architecture);
+  const ConfigurationContext context = schedule(program, architecture);
   core::MeasuredPerf m;
-  m.perf = measure(options, program, architecture, context);
+  m.perf = measure(program, architecture, context);
   m.max_critical_issues = context.max_critical_issues_per_cycle();
   return m;
 }
@@ -590,7 +568,7 @@ void expect_matches_reference(const PlacedProgram& program,
   const ContextScheduler scheduler;
   const ConfigurationContext got = scheduler.schedule(program, architecture);
   const ConfigurationContext want =
-      reference::schedule(SchedulerOptions{}, program, architecture);
+      reference::schedule(program, architecture);
   EXPECT_EQ(got.architecture().name, want.architecture().name) << what;
   EXPECT_EQ(got.length(), want.length()) << what;
   ASSERT_EQ(got.size(), want.size()) << what;
@@ -602,7 +580,7 @@ void expect_matches_reference(const PlacedProgram& program,
     }
 
   const core::MeasuredPerf reference_perf =
-      reference::measure_perf(SchedulerOptions{}, program, architecture);
+      reference::measure_perf(program, architecture);
   const TimingProfile fresh(program);
   for (const TimingProfile* profile : {&fresh, &shared}) {
     const core::MeasuredPerf perf =
@@ -718,13 +696,12 @@ std::string thrown_by(const std::function<void()>& f) {
 
 /// timing(), schedule() and the reference throw the same error of type E.
 template <typename E>
-void expect_same_error(const SchedulerOptions& options,
-                       const PlacedProgram& program,
+void expect_same_error(const PlacedProgram& program,
                        const arch::Architecture& architecture) {
-  const ContextScheduler scheduler(options);
+  const ContextScheduler scheduler;
   EXPECT_THROW(scheduler.timing(TimingProfile(program), architecture), E);
-  const std::string want = thrown_by(
-      [&] { reference::schedule(options, program, architecture); });
+  const std::string want =
+      thrown_by([&] { reference::schedule(program, architecture); });
   EXPECT_EQ(thrown_by([&] {
               scheduler.timing(TimingProfile(program), architecture);
             }),
@@ -737,14 +714,13 @@ void expect_same_error(const SchedulerOptions& options,
 /// core::measure_perf throws what the reference measurement throws, an
 /// error of type E.
 template <typename E>
-void expect_same_measure_error(const SchedulerOptions& options,
-                               const TimingProfile& warm,
+void expect_same_measure_error(const TimingProfile& warm,
                                const PlacedProgram& program,
                                const arch::Architecture& architecture) {
-  const ContextScheduler scheduler(options);
+  const ContextScheduler scheduler;
   EXPECT_THROW(core::measure_perf(scheduler, warm, architecture), E);
-  const std::string want = thrown_by(
-      [&] { reference::measure_perf(options, program, architecture); });
+  const std::string want =
+      thrown_by([&] { reference::measure_perf(program, architecture); });
   EXPECT_EQ(
       thrown_by([&] { core::measure_perf(scheduler, warm, architecture); }),
       want);
@@ -752,7 +728,7 @@ void expect_same_measure_error(const SchedulerOptions& options,
 
 TEST(SchedulerReference, TimingAndScheduleThrowTheSameErrors) {
   const PlacedProgram matmul = place(kernels::make_matmul(4));
-  expect_same_error<InvalidArgumentError>({}, matmul,
+  expect_same_error<InvalidArgumentError>(matmul,
                                           arch::base_architecture(8, 8));
 
   // Sharing with pools that add up to no unit needs a negative count
@@ -761,47 +737,29 @@ TEST(SchedulerReference, TimingAndScheduleThrowTheSameErrors) {
   // unit" InfeasibleError, alike on every entry.
   arch::Architecture no_unit = arch::rs_architecture(1, 4, 4);
   no_unit.sharing.units_per_col = -1;
-  expect_same_error<InvalidArgumentError>({}, matmul, no_unit);
+  expect_same_error<InvalidArgumentError>(matmul, no_unit);
 
-  SchedulerOptions tight;
-  tight.max_cycles = 8;
-  const PlacedProgram hydro = place(kernels::find_workload("Hydro"));
-  expect_same_error<InternalError>(tight, hydro, arch::rs_architecture(1));
-  expect_same_error<InternalError>(tight, hydro, arch::base_architecture());
+  // Hydro plus a multiplication that may not issue before cycle
+  // kMaxIssueCycle + 1: the pass aborts at the bound rather than issue it.
+  PlacedProgram late = place(kernels::find_workload("Hydro"));
+  ProgramOp late_mult;
+  late_mult.kind = ir::OpKind::kMult;
+  late_mult.operands = {ProgOperand{kNoProducer, 3},
+                        ProgOperand{kNoProducer, 5}};
+  late_mult.not_before = kMaxIssueCycle + 1;
+  late.add(late_mult);
+  expect_same_error<InternalError>(late, arch::rs_architecture(1));
+  expect_same_error<InternalError>(late, arch::base_architecture());
 
-  // Profiles whose memo was filled under default options: every target
-  // check still runs on a memo hit.
-  const ContextScheduler loose;
-  const TimingProfile warm_hydro(hydro);
-  const arch::Architecture rs1 = arch::rs_architecture(1);
-  core::measure_perf(loose, warm_hydro, rs1);
-  expect_same_measure_error<InternalError>(tight, warm_hydro, hydro, rs1);
+  // A profile whose memo was filled: every target check still runs on a
+  // memo hit.
   const TimingProfile warm_matmul(matmul);
-  core::measure_perf(loose, warm_matmul, arch::rs_architecture(1, 4, 4));
-  expect_same_measure_error<InvalidArgumentError>({}, warm_matmul, matmul,
+  core::measure_perf(ContextScheduler(), warm_matmul,
+                     arch::rs_architecture(1, 4, 4));
+  expect_same_measure_error<InvalidArgumentError>(warm_matmul, matmul,
                                                   no_unit);
-  expect_same_measure_error<InvalidArgumentError>({}, warm_matmul, matmul,
-                                                  rs1);
-
-  // The memo hit itself honours max_cycles: it passes at the stall-free
-  // schedule's largest issue cycle and throws one cycle below, as the
-  // reference pass does.
-  const ConfigurationContext free_run =
-      reference::schedule({}, hydro, unlimited_units(rs1));
-  int last_issue = 0;
-  for (const ScheduledOp& op : free_run.ops())
-    last_issue = std::max(last_issue, op.cycle);
-  EXPECT_EQ(ContextScheduler({last_issue}).stall_free_length(warm_hydro, rs1),
-            free_run.length());
-  const SchedulerOptions below{last_issue - 1};
-  EXPECT_THROW(ContextScheduler(below).stall_free_length(warm_hydro, rs1),
-               InternalError);
-  EXPECT_EQ(thrown_by([&] {
-              ContextScheduler(below).stall_free_length(warm_hydro, rs1);
-            }),
-            thrown_by([&] {
-              reference::schedule(below, hydro, unlimited_units(rs1));
-            }));
+  expect_same_measure_error<InvalidArgumentError>(warm_matmul, matmul,
+                                                  arch::rs_architecture(1));
 }
 
 }  // namespace

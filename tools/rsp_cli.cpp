@@ -175,7 +175,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   if (listen.empty()) {
     // Pipe transport: one client over stdin/stdout.
     const api::ServeResult result =
-        api::serve(service, std::cin, std::cout, server_options.serve);
+        api::serve(service, std::cin, std::cout);
     if (!result.output_ok) {
       // Responses were lost to a dead output stream; the only channel left
       // for reporting it is stderr + the exit code.
