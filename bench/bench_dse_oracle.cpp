@@ -81,7 +81,8 @@ OracleRow run_oracle(const std::string& name,
                                     const arch::Architecture& a) {
     core::PerfEstimate e;
     e.base_cycles =
-        core::measure_perf(scheduler, preps[k]->timing_profile, a).perf.cycles;
+        core::measure_perf(scheduler, *preps[k]->program.timing_profile(), a)
+            .perf.cycles;
     return e;
   };
   const arch::Architecture base = explorer.base_architecture();

@@ -5,6 +5,7 @@
 // peaks at 8 concurrent multiplications, while the pipelined schedule fits
 // 4 shared multipliers with zero stalls.
 #include <iostream>
+#include <memory>
 
 #include "analysis/verifier.hpp"
 #include "arch/presets.hpp"
@@ -42,9 +43,10 @@ int main() {
       arch::custom_architecture("RSP-2stage", 4, 4, 1, 0, 2);  // 4 units
   const sched::ConfigurationContext fig6 = scheduler.schedule(program, rsp);
   analysis::require_legal(fig6);
-  const sched::TimingProfile profile(program);
+  const std::shared_ptr<const sched::TimingProfile> profile =
+      program.timing_profile();
   const sched::PerfPoint perf =
-      core::measure_perf(scheduler, profile, rsp).perf;
+      core::measure_perf(scheduler, *profile, rsp).perf;
   std::cout << "Fig. 6 — 4 shared 2-stage multipliers (1*/2* = stages):\n"
             << render_schedule(fig6) << "cycles: " << fig6.length()
             << "  |  RS stalls: " << perf.stalls
@@ -52,11 +54,11 @@ int main() {
 
   // ---- Fig. 3 claim: the un-pipelined design needs twice the units ----
   const sched::PerfPoint rs4 =
-      core::measure_perf(scheduler, profile,
+      core::measure_perf(scheduler, *profile,
                          arch::custom_architecture("RS-4u", 4, 4, 1, 0, 1))
           .perf;
   const sched::PerfPoint rs8 =
-      core::measure_perf(scheduler, profile,
+      core::measure_perf(scheduler, *profile,
                          arch::custom_architecture("RS-8u", 4, 4, 2, 0, 1))
           .perf;
   util::Table t({"Design", "multipliers", "cycles", "stalls",

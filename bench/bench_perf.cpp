@@ -45,6 +45,7 @@ void BM_Unroll(benchmark::State& state) {
 }
 BENCHMARK(BM_Unroll)->DenseRange(0, 8);
 
+// Unroll, placement and the timing profile the mapped program carries.
 void BM_Map(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
   const sched::LoopPipeliner mapper(w.array);
@@ -56,8 +57,8 @@ void BM_Map(benchmark::State& state) {
 }
 BENCHMARK(BM_Map)->DenseRange(0, 8);
 
-// The whole of Fig. 7 step 1 for one kernel: map (unroll included), the
-// timing profile, the base schedule through it and the legality check.
+// The whole of Fig. 7 step 1 for one kernel: map (unroll and the timing
+// profile included), the base schedule through it and the legality check.
 void BM_PrepareKernel(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -98,18 +99,19 @@ BENCHMARK(BM_ScheduleRsp)->DenseRange(0, 8);
 
 // DSE step 5's cost per (survivor, kernel): the real run and the
 // stall-free length, measured from issue cycles alone. The kernel's timing
-// profile is built once outside the loop, as prepare_kernel does, so the
-// stall-free memo is warm after the first iteration and the loop times the
-// real run plus a memo hit.
+// profile is the one map built, outside the loop, so the stall-free memo
+// is warm after the first iteration and the loop times the real run plus
+// a memo hit.
 void BM_Measure(benchmark::State& state) {
   const kernels::Workload& w = workload(static_cast<int>(state.range(0)));
   const sched::LoopPipeliner mapper(w.array);
   const sched::PlacedProgram p = mapper.map(w.kernel, w.hints, w.reduction);
   const sched::ContextScheduler s;
-  const sched::TimingProfile profile(p);
+  const std::shared_ptr<const sched::TimingProfile> profile =
+      p.timing_profile();
   const arch::Architecture a = arch::rsp_architecture(2);
   for (auto _ : state) {
-    auto m = core::measure_perf(s, profile, a);
+    auto m = core::measure_perf(s, *profile, a);
     benchmark::DoNotOptimize(m.perf.stalls);
   }
   state.SetLabel(w.name);

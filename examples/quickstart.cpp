@@ -56,8 +56,7 @@ int main() {
                " Fig. 6;\n1*/2* are the pipeline stages):\n"
             << render_schedule(rsp_ctx)
             << "cycles: " << rsp_ctx.length() << ", RS stalls: "
-            << core::measure_perf(scheduler, sched::TimingProfile(program),
-                                  rsp)
+            << core::measure_perf(scheduler, *program.timing_profile(), rsp)
                    .perf.stalls
             << "\n\n";
 

@@ -78,8 +78,7 @@ std::shared_ptr<const Service::ScheduledPair> Service::schedule_for(
   return schedules_.get_or_compute(pair_key(w, a), [&] {
     const std::shared_ptr<const KernelRecord> record = kernel_record(w);
     auto pair = std::make_shared<const ScheduledPair>(
-        sched::ContextScheduler().schedule(record->program,
-                                           record->timing_profile, a));
+        sched::ContextScheduler().schedule(record->program, a));
     analysis::require_legal(pair->context);
     return pair;
   });
@@ -122,12 +121,16 @@ EvalResponse Service::eval(const EvalRequest& request) const {
       record->program, arch::standard_suite(w.array.rows, w.array.cols),
       [&](const arch::Architecture& a) {
         return evals_.get_or_measure(w.name, record->program_tag,
-                                     record->timing_profile, a);
+                                     record->program, a);
       });
   return resp;
 }
 
 DseResponse Service::dse(const DseRequest& request) const {
+  if (request.kernels.size() > kMaxDseKernels)
+    throw InvalidArgumentError(
+        "dse: 'kernels' lists " + std::to_string(request.kernels.size()) +
+        " names; at most " + std::to_string(kMaxDseKernels) + " are allowed");
   std::vector<kernels::Workload> domain;
   if (request.kernels.empty()) {
     domain = kernels::paper_suite();
@@ -156,7 +159,7 @@ DseResponse Service::dse(const DseRequest& request) const {
                                      const arch::Architecture& a) {
     return evals_
         .get_or_measure(domain[k].name, records[k]->program_tag,
-                        records[k]->timing_profile, a)
+                        records[k]->program, a)
         .perf;
   };
   resp.result = explorer.explore(domain, prepare, measure);

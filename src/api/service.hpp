@@ -58,10 +58,16 @@ struct EvalRequest {
 };
 
 struct DseRequest {
-  /// Domain kernel names; empty explores the full nine-kernel paper suite.
+  /// Domain kernel names, at most kMaxDseKernels; empty explores the full
+  /// nine-kernel paper suite.
   std::vector<std::string> kernels;
   dse::ExplorerConfig config;
 };
+
+/// The most kernel names one `dse` request may list: a request's CPU time
+/// and memory grow with its domain, so Service::dse rejects a longer list
+/// before it resolves any name.
+inline constexpr std::size_t kMaxDseKernels = 64;
 
 struct MapRequest {
   std::string kernel;
@@ -325,7 +331,7 @@ class Service {
                                   int cols) const;
 
   /// One mapping-memo entry, Fig. 7 step 1 for one kernel: the KernelPrep
-  /// (placed program, base context, timing profile) and the
+  /// (placed program with its timing profile, base context) and the
   /// EvalCache::program_tag of its program, hashed once when the record is
   /// built. Immutable but for the timing profile's atomic stall-free memo,
   /// so every request measuring the kernel shares one record.
@@ -359,8 +365,8 @@ class Service {
   };
 
   /// The pair of `w` on `a`, from the schedule memo or computed: mapped
-  /// through the mapping memo, scheduled on the record's timing profile,
-  /// and checked with
+  /// through the mapping memo, scheduled on the timing profile of the
+  /// record's program, and checked with
   /// analysis::require_legal. A failure throws and is never memoized, so
   /// every repeat fails the same way.
   std::shared_ptr<const ScheduledPair> schedule_for(

@@ -9,12 +9,6 @@ int BusSwitchSpec::select_bits() const {
   return bits;
 }
 
-int BusSwitchSpec::wire_count() const {
-  // Two operand buses (n bits each) and one result bus (2n bits) per
-  // reachable unit.
-  return reachable_units * (2 * operand_width_bits + 2 * operand_width_bits);
-}
-
 BusSwitchSpec make_bus_switch(const SharingPlan& plan, int data_width_bits) {
   BusSwitchSpec spec;
   spec.reachable_units = plan.units_reachable_per_pe();

@@ -21,10 +21,6 @@ struct BusSwitchSpec {
   /// Selector bits needed in each configuration word (ceil(log2(units+1));
   /// the +1 encodes "no shared op this cycle").
   int select_bits() const;
-
-  /// Total wires through the switch: two operand buses out, one double-width
-  /// result bus back, per reachable unit.
-  int wire_count() const;
 };
 
 /// Builds the switch spec implied by a sharing plan.

@@ -1,6 +1,6 @@
 #include "core/evaluator.hpp"
 
-#include <optional>
+#include <memory>
 
 #include "util/error.hpp"
 
@@ -47,7 +47,7 @@ EvalResult RspEvaluator::evaluate(const sched::PlacedProgram& program,
                                   double base_et_ns) const {
   EvalResult r = make_eval_result(
       architecture,
-      measure_perf(scheduler_, sched::TimingProfile(program), architecture),
+      measure_perf(scheduler_, *program.timing_profile(), architecture),
       synth_.clock_ns(architecture));
   if (base_et_ns > 0.0)
     r.delay_reduction_percent =
@@ -62,8 +62,8 @@ std::vector<EvalResult> RspEvaluator::evaluate_suite(
   if (suite.empty())
     throw InvalidArgumentError("evaluate_suite requires architectures");
   // Without a hook, one profile serves the whole suite.
-  std::optional<sched::TimingProfile> profile;
-  if (!measure) profile.emplace(program);
+  std::shared_ptr<const sched::TimingProfile> profile;
+  if (!measure) profile = program.timing_profile();
   std::vector<EvalResult> out;
   out.reserve(suite.size());
   for (const arch::Architecture& a : suite)

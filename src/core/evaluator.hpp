@@ -62,9 +62,9 @@ class RspEvaluator {
                       double base_et_ns = 0.0) const;
 
   /// Evaluates the whole suite, measuring each architecture through
-  /// `measure` (in suite order), or without a hook through one
-  /// TimingProfile of `program`; the first entry must be the base
-  /// architecture (delay reductions are computed against it).
+  /// `measure` (in suite order), or without a hook through the program's
+  /// timing profile; the first entry must be the base architecture (delay
+  /// reductions are computed against it).
   std::vector<EvalResult> evaluate_suite(
       const sched::PlacedProgram& program,
       const std::vector<arch::Architecture>& suite,

@@ -22,24 +22,4 @@ util::Json to_json(const std::string& kernel_name,
   return j;
 }
 
-util::Json to_json(const synth::SynthesisReport& r) {
-  util::Json j = util::Json::object();
-  j.set("arch", r.arch_name)
-      .set("pe_area_slices", r.pe_area)
-      .set("switch_area_slices", r.switch_area)
-      .set("array_area_slices", r.array_area)
-      .set("area_reduction_percent", r.area_reduction)
-      .set("pe_delay_ns", r.pe_delay)
-      .set("switch_delay_ns", r.switch_delay)
-      .set("clock_ns", r.clock)
-      .set("delay_reduction_percent", r.delay_reduction);
-  return j;
-}
-
-util::Json to_json(const std::vector<synth::SynthesisReport>& reports) {
-  util::Json arr = util::Json::array();
-  for (const synth::SynthesisReport& r : reports) arr.push(to_json(r));
-  return arr;
-}
-
 }  // namespace rsp::core

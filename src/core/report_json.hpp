@@ -1,12 +1,12 @@
-// JSON export of evaluation results and synthesis reports, so downstream
-// tooling (plots, regression dashboards) consumes structured data instead
-// of scraping the bench tables.
+// JSON export of evaluation results, so downstream tooling (plots,
+// regression dashboards) consumes structured data instead of scraping the
+// bench tables.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/evaluator.hpp"
-#include "synth/synthesis.hpp"
 #include "util/json.hpp"
 
 namespace rsp::core {
@@ -14,11 +14,5 @@ namespace rsp::core {
 /// One kernel's evaluation across a suite of architectures.
 util::Json to_json(const std::string& kernel_name,
                    const std::vector<EvalResult>& rows);
-
-/// A synthesis report row (Table 2 style).
-util::Json to_json(const synth::SynthesisReport& report);
-
-/// Whole Table-2-style suite.
-util::Json to_json(const std::vector<synth::SynthesisReport>& reports);
 
 }  // namespace rsp::core

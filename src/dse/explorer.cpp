@@ -91,12 +91,9 @@ KernelPrep prepare_kernel(const kernels::Workload& workload) {
       arch::base_architecture(workload.array.rows, workload.array.cols);
   sched::PlacedProgram program =
       mapper.map(workload.kernel, workload.hints, workload.reduction);
-  sched::TimingProfile timing_profile(program);
-  sched::ConfigurationContext base_context =
-      scheduler.schedule(program, timing_profile, base);
+  sched::ConfigurationContext base_context = scheduler.schedule(program, base);
   analysis::require_legal(base_context);
-  return KernelPrep{std::move(program), std::move(base_context),
-                    std::move(timing_profile)};
+  return KernelPrep{std::move(program), std::move(base_context)};
 }
 
 arch::Architecture Explorer::base_architecture() const {
@@ -222,7 +219,8 @@ ExplorationResult Explorer::explore(
   const sched::ContextScheduler scheduler;
   const MeasureFn measure_directly = [&](std::size_t k,
                                          const arch::Architecture& a) {
-    return core::measure_perf(scheduler, kernels[k].prep->timing_profile, a)
+    return core::measure_perf(scheduler,
+                              *kernels[k].prep->program.timing_profile(), a)
         .perf;
   };
   for (Candidate& cand : result.candidates) {

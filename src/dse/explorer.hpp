@@ -105,21 +105,20 @@ struct ExplorationResult {
   std::vector<const Candidate*> pareto_points() const;
 };
 
-/// Step-1 product for one kernel: the placed program, its schedule on the
-/// base architecture (one of the paper's "initial configuration
-/// contexts") and the program's timing profile, which step 5 measures
-/// every survivor through. This is what api::Service's mapping memo
+/// Step-1 product for one kernel: the placed program, which carries the
+/// timing profile step 5 measures every survivor through, and its
+/// schedule on the base architecture (one of the paper's "initial
+/// configuration contexts"). This is what api::Service's mapping memo
 /// stores; the profile's stall-free memo is thread-safe, so one record
 /// serves every request.
 struct KernelPrep {
   sched::PlacedProgram program;
   sched::ConfigurationContext base_context;
-  sched::TimingProfile timing_profile;
 };
 
 /// The canonical step-1 computation for one kernel on its own array
-/// geometry: map, build the timing profile, schedule on the base
-/// architecture through that profile, legality-check.
+/// geometry: map, schedule on the base architecture through the program's
+/// profile, legality-check.
 /// Explorer::explore and the Service's mapping-memo fill both go through
 /// this one function, so a cached step-1 product cannot drift from a fresh
 /// one.
@@ -128,9 +127,9 @@ KernelPrep prepare_kernel(const kernels::Workload& workload);
 /// What the step-1 hook hands `Explorer::explore` for one kernel: the
 /// shared step-1 record and, optionally, the estimate profile of its base
 /// context (built from `prep->base_context` when null). Both are safe to
-/// share (the record's one mutable part, its timing profile's stall-free
-/// memo, is atomic), so a memo cache can hand out the same objects to
-/// every request.
+/// share (the record's one mutable part, its program's timing-profile
+/// stall-free memo, is atomic), so a memo cache can hand out the same
+/// objects to every request.
 struct PreparedKernel {
   std::shared_ptr<const KernelPrep> prep;
   std::shared_ptr<const core::EstimateProfile> profile;
@@ -144,8 +143,9 @@ using PrepareFn = std::function<PreparedKernel(
 
 /// Measurement hook for `evaluate_exact`: returns the PerfPoint of placed
 /// program `program_index` on `architecture`. The serial path calls
-/// core::measure_perf on the kernel's KernelPrep::timing_profile directly;
-/// api::Service interposes the evaluation memo-cache here.
+/// core::measure_perf on the timing profile of the kernel's
+/// KernelPrep::program directly; api::Service interposes the evaluation
+/// memo-cache here.
 using MeasureFn = std::function<sched::PerfPoint(
     std::size_t program_index, const arch::Architecture& architecture)>;
 

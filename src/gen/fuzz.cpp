@@ -77,15 +77,13 @@ FuzzReport fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
     const sched::LoopPipeliner mapper(w.array);
     const sched::PlacedProgram program =
         mapper.map(w.kernel, unrolled, w.hints, w.reduction);
-    const sched::TimingProfile profile(program);
     const sched::ContextScheduler scheduler;
 
     const std::vector<arch::Architecture> suite =
         arch::standard_suite(w.array.rows, w.array.cols);
     for (const std::size_t index : arch_indices(seed, suite.size(), options)) {
       const arch::Architecture& a = suite[index];
-      const sched::ConfigurationContext ctx =
-          scheduler.schedule(program, profile, a);
+      const sched::ConfigurationContext ctx = scheduler.schedule(program, a);
       // One engine call per context: the full lint. Any error or
       // hardware-rule finding (analysis::kHardwareRules) means the
       // scheduler emitted a context the array cannot run. Lint-only

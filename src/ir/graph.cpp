@@ -110,15 +110,6 @@ std::vector<OpKind> DataflowGraph::op_set() const {
   return out;
 }
 
-std::vector<std::vector<NodeId>> DataflowGraph::build_users() const {
-  std::vector<std::vector<NodeId>> users(nodes_.size());
-  for (NodeId id = 0; id < size(); ++id) {
-    for (NodeId in : nodes_[static_cast<std::size_t>(id)].inputs)
-      if (in != kInvalidNode) users[static_cast<std::size_t>(in)].push_back(id);
-  }
-  return users;
-}
-
 std::vector<int> DataflowGraph::asap_levels() const {
   std::vector<int> level(nodes_.size(), 0);
   for (NodeId id = 0; id < size(); ++id) {

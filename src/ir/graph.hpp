@@ -85,9 +85,6 @@ class DataflowGraph {
   /// operation sets list computational ops only.
   std::vector<OpKind> op_set() const;
 
-  /// Same-iteration users of each node (computed on demand).
-  std::vector<std::vector<NodeId>> build_users() const;
-
   /// ASAP level of every node counting unit latency per op and ignoring
   /// loop-carried edges (they resolve to earlier iterations).
   std::vector<int> asap_levels() const;

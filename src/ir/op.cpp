@@ -81,20 +81,6 @@ bool is_memory_op(OpKind kind) {
   return kind == OpKind::kLoad || kind == OpKind::kStore;
 }
 
-bool is_primitive_op(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAdd:
-    case OpKind::kSub:
-    case OpKind::kAbs:
-    case OpKind::kShift:
-    case OpKind::kRoute:
-    case OpKind::kConst:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_critical_op(OpKind kind) { return kind == OpKind::kMult; }
 
 bool produces_value(OpKind kind) {

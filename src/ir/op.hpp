@@ -39,9 +39,6 @@ const char* op_symbol(OpKind kind);
 /// True for kLoad/kStore (they occupy row data buses).
 bool is_memory_op(OpKind kind);
 
-/// True for ops executed on the PE's primitive resources (ALU/shift path).
-bool is_primitive_op(OpKind kind);
-
 /// True for ops executed on the area/delay-critical resource that the RSP
 /// template extracts and shares (the array multiplier).
 bool is_critical_op(OpKind kind);

@@ -89,12 +89,13 @@ std::string EvalCache::key(const std::string& kernel_id,
 
 core::MeasuredPerf EvalCache::get_or_measure(
     const std::string& kernel_id, const std::string& program_tag,
-    const sched::TimingProfile& profile,
+    const sched::PlacedProgram& program,
     const arch::Architecture& architecture) {
   const EvalRecord r =
       get_or_compute(key(kernel_id, program_tag, architecture), [&] {
         const core::MeasuredPerf m = core::measure_perf(
-            sched::ContextScheduler(), profile, architecture);
+            sched::ContextScheduler(), *program.timing_profile(),
+            architecture);
         return EvalRecord{m.perf.cycles, m.perf.stalls,
                           m.perf.nostall_cycles, m.max_critical_issues};
       });

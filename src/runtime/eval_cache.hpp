@@ -86,17 +86,16 @@ class EvalCache {
     return cache_.get_or_compute(key, compute);
   }
 
-  /// The memoized measurement of a program on `architecture`: the record
+  /// The memoized measurement of `program` on `architecture`: the record
   /// under key(kernel_id, program_tag, architecture), or a fresh
-  /// core::measure_perf on `profile` published under that key.
-  /// `program_tag` and `profile` must both come from that program (a
-  /// dse::KernelPrep carries its profile) — callers measuring one program
-  /// on many architectures compute the tag once. DSE step 5 and suite
-  /// evaluation both measure through here, so their entries serve each
-  /// other.
+  /// core::measure_perf on the program's timing profile published under
+  /// that key. `program_tag` must be program_tag(program) — callers
+  /// measuring one program on many architectures compute it once. DSE
+  /// step 5 and suite evaluation both measure through here, so their
+  /// entries serve each other.
   core::MeasuredPerf get_or_measure(const std::string& kernel_id,
                                     const std::string& program_tag,
-                                    const sched::TimingProfile& profile,
+                                    const sched::PlacedProgram& program,
                                     const arch::Architecture& architecture);
 
   /// Serialization format version; bumped whenever the entry schema or the

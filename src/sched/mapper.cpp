@@ -1,8 +1,10 @@
 #include "sched/mapper.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "sched/scheduler.hpp"
 #include "util/error.hpp"
 
 namespace rsp::sched {
@@ -242,6 +244,7 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
     }
   }
 
+  program.profile_ = std::make_shared<const TimingProfile>(program);
   return program;
 }
 

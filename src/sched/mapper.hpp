@@ -10,7 +10,8 @@
 //     a binary tree along columns and then along a row, and stored.
 //
 // The mapper fixes placement and competition order only. Concrete cycles —
-// base schedule, RS stalls, RP stretching — come from ContextScheduler.
+// base schedule, RS stalls, RP stretching — come from ContextScheduler,
+// which times the program on the profile the mapper stores with it.
 #pragma once
 
 #include "ir/kernel.hpp"
@@ -29,9 +30,10 @@ class LoopPipeliner {
   /// Maps the kernel. Throws InfeasibleError when the hints do not fit the
   /// array (too many lanes/columns) and InvalidArgumentError when a
   /// loop-carried dependence cannot be routed under the given hints
-  /// (distance not compatible with the wave layout). The program's full
-  /// structural check (PlacedProgram::validate) runs once, in the
-  /// TimingProfile every scheduling path builds from it.
+  /// (distance not compatible with the wave layout). Its last step builds
+  /// the program's TimingProfile, which validates the program, so map
+  /// throws what PlacedProgram::validate throws; the returned program
+  /// carries the profile (PlacedProgram::timing_profile).
   PlacedProgram map(const ir::LoopKernel& kernel,
                     const ir::UnrolledGraph& unrolled,
                     const MappingHints& hints,

@@ -1,8 +1,8 @@
 #include "sched/program.hpp"
 
 #include <algorithm>
-#include <atomic>
 
+#include "sched/scheduler.hpp"
 #include "util/error.hpp"
 
 namespace rsp::sched {
@@ -35,7 +35,7 @@ ProgIndex PlacedProgram::append(const ProgramOp& op,
                                 std::span<const ProgOperand> operands,
                                 std::span<const ProgIndex> order_deps) {
   const ProgIndex idx = size();
-  stamp_ = next_stamp();
+  profile_.reset();
   kind_.push_back(op.kind);
   pe_.push_back(op.pe);
   priority_.push_back(op.priority);
@@ -58,11 +58,6 @@ ir::ArrayId PlacedProgram::intern(const std::string& name) {
       std::find(names_.begin(), names_.end(), name) - names_.begin());
   if (id == static_cast<ir::ArrayId>(names_.size())) names_.push_back(name);
   return id;
-}
-
-std::uint64_t PlacedProgram::next_stamp() {
-  static std::atomic<std::uint64_t> last{0};
-  return ++last;
 }
 
 void PlacedProgram::throw_out_of_range() {
@@ -103,6 +98,10 @@ void PlacedProgram::validate() const {
 
 std::int64_t PlacedProgram::count(ir::OpKind kind) const {
   return static_cast<std::int64_t>(std::count(kind_.begin(), kind_.end(), kind));
+}
+
+std::shared_ptr<const TimingProfile> PlacedProgram::timing_profile() const {
+  return profile_ ? profile_ : std::make_shared<const TimingProfile>(*this);
 }
 
 }  // namespace rsp::sched

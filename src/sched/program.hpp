@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "ir/unroll.hpp"
 
 namespace rsp::sched {
+
+class TimingProfile;
 
 /// Index into a PlacedProgram's op table.
 using ProgIndex = std::int64_t;
@@ -63,9 +66,8 @@ struct ProgramOp {
 /// and the reduction epilogue follows. Every per-op accessor throws
 /// NotFoundError for an index outside [0, size()).
 ///
-/// Each program carries a stamp, a process-wide unique number taken at
-/// construction and at every appended op and shared only by copies, so a
-/// TimingProfile can tell the program it was built from in O(1).
+/// A mapped program carries its TimingProfile, built once by
+/// LoopPipeliner::map and shared by copies; `add` drops it.
 class PlacedProgram {
  public:
   explicit PlacedProgram(arch::ArraySpec array) : array_(array) {
@@ -75,6 +77,7 @@ class PlacedProgram {
   const arch::ArraySpec& array() const { return array_; }
 
   /// Appends an op; operands must reference earlier ops. Returns its index.
+  /// Drops the program's timing profile.
   ProgIndex add(const ProgramOp& op);
 
   std::int64_t size() const { return static_cast<std::int64_t>(kind_.size()); }
@@ -110,6 +113,10 @@ class PlacedProgram {
   /// Number of ops of `kind` (for quick sanity checks).
   std::int64_t count(ir::OpKind kind) const;
 
+  /// The profile LoopPipeliner::map stored, or, for a program built or
+  /// extended by `add`, a fresh one (which throws what validate throws).
+  std::shared_ptr<const TimingProfile> timing_profile() const;
+
  private:
   friend class LoopPipeliner;  // fills the columns directly
   friend class TimingProfile;  // reads them directly
@@ -119,7 +126,6 @@ class PlacedProgram {
     return static_cast<std::size_t>(i);
   }
   [[noreturn]] static void throw_out_of_range();
-  static std::uint64_t next_stamp();
   ir::ArrayId intern(const std::string& name);
   /// Appends `op` with `operands` and `order_deps` in place of its own
   /// lists, unchecked.
@@ -127,7 +133,7 @@ class PlacedProgram {
                    std::span<const ProgIndex> order_deps);
 
   arch::ArraySpec array_;
-  std::uint64_t stamp_ = next_stamp();
+  std::shared_ptr<const TimingProfile> profile_;
   std::vector<std::string> names_;
   std::vector<ir::OpKind> kind_;
   std::vector<arch::PeCoord> pe_;

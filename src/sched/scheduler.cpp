@@ -58,13 +58,8 @@ TimingProfile::StallFreeMemo::StallFreeMemo() {
   for (std::atomic<int>& slot : slots) slot.store(kUnset);
 }
 
-TimingProfile::StallFreeMemo::StallFreeMemo(const StallFreeMemo& other) {
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    slots[i].store(other.slots[i].load());
-}
-
 TimingProfile::TimingProfile(const PlacedProgram& program)
-    : array_(program.array()), program_stamp_(program.stamp_) {
+    : array_(program.array()) {
   program.validate();
   const std::vector<std::int64_t>& priority = program.priority_;
   const std::size_t n = priority.size();
@@ -244,17 +239,8 @@ ConfigurationContext ContextScheduler::schedule(
     const {
   // An invalid target's error takes precedence over an invalid program's.
   architecture.validate();
-  return build_context(program, timing(TimingProfile(program), architecture),
+  return build_context(program, timing(*program.timing_profile(), architecture),
                        architecture);
-}
-
-ConfigurationContext ContextScheduler::schedule(
-    const PlacedProgram& program, const TimingProfile& profile,
-    const arch::Architecture& architecture) const {
-  if (!profile.built_from(program))
-    throw InvalidArgumentError(
-        "timing profile was built from another program");
-  return build_context(program, timing(profile, architecture), architecture);
 }
 
 ConfigurationContext ContextScheduler::build_context(

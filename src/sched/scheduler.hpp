@@ -22,14 +22,14 @@
 //
 // What the pass reads of a placed program depends on the program alone, so
 // a TimingProfile extracts it once: the validated program's priority order
-// and, per op, its kind class, PE, not_before and predecessor list. Exact
-// evaluation schedules one program on many architectures (Fig. 7 step 5,
-// the Table 4/5 suite), so it builds the profile once and times every
-// architecture on it; callers that also need contexts (step 1's base
-// schedule, the Service's schedule memo, the fuzzer) pass the same profile
-// to `schedule`. The stall-free schedule that RS stalls are counted against
-// depends only on the multiplier latency, so the profile also memoizes its
-// length per latency.
+// and, per op, its kind class, PE, not_before and predecessor list.
+// LoopPipeliner::map builds it as its last step and the mapped program
+// carries it (PlacedProgram::timing_profile), so one program scheduled or
+// timed on many architectures (Fig. 7 steps 1 and 5, the Table 4/5 suite,
+// the Service's schedule memo, the fuzzer) reuses one profile. The
+// stall-free schedule that RS stalls are counted against depends only on
+// the multiplier latency, so the profile also memoizes its length per
+// latency.
 #pragma once
 
 #include <array>
@@ -70,12 +70,6 @@ class TimingProfile {
   const arch::ArraySpec& array() const { return array_; }
   std::size_t size() const { return order_.size(); }
 
-  /// True when this profile was built from `program` or from a copy of
-  /// it that nothing has appended to since (PlacedProgram's stamp).
-  bool built_from(const PlacedProgram& program) const {
-    return program.stamp_ == program_stamp_;
-  }
-
   /// Peak critical-operation issues in one cycle of `timing`, a schedule
   /// of this profile's program: the count
   /// ConfigurationContext::max_critical_issues_per_cycle takes.
@@ -96,19 +90,15 @@ class TimingProfile {
   };
 
   /// Per multiplier latency 1..kMaxPipelineStages, the stall-free
-  /// schedule's length, or kUnset. Racing fills store the same value. A
-  /// copy keeps what is memoized.
+  /// schedule's length, or kUnset. Racing fills store the same value.
   struct StallFreeMemo {
     static constexpr int kUnset = -1;
     std::array<std::atomic<int>, arch::kMaxPipelineStages> slots;
 
     StallFreeMemo();
-    StallFreeMemo(const StallFreeMemo& other);
-    StallFreeMemo& operator=(const StallFreeMemo&) = delete;
   };
 
   arch::ArraySpec array_;
-  std::uint64_t program_stamp_;   ///< the stamp of the program it reads
   std::vector<ProgIndex> order_;  ///< program indices, by priority
   std::vector<Op> ops_;           ///< indexed like the program's ops
   /// Operand and order-dependence predecessors of op i, as program
@@ -120,24 +110,16 @@ class TimingProfile {
 
 class ContextScheduler {
  public:
-  /// Schedules `program` on `architecture`.
+  /// Schedules `program` on `architecture`, timed on the program's
+  /// profile (PlacedProgram::timing_profile). Throws what `timing` throws;
+  /// an invalid `architecture`'s error comes before an invalid program's.
   ConfigurationContext schedule(const PlacedProgram& program,
-                                const arch::Architecture& architecture) const;
-
-  /// The same context, timed on `profile`, which must be built from
-  /// `program` (callers scheduling one program on several architectures
-  /// build its profile once). Throws InvalidArgumentError for a profile of
-  /// another program, then what `timing` throws.
-  ConfigurationContext schedule(const PlacedProgram& program,
-                                const TimingProfile& profile,
                                 const arch::Architecture& architecture) const;
 
   /// The scheduling pass: the issue cycles and units `schedule` assigns,
   /// without building the context. Every call validates `architecture`,
   /// checks that it has the profile's array geometry and aborts past
-  /// kMaxIssueCycle. This is the only implementation of the pass;
-  /// `schedule(program, arch)`, the one entry that takes a program, builds
-  /// a temporary profile and calls it.
+  /// kMaxIssueCycle. This is the only implementation of the pass.
   ScheduleTiming timing(const TimingProfile& profile,
                         const arch::Architecture& architecture) const;
 

@@ -21,12 +21,4 @@ SynthesisReport SynthesisModel::report(const arch::Architecture& a) const {
   return r;
 }
 
-std::vector<SynthesisReport> SynthesisModel::report_suite(
-    const std::vector<arch::Architecture>& suite) const {
-  std::vector<SynthesisReport> out;
-  out.reserve(suite.size());
-  for (const arch::Architecture& a : suite) out.push_back(report(a));
-  return out;
-}
-
 }  // namespace rsp::synth

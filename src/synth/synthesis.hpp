@@ -31,8 +31,6 @@ class SynthesisModel {
   const ClockModel& clock_model() const { return clock_; }
 
   SynthesisReport report(const arch::Architecture& a) const;
-  std::vector<SynthesisReport> report_suite(
-      const std::vector<arch::Architecture>& suite) const;
 
   double area(const arch::Architecture& a) const {
     return area_.synthesized(a);

@@ -31,24 +31,4 @@ std::string join(const std::vector<std::string>& parts,
   return os.str();
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  out.push_back(current);
-  return out;
-}
-
 }  // namespace rsp::util

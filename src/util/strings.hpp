@@ -17,10 +17,4 @@ std::string format_trimmed(double value, int max_digits = 2);
 /// Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
-/// Returns true if `s` starts with `prefix`.
-bool starts_with(const std::string& s, const std::string& prefix);
-
-/// Splits on a single character, keeping empty fields.
-std::vector<std::string> split(const std::string& s, char sep);
-
 }  // namespace rsp::util

@@ -202,6 +202,25 @@ TEST(Service, DseWithoutKernelsExploresPaperSuite) {
     EXPECT_EQ(resp.kernels[i], suite[i].name);
 }
 
+TEST(Service, DseBoundsTheKernelsOneRequestNames) {
+  const Service service(small_options(1));
+  DseRequest request;
+  request.config = small_dse_config();
+  request.kernels.assign(kMaxDseKernels, "SAD");
+  const util::Json accepted = service.handle(request);
+  EXPECT_TRUE(accepted.at("ok").as_bool());
+  EXPECT_EQ(accepted.at("kernels").size(), kMaxDseKernels);
+
+  // One name more is refused before any name resolves, so unknown names
+  // get the bound's answer rather than a lookup error.
+  request.kernels.assign(kMaxDseKernels + 1, "no-such-kernel");
+  EXPECT_THROW(service.dse(request), InvalidArgumentError);
+  const util::Json rejected = service.handle(request);
+  EXPECT_FALSE(rejected.at("ok").as_bool());
+  EXPECT_EQ(rejected.at("error").as_string(),
+            "dse: 'kernels' lists 65 names; at most 64 are allowed");
+}
+
 TEST(Service, ListReportsCatalogueAndStandardSuite) {
   const Service service(small_options(1));
   const ListResponse resp = service.list({});

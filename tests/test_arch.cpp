@@ -179,7 +179,6 @@ TEST(BusSwitch, DerivedFromPlan) {
   const BusSwitchSpec sw = make_bus_switch(plan, a.data_width_bits);
   EXPECT_EQ(sw.reachable_units, 4);
   EXPECT_EQ(sw.operand_width_bits, 16);
-  EXPECT_GT(sw.wire_count(), 0);
 }
 
 // ----------------------------------------------------------- config cache

@@ -350,7 +350,9 @@ TEST(Explorer, HookedExploreIsFieldEqualToUnhooked) {
   const sched::ContextScheduler scheduler;
   const MeasureFn measure = [&](std::size_t k, const arch::Architecture& a) {
     ++measured;
-    return core::measure_perf(scheduler, records[k]->timing_profile, a).perf;
+    return core::measure_perf(scheduler, *records[k]->program.timing_profile(),
+                              a)
+        .perf;
   };
   const ExplorationResult hooked = explorer.explore(domain, prepare, measure);
 

@@ -37,8 +37,6 @@ TEST(Graph, Classification) {
   EXPECT_FALSE(is_critical_op(OpKind::kAdd));
   EXPECT_TRUE(is_memory_op(OpKind::kLoad));
   EXPECT_TRUE(is_memory_op(OpKind::kStore));
-  EXPECT_TRUE(is_primitive_op(OpKind::kAdd));
-  EXPECT_FALSE(is_primitive_op(OpKind::kMult));
   EXPECT_FALSE(produces_value(OpKind::kStore));
   EXPECT_TRUE(produces_value(OpKind::kMult));
 }
@@ -130,14 +128,6 @@ TEST(Graph, DeadValueNodesDetected) {
   const auto dead = g.dead_value_nodes();
   ASSERT_EQ(dead.size(), 1u);
   EXPECT_EQ(g.node(dead[0]).kind, OpKind::kConst);
-}
-
-TEST(Graph, UsersAreInverseOfInputs) {
-  const DataflowGraph g = simple_mac();
-  const auto users = g.build_users();
-  ASSERT_EQ(users[0].size(), 1u);
-  EXPECT_EQ(users[0][0], 2);  // load 0 feeds the mult
-  EXPECT_TRUE(users[3].empty());
 }
 
 TEST(Graph, AccumulatorBuilderWiresSelfReference) {

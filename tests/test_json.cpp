@@ -227,15 +227,5 @@ TEST(ReportJson, EvaluationExport) {
   EXPECT_NE(s.find("\"delay_reduction_percent\":35.6"), std::string::npos);
 }
 
-TEST(ReportJson, SynthesisExport) {
-  const synth::SynthesisModel model;
-  const util::Json arr =
-      core::to_json(model.report_suite(arch::standard_suite()));
-  EXPECT_EQ(arr.size(), 9u);
-  const std::string s = arr.dump();
-  EXPECT_NE(s.find("\"arch\":\"Base\""), std::string::npos);
-  EXPECT_NE(s.find("\"clock_ns\":16.72"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rsp

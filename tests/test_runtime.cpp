@@ -455,11 +455,12 @@ TEST(EvalCache, EvictionUnderConcurrencyStaysConsistent) {
 
 // ------------------------------------------------- shared timing profile
 TEST(ThreadPool, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
-  // Serve threads measure through one step-1 record's timing profile,
-  // whose stall-free memo starts cold. Four tasks sweep the default grid at
-  // once (each from a different start point), so the fills of every
-  // multiplier latency race; every task must measure what a serial sweep
-  // on a fresh record measures.
+  // Serve threads measure through the timing profile of one step-1
+  // record's program, whose stall-free memo starts cold. Four tasks read
+  // it from the record and sweep the default grid at once (each from a
+  // different start point), so the fills of every multiplier latency race;
+  // every task must measure what a serial sweep on a fresh record
+  // measures.
   const kernels::Workload w = kernels::find_workload("State");
   const dse::Explorer explorer(w.array);
   const arch::Architecture base = explorer.base_architecture();
@@ -479,7 +480,7 @@ TEST(ThreadPool, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
   const dse::KernelPrep fresh = dse::prepare_kernel(w);
   std::vector<EvalRecord> serial;
   for (std::size_t i = 0; i < grid.size(); ++i)
-    serial.push_back(measure_at(fresh.timing_profile, i));
+    serial.push_back(measure_at(*fresh.program.timing_profile(), i));
 
   const std::shared_ptr<const dse::KernelPrep> record =
       std::make_shared<const dse::KernelPrep>(dse::prepare_kernel(w));
@@ -489,13 +490,15 @@ TEST(ThreadPool, SharedTimingProfileMeasuresAlikeUnderRacingMemoFills) {
   std::vector<std::future<std::vector<EvalRecord>>> futures;
   for (int t = 0; t < kTasks; ++t)
     futures.push_back(pool.submit([&, t] {
+      const std::shared_ptr<const sched::TimingProfile> profile =
+          record->program.timing_profile();
       // Start together, so the cold fills overlap.
       started.fetch_add(1);
       while (started.load() < kTasks) std::this_thread::yield();
       std::vector<EvalRecord> out(grid.size());
       for (std::size_t k = 0; k < grid.size(); ++k) {
         const std::size_t i = (k + static_cast<std::size_t>(t)) % grid.size();
-        out[i] = measure_at(record->timing_profile, i);
+        out[i] = measure_at(*profile, i);
       }
       return out;
     }));

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -555,18 +556,12 @@ bool same_op(const ScheduledOp& a, const ScheduledOp& b) {
          a.array == b.array && a.address == b.address && a.unit == b.unit;
 }
 
-/// One (program, architecture) pair: schedule() agrees with the reference
-/// op for op, and core::measure_perf agrees with the reference
-/// measurement field for field, both on a fresh profile of
-/// `program` and on `shared`, the profile every pair of `program` shares
-/// (so its stall-free memo is hit by every later pair of the same stage
-/// count).
-void expect_matches_reference(const PlacedProgram& program,
-                              const TimingProfile& shared,
-                              const arch::Architecture& architecture,
-                              const std::string& what) {
-  const ContextScheduler scheduler;
-  const ConfigurationContext got = scheduler.schedule(program, architecture);
+/// schedule() agrees with the reference op for op.
+void expect_schedule_matches_reference(const PlacedProgram& program,
+                                       const arch::Architecture& architecture,
+                                       const std::string& what) {
+  const ConfigurationContext got =
+      ContextScheduler().schedule(program, architecture);
   const ConfigurationContext want =
       reference::schedule(program, architecture);
   EXPECT_EQ(got.architecture().name, want.architecture().name) << what;
@@ -578,11 +573,25 @@ void expect_matches_reference(const PlacedProgram& program,
                     << got.op(i).cycle << " vs " << want.op(i).cycle << ")";
       break;
     }
+}
 
+/// One (mapped program, architecture) pair: schedule(), which times on the
+/// program's stored profile, agrees with the reference op for op, and
+/// core::measure_perf agrees with the reference measurement field for
+/// field, both on a fresh profile of `program` and on the stored one,
+/// which every pair of `program` shares (so its stall-free memo is hit by
+/// every later pair of the same stage count).
+void expect_matches_reference(const PlacedProgram& program,
+                              const arch::Architecture& architecture,
+                              const std::string& what) {
+  expect_schedule_matches_reference(program, architecture, what);
+
+  const ContextScheduler scheduler;
   const core::MeasuredPerf reference_perf =
       reference::measure_perf(program, architecture);
   const TimingProfile fresh(program);
-  for (const TimingProfile* profile : {&fresh, &shared}) {
+  const std::shared_ptr<const TimingProfile> stored = program.timing_profile();
+  for (const TimingProfile* profile : {&fresh, stored.get()}) {
     const core::MeasuredPerf perf =
         core::measure_perf(scheduler, *profile, architecture);
     EXPECT_EQ(perf.perf.cycles, reference_perf.perf.cycles) << what;
@@ -594,58 +603,41 @@ void expect_matches_reference(const PlacedProgram& program,
   }
 }
 
-TEST(Scheduler, ScheduleOnTheProgramsProfileMatchesTheOneShotEntry) {
-  const ContextScheduler scheduler;
-  for (const kernels::Workload& w : kernels::paper_suite()) {
-    const PlacedProgram p = place(w);
-    const TimingProfile profile(p);
-    for (const arch::Architecture& a : arch::standard_suite()) {
-      const ConfigurationContext once = scheduler.schedule(p, a);
-      const ConfigurationContext shared = scheduler.schedule(p, profile, a);
-      ASSERT_EQ(once.size(), shared.size()) << w.name << " on " << a.name;
-      for (ProgIndex i = 0; i < once.size(); ++i)
-        ASSERT_TRUE(same_op(once.op(i), shared.op(i)))
-            << w.name << " on " << a.name << ": op " << i;
-    }
-  }
-}
-
-TEST(Scheduler, RejectsTheProfileOfAnotherProgram) {
-  const ContextScheduler scheduler;
+TEST(Scheduler, AppendingToAMappedProgramDropsItsProfile) {
   const arch::Architecture base = arch::base_architecture();
   const PlacedProgram hydro = place(kernels::find_workload("Hydro"));
-  const PlacedProgram iccg = place(kernels::find_workload("ICCG"));
-  const TimingProfile hydro_profile(hydro);
-  EXPECT_TRUE(hydro_profile.built_from(hydro));
-  EXPECT_FALSE(hydro_profile.built_from(iccg));
-  EXPECT_THROW(scheduler.schedule(iccg, hydro_profile, base),
-               InvalidArgumentError);
+  const std::shared_ptr<const TimingProfile> profile = hydro.timing_profile();
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(hydro.timing_profile(), profile);
 
-  // A copy is the same program; appending an op makes it another one.
+  // A copy shares the mapped program's profile.
   PlacedProgram copy = hydro;
-  EXPECT_EQ(scheduler.schedule(copy, hydro_profile, base).length(),
-            scheduler.schedule(hydro, base).length());
+  EXPECT_EQ(copy.timing_profile(), profile);
+
+  // Appending drops the copy's profile, not the original's; the copy's
+  // profiles are then built fresh, one per call.
   ProgramOp extra;
   extra.kind = ir::OpKind::kConst;
   extra.priority = std::numeric_limits<std::int64_t>::max();
   copy.add(extra);
-  EXPECT_THROW(scheduler.schedule(copy, hydro_profile, base),
-               InvalidArgumentError);
+  EXPECT_EQ(hydro.timing_profile(), profile);
+  EXPECT_NE(copy.timing_profile(), profile);
+  EXPECT_NE(copy.timing_profile(), copy.timing_profile());
+  EXPECT_EQ(copy.timing_profile()->size(), profile->size() + 1);
 
-  // An identical program placed again is still another program.
-  EXPECT_THROW(scheduler.schedule(place(kernels::find_workload("Hydro")),
-                                  hydro_profile, base),
-               InvalidArgumentError);
+  const ConfigurationContext context = ContextScheduler().schedule(copy, base);
+  ASSERT_EQ(context.size(), hydro.size() + 1);
+  EXPECT_EQ(context.op(hydro.size()).kind, ir::OpKind::kConst);
+  expect_schedule_matches_reference(copy, base, "Hydro plus a const");
 }
 
 TEST(SchedulerReference, CatalogueMatchesOnTheNineDesigns) {
   std::size_t pairs = 0;
   for (const kernels::Workload& w : kernels::full_catalogue()) {
     const PlacedProgram p = place(w);
-    const TimingProfile shared(p);
     for (const arch::Architecture& a :
          arch::standard_suite(w.array.rows, w.array.cols)) {
-      expect_matches_reference(p, shared, a, w.name + " on " + a.name);
+      expect_matches_reference(p, a, w.name + " on " + a.name);
       ++pairs;
     }
   }
@@ -656,16 +648,15 @@ TEST(SchedulerReference, PaperDomainMatchesOnTheDefaultGrid) {
   std::size_t pairs = 0;
   for (const kernels::Workload& w : kernels::paper_suite()) {
     const PlacedProgram p = place(w);
-    const TimingProfile shared(p);
     const dse::Explorer explorer(w.array);
     const arch::Architecture base = explorer.base_architecture();
     const std::vector<dse::DesignPoint> points = explorer.enumerate_points();
     EXPECT_EQ(points.size(), 97u);
     // In enumeration order: the first sharing point of each stage count
-    // fills the shared profile's memo, and its other 23 points hit it.
+    // fills the stored profile's memo, and its other 23 points hit it.
     for (const dse::DesignPoint& point : points) {
       const arch::Architecture a = explorer.point_architecture(point, base);
-      expect_matches_reference(p, shared, a, w.name + " on " + a.name);
+      expect_matches_reference(p, a, w.name + " on " + a.name);
       ++pairs;
     }
   }
@@ -677,10 +668,9 @@ TEST(SchedulerReference, GeneratedKernelsMatchOnTheNineDesigns) {
     const kernels::Workload w =
         kernels::find_in_catalogue("gen:" + std::to_string(seed));
     const PlacedProgram p = place(w);
-    const TimingProfile shared(p);
     for (const arch::Architecture& a :
          arch::standard_suite(w.array.rows, w.array.cols))
-      expect_matches_reference(p, shared, a, w.name + " on " + a.name);
+      expect_matches_reference(p, a, w.name + " on " + a.name);
   }
 }
 

@@ -197,14 +197,6 @@ TEST(SynthesisModel, ReportFieldsConsistent) {
   EXPECT_GT(rsp2.delay_reduction, 30.0);
 }
 
-TEST(SynthesisModel, SuiteReportCoversAllNine) {
-  const SynthesisModel model;
-  const auto reports = model.report_suite(arch::standard_suite());
-  ASSERT_EQ(reports.size(), 9u);
-  EXPECT_EQ(reports.front().arch_name, "Base");
-  EXPECT_EQ(reports.back().arch_name, "RSP#4");
-}
-
 // --------------------------------------------------------- paper reference
 TEST(PaperReference, LookupAndShape) {
   EXPECT_EQ(paper::table1().size(), 5u);

@@ -30,14 +30,6 @@ TEST(Strings, FormatTrimmed) {
 TEST(Strings, JoinAndSplit) {
   EXPECT_EQ(util::join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(util::join({}, ","), "");
-  const auto parts = util::split("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[1], "");
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(util::starts_with("RSP#1", "RSP"));
-  EXPECT_FALSE(util::starts_with("RS", "RSP"));
 }
 
 // ------------------------------------------------------------------ table
