@@ -50,9 +50,16 @@ int main() {
 
   // 3. The shared cache is warm now; snapshot it and restore into a fresh
   //    service, which then evaluates without recomputing anything.
+  //    Each design point is measured once: when both explorations miss it
+  //    at once, one measures and the other waits and counts a hit, so the
+  //    counts are those of the two requests run one after the other.
   const api::CacheStatsResponse stats = service.cache_stats({});
   std::cout << "cache: " << stats.stats.entries << " entries, "
             << stats.stats.hits << " hits\n";
+  if (stats.stats.entries != 19 || stats.stats.hits != 10) {
+    std::cerr << "expected 19 entries and 10 hits\n";
+    return 1;
+  }
   const std::string snapshot = "/tmp/rsp_service_api_cache.json";
   service.cache_save({snapshot});
 

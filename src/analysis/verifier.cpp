@@ -313,7 +313,7 @@ void structural_pass(const arch::Architecture& a,
       switch (op.kind) {
         case ir::OpKind::kLoad:
           if (++row_reads[static_cast<std::size_t>(op.pe.row)] >
-              array.read_buses_per_row)
+              arch::kReadBusesPerRow)
             emit({"RSP-S002", Severity::kError, locus_of(i, op),
                   "simulator: read-bus oversubscribed on row " +
                       std::to_string(op.pe.row) + " at cycle " +
@@ -321,7 +321,7 @@ void structural_pass(const arch::Architecture& a,
           break;
         case ir::OpKind::kStore:
           if (++row_writes[static_cast<std::size_t>(op.pe.row)] >
-              array.write_buses_per_row)
+              arch::kWriteBusesPerRow)
             emit({"RSP-S003", Severity::kError, locus_of(i, op),
                   "simulator: write-bus oversubscribed on row " +
                       std::to_string(op.pe.row) + " at cycle " +

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -45,6 +44,11 @@ void require_no_special_file(const std::string& path) {
       !std::filesystem::is_regular_file(status))
     throw InvalidArgumentError("cache file '" + path +
                                "' is not a regular file");
+}
+
+InvalidArgumentError oversized_cache_file(const std::string& path) {
+  return InvalidArgumentError("cache file '" + path + "' exceeds " +
+                              std::to_string(kMaxCacheFileBytes) + " bytes");
 }
 
 }  // namespace
@@ -347,10 +351,13 @@ CacheStatsResponse Service::cache_stats(const CacheStatsRequest&) const {
 CacheSaveResponse Service::cache_save(const CacheSaveRequest& request) const {
   require_no_special_file(request.path);
   const util::Json doc = evals_.serialize();
+  const std::string text = doc.dump() + "\n";
+  if (text.size() > kMaxCacheFileBytes)
+    throw oversized_cache_file(request.path);
   std::ofstream file(request.path);
   if (!file)
     throw Error("cannot write cache file '" + request.path + "'");
-  file << doc.dump() << "\n";
+  file << text;
   file.flush();
   if (!file)
     throw Error("error while writing cache file '" + request.path + "'");
@@ -365,11 +372,21 @@ CacheLoadResponse Service::cache_load(const CacheLoadRequest& request) const {
   std::ifstream file(request.path);
   if (!file)
     throw NotFoundError("cannot open cache file '" + request.path + "'");
-  std::ostringstream text;
-  text << file.rdbuf();
+  // One byte past the bound tells a longer file apart; its stat size is
+  // not trusted.
+  std::string text;
+  char chunk[1 << 16];
+  while (text.size() <= kMaxCacheFileBytes && file) {
+    const std::size_t want =
+        std::min(sizeof chunk, kMaxCacheFileBytes + 1 - text.size());
+    file.read(chunk, static_cast<std::streamsize>(want));
+    text.append(chunk, static_cast<std::size_t>(file.gcount()));
+  }
+  if (text.size() > kMaxCacheFileBytes)
+    throw oversized_cache_file(request.path);
   CacheLoadResponse resp;
   resp.path = request.path;
-  resp.entries_loaded = evals_.deserialize(util::Json::parse(text.str()));
+  resp.entries_loaded = evals_.deserialize(util::Json::parse(text));
   resp.entries_total = evals_.stats().entries;
   return resp;
 }

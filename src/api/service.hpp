@@ -127,6 +127,12 @@ struct CacheLoadRequest {
   std::string path;
 };
 
+/// The largest cache file cache_load reads and cache_save writes (about
+/// 100,000 entries at 155 bytes each). cache_load reads at most one byte
+/// more, so a longer file is refused without being read whole; cache_save
+/// refuses a longer snapshot, so every saved file loads.
+inline constexpr std::size_t kMaxCacheFileBytes = std::size_t{16} << 20;
+
 /// Liveness probe. `delay_ms` (bounded, see kMaxPingDelayMs) makes
 /// completion order observable: a delayed ping submitted before an
 /// immediate one completes after it, which the serve tests use to pin

@@ -12,12 +12,6 @@ std::ostream& operator<<(std::ostream& os, const PeCoord& c) {
 void ArraySpec::validate() const {
   if (rows <= 0 || cols <= 0)
     throw InvalidArgumentError("array must have positive dimensions");
-  if (read_buses_per_row <= 0)
-    throw InvalidArgumentError("need at least one read bus per row");
-  if (write_buses_per_row <= 0)
-    throw InvalidArgumentError("need at least one write bus per row");
-  if (data_width_bits <= 0 || data_width_bits > 64)
-    throw InvalidArgumentError("data width must be in (0, 64] bits");
 }
 
 RouteKind ArraySpec::route(PeCoord from, PeCoord to) const {

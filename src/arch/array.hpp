@@ -1,10 +1,13 @@
 // Reconfigurable array geometry and interconnect.
 //
-// A rectangular rows×cols mesh of PEs (Fig. 1a). Each row owns a small set
-// of read buses and write buses to data memory (Fig. 1b: two read buses and
-// one write bus in the paper's 4×4 illustration; the 8×8 experimental array
-// keeps the same scheme). PEs additionally talk to 4-neighbours and over
-// row/column lines, which the mapper uses for operand routing.
+// A rectangular rows×cols mesh of PEs (Fig. 1a). Every row has the same
+// fixed data-memory buses, kReadBusesPerRow read buses and kWriteBusesPerRow
+// write buses (Fig. 1b: two and one in the paper's 4×4 illustration; the
+// 8×8 experimental array keeps the same scheme), and every datapath is
+// kDataWidthBits wide. These are constants of the template, not parameters
+// of an architecture: only the geometry varies. PEs additionally talk to
+// 4-neighbours and over row/column lines, which the mapper uses for operand
+// routing.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,13 @@
 #include "util/error.hpp"
 
 namespace rsp::arch {
+
+/// Simultaneous loads per row per cycle.
+inline constexpr int kReadBusesPerRow = 2;
+/// Simultaneous stores per row per cycle.
+inline constexpr int kWriteBusesPerRow = 1;
+/// Bus and datapath width (paper §5.1: the bus width is extended to 16).
+inline constexpr int kDataWidthBits = 16;
 
 /// Position of a PE: row-major, 0-based.
 struct PeCoord {
@@ -38,9 +48,6 @@ enum class RouteKind {
 struct ArraySpec {
   int rows = 8;
   int cols = 8;
-  int read_buses_per_row = 2;   ///< simultaneous loads per row per cycle
-  int write_buses_per_row = 1;  ///< simultaneous stores per row per cycle
-  int data_width_bits = 16;     ///< paper §5.1: bus width extended to 16
 
   int num_pes() const { return rows * cols; }
 

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "arch/bus_switch.hpp"
 #include "util/error.hpp"
 
 namespace rsp::arch {
@@ -61,18 +60,16 @@ struct WordLayout {
   int total_bits;
 };
 
-WordLayout layout_for(const ConfigCache& cache, const SharingPlan& plan) {
-  const BusSwitchSpec sw =
-      make_bus_switch(plan, cache.array().data_width_bits);
-  return WordLayout{sw.select_bits(),
-                    ConfigCache::word_bits(sw.select_bits())};
+WordLayout layout_for(const SharingPlan& plan) {
+  const int select_bits = plan.switch_select_bits();
+  return WordLayout{select_bits, ConfigCache::word_bits(select_bits)};
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_bitstream(const ConfigCache& cache,
                                            const SharingPlan& plan) {
-  const WordLayout layout = layout_for(cache, plan);
+  const WordLayout layout = layout_for(plan);
   const ArraySpec& array = cache.array();
 
   std::vector<std::uint8_t> bytes(kHeaderBytes, 0);
@@ -116,7 +113,7 @@ ConfigCache decode_bitstream(const std::vector<std::uint8_t>& bytes,
   array.validate();
   ConfigCache cache(array, length);
 
-  const WordLayout layout = layout_for(cache, plan);
+  const WordLayout layout = layout_for(plan);
   if (get_u16(bytes, 12) != static_cast<std::uint16_t>(layout.total_bits))
     throw Error("bitstream word width does not match the sharing plan");
 
@@ -141,7 +138,7 @@ ConfigCache decode_bitstream(const std::vector<std::uint8_t>& bytes,
 
 std::size_t bitstream_size(const ConfigCache& cache,
                            const SharingPlan& plan) {
-  const WordLayout layout = layout_for(cache, plan);
+  const WordLayout layout = layout_for(plan);
   const std::size_t words = static_cast<std::size_t>(cache.array().num_pes()) *
                             static_cast<std::size_t>(cache.context_length());
   return kHeaderBytes + (words * layout.total_bits + 7) / 8;

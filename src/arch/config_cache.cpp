@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "arch/bus_switch.hpp"
 #include "util/error.hpp"
 
 namespace rsp::arch {
@@ -39,8 +38,7 @@ int ConfigCache::word_bits(int shared_select_bits) {
 }
 
 std::int64_t ConfigCache::total_bits(const SharingPlan& plan) const {
-  const BusSwitchSpec sw = make_bus_switch(plan, array_.data_width_bits);
-  return static_cast<std::int64_t>(word_bits(sw.select_bits())) *
+  return static_cast<std::int64_t>(word_bits(plan.switch_select_bits())) *
          array_.num_pes() * context_length_;
 }
 

@@ -39,28 +39,17 @@ ArraySpec make_array(int rows, int cols) {
 }  // namespace
 
 void Architecture::validate() const {
-  array.validate();
+  if (!shares_multiplier() && pipelines_multiplier())
+    throw InvalidArgumentError(
+        "pipelining without sharing is not part of the explored template");
   sharing.validate(array);
-  if (shares_multiplier() && pe.has_multiplier)
-    throw InvalidArgumentError(
-        name + ": PEs keep private multipliers although the plan shares them");
-  if (!shares_multiplier() && !pe.has_multiplier)
-    throw InvalidArgumentError(
-        name + ": PEs have no multiplier and none is shared");
-  if (shares_multiplier() && !pe.has_bus_switch)
-    throw InvalidArgumentError(name +
-                               ": sharing requires a bus switch in every PE");
-  if (pipelines_multiplier() && !pe.has_pipeline_regs)
-    throw InvalidArgumentError(
-        name + ": pipelined operation requires pipeline registers in the PE");
 }
 
 Architecture base_architecture(int rows, int cols) {
   Architecture a;
   a.name = "Base";
   a.array = make_array(rows, cols);
-  a.pe = base_pe();
-  a.sharing = SharingPlan{Resource::kArrayMultiplier, 0, 0, 1};
+  a.sharing = SharingPlan{0, 0, 1};
   a.validate();
   return a;
 }
@@ -70,8 +59,7 @@ Architecture rs_architecture(int variant, int rows, int cols) {
   Architecture a;
   a.name = "RS#" + std::to_string(variant);
   a.array = make_array(rows, cols);
-  a.pe = shared_pe();
-  a.sharing = SharingPlan{Resource::kArrayMultiplier, t.per_row, t.per_col, 1};
+  a.sharing = SharingPlan{t.per_row, t.per_col, 1};
   a.validate();
   return a;
 }
@@ -83,9 +71,7 @@ Architecture rsp_architecture(int variant, int rows, int cols, int stages) {
   Architecture a;
   a.name = "RSP#" + std::to_string(variant);
   a.array = make_array(rows, cols);
-  a.pe = shared_pipelined_pe();
-  a.sharing =
-      SharingPlan{Resource::kArrayMultiplier, t.per_row, t.per_col, stages};
+  a.sharing = SharingPlan{t.per_row, t.per_col, stages};
   a.validate();
   return a;
 }
@@ -96,15 +82,7 @@ Architecture custom_architecture(std::string name, int rows, int cols,
   Architecture a;
   a.name = std::move(name);
   a.array = make_array(rows, cols);
-  const bool shares = units_per_row > 0 || units_per_col > 0;
-  if (!shares && stages > 1)
-    throw InvalidArgumentError(
-        "pipelining without sharing is not part of the explored template");
-  a.pe = !shares ? base_pe()
-         : stages > 1 ? shared_pipelined_pe()
-                      : shared_pe();
-  a.sharing = SharingPlan{Resource::kArrayMultiplier, units_per_row,
-                          units_per_col, stages};
+  a.sharing = SharingPlan{units_per_row, units_per_col, stages};
   a.validate();
   return a;
 }

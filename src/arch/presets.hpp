@@ -1,8 +1,12 @@
 // Complete architecture instances and the paper's nine named designs.
 //
-// `Architecture` bundles the array geometry, the PE variant and the sharing
-// plan; `standard_suite()` returns Base, RS#1..RS#4 and RSP#1..RSP#4 exactly
-// as evaluated in the paper's Tables 2, 4 and 5 (Fig. 8 topologies):
+// `Architecture` is what the template explores: a name, the array geometry
+// and the sharing plan. The PE variant follows from the plan (a shared
+// multiplier leaves the PEs, adds a bus switch to each, and pipelining adds
+// pipeline registers), and the buses and data width are the constants of
+// arch/array.hpp. `standard_suite()` returns Base, RS#1..RS#4 and
+// RSP#1..RSP#4 exactly as evaluated in the paper's Tables 2, 4 and 5
+// (Fig. 8 topologies):
 //   RS/RSP#1: one multiplier per row            (shr=1, shc=0)
 //   RS/RSP#2: two multipliers per row           (shr=2, shc=0)
 //   RS/RSP#3: two per row + one per column      (shr=2, shc=1)
@@ -14,7 +18,6 @@
 #include <vector>
 
 #include "arch/array.hpp"
-#include "arch/resources.hpp"
 #include "arch/sharing.hpp"
 
 namespace rsp::arch {
@@ -22,7 +25,6 @@ namespace rsp::arch {
 struct Architecture {
   std::string name;
   ArraySpec array;
-  PeSpec pe;
   SharingPlan sharing;
 
   /// True if multipliers are extracted from the PEs and shared.

@@ -1,15 +1,14 @@
-// Functional resources of a processing element.
+// The components of a processing element (paper Table 1).
 //
-// The paper's PE (Table 1) is built from a multiplexer front-end, an ALU, an
-// array multiplier and shift logic, plus output registers. The RSP template
-// classifies resources as *primitive* (stay inside every PE) or *critical*
-// (area/delay-critical; candidates for sharing and pipelining — the array
-// multiplier in the paper's domain).
+// The paper's PE is built from a multiplexer front-end, an ALU, an array
+// multiplier and shift logic, plus output registers; RS/RSP designs add
+// pipeline registers and a per-PE bus switch. The array multiplier is the
+// one critical resource the template shares and pipelines (45.7% of a PE's
+// area, 77% of its delay), so this enum only names the components that
+// synth::ComponentLibrary prices.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <vector>
 
 namespace rsp::arch {
 
@@ -22,29 +21,5 @@ enum class Resource : std::uint8_t {
   kPipelineRegister, // register inserted when a resource is pipelined
   kBusSwitch,        // per-PE switch steering operands to shared resources
 };
-
-const char* resource_name(Resource r);
-std::ostream& operator<<(std::ostream& os, Resource r);
-
-/// Resource classification used by the RSP exploration.
-bool is_sharable(Resource r);    // may be extracted and shared (multiplier)
-bool is_pipelinable(Resource r); // may be split into stages (multiplier)
-
-/// The composition of one PE variant.
-struct PeSpec {
-  bool has_multiplier = true;   ///< false once the multiplier is extracted
-  bool has_bus_switch = false;  ///< true in RS/RSP architectures
-  bool has_pipeline_regs = false;  ///< true in RSP architectures
-
-  /// Resources physically inside this PE, in Table 1 order.
-  std::vector<Resource> resources() const;
-};
-
-/// PE of the base (Morphosys-like) architecture: everything inside.
-PeSpec base_pe();
-/// PE of an RS architecture: multiplier extracted, bus switch added.
-PeSpec shared_pe();
-/// PE of an RSP architecture: additionally has pipeline registers.
-PeSpec shared_pipelined_pe();
 
 }  // namespace rsp::arch

@@ -29,18 +29,18 @@ std::vector<SharedUnitId> SharingPlan::reachable_units(const ArraySpec& array,
   return out;
 }
 
+int SharingPlan::switch_select_bits() const {
+  int bits = 0;
+  while ((1 << bits) < units_reachable_per_pe() + 1) ++bits;
+  return bits;
+}
+
 void SharingPlan::validate(const ArraySpec& array) const {
   array.validate();
-  if (!is_sharable(resource) && shares())
-    throw InvalidArgumentError(std::string(resource_name(resource)) +
-                               " is not a sharable resource");
   if (units_per_row < 0 || units_per_col < 0)
     throw InvalidArgumentError("shared unit counts must be non-negative");
   if (pipeline_stages < 1)
     throw InvalidArgumentError("pipeline stages must be >= 1");
-  if (pipeline_stages > 1 && !is_pipelinable(resource))
-    throw InvalidArgumentError(std::string(resource_name(resource)) +
-                               " is not a pipelinable resource");
   if (pipeline_stages > kMaxPipelineStages)
     throw InvalidArgumentError(
         "more than " + std::to_string(kMaxPipelineStages) +

@@ -1,8 +1,10 @@
-// The RSP template parameters (paper §4):
-//   - which resource types are shared / pipelined,
+// The RSP template parameters (paper §4): for the one shared resource, the
+// array multiplier,
 //   - the number of pipeline stages,
 //   - the number of shared-resource rows (shr: units attached per row) and
 //     columns (shc: units attached per column).
+// Nothing else varies between designs: the array's buses and data width
+// are the constants of arch/array.hpp.
 //
 // Shared units sit in line with the rows/columns of the array (Fig. 8); a PE
 // reaches every unit of its own row pool and its own column pool through its
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "arch/array.hpp"
-#include "arch/resources.hpp"
 
 namespace rsp::arch {
 
@@ -34,9 +35,8 @@ struct SharedUnitId {
 
 std::string to_string(const SharedUnitId& id);
 
-/// Placement plan of shared units for one resource type.
+/// Placement plan of the shared multipliers.
 struct SharingPlan {
-  Resource resource = Resource::kArrayMultiplier;
   int units_per_row = 0;     ///< paper's shr
   int units_per_col = 0;     ///< paper's shc
   int pipeline_stages = 1;   ///< 1 = not pipelined (pure RS); >=2 = RSP
@@ -57,6 +57,11 @@ struct SharingPlan {
   int units_reachable_per_pe() const {
     return units_per_row + units_per_col;
   }
+
+  /// Selector bits of a PE's bus switch (Fig. 4) in each configuration
+  /// word: ceil(log2(reachable units + 1)), the +1 encoding "no shared op
+  /// this cycle".
+  int switch_select_bits() const;
 
   void validate(const ArraySpec& array) const;
 

@@ -110,24 +110,6 @@ std::vector<OpKind> DataflowGraph::op_set() const {
   return out;
 }
 
-std::vector<int> DataflowGraph::asap_levels() const {
-  std::vector<int> level(nodes_.size(), 0);
-  for (NodeId id = 0; id < size(); ++id) {
-    int lvl = 0;
-    for (NodeId in : nodes_[static_cast<std::size_t>(id)].inputs)
-      if (in != kInvalidNode)
-        lvl = std::max(lvl, level[static_cast<std::size_t>(in)] + 1);
-    level[static_cast<std::size_t>(id)] = lvl;
-  }
-  return level;
-}
-
-int DataflowGraph::depth() const {
-  if (nodes_.empty()) return 0;
-  const std::vector<int> levels = asap_levels();
-  return 1 + *std::max_element(levels.begin(), levels.end());
-}
-
 void DataflowGraph::validate() const {
   for (NodeId id = 0; id < size(); ++id) {
     check_node(nodes_[static_cast<std::size_t>(id)], id);

@@ -85,13 +85,6 @@ class DataflowGraph {
   /// operation sets list computational ops only.
   std::vector<OpKind> op_set() const;
 
-  /// ASAP level of every node counting unit latency per op and ignoring
-  /// loop-carried edges (they resolve to earlier iterations).
-  std::vector<int> asap_levels() const;
-
-  /// Depth = 1 + max ASAP level (0 for an empty graph).
-  int depth() const;
-
   /// Full structural validation (arity, slot/carried alignment, memory refs
   /// present exactly on memory ops). add() already enforces most of this;
   /// validate() re-checks after any in-place mutation.

@@ -1,8 +1,8 @@
 #include "rtl/generate.hpp"
 
+#include <algorithm>
 #include <sstream>
 
-#include "arch/bus_switch.hpp"
 #include "arch/config_cache.hpp"
 
 namespace rsp::rtl {
@@ -101,15 +101,13 @@ Module make_multiplier(int w, int stages) {
   return m;
 }
 
-Module make_bus_switch(int w, int reachable) {
+Module make_switch(const arch::SharingPlan& plan, int w) {
+  const int reachable = plan.units_reachable_per_pe();
   Module m("rsp_bus_switch");
   m.comment("Per-PE bus switch (paper Fig. 4): routes the two n-bit"
             " operands to one of " + std::to_string(reachable) +
             " reachable shared units and the 2n-bit product back.");
-  m.port(PortDir::kInput, "sel",
-         arch::BusSwitchSpec{reachable, w}.select_bits() == 0
-             ? 1
-             : arch::BusSwitchSpec{reachable, w}.select_bits());
+  m.port(PortDir::kInput, "sel", std::max(1, plan.switch_select_bits()));
   m.port(PortDir::kInput, "a", w).port(PortDir::kInput, "b", w);
   for (int u = 0; u < reachable; ++u) {
     m.port(PortDir::kOutput, "unit" + std::to_string(u) + "_a", w);
@@ -157,9 +155,9 @@ Module make_config_cache(int word_bits, int depth) {
 }
 
 Module make_pe(const arch::Architecture& a, int word_bits) {
-  const int w = a.array.data_width_bits;
+  const int w = arch::kDataWidthBits;
   Module m("rsp_pe");
-  m.comment(a.pe.has_multiplier
+  m.comment(!a.shares_multiplier()
                 ? "Base PE: mux front-end, ALU, private array multiplier,"
                   " shift logic, output register."
                 : "Shared-multiplier PE: the multiplier is extracted; two"
@@ -171,7 +169,7 @@ Module make_pe(const arch::Architecture& a, int word_bits) {
       .port(PortDir::kInput, "from_row", w)
       .port(PortDir::kInput, "from_col", w)
       .port(PortDir::kOutput, "result", w);
-  if (!a.pe.has_multiplier) {
+  if (a.shares_multiplier()) {
     m.port(PortDir::kOutput, "mult_a", w)
         .port(PortDir::kOutput, "mult_b", w)
         .port(PortDir::kInput, "mult_p", 2 * w);
@@ -209,7 +207,7 @@ Module make_pe(const arch::Architecture& a, int word_bits) {
                       {{"a", "alu_y"}, {"amt", "imm[5:0]"}, {"y", "shift_y"}}});
 
   std::ostringstream body;
-  if (a.pe.has_multiplier) {
+  if (!a.shares_multiplier()) {
     m.wire("mult_p_local", 2 * w);
     m.instance(Instance{"rsp_multiplier", "u_mult",
                         {{"clk", "clk"},
@@ -239,10 +237,9 @@ Module make_pe(const arch::Architecture& a, int word_bits) {
 
 Design generate(const arch::Architecture& a) {
   a.validate();
-  const int w = a.array.data_width_bits;
-  const arch::BusSwitchSpec sw =
-      arch::make_bus_switch(a.sharing, a.array.data_width_bits);
-  const int word_bits = arch::ConfigCache::word_bits(sw.select_bits());
+  const int w = arch::kDataWidthBits;
+  const int word_bits =
+      arch::ConfigCache::word_bits(a.sharing.switch_select_bits());
 
   Design design;
   design.add(make_mux(w));
@@ -250,8 +247,7 @@ Design generate(const arch::Architecture& a) {
   design.add(make_shift(w));
   design.add(make_multiplier(w, a.mult_latency()));
   design.add(make_config_cache(word_bits, kContextDepth));
-  if (a.shares_multiplier())
-    design.add(make_bus_switch(w, a.sharing.units_reachable_per_pe()));
+  if (a.shares_multiplier()) design.add(make_switch(a.sharing, w));
   design.add(make_pe(a, word_bits));
 
   // ------------------------------------------------------------- top level
@@ -260,8 +256,8 @@ Design generate(const arch::Architecture& a) {
               std::to_string(a.array.cols) + " array '" + a.name + "', " +
               std::to_string(a.sharing.total_units(a.array)) +
               " shared multiplier(s), " +
-              std::to_string(a.array.read_buses_per_row) +
-              " read / " + std::to_string(a.array.write_buses_per_row) +
+              std::to_string(arch::kReadBusesPerRow) + " read / " +
+              std::to_string(arch::kWriteBusesPerRow) +
               " write bus(es) per row.");
   top.port(PortDir::kInput, "clk");
   top.port(PortDir::kInput, "cfg_we");
@@ -272,10 +268,10 @@ Design generate(const arch::Architecture& a) {
   top.port(PortDir::kInput, "cfg_data", word_bits);
   top.port(PortDir::kInput, "pc", addr_bits);
   for (int r = 0; r < a.array.rows; ++r) {
-    for (int b = 0; b < a.array.read_buses_per_row; ++b)
+    for (int b = 0; b < arch::kReadBusesPerRow; ++b)
       top.port(PortDir::kInput,
                "rbus_r" + std::to_string(r) + "_" + std::to_string(b), w);
-    for (int b = 0; b < a.array.write_buses_per_row; ++b)
+    for (int b = 0; b < arch::kWriteBusesPerRow; ++b)
       top.port(PortDir::kOutput,
                "wbus_r" + std::to_string(r) + "_" + std::to_string(b), w);
   }
@@ -311,7 +307,7 @@ Design generate(const arch::Architecture& a) {
       pe.connections.push_back(
           {"from_col", pe_wire((r + 1) % a.array.rows, c, "result")});
       pe.connections.push_back({"result", pe_wire(r, c, "result")});
-      if (!a.pe.has_multiplier) {
+      if (a.shares_multiplier()) {
         top.wire(pe_wire(r, c, "ma"), w);
         top.wire(pe_wire(r, c, "mb"), w);
         top.wire(pe_wire(r, c, "mp"), 2 * w);
@@ -326,7 +322,7 @@ Design generate(const arch::Architecture& a) {
     std::string wor;
     for (int c = 0; c < a.array.cols; ++c)
       wor += (c ? " | " : "") + pe_wire(r, c, "result");
-    for (int b = 0; b < a.array.write_buses_per_row; ++b)
+    for (int b = 0; b < arch::kWriteBusesPerRow; ++b)
       top.assign("wbus_r" + std::to_string(r) + "_" + std::to_string(b), wor);
   }
 

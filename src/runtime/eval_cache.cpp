@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "arch/resources.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -53,21 +54,23 @@ std::string EvalCache::program_tag(const sched::PlacedProgram& program) {
 namespace {
 
 // Canonical, human-readable fingerprint of the architecture parameters
-// that influence scheduling and estimation: every field the scheduler,
-// estimator or clock model reads. Cosmetic fields (the name) are excluded
-// so a preset ("RSP#2") and an identically-parameterised custom design
-// share one fingerprint.
+// that influence scheduling and estimation: the geometry and the sharing
+// plan. Cosmetic fields (the name) are excluded so a preset ("RSP#2") and
+// an identically-parameterised custom design share one fingerprint. The
+// bus counts, the data width, the PE variant (private multiplier, bus
+// switch, pipeline registers) and the shared resource are fixed by the
+// template or follow from the plan; they are still written, so keys match
+// those of saved snapshots.
 std::string arch_fingerprint(const arch::Architecture& a) {
   std::string k;
   k += std::to_string(a.array.rows) + 'x' + std::to_string(a.array.cols);
-  k += ";rb" + std::to_string(a.array.read_buses_per_row);
-  k += ";wb" + std::to_string(a.array.write_buses_per_row);
-  k += ";dw" + std::to_string(a.array.data_width_bits);
-  k += ";pe";
-  k += a.pe.has_multiplier ? 'm' : '-';
-  k += a.pe.has_bus_switch ? 's' : '-';
-  k += a.pe.has_pipeline_regs ? 'p' : '-';
-  k += ";res" + std::to_string(static_cast<int>(a.sharing.resource));
+  k += ";rb" + std::to_string(arch::kReadBusesPerRow);
+  k += ";wb" + std::to_string(arch::kWriteBusesPerRow);
+  k += ";dw" + std::to_string(arch::kDataWidthBits);
+  k += a.shares_multiplier() ? ";pe-s" : ";pem-";
+  k += a.pipelines_multiplier() ? 'p' : '-';
+  k += ";res" +
+       std::to_string(static_cast<int>(arch::Resource::kArrayMultiplier));
   k += ";shr" + std::to_string(a.sharing.units_per_row);
   k += ";shc" + std::to_string(a.sharing.units_per_col);
   k += ";st" + std::to_string(a.sharing.pipeline_stages);

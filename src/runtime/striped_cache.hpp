@@ -22,15 +22,23 @@
 // capacity drops the entry at the least recent end; a new key is the most
 // recent entry, so it is never its own victim.
 //
-// get_or_compute runs the compute outside any shard lock (computes
-// reschedule kernels — far too slow to serialize) and publishes its result
-// like an insert; a compute that throws publishes nothing. Values are
-// deterministic functions of their key, so two threads racing to compute
-// the same key insert identical values and the race is benign.
+// get_or_compute computes each key once. The first caller to miss a key
+// marks it in flight under the stripe lock and runs the compute outside any
+// lock (computes reschedule kernels — far too slow to serialize); callers
+// that miss the same key meanwhile wait for that result and count as hits.
+// The result is published like an insert. A compute that throws publishes
+// nothing: its exception reaches every waiter, and the next call computes
+// again. Waiting cannot deadlock: no compute waits on a pool task, and the
+// Service's tables depend only downward (a sim fill reads the schedule
+// table, a schedule fill reads the mapping table, and the estimate and
+// evaluation fills read no table), so no compute waits on a key whose
+// compute waits on it.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <future>
 #include <iterator>
 #include <list>
 #include <optional>
@@ -78,44 +86,56 @@ class StripedMemoCache {
   std::optional<Value> lookup(const std::string& key) const {
     const Shard& shard = shard_for(key);
     const util::MutexLock lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      ++shard.misses;
-      return std::nullopt;
-    }
-    ++shard.hits;
-    if (shard_capacity_ > 0)
-      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
-    return it->second->second;
+    if (const Value* hit = hit_locked(shard, key)) return *hit;
+    ++shard.misses;
+    return std::nullopt;
   }
 
   void insert(const std::string& key, const Value& value) {
     Shard& shard = shard_for(key);
     const util::MutexLock lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      it->second->second = value;  // last writer wins
-      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
-      return;
-    }
-    shard.entries.emplace_back(key, value);
-    shard.index.emplace(shard.entries.back().first,
-                        std::prev(shard.entries.end()));
-    if (shard_capacity_ > 0 && shard.entries.size() > shard_capacity_) {
-      shard.index.erase(shard.entries.front().first);
-      shard.entries.pop_front();
-      ++shard.evictions;
-    }
+    insert_locked(shard, key, value);
   }
 
-  /// lookup, or run `compute` and insert its result. `compute` runs outside
-  /// any shard lock; when it throws, nothing is published.
+  /// lookup, or compute the value once for every concurrent caller and
+  /// insert it (see the file comment). `compute` runs outside any shard
+  /// lock; when it throws, every waiter rethrows and nothing is published.
   Value get_or_compute(const std::string& key,
                        const std::function<Value()>& compute) {
-    if (std::optional<Value> hit = lookup(key)) return std::move(*hit);
-    Value value = compute();  // slow path, outside the lock
-    insert(key, value);
-    return value;
+    Shard& shard = shard_for(key);
+    std::shared_future<Value> pending;
+    std::optional<std::promise<Value>> result;  // set when this call computes
+    {
+      const util::MutexLock lock(shard.mutex);
+      if (const Value* hit = hit_locked(shard, key)) return *hit;
+      if (const auto it = shard.in_flight.find(key);
+          it != shard.in_flight.end()) {
+        ++shard.hits;
+        pending = it->second;
+      } else {
+        ++shard.misses;
+        result.emplace();
+        shard.in_flight.emplace(key, result->get_future().share());
+      }
+    }
+    if (!result) return pending.get();
+    try {
+      Value value = compute();  // slow path, outside the lock
+      {
+        const util::MutexLock lock(shard.mutex);
+        insert_locked(shard, key, value);
+        shard.in_flight.erase(key);
+      }
+      result->set_value(value);
+      return value;
+    } catch (...) {
+      {
+        const util::MutexLock lock(shard.mutex);
+        shard.in_flight.erase(key);
+      }
+      result->set_exception(std::current_exception());
+      throw;
+    }
   }
 
   /// Each shard's entries in list order (least recently used first in a
@@ -162,7 +182,43 @@ class StripedMemoCache {
     mutable std::uint64_t hits RSP_GUARDED_BY(mutex) = 0;
     mutable std::uint64_t misses RSP_GUARDED_BY(mutex) = 0;
     std::uint64_t evictions RSP_GUARDED_BY(mutex) = 0;
+    /// Keys a get_or_compute is computing; callers that miss one of them
+    /// wait on its result instead of computing it again.
+    std::unordered_map<std::string, std::shared_future<Value>> in_flight
+        RSP_GUARDED_BY(mutex);
   };
+
+  // The resident value under `key`, counted as a hit and made the most
+  // recent entry of a bounded shard; null when the key is not resident.
+  const Value* hit_locked(const Shard& shard, const std::string& key) const
+      RSP_REQUIRES(shard.mutex) {
+    const auto it = shard.index.find(key);
+    if (it == shard.index.end()) return nullptr;
+    ++shard.hits;
+    if (shard_capacity_ > 0)
+      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
+    return &it->second->second;
+  }
+
+  // Publishes `value` under `key` (last writer wins) and drops the shard's
+  // least recent entry when the insert takes it past capacity.
+  void insert_locked(Shard& shard, const std::string& key, const Value& value)
+      RSP_REQUIRES(shard.mutex) {
+    const auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      it->second->second = value;
+      shard.entries.splice(shard.entries.end(), shard.entries, it->second);
+      return;
+    }
+    shard.entries.emplace_back(key, value);
+    shard.index.emplace(shard.entries.back().first,
+                        std::prev(shard.entries.end()));
+    if (shard_capacity_ > 0 && shard.entries.size() > shard_capacity_) {
+      shard.index.erase(shard.entries.front().first);
+      shard.entries.pop_front();
+      ++shard.evictions;
+    }
+  }
 
   // mix64 on top of FNV-1a: near-identical keys (consecutive parameter
   // fingerprints) must not cluster on one shard.

@@ -13,8 +13,6 @@ void MappingHints::validate() const {
   if (lanes <= 0) throw InvalidArgumentError("lanes must be positive");
   if (stagger < 0) throw InvalidArgumentError("stagger must be >= 0");
   if (columns <= 0) throw InvalidArgumentError("columns must be positive");
-  if (first_col < 0 || first_row < 0)
-    throw InvalidArgumentError("first_row/first_col must be >= 0");
 }
 
 namespace {
@@ -46,13 +44,12 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
                                  const MappingHints& hints,
                                  const ReductionSpec& reduction) const {
   hints.validate();
-  if (hints.first_row + hints.lanes > array_.rows)
+  if (hints.lanes > array_.rows)
     throw InfeasibleError("kernel '" + kernel.name() + "': " +
-                          std::to_string(hints.lanes) + " lanes from row " +
-                          std::to_string(hints.first_row) +
-                          " exceed the array's " +
+                          std::to_string(hints.lanes) +
+                          " lanes exceed the array's " +
                           std::to_string(array_.rows) + " rows");
-  if (hints.first_col + hints.columns > array_.cols)
+  if (hints.columns > array_.cols)
     throw InfeasibleError("kernel '" + kernel.name() +
                           "': columns exceed the array width");
 
@@ -75,15 +72,14 @@ PlacedProgram LoopPipeliner::map(const ir::LoopKernel& kernel,
 
   const std::int64_t bands =
       hints.cycle_row_bands
-          ? std::max<std::int64_t>(1, (array_.rows - hints.first_row) / lanes)
+          ? std::max<std::int64_t>(1, array_.rows / lanes)
           : 1;
   auto pe_of_iter = [&](std::int64_t iter) {
     const std::int64_t wave = iter / lanes;
     const std::int64_t lane = iter % lanes;
     const std::int64_t band = (wave / hints.columns) % bands;
-    return arch::PeCoord{
-        hints.first_row + static_cast<int>(band * lanes + lane),
-        hints.first_col + static_cast<int>(wave % hints.columns)};
+    return arch::PeCoord{static_cast<int>(band * lanes + lane),
+                         static_cast<int>(wave % hints.columns)};
   };
 
   // --- loop body: unrolled op i becomes program op i, in one pass --------

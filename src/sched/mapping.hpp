@@ -2,7 +2,7 @@
 //
 // The loop-pipelining discipline (paper Fig. 2, after Lee/Choi/Dutt) groups
 // iterations into *waves* of `lanes` iterations. Wave w occupies the
-// `lanes` bottom rows of column (first_col + w mod columns); all lanes of a
+// `lanes` bottom rows of column (w mod columns); all lanes of a
 // wave run the same linearised body, one op per PE per cycle. Consecutive
 // waves start `stagger` cycles apart, so in any one cycle different columns
 // execute different parts of the loop body — which is exactly what lets
@@ -21,14 +21,10 @@ struct MappingHints {
   int lanes = 8;
   /// Cycles between the starts of consecutive waves.
   int stagger = 1;
-  /// Columns used round-robin by successive waves.
+  /// Columns used round-robin by successive waves, from column 0.
   int columns = 8;
-  /// First column used (waves go to columns first_col .. first_col+columns-1).
-  int first_col = 0;
-  /// First row used by lane 0.
-  int first_row = 0;
   /// When lanes < rows, successive column sweeps may occupy successive
-  /// row bands (wave w uses rows first_row + band·lanes …, with
+  /// row bands (wave w uses rows band·lanes …, with
   /// band = (w / columns) mod available bands). Spreads PE and bus load
   /// over the whole array for kernels with many short waves. Must be false
   /// for kernels with loop-carried chains of distance lanes×columns, which

@@ -188,10 +188,10 @@ ScheduleTiming ContextScheduler::timing(
         pe_free = pe_busy.used(t + s, op.pe_slot) == 0;
       if (!pe_free) continue;
       if (op.kind == TimingProfile::Kind::kLoad &&
-          read_bus.used(t, op.row) >= array.read_buses_per_row)
+          read_bus.used(t, op.row) >= arch::kReadBusesPerRow)
         continue;
       if (op.kind == TimingProfile::Kind::kStore &&
-          write_bus.used(t, op.row) >= array.write_buses_per_row)
+          write_bus.used(t, op.row) >= arch::kWriteBusesPerRow)
         continue;
       if (needs_unit) {
         // First fit: row-pool units, then column-pool units, in index order.

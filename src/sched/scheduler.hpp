@@ -12,9 +12,9 @@
 //     consecutive pipelined operations are removed" — via the multi-cycle
 //     multiplier latency and the units' one-issue-per-cycle pipelining.
 //
-// Resources modelled per cycle: one op per PE, `read_buses_per_row` loads
-// and `write_buses_per_row` stores per row, and one issue per shared
-// multiplier unit.
+// Resources modelled per cycle: one op per PE, `arch::kReadBusesPerRow`
+// loads and `arch::kWriteBusesPerRow` stores per row, and one issue per
+// shared multiplier unit.
 //
 // The pass only decides issue cycles and unit slots (`timing`); `schedule`
 // runs it and then materialises the ScheduledOps. Measurements need the

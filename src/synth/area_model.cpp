@@ -1,7 +1,5 @@
 #include "synth/area_model.hpp"
 
-#include "arch/bus_switch.hpp"
-
 namespace rsp::synth {
 
 AreaBreakdown AreaModel::breakdown(const arch::Architecture& a) const {

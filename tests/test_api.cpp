@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <latch>
@@ -178,6 +179,29 @@ TEST(Service, ConcurrentDseRequestsMatchSerialExplorer) {
   std::future<util::Json> b = service.submit(DseRequest{});
   EXPECT_EQ(a.get().dump(), expected);
   EXPECT_EQ(b.get().dump(), expected);
+}
+
+TEST(Service, ConcurrentColdDseRequestsCountLikeSerialOnes) {
+  // Each memo key is computed once: of two requests missing it at once,
+  // one computes and the other waits and counts a hit, as if the two had
+  // run one after the other.
+  DseRequest narrow;
+  narrow.kernels = {"SAD", "MVM", "gen:7"};
+  narrow.config = small_dse_config();
+  DseRequest wide = narrow;
+  wide.config.max_units_per_col = 2;
+
+  const Service serial(small_options(1));
+  serial.dse(narrow);
+  serial.dse(wide);
+  const std::string expected = to_body(serial.cache_stats({})).dump();
+
+  const Service service(small_options(2));
+  std::future<util::Json> a = service.submit(narrow);
+  std::future<util::Json> b = service.submit(wide);
+  EXPECT_TRUE(a.get().at("ok").as_bool());
+  EXPECT_TRUE(b.get().at("ok").as_bool());
+  EXPECT_EQ(to_body(service.cache_stats({})).dump(), expected);
 }
 
 TEST(Service, DseRejectsAMixedGeometryDomain) {
@@ -597,6 +621,45 @@ TEST(Service, CacheLoadRejectsMissingOrForeignFiles) {
   EXPECT_FALSE(body.at("ok").as_bool());
   EXPECT_EQ(body.at("error").as_string(),
             "cache file '/dev/zero' is not a regular file");
+
+  // A file one byte over the bound is refused in-band before it is parsed
+  // (a sparse file, so the test writes no data).
+  TempFile huge("cache_huge.json");
+  { std::ofstream create(huge.path()); }
+  std::filesystem::resize_file(huge.path(), kMaxCacheFileBytes + 1);
+  const util::Json oversized = service.handle(CacheLoadRequest{huge.path()});
+  EXPECT_FALSE(oversized.at("ok").as_bool());
+  EXPECT_EQ(oversized.at("error").as_string(),
+            "cache file '" + huge.path() + "' exceeds 16777216 bytes");
+  EXPECT_EQ(service.cache_stats({}).stats.entries, 0u);
+}
+
+TEST(Service, CacheSaveRefusesASnapshotOverTheBound) {
+  // Two snapshots that each fit load into one table whose snapshot does
+  // not; cache_save refuses it before opening the path, so every saved
+  // file can be loaded again.
+  const Service service(small_options(1));
+  for (const char fill : {'a', 'b'}) {
+    TempFile part(std::string("cache_part_") + fill + ".json");
+    {
+      std::ofstream out(part.path());
+      out << "{\"format\": \"rsp-eval-cache\", \"version\": 1, "
+             "\"entries\": [{\"key\": \""
+          << std::string(kMaxCacheFileBytes / 2, fill)
+          << "\", \"cycles\": 1, \"stalls\": 0, \"nostall_cycles\": 1, "
+             "\"max_critical_issues\": 0}]}\n";
+    }
+    EXPECT_EQ(service.cache_load({part.path()}).entries_loaded, 1u);
+  }
+  TempFile target("cache_too_big.json");
+  try {
+    service.cache_save({target.path()});
+    FAIL() << "expected the oversized snapshot to be refused";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cache file '" + target.path() + "' exceeds 16777216 bytes");
+  }
+  EXPECT_FALSE(std::filesystem::exists(target.path()));
 }
 
 TEST(Service, CacheSaveRejectsANonRegularTarget) {

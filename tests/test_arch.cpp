@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "arch/array.hpp"
-#include "arch/bus_switch.hpp"
 #include "arch/config_cache.hpp"
 #include "arch/presets.hpp"
-#include "arch/resources.hpp"
 #include "arch/sharing.hpp"
 #include "util/error.hpp"
 
@@ -15,12 +13,6 @@ namespace {
 TEST(Array, ValidationRejectsDegenerateSpecs) {
   ArraySpec a;
   a.rows = 0;
-  EXPECT_THROW(a.validate(), InvalidArgumentError);
-  a = ArraySpec{};
-  a.read_buses_per_row = 0;
-  EXPECT_THROW(a.validate(), InvalidArgumentError);
-  a = ArraySpec{};
-  a.data_width_bits = 80;
   EXPECT_THROW(a.validate(), InvalidArgumentError);
   EXPECT_NO_THROW(ArraySpec{}.validate());
 }
@@ -49,14 +41,14 @@ TEST(Array, RouteClassification) {
 // ---------------------------------------------------------------- sharing
 TEST(Sharing, TotalUnitsMatchesEquation2Term) {
   const ArraySpec a;  // 8×8
-  SharingPlan plan{Resource::kArrayMultiplier, 2, 1, 1};
+  SharingPlan plan{2, 1, 1};
   // n·shr + m·shc = 8·2 + 8·1 = 24 (paper RS#3).
   EXPECT_EQ(plan.total_units(a), 24);
 }
 
 TEST(Sharing, ReachableUnitsRowThenColumn) {
   const ArraySpec a;
-  SharingPlan plan{Resource::kArrayMultiplier, 2, 1, 1};
+  SharingPlan plan{2, 1, 1};
   const auto units = plan.reachable_units(a, {3, 5});
   ASSERT_EQ(units.size(), 3u);
   EXPECT_EQ(units[0], (SharedUnitId{SharedUnitId::Pool::kRow, 3, 0}));
@@ -66,13 +58,11 @@ TEST(Sharing, ReachableUnitsRowThenColumn) {
 
 TEST(Sharing, ValidateRejectsBadPlans) {
   const ArraySpec a;
-  SharingPlan negative{Resource::kArrayMultiplier, -1, 0, 1};
+  SharingPlan negative{-1, 0, 1};
   EXPECT_THROW(negative.validate(a), InvalidArgumentError);
-  SharingPlan zero_stages{Resource::kArrayMultiplier, 1, 0, 0};
+  SharingPlan zero_stages{1, 0, 0};
   EXPECT_THROW(zero_stages.validate(a), InvalidArgumentError);
-  SharingPlan alu_shared{Resource::kAlu, 1, 0, 1};
-  EXPECT_THROW(alu_shared.validate(a), InvalidArgumentError);
-  SharingPlan too_deep{Resource::kArrayMultiplier, 1, 0, 9};
+  SharingPlan too_deep{1, 0, 9};
   EXPECT_THROW(too_deep.validate(a), InvalidArgumentError);
 }
 
@@ -81,29 +71,6 @@ TEST(Sharing, UnitIdToString) {
             "row3.u1");
   EXPECT_EQ(to_string(SharedUnitId{SharedUnitId::Pool::kColumn, 0, 0}),
             "col0.u0");
-}
-
-// -------------------------------------------------------------- resources
-TEST(Resources, PeSpecComposition) {
-  const auto base = base_pe().resources();
-  EXPECT_NE(std::find(base.begin(), base.end(), Resource::kArrayMultiplier),
-            base.end());
-  const auto shared = shared_pe().resources();
-  EXPECT_EQ(std::find(shared.begin(), shared.end(),
-                      Resource::kArrayMultiplier),
-            shared.end());
-  EXPECT_NE(std::find(shared.begin(), shared.end(), Resource::kBusSwitch),
-            shared.end());
-  const auto pipe = shared_pipelined_pe().resources();
-  EXPECT_NE(std::find(pipe.begin(), pipe.end(), Resource::kPipelineRegister),
-            pipe.end());
-}
-
-TEST(Resources, OnlyMultiplierSharableAndPipelinable) {
-  EXPECT_TRUE(is_sharable(Resource::kArrayMultiplier));
-  EXPECT_TRUE(is_pipelinable(Resource::kArrayMultiplier));
-  EXPECT_FALSE(is_sharable(Resource::kAlu));
-  EXPECT_FALSE(is_pipelinable(Resource::kShiftLogic));
 }
 
 // ---------------------------------------------------------------- presets
@@ -134,20 +101,6 @@ TEST(Presets, MultLatencyFollowsPipelining) {
   EXPECT_EQ(rsp_architecture(2, 8, 8, 3).mult_latency(), 3);
 }
 
-TEST(Presets, ValidateCatchesInconsistentCompositions) {
-  Architecture bad = rs_architecture(1);
-  bad.pe.has_multiplier = true;  // shares AND keeps private multipliers
-  EXPECT_THROW(bad.validate(), InvalidArgumentError);
-
-  Architecture bad2 = base_architecture();
-  bad2.pe.has_multiplier = false;  // nobody can multiply
-  EXPECT_THROW(bad2.validate(), InvalidArgumentError);
-
-  Architecture bad3 = rsp_architecture(1);
-  bad3.pe.has_pipeline_regs = false;
-  EXPECT_THROW(bad3.validate(), InvalidArgumentError);
-}
-
 TEST(Presets, CustomArchitectureRules) {
   const Architecture c = custom_architecture("X", 4, 4, 1, 1, 2);
   EXPECT_TRUE(c.pipelines_multiplier());
@@ -155,30 +108,20 @@ TEST(Presets, CustomArchitectureRules) {
   // Pipelining without sharing is outside the template.
   EXPECT_THROW(custom_architecture("Y", 4, 4, 0, 0, 2),
                InvalidArgumentError);
+  Architecture unshared = base_architecture();
+  unshared.sharing.pipeline_stages = 2;
+  EXPECT_THROW(unshared.validate(), InvalidArgumentError);
   // No sharing and no pipelining = base-style.
   EXPECT_FALSE(custom_architecture("Z", 4, 4, 0, 0, 1).shares_multiplier());
 }
 
 // ------------------------------------------------------------- bus switch
 TEST(BusSwitch, SelectBitsGrowLogarithmically) {
-  EXPECT_EQ(BusSwitchSpec{0}.select_bits(), 0);
-  BusSwitchSpec one;
-  one.reachable_units = 1;
-  EXPECT_EQ(one.select_bits(), 1);
-  BusSwitchSpec three;
-  three.reachable_units = 3;
-  EXPECT_EQ(three.select_bits(), 2);
-  BusSwitchSpec four;
-  four.reachable_units = 4;
-  EXPECT_EQ(four.select_bits(), 3);
-}
-
-TEST(BusSwitch, DerivedFromPlan) {
-  const ArraySpec a;
-  const SharingPlan plan{Resource::kArrayMultiplier, 2, 2, 2};
-  const BusSwitchSpec sw = make_bus_switch(plan, a.data_width_bits);
-  EXPECT_EQ(sw.reachable_units, 4);
-  EXPECT_EQ(sw.operand_width_bits, 16);
+  // ceil(log2(reachable units + 1)): the +1 is the idle selector.
+  EXPECT_EQ((SharingPlan{0, 0, 1}.switch_select_bits()), 0);
+  EXPECT_EQ((SharingPlan{1, 0, 1}.switch_select_bits()), 1);
+  EXPECT_EQ((SharingPlan{2, 1, 1}.switch_select_bits()), 2);
+  EXPECT_EQ((SharingPlan{2, 2, 2}.switch_select_bits()), 3);
 }
 
 // ----------------------------------------------------------- config cache
@@ -196,8 +139,8 @@ TEST(ConfigCache, StorageAndBounds) {
 TEST(ConfigCache, TotalBitsScalesWithSwitchComplexity) {
   const ArraySpec a;
   ConfigCache cache(a, 8);
-  const SharingPlan none{Resource::kArrayMultiplier, 0, 0, 1};
-  const SharingPlan four{Resource::kArrayMultiplier, 2, 2, 2};
+  const SharingPlan none{0, 0, 1};
+  const SharingPlan four{2, 2, 2};
   EXPECT_LT(cache.total_bits(none), cache.total_bits(four));
   // 8×8 PEs × 8 words × word bits.
   EXPECT_EQ(cache.total_bits(none),

@@ -100,16 +100,6 @@ TEST(Graph, RejectsNonPositiveCarriedDistance) {
 }
 
 // ------------------------------------------------------------- structure
-TEST(Graph, AsapLevelsAndDepth) {
-  const DataflowGraph g = simple_mac();
-  const auto levels = g.asap_levels();
-  EXPECT_EQ(levels[0], 0);  // load
-  EXPECT_EQ(levels[1], 0);  // load
-  EXPECT_EQ(levels[2], 1);  // mult
-  EXPECT_EQ(levels[3], 2);  // store
-  EXPECT_EQ(g.depth(), 3);
-}
-
 TEST(Graph, CountsAndOpSet) {
   const DataflowGraph g = simple_mac();
   EXPECT_EQ(g.count(OpKind::kLoad), 2);

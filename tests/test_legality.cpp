@@ -311,17 +311,17 @@ LegalityReport check_legality(const ConfigurationContext& context) {
     if (op.kind == ir::OpKind::kStore) ++writes[{op.pe.row, op.cycle}];
   }
   for (const auto& [key, n] : reads)
-    if (n > array.read_buses_per_row)
+    if (n > arch::kReadBusesPerRow)
       report.fail("row " + std::to_string(key.first) + " issues " +
                   std::to_string(n) + " loads in cycle " +
                   std::to_string(key.second) + " (cap " +
-                  std::to_string(array.read_buses_per_row) + ")");
+                  std::to_string(arch::kReadBusesPerRow) + ")");
   for (const auto& [key, n] : writes)
-    if (n > array.write_buses_per_row)
+    if (n > arch::kWriteBusesPerRow)
       report.fail("row " + std::to_string(key.first) + " issues " +
                   std::to_string(n) + " stores in cycle " +
                   std::to_string(key.second) + " (cap " +
-                  std::to_string(array.write_buses_per_row) + ")");
+                  std::to_string(arch::kWriteBusesPerRow) + ")");
 
   // 4: shared units. 5: latencies.
   std::map<std::pair<std::string, int>, ProgIndex> unit_issue;

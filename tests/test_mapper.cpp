@@ -112,10 +112,6 @@ TEST(Mapper, InfeasibleHintsRejected) {
   MappingHints too_wide;
   too_wide.columns = 9;
   EXPECT_THROW(mapper.map(tiny_kernel(9), too_wide), InfeasibleError);
-  MappingHints offset;
-  offset.first_row = 4;
-  offset.lanes = 5;
-  EXPECT_THROW(mapper.map(tiny_kernel(5), offset), InfeasibleError);
 }
 
 TEST(Mapper, UnroutableCarriedDependenceDiagnosed) {

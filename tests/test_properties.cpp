@@ -248,8 +248,7 @@ TEST_P(BitstreamProperty, RandomCachesRoundTrip) {
   array.rows = static_cast<int>(rng.uniform(1, 8));
   array.cols = static_cast<int>(rng.uniform(1, 8));
   const int length = static_cast<int>(rng.uniform(1, 40));
-  const arch::SharingPlan plan{arch::Resource::kArrayMultiplier,
-                               static_cast<int>(rng.uniform(0, 2)),
+  const arch::SharingPlan plan{static_cast<int>(rng.uniform(0, 2)),
                                static_cast<int>(rng.uniform(0, 2)), 1};
   arch::ConfigCache cache(array, length);
   for (int r = 0; r < array.rows; ++r)

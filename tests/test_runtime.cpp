@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -120,6 +121,21 @@ TEST(EvalCache, KeyIgnoresCosmeticNameButNotParameters) {
   EXPECT_NE(EvalCache::key("SAD", tag, rsp2),
             EvalCache::key("SAD", EvalCache::program_tag(tiny_program(1)),
                            rsp2));
+}
+
+TEST(EvalCache, KeyTextMatchesSavedSnapshots) {
+  // Saved cache files key their entries by this text, so a change to it
+  // turns every saved entry into a cold miss. The bus, width, PE and
+  // resource fields are fixed by the template and still written.
+  EXPECT_EQ(EvalCache::key("SAD", "42", arch::base_architecture()),
+            "SAD#42|8x8;rb2;wb1;dw16;pem--;res2;shr0;shc0;st1");
+  EXPECT_EQ(EvalCache::key("SAD", "42", arch::rs_architecture(3)),
+            "SAD#42|8x8;rb2;wb1;dw16;pe-s-;res2;shr2;shc1;st1");
+  EXPECT_EQ(EvalCache::key("SAD", "42", arch::rsp_architecture(4)),
+            "SAD#42|8x8;rb2;wb1;dw16;pe-sp;res2;shr2;shc2;st2");
+  EXPECT_EQ(EvalCache::key("gen:7", "9",
+                           arch::custom_architecture("c", 4, 4, 1, 2, 3)),
+            "gen:7#9|4x4;rb2;wb1;dw16;pe-sp;res2;shr1;shc2;st3");
 }
 
 // Four ops covering every field program_tag hashes: two loads and a
@@ -332,6 +348,72 @@ TEST(EvalCache, ConcurrentGetOrComputeYieldsOneConsistentValue) {
   for (int i = 0; i < 64; ++i)
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().cycles, (i % 8) + 1);
   EXPECT_EQ(cache.stats().entries, 8u);
+}
+
+// Runs `threads` callers of get_or_compute on one cold key. The compute
+// holds until every other caller has counted its hit (they wait on the one
+// compute in flight), or for at most 5 s, so the misses really race.
+std::vector<std::function<EvalRecord()>> racing_callers(
+    EvalCache& cache, int threads, std::atomic<int>& computes, bool fail) {
+  std::vector<std::function<EvalRecord()>> callers;
+  for (int t = 0; t < threads; ++t)
+    callers.push_back([&cache, &computes, threads, fail] {
+      return cache.get_or_compute("cold", [&cache, &computes, threads, fail] {
+        ++computes;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (cache.stats().hits < static_cast<std::uint64_t>(threads - 1) &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (fail) throw InfeasibleError("no unit reachable");
+        return EvalRecord{11, 0, 11, 1};
+      });
+    });
+  return callers;
+}
+
+TEST(EvalCache, RacingMissesComputeOnce) {
+  constexpr int kThreads = 8;
+  EvalCache cache(2);
+  std::atomic<int> computes{0};
+  std::vector<std::future<EvalRecord>> results;
+  for (auto& caller : racing_callers(cache, kThreads, computes, false))
+    results.push_back(std::async(std::launch::async, caller));
+  for (std::future<EvalRecord>& r : results)
+    EXPECT_EQ(r.get(), (EvalRecord{11, 0, 11, 1}));
+  EXPECT_EQ(computes.load(), 1);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(EvalCache, ThrowingComputeReachesEveryWaiter) {
+  constexpr int kThreads = 8;
+  EvalCache cache(2);
+  std::atomic<int> computes{0};
+  std::vector<std::future<EvalRecord>> results;
+  for (auto& caller : racing_callers(cache, kThreads, computes, true))
+    results.push_back(std::async(std::launch::async, caller));
+  for (std::future<EvalRecord>& r : results) {
+    try {
+      r.get();
+      ADD_FAILURE() << "expected InfeasibleError";
+    } catch (const InfeasibleError& e) {
+      EXPECT_STREQ(e.what(), "no unit reachable");
+    }
+  }
+  EXPECT_EQ(computes.load(), 1);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  // Nothing was memoized and nothing stays in flight: the next call
+  // computes again.
+  EXPECT_EQ(cache.get_or_compute("cold", [&computes] {
+    ++computes;
+    return EvalRecord{7, 0, 7, 1};
+  }),
+            (EvalRecord{7, 0, 7, 1}));
+  EXPECT_EQ(computes.load(), 2);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 // ------------------------------------------------------ bounded eviction

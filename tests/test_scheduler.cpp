@@ -459,10 +459,10 @@ ConfigurationContext schedule(const PlacedProgram& program,
         pe_free = pe_busy.used(t + s, pe_slot) == 0;
       if (!pe_free) continue;
       if (op.kind == ir::OpKind::kLoad &&
-          read_bus.used(t, op.pe.row) >= array.read_buses_per_row)
+          read_bus.used(t, op.pe.row) >= arch::kReadBusesPerRow)
         continue;
       if (op.kind == ir::OpKind::kStore &&
-          write_bus.used(t, op.pe.row) >= array.write_buses_per_row)
+          write_bus.used(t, op.pe.row) >= arch::kWriteBusesPerRow)
         continue;
       if (needs_unit) {
         // First fit: row-pool units, then column-pool units, in index order.

@@ -111,7 +111,7 @@ sim::SimResult run_dense(const sched::ConfigurationContext& context,
       std::int64_t value = 0;
       switch (op.kind) {
         case ir::OpKind::kLoad:
-          if (++row_reads[op.pe.row] > array.read_buses_per_row)
+          if (++row_reads[op.pe.row] > arch::kReadBusesPerRow)
             throw Error("simulator: read-bus oversubscribed on row " +
                         std::to_string(op.pe.row) + " at cycle " +
                         std::to_string(t));
@@ -119,7 +119,7 @@ sim::SimResult run_dense(const sched::ConfigurationContext& context,
           ++st.bus_reads;
           break;
         case ir::OpKind::kStore:
-          if (++row_writes[op.pe.row] > array.write_buses_per_row)
+          if (++row_writes[op.pe.row] > arch::kWriteBusesPerRow)
             throw Error("simulator: write-bus oversubscribed on row " +
                         std::to_string(op.pe.row) + " at cycle " +
                         std::to_string(t));
@@ -630,7 +630,7 @@ sched::ConfigurationContext random_context(util::Rng& rng,
       // kConst when a resource is exhausted so density stays high.
       if (op.kind == ir::OpKind::kLoad &&
           row_reads[static_cast<std::size_t>(coord.row)] >=
-              array.read_buses_per_row) {
+              arch::kReadBusesPerRow) {
         op = sched::ScheduledOp{};
         op.kind = ir::OpKind::kConst;
         op.pe = coord;
@@ -638,7 +638,7 @@ sched::ConfigurationContext random_context(util::Rng& rng,
       }
       if (op.kind == ir::OpKind::kStore &&
           row_writes[static_cast<std::size_t>(coord.row)] >=
-              array.write_buses_per_row) {
+              arch::kWriteBusesPerRow) {
         op = sched::ScheduledOp{};
         op.kind = ir::OpKind::kConst;
         op.pe = coord;
